@@ -3008,6 +3008,25 @@ mod tests {
         assert!(m.contains("\"mc."), "no mc metrics in: {m}");
         let _ = std::fs::remove_file(&trace);
         let _ = std::fs::remove_file(&metrics);
+        // `lint --protocol` splits each controller's lint time into its
+        // expression and coverage halves.
+        let lint_trace = tmp.join("ccsql_lint_protocol_test.trace.json");
+        run(&[
+            "--trace-out".into(),
+            lint_trace.display().to_string(),
+            "lint".into(),
+            "--protocol".into(),
+        ])
+        .unwrap();
+        let text = std::fs::read_to_string(&lint_trace).unwrap();
+        json_check::parse(&text).unwrap_or_else(|e| panic!("trace is not JSON: {e}"));
+        for name in ["exprs", "coverage"] {
+            assert!(
+                text.contains(&format!("\"cat\":\"lint\",\"name\":\"{name}\"")),
+                "no lint/{name} span in the lint --protocol trace"
+            );
+        }
+        let _ = std::fs::remove_file(&lint_trace);
         // Bad flag forms are rejected up front.
         assert!(run(&argv("sim --trace-out")).is_err());
         assert!(run(&argv("sim --trace-out --seed 1")).is_err());

@@ -33,13 +33,15 @@ const ROW_BUDGET: usize = 500_000;
 const WITNESS_CAP: usize = 3;
 
 /// Run the coverage analysis for `spec`. `span_of` maps a column name
-/// to its constraint's source span.
+/// to its constraint's source span. Returns the number of legal input
+/// rows whose output completions were searched (zero when the analysis
+/// does not apply or is skipped).
 pub fn lint_coverage(
     spec: &TableSpec,
     ctx: &dyn EvalContext,
     span_of: &dyn Fn(&str) -> Span,
     report: &mut LintReport,
-) {
+) -> usize {
     let is_column = |s: Sym| spec.columns.iter().any(|c| c.name == s);
     let inputs: Vec<&_> = spec
         .columns
@@ -52,7 +54,7 @@ pub fn lint_coverage(
         .filter(|c| c.role == ColumnRole::Output)
         .collect();
     if inputs.is_empty() || outputs.is_empty() {
-        return;
+        return 0;
     }
     let input_set: Vec<Sym> = inputs.iter().map(|c| c.name).collect();
 
@@ -76,7 +78,7 @@ pub fn lint_coverage(
             .map(|s| s.as_str()),
     ) {
         Ok(s) => s,
-        Err(_) => return, // duplicate column names: parser rejects these
+        Err(_) => return 0, // duplicate column names: parser rejects these
     };
     struct C {
         owner: Sym,
@@ -104,7 +106,7 @@ pub fn lint_coverage(
                         c.name
                     ),
                 );
-                return;
+                return 0;
             }
         };
         let input_only = deps.iter().all(|d| input_set.contains(d));
@@ -137,7 +139,7 @@ pub fn lint_coverage(
                     "input coverage skipped: legal-input enumeration exceeds {ROW_BUDGET} rows"
                 ),
             );
-            return;
+            return 0;
         }
         let ids: Vec<u32> = col.values.iter().map(|v| v.vid()).collect();
         let mut next: Vec<Vec<u32>> = Vec::with_capacity(rows.len() * ids.len());
@@ -169,7 +171,7 @@ pub fn lint_coverage(
                                 c.owner
                             ),
                         );
-                        return;
+                        return 0;
                     }
                 }
             }
@@ -291,6 +293,7 @@ pub fn lint_coverage(
             }
         }
     }
+    rows.len()
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -3,17 +3,28 @@
 //! branches (CCL003), assignments forcing a column outside its own
 //! table (CCL004), and all-branches-NULL outputs (CCL005).
 //!
-//! The reachability analysis (CCL003) enumerates assignments over the
+//! The reachability analysis (CCL003) ranges over the product of the
 //! columns appearing in ternary *conditions* only — for rule-chain
 //! constraints those are the controller's input columns, a small finite
-//! product — and evaluates each constraint with an instrumented
-//! three-valued evaluator that records, per ternary node, whether its
-//! then/else branch was ever taken *on a reachable path*. `and`/`or` do
-//! not short-circuit (Kleene folding), so a ternary nested under either
-//! operand is always visited; only untaken ternary arms are skipped,
-//! which is exactly the path sensitivity the check needs: a branch
-//! shadowed by an identical outer condition is never visited and is
-//! reported even though its condition is satisfiable in isolation.
+//! product — and evaluates each constraint set-at-a-time instead of
+//! once per assignment. The product is numbered densely (mixed radix,
+//! last column fastest), so a set of assignments is a bitmask and
+//! `col = v` / `col in (…)` are masks built on demand from the column's
+//! stride. Every node evaluates, path-independently, to the sets of
+//! assignments where it is true, false, or each value it can take
+//! (unknown is the rest), combined word by word with Kleene rules;
+//! named-set calls are asked once per domain value. One top-down walk
+//! then carries a *path* mask — the assignments on which a node is
+//! reached — and at each ternary records whether the then/else arm is
+//! taken (path ∧ true, path ∧ false non-empty) or the condition is
+//! unknown somewhere on the path. `and`/`or` do not short-circuit, so a
+//! ternary nested under either operand is always visited; an arm is
+//! walked under the path minus where the condition definitely goes the
+//! other way, which is exactly the path sensitivity the check needs: a
+//! branch shadowed by an identical outer condition gets an empty path
+//! and is reported even though its condition is satisfiable in
+//! isolation. This agrees with evaluating every assignment through a
+//! three-valued walker and marking the arms it takes.
 
 use crate::diag::{codes, Diagnostic, LintReport, Severity};
 use ccsql_relalg::expr::EvalContext;
@@ -27,13 +38,14 @@ const REACH_BUDGET: u64 = 1 << 19;
 
 /// Run all expression-level lints for `spec`. `span_of` maps a column
 /// name to the source span of its constraint ([`Span::UNKNOWN`] for
-/// built-in specs).
+/// built-in specs). Returns the number of condition-product assignments
+/// the reachability check evaluated.
 pub fn lint_exprs(
     spec: &TableSpec,
     ctx: &dyn EvalContext,
     span_of: &dyn Fn(&str) -> Span,
     report: &mut LintReport,
-) {
+) -> u64 {
     let is_column = |s: Sym| spec.columns.iter().any(|c| c.name == s);
     let table_of: HashMap<Sym, &[Value]> = spec
         .columns
@@ -43,8 +55,9 @@ pub fn lint_exprs(
 
     // Reachability marks are cached per condition skeleton: in a rule
     // chain every output column shares the same guard sequence, so the
-    // enumeration runs once per table, not once per column.
+    // pass runs once per table, not once per column.
     let mut reach_cache: HashMap<String, Option<Vec<Mark>>> = HashMap::new();
+    let mut evaluated = 0u64;
 
     for col in &spec.columns {
         if col.constraint.is_true() {
@@ -58,8 +71,10 @@ pub fn lint_exprs(
         if col.role == ColumnRole::Output {
             check_all_null(col.name, &col.values, &e, &spec.name, name, at, report);
         }
-        check_reachability(spec, &table_of, ctx, &e, name, at, &mut reach_cache, report);
+        evaluated +=
+            check_reachability(spec, &table_of, ctx, &e, name, at, &mut reach_cache, report);
     }
+    evaluated
 }
 
 /// CCL001 / CCL002 / CCL004: walk every comparison node.
@@ -261,28 +276,16 @@ fn check_all_null(
 }
 
 /// Per-ternary reachability marks.
-#[derive(Clone, Copy, Default)]
+#[derive(Default)]
 struct Mark {
     then_taken: bool,
     else_taken: bool,
     cond_unknown: bool,
 }
 
-impl Mark {
-    fn done(&self) -> bool {
-        self.cond_unknown || (self.then_taken && self.else_taken)
-    }
-}
-
-/// Three-valued evaluation result.
-enum K {
-    Val(Value),
-    Bool(bool),
-    Unknown,
-}
-
-/// CCL003 (+ CCL019 over budget): branch reachability by enumeration
-/// over the condition columns' domains.
+/// CCL003 (+ CCL019 over budget): branch reachability over the
+/// condition columns' product. Returns the number of assignments
+/// evaluated (zero on a cache hit or a skip).
 #[allow(clippy::too_many_arguments)]
 fn check_reachability(
     spec: &TableSpec,
@@ -293,13 +296,13 @@ fn check_reachability(
     at: Span,
     cache: &mut HashMap<String, Option<Vec<Mark>>>,
     report: &mut LintReport,
-) {
+) -> u64 {
     // Collect ternary conditions (pre-order, with whether the else-arm
     // carries nested logic) and the columns they use.
     let mut conds: Vec<(&Expr, bool)> = Vec::new();
     collect_conds(e, &mut conds);
     if conds.is_empty() {
-        return;
+        return 0;
     }
     let mut cond_cols: Vec<Sym> = Vec::new();
     for (c, _) in &conds {
@@ -311,24 +314,20 @@ fn check_reachability(
     }
     cond_cols.sort();
 
-    let key = skeleton(e);
-    let marks = cache.entry(key).or_insert_with(|| {
-        let product: u64 = cond_cols
-            .iter()
-            .map(|c| table_of[c].len() as u64)
-            .try_fold(1u64, |a, b| a.checked_mul(b))
-            .unwrap_or(u64::MAX);
-        if product > REACH_BUDGET {
-            return None;
-        }
-        let mut marks = vec![Mark::default(); conds.len()];
-        let mut env: HashMap<Sym, Value> = HashMap::new();
-        enumerate(&cond_cols, 0, table_of, &mut env, &mut |env| {
-            let mut idx = 0usize;
-            eval_marked(e, env, ctx, &mut idx, &mut marks);
-            marks.iter().all(|m| m.done())
-        });
-        Some(marks)
+    let mut evaluated = 0u64;
+    let marks = cache.entry(skeleton(e)).or_insert_with(|| {
+        let doms: Vec<&[Value]> = cond_cols.iter().map(|c| table_of[c]).collect();
+        let product = Product::new(cond_cols, doms)?;
+        evaluated = product.len;
+        let mut reach = Reach {
+            full: product.full(),
+            product,
+            ctx,
+            marks: Vec::with_capacity(conds.len()),
+        };
+        let all = reach.full.clone();
+        reach.visit(e, &all, false);
+        Some(reach.marks)
     });
 
     match marks {
@@ -390,14 +389,15 @@ fn check_reachability(
             }
         }
     }
+    evaluated
 }
 
 /// Pre-order list of (ternary condition, else-arm-has-nested-ternary)
-/// pairs (the node numbering the marked evaluator reproduces).
+/// pairs (the node numbering the mark walk reproduces).
 fn collect_conds<'a>(e: &'a Expr, out: &mut Vec<(&'a Expr, bool)>) {
     match e {
         Expr::Ternary(c, t, f) => {
-            out.push((c, count_ternaries(f) > 0));
+            out.push((c, has_ternary(f)));
             collect_conds(c, out);
             collect_conds(t, out);
             collect_conds(f, out);
@@ -411,20 +411,21 @@ fn collect_conds<'a>(e: &'a Expr, out: &mut Vec<(&'a Expr, bool)>) {
     }
 }
 
+fn has_ternary(e: &Expr) -> bool {
+    match e {
+        Expr::Ternary(..) => true,
+        Expr::Eq(a, b) | Expr::Ne(a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+            has_ternary(a) || has_ternary(b)
+        }
+        Expr::In(x, _) | Expr::Not(x) | Expr::Call(_, x) => has_ternary(x),
+        _ => false,
+    }
+}
+
 /// Structural cache key: ternary nesting with conditions spelled out and
 /// ternary-free arms collapsed to `_` (assignment leaves differ between
 /// the output columns of one rule chain; the guards do not).
 fn skeleton(e: &Expr) -> String {
-    fn has_ternary(e: &Expr) -> bool {
-        match e {
-            Expr::Ternary(..) => true,
-            Expr::Eq(a, b) | Expr::Ne(a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                has_ternary(a) || has_ternary(b)
-            }
-            Expr::In(x, _) | Expr::Not(x) | Expr::Call(_, x) => has_ternary(x),
-            _ => false,
-        }
-    }
     fn go(e: &Expr, out: &mut String) {
         if !has_ternary(e) {
             out.push('_');
@@ -485,132 +486,337 @@ fn skeleton(e: &Expr) -> String {
     s
 }
 
-/// Enumerate full assignments over `cols`; `f` returns `true` to stop
-/// early (all marks resolved).
-fn enumerate(
-    cols: &[Sym],
-    i: usize,
-    table_of: &HashMap<Sym, &[Value]>,
-    env: &mut HashMap<Sym, Value>,
-    f: &mut dyn FnMut(&HashMap<Sym, Value>) -> bool,
-) -> bool {
-    if i == cols.len() {
-        return f(env);
-    }
-    for v in table_of[&cols[i]] {
-        env.insert(cols[i], *v);
-        if enumerate(cols, i + 1, table_of, env, f) {
-            env.remove(&cols[i]);
-            return true;
-        }
-    }
-    env.remove(&cols[i]);
-    false
+/// A set of assignments of the condition product: bit `n` stands for
+/// the assignment numbered `n`.
+type Mask = Vec<u64>;
+
+/// The condition columns' product, numbered densely in mixed radix with
+/// the last column fastest: column `i` holds domain position
+/// `(n / stride[i]) % domain_len` in assignment `n`.
+struct Product<'a> {
+    cols: Vec<Sym>,
+    doms: Vec<&'a [Value]>,
+    strides: Vec<u64>,
+    len: u64,
+    words: usize,
 }
 
-/// The instrumented evaluator. `idx` walks the same pre-order ternary
-/// numbering as [`collect_conds`]; untaken ternary arms advance it by
-/// their ternary count without being evaluated, keeping ids aligned.
-fn eval_marked(
-    e: &Expr,
-    env: &HashMap<Sym, Value>,
-    ctx: &dyn EvalContext,
-    idx: &mut usize,
-    marks: &mut [Mark],
-) -> K {
-    match e {
-        Expr::Col(c) => match env.get(c) {
-            Some(v) => K::Val(*v),
-            None => K::Unknown,
-        },
-        Expr::Ident(c) => K::Val(Value::Sym(*c)),
-        Expr::Lit(v) => K::Val(*v),
-        Expr::True => K::Bool(true),
-        Expr::False => K::Bool(false),
-        Expr::Eq(a, b) | Expr::Ne(a, b) => {
-            let ka = eval_marked(a, env, ctx, idx, marks);
-            let kb = eval_marked(b, env, ctx, idx, marks);
-            match (ka, kb) {
-                (K::Val(x), K::Val(y)) => {
-                    let eq = x == y;
-                    K::Bool(if matches!(e, Expr::Eq(..)) { eq } else { !eq })
+impl<'a> Product<'a> {
+    /// `None` when the product exceeds [`REACH_BUDGET`].
+    fn new(cols: Vec<Sym>, doms: Vec<&'a [Value]>) -> Option<Product<'a>> {
+        let len = doms
+            .iter()
+            .try_fold(1u64, |a, d| a.checked_mul(d.len() as u64))
+            .filter(|&n| n <= REACH_BUDGET)?;
+        let mut strides = vec![1u64; doms.len()];
+        for i in (0..doms.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1].saturating_mul(doms[i + 1].len() as u64);
+        }
+        Some(Product {
+            cols,
+            doms,
+            strides,
+            len,
+            words: len.div_ceil(64) as usize,
+        })
+    }
+
+    fn empty(&self) -> Mask {
+        vec![0; self.words]
+    }
+
+    fn full(&self) -> Mask {
+        let mut m = self.empty();
+        set_range(&mut m, 0, self.len);
+        m
+    }
+
+    /// Assignments where column `i` sits at a domain position `pick`
+    /// accepts, built from the column's stride.
+    fn digit_mask(&self, i: usize, pick: impl Fn(usize) -> bool) -> Mask {
+        let (stride, radix) = (self.strides[i], self.doms[i].len() as u64);
+        let mut m = self.empty();
+        for d in (0..radix).filter(|&d| pick(d as usize)) {
+            let mut lo = d * stride;
+            while lo < self.len {
+                set_range(&mut m, lo, lo + stride);
+                lo += stride * radix;
+            }
+        }
+        m
+    }
+}
+
+/// Set bits `lo..hi`.
+fn set_range(m: &mut [u64], lo: u64, hi: u64) {
+    if lo >= hi {
+        return;
+    }
+    let (lw, hw) = ((lo / 64) as usize, (hi / 64) as usize);
+    let (lb, hb) = (lo % 64, hi % 64);
+    if lw == hw {
+        m[lw] |= ((1u64 << (hb - lb)) - 1) << lb;
+        return;
+    }
+    m[lw] |= !0u64 << lb;
+    m[lw + 1..hw].fill(!0);
+    if hb > 0 {
+        m[hw] |= (1u64 << hb) - 1;
+    }
+}
+
+fn and(a: &[u64], b: &[u64]) -> Mask {
+    a.iter().zip(b).map(|(x, y)| x & y).collect()
+}
+
+fn and_not(a: &[u64], b: &[u64]) -> Mask {
+    a.iter().zip(b).map(|(x, y)| x & !y).collect()
+}
+
+fn or(a: &[u64], b: &[u64]) -> Mask {
+    a.iter().zip(b).map(|(x, y)| x | y).collect()
+}
+
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    dst.iter_mut().zip(src).for_each(|(d, s)| *d |= s);
+}
+
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// A node's three-valued result at every assignment of the product,
+/// as the per-assignment evaluator would produce it: a value, true,
+/// false, or unknown. Path-independent.
+enum KMask {
+    /// Unknown everywhere (an unfixed column, or a value nobody asked
+    /// for).
+    Unknown,
+    /// The same value everywhere.
+    Lit(Value),
+    /// The value of condition column `i`.
+    Col(usize),
+    /// Disjoint true, false and per-value sets; unknown elsewhere.
+    Sets {
+        t: Mask,
+        f: Mask,
+        vals: Vec<(Value, Mask)>,
+    },
+}
+
+/// The set-at-a-time reachability pass over one constraint.
+struct Reach<'a> {
+    product: Product<'a>,
+    full: Mask,
+    ctx: &'a dyn EvalContext,
+    /// Ternary marks in pre-order, pushed as each ternary is entered.
+    marks: Vec<Mark>,
+}
+
+impl Reach<'_> {
+    fn boolean(t: Mask, f: Mask) -> KMask {
+        KMask::Sets {
+            t,
+            f,
+            vals: Vec::new(),
+        }
+    }
+
+    /// Where the node is true and false; values count as unknown.
+    fn tf(&self, k: KMask) -> (Mask, Mask) {
+        match k {
+            KMask::Sets { t, f, .. } => (t, f),
+            _ => (self.product.empty(), self.product.empty()),
+        }
+    }
+
+    /// The node's value sets (booleans excluded), materialised.
+    fn vals(&self, k: &KMask) -> Vec<(Value, Mask)> {
+        match k {
+            KMask::Unknown => Vec::new(),
+            KMask::Lit(v) => vec![(*v, self.full.clone())],
+            KMask::Col(i) => (0..self.product.doms[*i].len())
+                .map(|d| {
+                    let m = self.product.digit_mask(*i, |x| x == d);
+                    (self.product.doms[*i][d], m)
+                })
+                .collect(),
+            KMask::Sets { vals, .. } => vals.clone(),
+        }
+    }
+
+    /// `a = b` as (true, false) sets: known only where both sides are
+    /// values. `col = literal`, the common case, builds one stride mask
+    /// instead of the column's whole partition.
+    fn eq(&self, a: &KMask, b: &KMask) -> (Mask, Mask) {
+        let p = &self.product;
+        match (a, b) {
+            (KMask::Col(i), KMask::Lit(v)) | (KMask::Lit(v), KMask::Col(i)) => {
+                let t = p.digit_mask(*i, |d| p.doms[*i][d] == *v);
+                let f = and_not(&self.full, &t);
+                (t, f)
+            }
+            _ => {
+                let (mut t, mut f) = (p.empty(), p.empty());
+                let vb = self.vals(b);
+                for (x, ma) in self.vals(a) {
+                    for (y, mb) in &vb {
+                        let dst = if x == *y { &mut t } else { &mut f };
+                        dst.iter_mut()
+                            .zip(ma.iter().zip(mb))
+                            .for_each(|(d, (l, r))| *d |= l & r);
+                    }
                 }
-                _ => K::Unknown,
+                (t, f)
             }
         }
-        Expr::In(x, vs) => match eval_marked(x, env, ctx, idx, marks) {
-            K::Val(v) => K::Bool(vs.contains(&v)),
-            _ => K::Unknown,
-        },
-        Expr::And(a, b) => {
-            // Kleene, no short-circuit: both sides always visited.
-            let ka = eval_marked(a, env, ctx, idx, marks);
-            let kb = eval_marked(b, env, ctx, idx, marks);
-            match (ka, kb) {
-                (K::Bool(false), _) | (_, K::Bool(false)) => K::Bool(false),
-                (K::Bool(true), K::Bool(true)) => K::Bool(true),
-                _ => K::Unknown,
+    }
+
+    /// Split the node's values by a per-value verdict: `Some(b)` sends
+    /// the value's assignments to the true/false set, `None` leaves them
+    /// unknown. `verdict` runs once per domain position or value set,
+    /// never per assignment.
+    fn classify(&self, k: &KMask, verdict: impl Fn(Value) -> Option<bool>) -> (Mask, Mask) {
+        let p = &self.product;
+        match k {
+            KMask::Col(i) => {
+                let v: Vec<Option<bool>> = p.doms[*i].iter().map(|x| verdict(*x)).collect();
+                (
+                    p.digit_mask(*i, |d| v[d] == Some(true)),
+                    p.digit_mask(*i, |d| v[d] == Some(false)),
+                )
+            }
+            _ => {
+                let (mut t, mut f) = (p.empty(), p.empty());
+                for (x, m) in self.vals(k) {
+                    match verdict(x) {
+                        Some(true) => or_into(&mut t, &m),
+                        Some(false) => or_into(&mut f, &m),
+                        None => {}
+                    }
+                }
+                (t, f)
             }
         }
-        Expr::Or(a, b) => {
-            let ka = eval_marked(a, env, ctx, idx, marks);
-            let kb = eval_marked(b, env, ctx, idx, marks);
-            match (ka, kb) {
-                (K::Bool(true), _) | (_, K::Bool(true)) => K::Bool(true),
-                (K::Bool(false), K::Bool(false)) => K::Bool(false),
-                _ => K::Unknown,
-            }
-        }
-        Expr::Not(x) => match eval_marked(x, env, ctx, idx, marks) {
-            K::Bool(b) => K::Bool(!b),
-            _ => K::Unknown,
-        },
-        Expr::Call(name, x) => match eval_marked(x, env, ctx, idx, marks) {
-            K::Val(v) => match ctx.set_contains(*name, v) {
-                Ok(b) => K::Bool(b),
-                Err(_) => K::Unknown,
+    }
+
+    /// `k` restricted to the assignments in `m`, as explicit sets (value
+    /// sets left empty by the restriction are dropped).
+    fn restrict(&self, k: KMask, m: &[u64]) -> (Mask, Mask, Vec<(Value, Mask)>) {
+        let (t, f, vals) = match k {
+            KMask::Sets { t, f, vals } => (t, f, vals),
+            k => (self.product.empty(), self.product.empty(), self.vals(&k)),
+        };
+        let vals = vals
+            .into_iter()
+            .map(|(v, vm)| (v, and(&vm, m)))
+            .filter(|(_, vm)| vm.iter().any(|w| *w != 0))
+            .collect();
+        (and(&t, m), and(&f, m), vals)
+    }
+
+    /// Evaluate `e` over the whole product and record the marks of every
+    /// ternary inside it, given `path`: the assignments on which `e` is
+    /// reached. The result is computed only when `need` is set (an
+    /// operand of something whose value matters); otherwise `Unknown`
+    /// is returned and only the marks are recorded.
+    fn visit(&mut self, e: &Expr, path: &[u64], need: bool) -> KMask {
+        match e {
+            Expr::Col(c) => match self.product.cols.iter().position(|x| x == c) {
+                Some(i) => KMask::Col(i),
+                None => KMask::Unknown,
             },
-            _ => K::Unknown,
-        },
-        Expr::Ternary(c, t, f) => {
-            let my = *idx;
-            *idx += 1;
-            let kc = eval_marked(c, env, ctx, idx, marks);
-            match kc {
-                K::Bool(true) => {
-                    marks[my].then_taken = true;
-                    let r = eval_marked(t, env, ctx, idx, marks);
-                    *idx += count_ternaries(f);
-                    r
+            Expr::Ident(c) => KMask::Lit(Value::Sym(*c)),
+            Expr::Lit(v) => KMask::Lit(*v),
+            Expr::True => Reach::boolean(self.full.clone(), self.product.empty()),
+            Expr::False => Reach::boolean(self.product.empty(), self.full.clone()),
+            Expr::Eq(a, b) | Expr::Ne(a, b) => {
+                let ka = self.visit(a, path, need);
+                let kb = self.visit(b, path, need);
+                if !need {
+                    return KMask::Unknown;
                 }
-                K::Bool(false) => {
-                    marks[my].else_taken = true;
-                    *idx += count_ternaries(t);
-                    eval_marked(f, env, ctx, idx, marks)
-                }
-                _ => {
-                    // Condition value unknown (opaque predicate or an
-                    // unfixed column): treat both arms as possibly
-                    // reachable — the safe direction for this check.
-                    marks[my].cond_unknown = true;
-                    eval_marked(t, env, ctx, idx, marks);
-                    eval_marked(f, env, ctx, idx, marks);
-                    K::Unknown
+                let (t, f) = self.eq(&ka, &kb);
+                match e {
+                    Expr::Eq(..) => Reach::boolean(t, f),
+                    _ => Reach::boolean(f, t),
                 }
             }
+            Expr::In(x, vs) => {
+                let k = self.visit(x, path, need);
+                if !need {
+                    return KMask::Unknown;
+                }
+                let (t, f) = self.classify(&k, |v| Some(vs.contains(&v)));
+                Reach::boolean(t, f)
+            }
+            Expr::Call(name, x) => {
+                let k = self.visit(x, path, need);
+                if !need {
+                    return KMask::Unknown;
+                }
+                let (t, f) = self.classify(&k, |v| self.ctx.set_contains(*name, v).ok());
+                Reach::boolean(t, f)
+            }
+            // Kleene, no short-circuit: both sides always visited.
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                let ka = self.visit(a, path, need);
+                let kb = self.visit(b, path, need);
+                if !need {
+                    return KMask::Unknown;
+                }
+                let ((ta, fa), (tb, fb)) = (self.tf(ka), self.tf(kb));
+                match e {
+                    Expr::And(..) => Reach::boolean(and(&ta, &tb), or(&fa, &fb)),
+                    _ => Reach::boolean(or(&ta, &tb), and(&fa, &fb)),
+                }
+            }
+            Expr::Not(x) => {
+                let k = self.visit(x, path, need);
+                if !need {
+                    return KMask::Unknown;
+                }
+                let (t, f) = self.tf(k);
+                Reach::boolean(f, t)
+            }
+            Expr::Ternary(c, t, f) => {
+                let my = self.marks.len();
+                self.marks.push(Mark::default());
+                let (ct, cf) = {
+                    let k = self.visit(c, path, true);
+                    self.tf(k)
+                };
+                // Where the condition is unknown (an opaque predicate or
+                // an unfixed column) both arms are possibly reachable —
+                // the safe direction for this check.
+                self.marks[my] = Mark {
+                    then_taken: intersects(path, &ct),
+                    else_taken: intersects(path, &cf),
+                    cond_unknown: path
+                        .iter()
+                        .zip(ct.iter().zip(&cf))
+                        .any(|(p, (t, f))| p & !(t | f) != 0),
+                };
+                // The arms see the path minus where the condition is
+                // definitely the other way; only the else-path and (when
+                // the result is wanted) the condition sets stay alive
+                // while the arms are walked.
+                let then_path = and_not(path, &cf);
+                let else_path = and_not(path, &ct);
+                let cond = need.then_some((ct, cf));
+                let kt = self.visit(t, &then_path, need);
+                drop(then_path);
+                let kf = self.visit(f, &else_path, need);
+                let Some((ct, cf)) = cond else {
+                    return KMask::Unknown;
+                };
+                let (mut rt, mut rf, mut vals) = self.restrict(kt, &ct);
+                let (et, ef, evals) = self.restrict(kf, &cf);
+                or_into(&mut rt, &et);
+                or_into(&mut rf, &ef);
+                vals.extend(evals);
+                KMask::Sets { t: rt, f: rf, vals }
+            }
         }
-    }
-}
-
-/// Ternary count of a subtree (to advance the id counter past skipped
-/// arms).
-fn count_ternaries(e: &Expr) -> usize {
-    match e {
-        Expr::Ternary(c, t, f) => 1 + count_ternaries(c) + count_ternaries(t) + count_ternaries(f),
-        Expr::Eq(a, b) | Expr::Ne(a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-            count_ternaries(a) + count_ternaries(b)
-        }
-        Expr::In(x, _) | Expr::Not(x) | Expr::Call(_, x) => count_ternaries(x),
-        _ => 0,
     }
 }

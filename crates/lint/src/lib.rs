@@ -56,8 +56,16 @@ pub fn lint_table(
     report: &mut LintReport,
 ) {
     ccsql_obs::counter_add("ccsql_lint.tables", 1);
-    expr_lint::lint_exprs(spec, ctx, span_of, report);
-    coverage::lint_coverage(spec, ctx, span_of, report);
+    {
+        let fspan = ccsql_obs::flight::span("lint", "exprs");
+        fspan.arg("table", spec.name.as_str());
+        let assignments = expr_lint::lint_exprs(spec, ctx, span_of, report);
+        fspan.arg("assignments", assignments);
+    }
+    let fspan = ccsql_obs::flight::span("lint", "coverage");
+    fspan.arg("table", spec.name.as_str());
+    let rows = coverage::lint_coverage(spec, ctx, span_of, report);
+    fspan.arg("legal_inputs", rows);
 }
 
 /// Lint one or more parsed spec files together: per-table analyses for

@@ -7,7 +7,9 @@ use ccsql::vc::VcAssignment;
 use ccsql_lint::{codes, lint_protocol, lint_specfiles, LintReport};
 use ccsql_lint::{FlowModel, FlowPoint};
 use ccsql_protocol::ProtocolSpec;
-use ccsql_relalg::{parse_specfile, Span};
+use ccsql_relalg::expr::NoContext;
+use ccsql_relalg::solver::{ColumnDef, TableSpec};
+use ccsql_relalg::{parse_specfile, Expr, Span, Value};
 
 fn lint_src(src: &str) -> LintReport {
     let f = parse_specfile(src).expect("spec parses");
@@ -183,6 +185,68 @@ fn ccl019_analysis_skipped_over_budget() {
     );
     assert!(!r.failed(), "info notes must not fail the gate");
     assert!(!r.is_clean());
+}
+
+/// Reachability findings of `lint_exprs` alone over a table of inputs
+/// with the given domain sizes (values `0..n`) and output `o`.
+fn reach_findings(domains: &[(&str, i64)], constraint: Expr) -> Vec<String> {
+    let mut columns: Vec<ColumnDef> = domains
+        .iter()
+        .map(|&(c, n)| ColumnDef::input(c, (0..n).map(Value::Int).collect(), Expr::True))
+        .collect();
+    let o = vec![Value::sym("p"), Value::sym("q"), Value::Null];
+    columns.push(ColumnDef::output("o", o, constraint));
+    let spec = TableSpec {
+        name: "T".into(),
+        columns,
+    };
+    let mut report = LintReport::new();
+    ccsql_lint::expr_lint::lint_exprs(&spec, &NoContext, &|_| Span::UNKNOWN, &mut report);
+    findings(&report)
+}
+
+/// `c0 = v0 and c1 = v1 and …` over (column, value) pairs.
+fn all_eq(pairs: &[(&str, i64)]) -> Expr {
+    Expr::all(
+        pairs
+            .iter()
+            .map(|&(c, v)| Expr::Eq(Box::new(Expr::col(c)), Box::new(Expr::Lit(Value::Int(v))))),
+    )
+}
+
+#[test]
+fn ccl003_reach_budget_boundary() {
+    // Exactly 2^19 assignments (8^5 x 16) is still analysed. The guard
+    // holds only on the very last assignment (every column at its last
+    // value), so the outer then-arm is reachable through the final bit
+    // of the product alone, and the identical inner guard's then-arm is
+    // shadowed.
+    let cols = [("a", 8), ("b", 8), ("c", 8), ("d", 8), ("e", 8), ("f", 16)];
+    let last = all_eq(&[("a", 7), ("b", 7), ("c", 7), ("d", 7), ("e", 7), ("f", 15)]);
+    let o = |v: &str| Expr::col_eq("o", v);
+    let e = last
+        .clone()
+        .ternary(o("p"), last.ternary(o("q"), Expr::col_is_null("o")));
+    assert_eq!(
+        reach_findings(&cols, e),
+        vec![
+            "T.o: warn CCL003: then-branch of `(((((a = 7 and b = 7) and c = 7) and \
+             d = 7) and e = 7) and f = 15) ? … : …` is unreachable: the condition never \
+             holds on any path that reaches it"
+        ]
+    );
+
+    // 2^19 + 1 assignments (3 x 174763) is one over the budget: skipped
+    // with a note instead of analysed.
+    let cols = [("g", 3), ("h", 174_763)];
+    let e = all_eq(&[("g", 0), ("h", 0)]).ternary(o("p"), Expr::col_is_null("o"));
+    assert_eq!(
+        reach_findings(&cols, e),
+        vec![
+            "T.o: info CCL019: branch reachability skipped: condition domain exceeds \
+             524288 assignments"
+        ]
+    );
 }
 
 #[test]

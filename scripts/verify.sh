@@ -19,6 +19,9 @@ cargo test -q
 echo "==> cargo test -q --workspace (all crates)"
 cargo test -q --workspace
 
+echo "==> benchmark tests (own workspace; smoke iterations pin every workload's verdicts)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> parallel equivalence (1 vs 2 vs 8 threads)"
 cargo test -q -p ccsql-mc --test parallel
 cargo test -q -p ccsql thread_count_does_not_change_the_table
