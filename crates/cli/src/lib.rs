@@ -2856,7 +2856,7 @@ mod tests {
 
     #[test]
     fn bench_quick_emits_parseable_json_and_stable_stdout() {
-        let dir = std::env::temp_dir().join("ccsql_bench_cli_test");
+        let dir = std::env::temp_dir().join("ccsql_cli_bench_test");
         std::fs::create_dir_all(&dir).unwrap();
         let dir_s = dir.display().to_string();
         let args: Vec<String> = ["bench", "--quick", "--threads", "2", "--out", &dir_s]
@@ -3171,7 +3171,7 @@ mod tests {
 
     #[test]
     fn bench_spec_leg_covers_every_zoo_protocol() {
-        let dir = std::env::temp_dir().join("ccsql_bench_spec_test");
+        let dir = std::env::temp_dir().join("ccsql_cli_bench_spec_test");
         std::fs::create_dir_all(&dir).unwrap();
         let dir_s = dir.display().to_string();
         for name in ["fig3", "bedrock_moesif", "phase_priority"] {

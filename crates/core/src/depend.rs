@@ -28,6 +28,7 @@ use ccsql_protocol::ControllerSpec;
 use ccsql_relalg::{ColumnarRelation, Relation, Sym, Value};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::time::Instant;
 
 /// A virtual-channel assignment instance: message `msg` travelling from
 /// `src` to `dest` over channel `vc`. Roles are already canonicalised
@@ -369,7 +370,7 @@ pub fn protocol_dependency_table(
     v: &VcAssignment,
     cfg: &AnalysisConfig,
 ) -> ccsql_relalg::Result<DependencyTable> {
-    let _span = ccsql_obs::span("depend", "build");
+    let started = Instant::now();
     let fspan = ccsql_obs::flight::span("depend", "build");
     let mut rows: Vec<DepRow> = Vec::new();
     let mut seen: FxHashMap<(Assignment, Assignment, u8), usize> = FxHashMap::default();
@@ -444,7 +445,7 @@ pub fn protocol_dependency_table(
 
     if !cfg.compose {
         fspan.arg("rows", rows.len());
-        record_depend_metrics(direct, rows.len(), dedup_hits, cfg.threads);
+        record_depend_metrics(direct, rows.len(), dedup_hits, cfg.threads, started);
         return Ok(DependencyTable { rows });
     }
 
@@ -516,13 +517,19 @@ pub fn protocol_dependency_table(
     }
     fspan.arg("rows", rows.len());
     fspan.arg("rounds", round);
-    record_depend_metrics(direct, rows.len(), dedup_hits, cfg.threads);
+    record_depend_metrics(direct, rows.len(), dedup_hits, cfg.threads, started);
     Ok(DependencyTable { rows })
 }
 
 /// Record one dependency-table construction into the global `ccsql_obs`
 /// registry (no-op when metrics are disabled).
-fn record_depend_metrics(direct: usize, total: usize, dedup_hits: u64, threads: usize) {
+fn record_depend_metrics(
+    direct: usize,
+    total: usize,
+    dedup_hits: u64,
+    threads: usize,
+    started: Instant,
+) {
     if !ccsql_obs::enabled() {
         return;
     }
@@ -533,6 +540,8 @@ fn record_depend_metrics(direct: usize, total: usize, dedup_hits: u64, threads: 
         .add(total.saturating_sub(direct) as u64);
     reg.counter("depend.dedup_hits").add(dedup_hits);
     reg.gauge("depend.threads").set(threads.max(1) as f64);
+    reg.histogram("depend.build_us")
+        .record(started.elapsed().as_micros() as u64);
 }
 
 impl DependencyTable {

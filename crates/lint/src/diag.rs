@@ -221,7 +221,7 @@ impl LintReport {
         self.diags.iter().filter(|d| d.severity == sev).count()
     }
 
-    /// No findings at all (info included): the clean-spec criterion.
+    /// No findings at all (info included): the clean-spec condition.
     pub fn is_clean(&self) -> bool {
         self.diags.is_empty()
     }

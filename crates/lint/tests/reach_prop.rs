@@ -5,10 +5,10 @@
 //! the check: enumerate every assignment of the condition columns, walk
 //! the constraint once per assignment with a three-valued (Kleene)
 //! evaluator that marks which arm of each ternary it takes, and report
-//! the arms no assignment ever took. proptest is unavailable offline, so
-//! this is a splitmix64 suite in the style of `relalg/tests/bytecode.rs`:
-//! deterministic random specs over 2–4 small-domain columns, comparing
-//! the rendered CCL003/CCL019 findings of `lint_exprs` with the oracle's.
+//! the arms no assignment ever took. This is a splitmix64 suite in the
+//! style of `relalg/tests/bytecode.rs`: deterministic random specs over
+//! 2–4 small-domain columns, comparing the rendered CCL003/CCL019
+//! findings of `lint_exprs` with the oracle's.
 
 use ccsql_lint::expr_lint::lint_exprs;
 use ccsql_lint::LintReport;

@@ -1,6 +1,6 @@
 //! Property tests for the packed-state encoding and the orbit
-//! canonicaliser, driven by a deterministic `SplitMix64` stream (no
-//! external proptest dependency). These pin the three algebraic laws
+//! canonicaliser, driven by a deterministic `SplitMix64` stream. These
+//! pin the three algebraic laws
 //! the symmetry reduction's soundness rests on:
 //!
 //! 1. `unpack(pack(s)) == s` — the 128-bit encoding is lossless;

@@ -1,8 +1,8 @@
 //! Flight recorder: a hierarchical span tree over the whole pipeline,
 //! exportable as Chrome trace-event JSON (loadable in `ui.perfetto.dev`).
 //!
-//! Unlike [`crate::trace::Span`] — a flat RAII timer feeding a
-//! histogram — a flight span records *structure*: every span knows its
+//! A flight span records *structure*, not a histogram sample (stages
+//! record their timing histograms themselves): every span knows its
 //! parent (tracked per thread, so nesting falls out of lexical scope),
 //! carries typed `args`, and keeps a stable id equal to its begin
 //! order. The recorder is coarse-grained by design: spans mark pipeline

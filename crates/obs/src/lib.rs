@@ -15,7 +15,7 @@
 //!   observability is disabled (the default).
 //! * [`trace`] — typed events with `key=value` fields in a bounded
 //!   ring buffer (overflow increments a dropped-events counter rather
-//!   than growing without limit), plus [`trace::Span`] RAII timers.
+//!   than growing without limit).
 //! * [`json`] — a hand-rolled JSON writer and the JSONL exporter
 //!   (`--metrics=out.jsonl` in the CLI); no serde.
 //!
@@ -64,7 +64,7 @@ pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mem::{MemGauge, MemLease};
 pub use metrics::{MetricValue, Registry, Snapshot};
 pub use rng::SplitMix64;
-pub use trace::{Event, FieldValue, Ring, Span};
+pub use trace::{Event, FieldValue, Ring};
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -150,12 +150,6 @@ pub fn emit(stage: &'static str, name: &'static str, fields: Vec<(&'static str, 
     if trace_enabled() {
         global_ring().push(stage, name, fields);
     }
-}
-
-/// An RAII timer recording its elapsed microseconds into the global
-/// histogram `{stage}.{name}_us` on drop (inert when disabled).
-pub fn span(stage: &'static str, name: &'static str) -> Span {
-    Span::global(stage, name)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Structured events in a bounded ring buffer, plus RAII span timers.
+//! Structured events in a bounded ring buffer.
 //!
 //! Events are typed (`key=value` fields, not preformatted strings) and
 //! the ring has a hard capacity: when full the oldest event is evicted
@@ -6,7 +6,6 @@
 //! grow an unbounded trace (the failure mode of the old
 //! `Sim::trace: Vec<String>`).
 
-use crate::metrics::Histogram;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -174,69 +173,6 @@ impl Ring {
     }
 }
 
-/// An RAII timer: records elapsed microseconds into a histogram (and
-/// optionally emits an event) when dropped. Inert — no clock read at
-/// all — when constructed disabled.
-pub struct Span {
-    start: Option<Instant>,
-    hist: Option<Histogram>,
-    stage: &'static str,
-    name: &'static str,
-}
-
-impl Span {
-    /// A span recording into the *global* histogram
-    /// `{stage}.{name}_us`; inert if global metrics are disabled.
-    pub fn global(stage: &'static str, name: &'static str) -> Span {
-        if crate::enabled() {
-            let hist = crate::global().histogram(&format!("{stage}.{name}_us"));
-            Span {
-                start: Some(Instant::now()),
-                hist: Some(hist),
-                stage,
-                name,
-            }
-        } else {
-            Span {
-                start: None,
-                hist: None,
-                stage,
-                name,
-            }
-        }
-    }
-
-    /// A span recording into the given histogram.
-    pub fn with_histogram(stage: &'static str, name: &'static str, hist: Histogram) -> Span {
-        Span {
-            start: Some(Instant::now()),
-            hist: Some(hist),
-            stage,
-            name,
-        }
-    }
-
-    /// Elapsed microseconds so far (0 for an inert span).
-    pub fn elapsed_us(&self) -> u64 {
-        self.start
-            .map(|s| s.elapsed().as_micros() as u64)
-            .unwrap_or(0)
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(start) = self.start else {
-            return;
-        };
-        let us = start.elapsed().as_micros() as u64;
-        if let Some(h) = &self.hist {
-            h.record(us);
-        }
-        crate::emit(self.stage, self.name, vec![("elapsed_us", us.into())]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,17 +227,5 @@ mod tests {
         );
         let line = ring.snapshot()[0].render();
         assert_eq!(line, "sim.send msg=readex vc=VC0 q=1");
-    }
-
-    #[test]
-    fn span_records_into_histogram() {
-        let reg = crate::Registry::new();
-        let h = reg.histogram("t.work_us");
-        {
-            let _s = Span::with_histogram("t", "work", h.clone());
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(h.count(), 1);
-        assert!(h.summary().max >= 1_000, "span under-recorded");
     }
 }

@@ -1,97 +1,95 @@
-//! Property-based tests over the protocol domain: presence-vector
-//! algebra, busy-state naming, and structural invariants of every
-//! generated controller table.
-
-// Gated out of the offline default build: proptest is an external
-// dependency the build environment cannot resolve. Restore the
-// proptest dev-dependency and run with `--features slow-tests` to
-// re-enable.
-#![cfg(feature = "slow-tests")]
+//! Properties of the protocol domain — presence-vector algebra,
+//! placement canonicalisation and busy-state naming, checked
+//! exhaustively over their (small) domains — and structural invariants
+//! of every generated controller table.
 
 use ccsql_protocol::states;
 use ccsql_protocol::topology::{NodeId, PresenceVector, QuadPlacement, Role, PLACEMENTS};
 use ccsql_protocol::ProtocolSpec;
 use ccsql_relalg::{GenMode, Relation};
-use proptest::prelude::*;
 use std::sync::OnceLock;
 
-fn node_strategy() -> impl Strategy<Value = NodeId> {
-    (0usize..4, 0usize..4).prop_map(|(q, n)| NodeId::new(q, n))
+/// Every node of the 4-quad × 4-node system.
+fn all_nodes() -> impl Iterator<Item = NodeId> {
+    (0..4).flat_map(|q| (0..4).map(move |n| NodeId::new(q, n)))
 }
 
-fn pv_strategy() -> impl Strategy<Value = PresenceVector> {
-    any::<u16>().prop_map(PresenceVector)
+/// Every 16-bit presence vector.
+fn all_pvs() -> impl Iterator<Item = PresenceVector> {
+    (0..=u16::MAX).map(PresenceVector)
 }
 
-proptest! {
-    #[test]
-    fn pv_set_clear_inverse(pv in pv_strategy(), n in node_strategy()) {
-        let mut with = pv;
-        with.set(n);
-        prop_assert!(with.contains(n));
-        let mut without = with;
-        without.clear(n);
-        prop_assert!(!without.contains(n));
-        // Clearing only removes that node.
-        prop_assert_eq!(without.0, pv.0 & !(1 << n.flat()));
-    }
-
-    #[test]
-    fn pv_encoding_matches_count(pv in pv_strategy()) {
-        let enc = pv.encoding();
-        match pv.count() {
-            0 => prop_assert_eq!(enc, "zero"),
-            1 => prop_assert_eq!(enc, "one"),
-            _ => prop_assert_eq!(enc, "gone"),
+#[test]
+fn pv_set_clear_inverse() {
+    for pv in all_pvs() {
+        for n in all_nodes() {
+            let mut with = pv;
+            with.set(n);
+            assert!(with.contains(n));
+            let mut without = with;
+            without.clear(n);
+            assert!(!without.contains(n));
+            // Clearing only removes that node.
+            assert_eq!(without.0, pv.0 & !(1 << n.flat()), "{pv:?} {n}");
         }
-        prop_assert_eq!(pv.nodes().len() as u32, pv.count());
     }
+}
 
-    #[test]
-    fn pv_ops_preserve_validity(pv in pv_strategy(), n in node_strategy()) {
-        for op in ["inc", "dec", "repl", "drepl"] {
-            let out = pv.apply_op(op, n);
-            match op {
-                "inc" => prop_assert!(out.contains(n)),
-                "dec" => prop_assert!(!out.contains(n)),
-                "repl" => {
-                    prop_assert_eq!(out.count(), 1);
-                    prop_assert!(out.contains(n));
-                }
-                _ => {
-                    if pv.0 == 0 {
-                        prop_assert!(out.contains(n));
-                    } else {
-                        prop_assert_eq!(out.0, pv.0);
-                    }
-                }
+#[test]
+fn pv_encoding_matches_count() {
+    for pv in all_pvs() {
+        let want = match pv.count() {
+            0 => "zero",
+            1 => "one",
+            _ => "gone",
+        };
+        assert_eq!(pv.encoding(), want, "{pv:?}");
+        assert_eq!(pv.nodes().len() as u32, pv.count(), "{pv:?}");
+    }
+}
+
+#[test]
+fn pv_ops_preserve_validity() {
+    for pv in all_pvs() {
+        for n in all_nodes() {
+            assert!(pv.apply_op("inc", n).contains(n));
+            assert!(!pv.apply_op("dec", n).contains(n));
+            let repl = pv.apply_op("repl", n);
+            assert_eq!(repl.count(), 1);
+            assert!(repl.contains(n));
+            let drepl = pv.apply_op("drepl", n);
+            if pv.0 == 0 {
+                assert!(drepl.contains(n));
+            } else {
+                assert_eq!(drepl, pv, "{n}");
             }
         }
     }
+}
 
-    #[test]
-    fn placement_canon_is_idempotent_projection(p in 0usize..PLACEMENTS.len()) {
-        let placement = PLACEMENTS[p];
-        for &r in &[Role::Local, Role::Home, Role::Remote] {
+#[test]
+fn placement_canon_is_idempotent_projection() {
+    for &placement in PLACEMENTS {
+        for r in [Role::Local, Role::Home, Role::Remote] {
             let once = placement.canon(r);
-            prop_assert_eq!(placement.canon(once), once, "{:?}", placement);
+            assert_eq!(placement.canon(once), once, "{placement:?}");
             // same_quad is an equivalence relation under canon.
-            prop_assert!(placement.same_quad(r, r));
+            assert!(placement.same_quad(r, r));
         }
         // AllDistinct is the only identity placement.
         let identity = [Role::Local, Role::Home, Role::Remote]
             .iter()
             .all(|&r| placement.canon(r) == r);
-        prop_assert_eq!(identity, placement == QuadPlacement::AllDistinct);
+        assert_eq!(identity, placement == QuadPlacement::AllDistinct);
     }
+}
 
-    #[test]
-    fn busy_state_names_parse_back(fam in 0usize..10, suf in 0usize..4) {
-        let all = states::busy_states();
-        let idx = 1 + fam * 4 + suf; // skip the leading "I"
-        let name = &all[idx];
-        prop_assert!(states::family_of_busy(name).is_some(), "{}", name);
-        prop_assert!(states::pending_of_busy(name).is_some(), "{}", name);
+#[test]
+fn busy_state_names_parse_back() {
+    // Skip the leading idle "I".
+    for name in &states::busy_states()[1..] {
+        assert!(states::family_of_busy(name).is_some(), "{name}");
+        assert!(states::pending_of_busy(name).is_some(), "{name}");
     }
 }
 

@@ -2,12 +2,11 @@
 //!
 //! The compiled solver path is only sound if [`Program`] evaluation is
 //! *observably identical* to the tree-walking interpreter — same
-//! booleans, same errors, in the same places. proptest is unavailable
-//! offline, so this is a self-contained splitmix64 property suite:
-//! deterministic random expressions × random rows, comparing the full
-//! `Result<bool, Error>` of both engines, plus golden end-to-end checks
-//! that the shipped spec files solve byte-identically with compilation
-//! on and off.
+//! booleans, same errors, in the same places. This is a self-contained
+//! splitmix64 property suite: deterministic random expressions × random
+//! rows, comparing the full `Result<bool, Error>` of both engines, plus
+//! golden end-to-end checks that the shipped spec files solve
+//! byte-identically with compilation on and off.
 
 use ccsql_obs::SplitMix64;
 use ccsql_relalg::compile::compile_constraint;

@@ -1,233 +1,252 @@
-//! Property-based tests for the relational engine: algebraic laws of
-//! the operators, solver consistency, and expression semantics.
+//! Property tests for the relational engine: algebraic laws of the
+//! operators, the display ↔ parse round trip, `in`-list parsing and
+//! solver-mode agreement. A self-contained splitmix64 suite in the style
+//! of `bytecode.rs`: each property runs a fixed number of deterministic
+//! random cases, and a failure message names the case.
 
-// Gated out of the offline default build: proptest is an external
-// dependency the build environment cannot resolve. Restore the
-// proptest dev-dependency and run with `--features slow-tests` to
-// re-enable.
-#![cfg(feature = "slow-tests")]
-
+use ccsql_obs::SplitMix64;
 use ccsql_relalg::expr::{NoContext, SetContext};
 use ccsql_relalg::solver::ColumnDef;
-use ccsql_relalg::{ops, parse_expr, report, Expr, GenMode, Relation, TableSpec, Value};
-use proptest::prelude::*;
+use ccsql_relalg::{ops, parse_expr, Expr, GenMode, Relation, Schema, Sym, TableSpec, Value};
 
 const SYMS: &[&str] = &["a", "b", "c", "d", "readex", "idone", "NULLX"];
+const CASES: u64 = 256;
 
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        (0..SYMS.len()).prop_map(|i| Value::sym(SYMS[i])),
-        (-3i64..10).prop_map(Value::Int),
-        any::<bool>().prop_map(Value::Bool),
-    ]
+/// Run `body` once per case, each with its own seeded stream.
+fn for_cases(salt: u64, mut body: impl FnMut(u64, &mut SplitMix64)) {
+    for case in 0..CASES {
+        body(case, &mut SplitMix64::new(salt ^ (case << 16)));
+    }
 }
 
-fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
-    prop::collection::vec(prop::collection::vec(value_strategy(), cols), 0..max_rows).prop_map(
-        move |rows| {
-            let names: Vec<String> = (0..cols).map(|i| format!("c{i}")).collect();
-            let mut rel = Relation::with_columns(names).unwrap();
-            for r in rows {
-                rel.push_row(&r).unwrap();
-            }
-            rel
-        },
-    )
+fn gen_sym(r: &mut SplitMix64) -> Value {
+    Value::sym(SYMS[r.gen_range_u32(SYMS.len() as u32) as usize])
 }
 
-/// Parser-shaped random expressions (comparison operands are identifiers
+fn gen_value(r: &mut SplitMix64) -> Value {
+    match r.gen_range_u32(4) {
+        0 => Value::Null,
+        1 => gen_sym(r),
+        2 => Value::Int(r.gen_range_u64(13) as i64 - 3),
+        _ => Value::Bool(r.gen_bool(0.5)),
+    }
+}
+
+/// A relation `c0..c{cols}` with fewer than `max_rows` random rows.
+fn gen_relation(r: &mut SplitMix64, cols: usize, max_rows: u64) -> Relation {
+    let mut rel = Relation::with_columns((0..cols).map(|i| format!("c{i}"))).unwrap();
+    for _ in 0..r.gen_range_u64(max_rows) {
+        let row: Vec<Value> = (0..cols).map(|_| gen_value(r)).collect();
+        rel.push_row(&row).unwrap();
+    }
+    rel
+}
+
+/// Parser-shaped random expression (comparison operands are identifiers
 /// and literals, as the grammar produces).
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let ident = (0..4usize)
-        .prop_map(|i| Expr::Ident(ccsql_relalg::Sym::intern(["c0", "c1", "xx", "busy_q"][i])));
-    let lit = prop_oneof![
-        (0..SYMS.len()).prop_map(|i| Expr::Lit(Value::sym(SYMS[i]))),
-        (-5i64..20).prop_map(|n| Expr::Lit(Value::Int(n))),
-        Just(Expr::Lit(Value::Null)),
-    ];
-    let leaf = prop_oneof![
-        (ident.clone(), lit.clone()).prop_map(|(a, b)| Expr::Eq(Box::new(a), Box::new(b))),
-        (ident.clone(), lit).prop_map(|(a, b)| Expr::Ne(Box::new(a), Box::new(b))),
-        (
-            ident,
-            prop::collection::vec((0..SYMS.len()).prop_map(|i| Value::sym(SYMS[i])), 1..4)
-        )
-            .prop_map(|(a, vs)| Expr::In(Box::new(a), vs)),
-        Just(Expr::True),
-        Just(Expr::False),
-    ];
-    leaf.prop_recursive(4, 32, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.clone().prop_map(|e| e.negate()),
-            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, f)| c.ternary(t, f)),
-            inner.prop_map(|e| Expr::Call(ccsql_relalg::Sym::intern("isrequest"), Box::new(e))),
-        ]
-    })
+fn gen_expr(r: &mut SplitMix64, depth: u32) -> Expr {
+    if depth == 0 || r.gen_bool(0.3) {
+        let ident = Expr::Ident(Sym::intern(
+            ["c0", "c1", "xx", "busy_q"][r.gen_range_u32(4) as usize],
+        ));
+        let lit = match r.gen_range_u32(3) {
+            0 => Expr::Lit(gen_sym(r)),
+            1 => Expr::Lit(Value::Int(r.gen_range_u64(25) as i64 - 5)),
+            _ => Expr::Lit(Value::Null),
+        };
+        return match r.gen_range_u32(5) {
+            0 => Expr::Eq(Box::new(ident), Box::new(lit)),
+            1 => Expr::Ne(Box::new(ident), Box::new(lit)),
+            2 => {
+                let vs = (0..1 + r.gen_range_u32(3)).map(|_| gen_sym(r)).collect();
+                Expr::In(Box::new(ident), vs)
+            }
+            3 => Expr::True,
+            _ => Expr::False,
+        };
+    }
+    match r.gen_range_u32(5) {
+        0 => gen_expr(r, depth - 1).and(gen_expr(r, depth - 1)),
+        1 => gen_expr(r, depth - 1).or(gen_expr(r, depth - 1)),
+        2 => gen_expr(r, depth - 1).negate(),
+        3 => gen_expr(r, depth - 1).ternary(gen_expr(r, depth - 1), gen_expr(r, depth - 1)),
+        _ => Expr::Call(Sym::intern("isrequest"), Box::new(gen_expr(r, depth - 1))),
+    }
 }
 
-proptest! {
-    #[test]
-    fn display_parse_round_trip(e in expr_strategy()) {
+#[test]
+fn display_parse_round_trip() {
+    for_cases(0x0D15_9A25, |case, r| {
+        let e = gen_expr(r, 4);
         let printed = e.to_string();
         let reparsed = parse_expr(&printed)
-            .unwrap_or_else(|err| panic!("unparseable {printed:?}: {err}"));
-        prop_assert_eq!(&reparsed, &e, "printed: {}", printed);
-    }
+            .unwrap_or_else(|err| panic!("case {case}: unparseable {printed:?}: {err}"));
+        assert_eq!(reparsed, e, "case {case}: printed {printed}");
+    });
+}
 
-    #[test]
-    fn distinct_is_idempotent(rel in relation_strategy(3, 30)) {
+#[test]
+fn distinct_is_idempotent_and_preserves_membership() {
+    for_cases(0xD157_1AC7, |case, r| {
+        let rel = gen_relation(r, 3, 30);
         let once = rel.distinct();
         let twice = once.distinct();
-        prop_assert!(once.set_eq(&twice));
-        prop_assert_eq!(once.len(), twice.len());
-    }
-
-    #[test]
-    fn distinct_preserves_membership(rel in relation_strategy(2, 30)) {
-        let d = rel.distinct();
-        for r in rel.rows() {
-            prop_assert!(d.contains_row(r));
+        assert!(once.set_eq(&twice), "case {case}");
+        assert_eq!(once.len(), twice.len(), "case {case}");
+        for row in rel.rows() {
+            assert!(once.contains_row(row), "case {case}: lost {row:?}");
         }
-        prop_assert!(d.len() <= rel.len());
-    }
+        assert!(once.len() <= rel.len(), "case {case}");
+    });
+}
 
-    #[test]
-    fn sorted_is_a_permutation(rel in relation_strategy(2, 30)) {
-        let s = rel.sorted();
-        prop_assert_eq!(s.len(), rel.len());
-        prop_assert!(s.set_eq(&rel) || rel.is_empty());
-        // And sorting is stable under repetition.
-        let s2 = s.sorted();
-        prop_assert!(s.rows().eq(s2.rows()));
-    }
-
-    #[test]
-    fn union_is_commutative_as_sets(a in relation_strategy(2, 20), b in relation_strategy(2, 20)) {
+#[test]
+fn union_is_commutative_as_sets() {
+    for_cases(0x0C0A_1E5C, |case, r| {
+        let a = gen_relation(r, 2, 20);
+        let b = gen_relation(r, 2, 20);
         let ab = ops::union(&a, &b).unwrap();
         let ba = ops::union(&b, &a).unwrap();
-        prop_assert!(ab.set_eq(&ba));
-        prop_assert_eq!(ab.len(), a.len() + b.len());
-    }
+        assert!(ab.set_eq(&ba), "case {case}");
+        assert_eq!(ab.len(), a.len() + b.len(), "case {case}");
+    });
+}
 
-    #[test]
-    fn difference_and_intersection_partition(a in relation_strategy(2, 25), b in relation_strategy(2, 25)) {
+#[test]
+fn difference_and_intersection_partition() {
+    for_cases(0xD1FF_E4E2, |case, r| {
+        let a = gen_relation(r, 2, 25);
+        let b = gen_relation(r, 2, 25);
         let diff = ops::difference(&a, &b).unwrap();
         let inter = ops::intersect(&a, &b).unwrap();
         // diff ∪ inter ≡ a (as sets).
         let rejoined = ops::union(&diff, &inter).unwrap();
-        prop_assert!(rejoined.distinct().set_eq(&a.distinct()));
+        assert!(rejoined.distinct().set_eq(&a.distinct()), "case {case}");
         // diff ∩ b = ∅.
-        prop_assert!(ops::intersect(&diff, &b).unwrap().is_empty());
-    }
+        assert!(ops::intersect(&diff, &b).unwrap().is_empty(), "case {case}");
+    });
+}
 
-    #[test]
-    fn select_partitions_rows(rel in relation_strategy(2, 30)) {
-        let p = Expr::col_eq("c0", "a");
+#[test]
+fn select_partitions_rows() {
+    let p = Expr::col_eq("c0", "a");
+    let not_p = p.clone().negate();
+    for_cases(0x5E1E_C7ED, |case, r| {
+        let rel = gen_relation(r, 2, 30);
         let yes = ops::select(&rel, &p, &NoContext).unwrap();
-        let no = ops::select(&rel, &p.clone().negate(), &NoContext).unwrap();
-        prop_assert_eq!(yes.len() + no.len(), rel.len());
-        for r in yes.rows() {
-            prop_assert_eq!(r[0], Value::sym("a"));
+        let no = ops::select(&rel, &not_p, &NoContext).unwrap();
+        assert_eq!(yes.len() + no.len(), rel.len(), "case {case}");
+        for row in yes.rows() {
+            assert_eq!(row[0], Value::sym("a"), "case {case}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn projection_keeps_row_count(rel in relation_strategy(3, 25)) {
+#[test]
+fn projection_keeps_row_count() {
+    for_cases(0x960E_C7ED, |case, r| {
+        let rel = gen_relation(r, 3, 25);
         let p = ops::project_str(&rel, &["c2", "c0"]).unwrap();
-        prop_assert_eq!(p.len(), rel.len());
-        prop_assert_eq!(p.arity(), 2);
+        assert_eq!(p.len(), rel.len(), "case {case}");
+        assert_eq!(p.arity(), 2, "case {case}");
         for (orig, proj) in rel.rows().zip(p.rows()) {
-            prop_assert_eq!(orig[2], proj[0]);
-            prop_assert_eq!(orig[0], proj[1]);
+            assert_eq!(orig[2], proj[0], "case {case}");
+            assert_eq!(orig[0], proj[1], "case {case}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn cross_product_cardinality(a in relation_strategy(1, 12), b in relation_strategy(2, 12)) {
+#[test]
+fn cross_product_cardinality() {
+    for_cases(0xC055_0001, |case, r| {
+        let a = gen_relation(r, 1, 12);
+        let b = gen_relation(r, 2, 12);
         let c = ops::cross(&a, &b, "r").unwrap();
-        prop_assert_eq!(c.len(), a.len() * b.len());
-        prop_assert_eq!(c.arity(), 3);
-    }
+        assert_eq!(c.len(), a.len() * b.len(), "case {case}");
+        assert_eq!(c.arity(), 3, "case {case}");
+    });
+}
 
-    #[test]
-    fn equi_join_subset_of_cross(a in relation_strategy(2, 15), b in relation_strategy(2, 15)) {
+#[test]
+fn equi_join_subset_of_cross() {
+    for_cases(0xE0_1015, |case, r| {
+        let a = gen_relation(r, 2, 15);
+        let b = gen_relation(r, 2, 15);
         let j = ops::equi_join(&a, &b, &[("c0", "c0")], "r").unwrap();
-        for r in j.rows() {
+        for row in j.rows() {
             // Join key matched (left c0 == right c0 at position 2).
-            prop_assert_eq!(r[0], r[2]);
+            assert_eq!(row[0], row[2], "case {case}");
         }
-        prop_assert!(j.len() <= a.len() * b.len());
-    }
+        assert!(j.len() <= a.len() * b.len(), "case {case}");
+    });
+}
 
-    #[test]
-    fn ternary_desugars_correctly(
-        c in any::<bool>(),
-        t in any::<bool>(),
-        f in any::<bool>(),
-    ) {
-        // c ? t : f  ≡  (c ∧ t) ∨ (¬c ∧ f) for all boolean assignments.
-        let schema = ccsql_relalg::Schema::new(["x", "y", "z"]).unwrap();
-        let e = Expr::col_eq("x", "T")
-            .ternary(Expr::col_eq("y", "T"), Expr::col_eq("z", "T"));
-        let row = |b: bool| Value::sym(if b { "T" } else { "F" });
-        let bound = e.bind(&schema).unwrap();
-        let got = bound.eval_bool(&[row(c), row(t), row(f)], &NoContext).unwrap();
-        prop_assert_eq!(got, if c { t } else { f });
-    }
-
-    #[test]
-    fn csv_row_count_round_trips(rel in relation_strategy(2, 20)) {
-        let csv = report::csv(&rel);
-        prop_assert_eq!(csv.trim_end().lines().count(), rel.len() + 1);
-        let md = report::markdown_table(&rel);
-        prop_assert_eq!(md.trim_end().lines().count(), rel.len() + 2);
-    }
-
-    #[test]
-    fn solver_modes_agree_on_random_specs(
-        vals_a in prop::collection::vec(0usize..4, 1..4),
-        vals_b in prop::collection::vec(0usize..4, 1..4),
-        pin in 0usize..4,
-    ) {
-        // Two columns over random sub-domains with a coupling constraint.
-        let dom = ["p", "q", "r", "s"];
-        let mk = |ix: &[usize]| -> Vec<Value> {
-            let mut v: Vec<Value> = ix.iter().map(|&i| Value::sym(dom[i])).collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        let mut spec = TableSpec::new("t");
-        spec.push(ColumnDef::input("a", mk(&vals_a), Expr::True));
-        spec.push(ColumnDef::input(
-            "b",
-            mk(&vals_b),
-            parse_expr(&format!("a = \"{}\" ? b = \"{}\" : true", dom[pin], dom[pin])).unwrap(),
-        ));
-        let ctx = SetContext::new();
-        let (mono, _) = spec.generate(GenMode::Monolithic, &ctx).unwrap();
-        let (inc, _) = spec.generate(GenMode::Incremental, &ctx).unwrap();
-        let (par, _) = spec.generate(GenMode::IncrementalParallel { threads: 3 }, &ctx).unwrap();
-        prop_assert!(mono.set_eq(&inc));
-        prop_assert!(inc.set_eq(&par));
-    }
-
-    #[test]
-    fn parser_handles_arbitrary_in_lists(items in prop::collection::vec(0usize..SYMS.len(), 1..5)) {
+#[test]
+fn parser_handles_arbitrary_in_lists() {
+    let schema = Schema::new(["c0"]).unwrap();
+    for_cases(0x1111_5751, |case, r| {
+        let items: Vec<usize> = (0..1 + r.gen_range_u32(4))
+            .map(|_| r.gen_range_u32(SYMS.len() as u32) as usize)
+            .collect();
         let list: Vec<String> = items.iter().map(|&i| format!("\"{}\"", SYMS[i])).collect();
         let sql = format!("c0 in ({})", list.join(", "));
-        let e = parse_expr(&sql).unwrap();
-        let schema = ccsql_relalg::Schema::new(["c0"]).unwrap();
-        let b = e.bind(&schema).unwrap();
+        let b = parse_expr(&sql).unwrap().bind(&schema).unwrap();
         for (i, s) in SYMS.iter().enumerate() {
-            let expect = items.contains(&i);
-            prop_assert_eq!(
+            assert_eq!(
                 b.eval_bool(&[Value::sym(s)], &NoContext).unwrap(),
-                expect
+                items.contains(&i),
+                "case {case}: {sql} on {s}"
             );
         }
+    });
+}
+
+#[test]
+fn solver_modes_agree_on_random_specs() {
+    // Two input columns over random sub-domains with a coupling
+    // constraint, plus two or three output columns functionally
+    // determined by `a`.
+    const DOM: [&str; 4] = ["p", "q", "r", "s"];
+    fn pick(r: &mut SplitMix64) -> &'static str {
+        DOM[r.gen_range_u32(4) as usize]
     }
+    fn sub_domain(r: &mut SplitMix64) -> Vec<Value> {
+        let mut v: Vec<Value> = (0..1 + r.gen_range_u32(3))
+            .map(|_| Value::sym(pick(r)))
+            .collect();
+        v.sort();
+        v.dedup();
+        v
+    }
+    let all: Vec<Value> = DOM.iter().map(|s| Value::sym(s)).collect();
+    let ctx = SetContext::new();
+    for_cases(0x5017_E255, |case, r| {
+        let mut spec = TableSpec::new("t");
+        spec.push(ColumnDef::input("a", sub_domain(r), Expr::True));
+        let pin = pick(r);
+        spec.push(ColumnDef::input(
+            "b",
+            sub_domain(r),
+            parse_expr(&format!("a = \"{pin}\" ? b = \"{pin}\" : true")).unwrap(),
+        ));
+        for o in 0..2 + r.gen_range_u32(2) {
+            let (x, y, z) = (pick(r), pick(r), pick(r));
+            spec.push(ColumnDef::output(
+                &format!("o{o}"),
+                all.clone(),
+                parse_expr(&format!("a = \"{x}\" ? o{o} = \"{y}\" : o{o} = \"{z}\"")).unwrap(),
+            ));
+        }
+        let (mono, ms) = spec.generate(GenMode::Monolithic, &ctx).unwrap();
+        let (inc, is) = spec.generate(GenMode::Incremental, &ctx).unwrap();
+        let (par, _) = spec
+            .generate(GenMode::IncrementalParallel { threads: 3 }, &ctx)
+            .unwrap();
+        assert!(mono.set_eq(&inc), "case {case}");
+        assert!(inc.set_eq(&par), "case {case}");
+        // The monolithic walk inspects the whole cross product
+        // |a|·|b|·4^k, which for k ≥ 2 outputs outgrows the incremental
+        // walk's at most |a| + |a|·|b|·(1 + 4k) candidates.
+        assert!(ms.candidates >= is.candidates, "case {case}");
+    });
 }

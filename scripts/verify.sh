@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Pre-PR gate: the tier-1 build/test pass plus formatting and lint,
-# all fully offline (crates/bench, the only crate with external
-# dependencies, is excluded from the workspace).
+# all fully offline. Every tracked Cargo.toml must resolve without the
+# network, so no crate with crates.io dependencies can creep back in.
 #
 #   sh scripts/verify.sh
 #
@@ -9,6 +9,11 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> cargo metadata --offline (every tracked Cargo.toml resolves offline)"
+for m in $(git ls-files 'Cargo.toml' '*/Cargo.toml'); do
+    cargo metadata --offline --format-version 1 --manifest-path "$m" >/dev/null
+done
 
 echo "==> cargo build --release"
 cargo build --release

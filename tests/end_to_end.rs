@@ -8,7 +8,7 @@ use ccsql_suite::core::invariants;
 use ccsql_suite::core::report::deadlock_report;
 use ccsql_suite::core::vc::VcAssignment;
 use ccsql_suite::protocol::topology::NodeId;
-use ccsql_suite::sim::{Fig4, Mix, Outcome, Schedule, Sim, SimConfig, Workload};
+use ccsql_suite::sim::{CpuOp, Fig4, Mix, Outcome, Schedule, Sim, SimConfig, Workload};
 use std::sync::OnceLock;
 
 fn generated() -> &'static GeneratedProtocol {
@@ -89,6 +89,51 @@ fn static_and_dynamic_deadlock_analyses_agree() {
     }
     let dyn_v2 = Fig4::default().replay(gen, true).unwrap();
     assert!(matches!(dyn_v2, Outcome::Quiescent));
+}
+
+/// Deadlocking runs out of `runs` random schedules from the Figure-4
+/// start state at VC capacity 1, with the shared VC4 (`V1`) or the
+/// dedicated memory path (`V2`).
+fn fig4_random_schedule_deadlocks(dedicated: bool, runs: u64) -> u64 {
+    let fig = Fig4::default();
+    let mut deadlocks = 0;
+    for seed in 0..runs {
+        let cfg = SimConfig {
+            quads: 2,
+            nodes_per_quad: 2,
+            vc_capacity: 1,
+            dedicated_mem_path: dedicated,
+            schedule: Schedule::Random(seed),
+            max_steps: 100_000,
+        };
+        // l1 evicts B (write back), l2 writes A (read exclusive).
+        let mut per_node = vec![Vec::new(); 4];
+        per_node[0] = vec![CpuOp::Evict(fig.b)];
+        per_node[1] = vec![CpuOp::Write(fig.a)];
+        let mut sim = Sim::new(generated(), cfg, Workload::scripted(per_node));
+        sim.set_cache(fig.remote, fig.a, "M", 100);
+        sim.set_dir(fig.a, "MESI", &[fig.remote]);
+        sim.set_expected(fig.a, 100);
+        sim.set_cache(fig.l1, fig.b, "M", 200);
+        sim.set_dir(fig.b, "MESI", &[fig.l1]);
+        sim.set_expected(fig.b, 200);
+        if sim.run().unwrap().is_deadlock() {
+            deadlocks += 1;
+        }
+    }
+    deadlocks
+}
+
+#[test]
+fn random_schedules_deadlock_v1_but_never_v2() {
+    // Beyond the scripted replay: the Figure-4 race fires under some
+    // random schedules with the shared VC4 and under none with the fix.
+    let runs = 200;
+    let v1 = fig4_random_schedule_deadlocks(false, runs);
+    let v2 = fig4_random_schedule_deadlocks(true, runs);
+    println!("E-SIM: V1 {v1}/{runs} schedules deadlock, V2 {v2}/{runs}");
+    assert!(v1 > 0, "the V1 race must fire under some schedule");
+    assert_eq!(v2, 0, "V2 must never deadlock");
 }
 
 #[test]

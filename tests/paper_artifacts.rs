@@ -1,6 +1,7 @@
 //! Golden tests pinning the concrete artifacts the paper prints:
-//! Figure 1 (message classes), Figure 3 (the readex table), the Figure 4
-//! rows R1/R2/R2′/R3, and the headline numbers of sections 3–6.
+//! Figure 1 (message classes), the Figure 2 read-exclusive flow,
+//! Figure 3 (the readex table), the Figure 4 rows R1/R2/R2′/R3, and the
+//! headline numbers of sections 3–6.
 
 use ccsql_suite::core::depend::{
     controller_dependency_rows, protocol_dependency_table, AnalysisConfig,
@@ -12,8 +13,9 @@ use ccsql_suite::core::vc::VcAssignment;
 use ccsql_suite::core::vcg::Vcg;
 use ccsql_suite::protocol::directory;
 use ccsql_suite::protocol::messages;
-use ccsql_suite::protocol::topology::QuadPlacement;
+use ccsql_suite::protocol::topology::{NodeId, QuadPlacement};
 use ccsql_suite::relalg::{report, GenMode};
+use ccsql_suite::sim::{CpuOp, Outcome, Sim, SimConfig, Workload};
 use std::sync::OnceLock;
 
 fn generated() -> &'static GeneratedProtocol {
@@ -38,6 +40,38 @@ fn fig1_about_fifty_messages_with_request_response_split() {
     ] {
         assert_eq!(messages::is_request(name), req, "{name}");
     }
+}
+
+#[test]
+fn fig2_readex_flow_ends_modified_at_the_requester() {
+    // Figure 2: a local node in quad 0 issues readex for a line homed at
+    // quad 1 while a remote node there shares it (directory state SI).
+    let cfg = SimConfig {
+        quads: 2,
+        nodes_per_quad: 2,
+        vc_capacity: 2,
+        dedicated_mem_path: true,
+        max_steps: 10_000,
+        ..SimConfig::default()
+    };
+    let local = NodeId::new(0, 0);
+    let remote = NodeId::new(1, 1);
+    let addr = 1; // home quad = addr % 2
+    let mut per_node = vec![Vec::new(); 4];
+    per_node[0] = vec![CpuOp::Write(addr)]; // the local node's script
+    let mut sim = Sim::new(generated(), cfg, Workload::scripted(per_node));
+    sim.set_cache(remote, addr, "S", 7);
+    sim.set_dir(addr, "SI", &[remote]);
+    sim.set_mem(addr, 7);
+    sim.set_expected(addr, 7);
+
+    let out = sim.run().unwrap();
+    assert!(matches!(out, Outcome::Quiescent), "{out:?}");
+    sim.audit().unwrap();
+    // "The directory state is updated with the value MESI" — one owner.
+    assert_eq!(sim.dir_state(addr), ("MESI".to_string(), 1));
+    assert_eq!(sim.cache_state(local, addr).0, "M");
+    assert_eq!(sim.cache_state(remote, addr).0, "I");
 }
 
 #[test]

@@ -1,14 +1,10 @@
-//! System-level property tests: for arbitrary seeds and workload
+//! System-level property tests: for seeded random seeds and workload
 //! shapes, the debugged tables drive a machine that (with the fixed
-//! channel assignment) always drains and always stays coherent.
-//!
-//! The proptest sweeps are gated behind `--features slow-tests`
-//! (proptest is an external dependency the offline build environment
-//! cannot resolve), but the failure cases proptest discovered are
-//! promoted below to plain always-on unit tests so the default build
-//! keeps replaying them forever.
+//! channel assignment) always drains and always stays coherent. A past
+//! failing case (seed 5709) is replayed by name.
 
 use ccsql_suite::core::gen::GeneratedProtocol;
+use ccsql_suite::obs::SplitMix64;
 use ccsql_suite::protocol::topology::NodeId;
 use ccsql_suite::sim::{Mix, Outcome, Schedule, Sim, SimConfig, Workload};
 use std::sync::OnceLock;
@@ -43,11 +39,10 @@ fn drains_coherently(seed: u64, quads: usize, write_pct: u32, addrs: u32) {
     sim.audit().unwrap();
 }
 
-// Promoted from tests/prop_system.proptest-regressions: proptest once
-// shrank a failing case of `any_seed_drains_coherently_with_the_fix`
-// to `seed = 5709` (all other parameters at their minima). Replay it
-// on every build, at the shrunk shape and across the parameter grid
-// the sweep would have explored around it.
+// A random sweep once shrank a failing case of
+// `any_seed_drains_coherently_with_the_fix` to `seed = 5709` (all other
+// parameters at their minima). Replay it at the shrunk shape and across
+// the parameter grid the sweep explores around it.
 #[test]
 fn regression_seed_5709_shrunk_case() {
     drains_coherently(5709, 1, 0, 2);
@@ -64,12 +59,11 @@ fn regression_seed_5709_parameter_grid() {
     }
 }
 
-#[test]
-fn regression_seed_5709_capacity_one() {
-    // The second property at the same seed: the statically-verified
-    // channel assignment stays deadlock-free even at capacity 1
-    // (1 node per quad, per the structural sizing rule).
-    let seed = 5709;
+/// The static analysis says V2's dependency graph is acyclic, so no
+/// channel capacity can deadlock the machine — provided the structural
+/// sizing rule holds (snoop buffers hold one slot per node in the quad,
+/// so capacity 1 requires 1 node per quad).
+fn capacity_one_drains(seed: u64) {
     let cfg = SimConfig {
         quads: 3,
         nodes_per_quad: 1,
@@ -84,82 +78,36 @@ fn regression_seed_5709_capacity_one() {
     let out = sim.run().unwrap();
     assert!(
         !out.is_deadlock(),
-        "statically-verified assignment deadlocked: {out:?}"
+        "seed {seed}: statically-verified assignment deadlocked: {out:?}"
     );
-    assert!(matches!(out, Outcome::Quiescent), "{out:?}");
+    assert!(matches!(out, Outcome::Quiescent), "seed {seed}: {out:?}");
     sim.audit().unwrap();
 }
 
-// Drift guard for the promotion rule above: every shrunk case the
-// proptest corpus records must have a named always-on replay in this
-// file. If a future `--features slow-tests` run appends a new
-// `cc … # shrinks to seed = N` line, this test fails until the seed is
-// promoted to a `regression_seed_N_*` unit test.
 #[test]
-fn every_recorded_regression_seed_is_promoted() {
-    let corpus = include_str!("prop_system.proptest-regressions");
-    let this_file = include_str!("prop_system.rs");
-    let mut seeds = 0usize;
-    for line in corpus.lines().filter(|l| l.starts_with("cc ")) {
-        let seed = line
-            .split("seed = ")
-            .nth(1)
-            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| panic!("unparseable regression corpus line: {line}"));
-        assert!(
-            this_file.contains(&format!("fn regression_seed_{seed}")),
-            "corpus records shrunk seed {seed} but no regression_seed_{seed}_* \
-             test promotes it — add an always-on replay"
-        );
-        seeds += 1;
-    }
-    assert!(seeds > 0, "regression corpus lists no shrunk cases");
+fn regression_seed_5709_capacity_one() {
+    capacity_one_drains(5709);
 }
 
-#[cfg(feature = "slow-tests")]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
+// Each case runs a full simulation; keep the count moderate.
+const CASES: u64 = 12;
 
-    proptest! {
-        // Each case runs a full simulation; keep the count moderate.
-        #![proptest_config(ProptestConfig::with_cases(12))]
+#[test]
+fn any_seed_drains_coherently_with_the_fix() {
+    let mut r = SplitMix64::new(0x5EED_0001);
+    for _ in 0..CASES {
+        let seed = r.next_u64();
+        let quads = 1 + r.gen_range_u64(2) as usize;
+        let write_pct = r.gen_range_u32(60);
+        let addrs = 2 + r.gen_range_u32(8);
+        drains_coherently(seed, quads, write_pct, addrs);
+    }
+}
 
-        #[test]
-        fn any_seed_drains_coherently_with_the_fix(
-            seed in any::<u64>(),
-            quads in 1usize..3,
-            write_pct in 0u32..60,
-            addrs in 2u32..10,
-        ) {
-            drains_coherently(seed, quads, write_pct, addrs);
-        }
-
-        #[test]
-        fn capacity_one_is_still_deadlock_free_with_the_fix(seed in any::<u64>()) {
-            // The static analysis says V2's dependency graph is acyclic, so
-            // no channel capacity can deadlock the machine — provided the
-            // structural sizing rule holds (snoop buffers hold one slot per
-            // node in the quad, so capacity 1 requires 1 node per quad).
-            let cfg = SimConfig {
-                quads: 3,
-                nodes_per_quad: 1,
-                vc_capacity: 1,
-                dedicated_mem_path: true,
-                schedule: Schedule::Random(seed),
-                max_steps: 3_000_000,
-            };
-            let nodes: Vec<NodeId> = (0..3).map(|q| NodeId::new(q, 0)).collect();
-            let wl = Workload::random(&nodes, 40, 6, Mix::default(), seed);
-            let mut sim = Sim::new(generated(), cfg, wl);
-            let out = sim.run().unwrap();
-            prop_assert!(
-                !out.is_deadlock(),
-                "statically-verified assignment deadlocked: {out:?}"
-            );
-            prop_assert!(matches!(out, Outcome::Quiescent), "{out:?}");
-            sim.audit().unwrap();
-        }
+#[test]
+fn capacity_one_is_still_deadlock_free_with_the_fix() {
+    let mut r = SplitMix64::new(0x5EED_0002);
+    for _ in 0..CASES {
+        capacity_one_drains(r.next_u64());
     }
 }
