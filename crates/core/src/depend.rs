@@ -154,13 +154,12 @@ impl AnalysisConfig {
 
 /// Below this many (placement, controller) work units per worker, the
 /// direct-row generation runs sequentially: spawning a thread costs more
-/// than deriving a unit's rows (BENCH_depend.json once recorded a 13×
-/// *slowdown* from parallelising the 40-unit workload).
+/// than deriving a unit's rows (parallelising the 40-unit workload once
+/// made it 13× *slower*).
 const PAR_MIN_UNITS_PER_WORKER: usize = 32;
 
 /// Below this many probe rows per worker, a composition round runs
-/// sequentially — the same spawn-cost guard as the relalg solver's
-/// chunk loops.
+/// sequentially: thread spawn and join would cost more than the probes.
 const PAR_MIN_ROWS_PER_WORKER: usize = 4096;
 
 /// Run `run` over `0..n` split into at most `threads` contiguous

@@ -5,7 +5,7 @@
 //! and the offending rows are the witness. "All of the protocol
 //! invariants (around 50) are checked … within 5 minutes" — here the
 //! whole suite runs in milliseconds, but the *shape* (invariant checking
-//! ≪ table generation) is reproduced by the benches.
+//! ≪ table generation) shows in the benchmark's per-layer times.
 //!
 //! The three invariants quoted in the paper appear verbatim-adapted:
 //! directory/presence-vector consistency, directory vs busy-directory

@@ -30,8 +30,8 @@
 //! [`orbit_size`] computes `n! / ∏ (lane multiplicity)!` — the exact
 //! number of full states a canonical representative stands for. Summing
 //! it over the quotient's reachable states reproduces the full
-//! reachable count exactly, which the bench uses as an equivalence
-//! gate against a symmetry-off run.
+//! reachable count exactly, which `tests/symmetry.rs` uses as an
+//! equivalence gate against a symmetry-off run.
 
 use crate::state::{Busy, Cache, Dir, Req, Resp, Snoop, State};
 

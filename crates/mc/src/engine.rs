@@ -327,7 +327,7 @@ pub const DEFAULT_SHARDS: usize = 64;
 /// This is the PR-5 min-work rule, now applied uniformly — including
 /// the symmetry path, whose canonicalisation cost made small levels
 /// look worth spawning for while the spawn overhead still dominated
-/// (the BENCH_mc.json `sym_speedup` 0.92× regression).
+/// (symmetry runs once got 0.92× as fast on more threads).
 const MIN_WORK_PER_WORKER: usize = 512;
 /// Words per expansion block pulled off the shared frontier cursor.
 const BLOCK_WORDS: usize = 4096;

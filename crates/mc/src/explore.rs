@@ -107,8 +107,8 @@ pub struct McStats {
     pub states: usize,
     /// Full states represented: the sum of orbit sizes over `states`.
     /// Equals `states` with symmetry off; with symmetry on it equals
-    /// the state count a symmetry-off run would report, which the bench
-    /// uses as an exactness gate.
+    /// the state count a symmetry-off run would report, which
+    /// `tests/symmetry.rs` uses as an exactness gate.
     pub orbit_states: u64,
     /// Transitions fired (from orbit representatives only, under
     /// symmetry).

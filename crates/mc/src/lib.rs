@@ -8,7 +8,7 @@
 //!
 //! This crate is that baseline: a heavily abstracted single-line model
 //! of the same directory MESI protocol ([`model::Model`]) explored by
-//! breadth-first search ([`explore::explore`]). The benches measure the
+//! breadth-first search ([`explore::explore`]). `ccsql mc` shows the
 //! exponential growth of its state space against the table-size-bounded
 //! cost of the SQL analyses.
 

@@ -38,6 +38,7 @@
 //! * **verified** — none of the above, within budget.
 
 use crate::engine::{Emitter, EngineOpts, EngineOutcome, ParentLink, Space, Word};
+use ccsql_obs::json::{write_json_str, JsonObj};
 use ccsql_obs::FxHashMap;
 use ccsql_relalg::specfile::{MachineStep, SpecFile, ROLE_LITERALS};
 use ccsql_relalg::{Relation, Value};
@@ -269,38 +270,29 @@ impl SpecMcOutcome {
 
     /// Canonical single-line JSON (for byte-identity gates).
     pub fn render_json(&self, table: &str, opts: &SpecMcOpts) -> String {
-        let mut cx = String::new();
+        let mut cx = String::from("[");
         for (i, line) in self.counterexample.iter().enumerate() {
             if i > 0 {
                 cx.push(',');
             }
-            cx.push('"');
-            cx.push_str(&json_escape(line));
-            cx.push('"');
+            write_json_str(&mut cx, line);
         }
-        format!(
-            "{{\"table\":\"{}\",\"agents\":{},\"symmetry\":{},\"verdict\":\"{}\",\
-             \"states\":{},\"transitions\":{},\"depth\":{},\"rows_covered\":{},\
-             \"rows_total\":{},\"orbit_states\":{},\"dropped_inits\":{},\
-             \"counterexample\":[{}]}}",
-            json_escape(table),
-            opts.agents,
-            opts.symmetry,
-            self.verdict.as_str(),
-            self.stats.states,
-            self.stats.transitions,
-            self.stats.depth,
-            self.stats.rows_covered,
-            self.stats.rows_total,
-            self.stats.orbit_states,
-            self.stats.dropped_inits,
-            cx,
-        )
+        cx.push(']');
+        JsonObj::new()
+            .str("table", table)
+            .u64("agents", opts.agents as u64)
+            .raw("symmetry", if opts.symmetry { "true" } else { "false" })
+            .str("verdict", self.verdict.as_str())
+            .u64("states", self.stats.states as u64)
+            .u64("transitions", self.stats.transitions as u64)
+            .u64("depth", self.stats.depth as u64)
+            .u64("rows_covered", self.stats.rows_covered as u64)
+            .u64("rows_total", self.stats.rows_total as u64)
+            .raw("orbit_states", &self.stats.orbit_states.to_string())
+            .u64("dropped_inits", self.stats.dropped_inits as u64)
+            .raw("counterexample", &cx)
+            .finish()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The result of a seeded random walk ([`SpecMachine::simulate`]).
@@ -638,6 +630,13 @@ impl SpecMachine {
             return Err("no legal initial state (no `init` combination matches any row)".into());
         }
         Ok(machine)
+    }
+
+    /// The largest agent count [`SpecMachine::explore`] accepts: the
+    /// machine variables, the two credit counters and one lane per
+    /// agent must fit the engine's fixed-width state word.
+    pub fn max_agents(&self) -> usize {
+        SPEC_WORD_BYTES.saturating_sub(self.agent_off())
     }
 
     /// Number of postable request kinds (for reports).

