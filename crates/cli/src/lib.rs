@@ -23,18 +23,16 @@
 //! ccsql profile FILE.ccsql [--quick] [--threads N]
 //! ```
 //!
-//! The global `--metrics=FILE.jsonl` and `--trace[=N]` flags (accepted
-//! anywhere on the command line) switch on the `ccsql-obs` layer:
-//! every stage then records stage-prefixed counters, gauges and
-//! histograms (`solver.rows_pruned`, `mc.states_per_sec`, …) which are
-//! exported as JSON lines after the command finishes.
-//!
-//! `--trace-out FILE.json` additionally records the flight recorder's
-//! hierarchical span tree across the whole pipeline and writes it as
-//! Chrome trace-event JSON (loadable in `ui.perfetto.dev`), and
-//! `--heartbeat[=MS]` turns on live progress lines on stderr for the
-//! long-running stages (mc, fuzz, solve) — provably without changing
-//! any result byte (see `ccsql_obs::heartbeat`).
+//! Observability is one recorder, the `ccsql-obs` flight recorder: every
+//! stage opens spans and attaches its counters to them as span args.
+//! The global `--trace-out FILE.json` flag (accepted anywhere on the
+//! command line) records the span tree across the whole pipeline and
+//! writes it as Chrome trace-event JSON (loadable in
+//! `ui.perfetto.dev`); `ccsql stats` and `ccsql profile` fold the same
+//! recording into a per-stage table. `--heartbeat[=MS]` turns on live
+//! progress lines on stderr for the long-running stages (mc, fuzz,
+//! solve) — provably without changing any result byte (see
+//! `ccsql_obs::heartbeat`).
 //!
 //! The library entry point [`run`] returns the rendered output, so the
 //! whole surface is unit-testable.
@@ -54,14 +52,14 @@ use ccsql_sim::{
     FaultPlan, FaultRates, Fig4, Mix, Outcome, Schedule, Sim, SimConfig, Workload, PATTERNS,
 };
 use std::fmt::Write as _;
+use std::path::PathBuf;
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
 ccsql — table-driven cache coherence design & early error detection (IPPS 2003)
 
 USAGE:
-    ccsql [--metrics=FILE.jsonl] [--trace[=N]] [--trace-out FILE.json]
-          [--heartbeat[=MS]] <command> ...
+    ccsql [--trace-out FILE.json] [--heartbeat[=MS]] <command> ...
 
     ccsql gen      [--table NAME] [--format ascii|csv|md] [--stats]
     ccsql check    [--liveness]
@@ -100,11 +98,16 @@ ZOO:
     byte-for-byte across runs and thread counts.
 
 GLOBAL FLAGS (accepted anywhere):
-    --metrics=FILE.jsonl   record stage metrics and export them as JSON lines
-    --trace[=N]            also record structured events (ring capacity N, default 4096)
-    --trace-out FILE.json  record pipeline spans and write a Chrome/Perfetto trace
+    --trace-out FILE.json  record pipeline spans, with every stage's counters as
+                           span args, and write a Chrome/Perfetto trace
     --heartbeat[=MS]       live progress on stderr every MS ms (default 1000; 0 = off);
                            never changes any result byte
+
+STATS:
+    stats runs a command (default: gen, deadlock v1, sim and mc) with the
+    flight recorder on, then appends the per-stage span table profile
+    prints and one `stage/name key=value ...` line per span that enters
+    a stage, carrying that stage's counters.
 
 THREADS:
     --threads N  worker threads for the parallel BFS (mc) and the dependency
@@ -193,42 +196,28 @@ impl<'a> Opts<'a> {
 /// Run the CLI on `args` (without the program name); returns the
 /// rendered output or an error message.
 ///
-/// Global observability flags (`--metrics=FILE.jsonl`, `--trace[=N]`,
-/// `--trace-out FILE.json`, `--heartbeat[=MS]`) are stripped before the
-/// command dispatch; when `--metrics` is given the global registry and
-/// event ring are exported as JSON lines to the file after the command
-/// finishes — on the error path too, so a failing check still leaves
-/// its metrics behind. `--trace-out` likewise writes the flight
-/// recorder's span tree as Chrome trace-event JSON after the dispatch.
-/// The `profile` command implies both, defaulting the artifact paths to
-/// `ccsql-profile.trace.json` / `ccsql-profile.metrics.jsonl`.
+/// Global observability flags (`--trace-out FILE.json`,
+/// `--heartbeat[=MS]`) are stripped before the command dispatch.
+/// `--trace-out` writes the flight recorder's span tree as Chrome
+/// trace-event JSON after the dispatch — on the error path too, so a
+/// failing check still leaves its trace behind. The `profile` command
+/// implies it, defaulting the path to `ccsql-profile.trace.json`.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let (rest, mut obs) = strip_obs_flags(args)?;
-    // Paths the user asked for are written even when the command fails
-    // (a failing check should still leave its metrics behind); paths we
-    // only *defaulted* for `profile` are not — a bad `profile` argument
-    // must not litter the working directory.
-    let (mut metrics_defaulted, mut trace_defaulted) = (false, false);
+    let (rest, mut trace_out) = strip_obs_flags(args)?;
+    // A path the user asked for is written even when the command fails;
+    // one only *defaulted* for `profile` is not — a bad `profile`
+    // argument must not litter the working directory.
+    let mut trace_defaulted = false;
     if rest.first().is_some_and(|c| c == "profile") {
-        ccsql_obs::set_enabled(true);
-        ccsql_obs::set_trace_enabled(true);
         ccsql_obs::flight::set_enabled(true);
-        if obs.trace_out.is_none() {
-            obs.trace_out = Some("ccsql-profile.trace.json".into());
+        if trace_out.is_none() {
+            trace_out = Some("ccsql-profile.trace.json".into());
             trace_defaulted = true;
-        }
-        if obs.metrics.is_none() {
-            obs.metrics = Some("ccsql-profile.metrics.jsonl".into());
-            metrics_defaulted = true;
         }
     }
     let result = dispatch(&rest);
-    if let Some(path) = obs.metrics.filter(|_| result.is_ok() || !metrics_defaulted) {
-        let jsonl = ccsql_obs::json::export_jsonl(ccsql_obs::global(), &[ccsql_obs::global_ring()]);
-        std::fs::write(&path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
     let mut trace_note = String::new();
-    if let Some(path) = &obs.trace_out.filter(|_| result.is_ok() || !trace_defaulted) {
+    if let Some(path) = &trace_out.filter(|_| result.is_ok() || !trace_defaulted) {
         let spans = ccsql_obs::flight::snapshot();
         let json = ccsql_obs::flight::chrome_trace_json(&spans);
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -240,50 +229,34 @@ pub fn run(args: &[String]) -> Result<String, String> {
     })
 }
 
-/// Global observability flags stripped from the command line by
-/// [`strip_obs_flags`]: where to export metrics JSONL and the Perfetto
-/// trace. (The `--trace[=N]` / `--heartbeat[=MS]` switches act directly
-/// on the `ccsql_obs` globals and need no path.)
-#[derive(Default)]
-struct ObsSetup {
-    metrics: Option<String>,
-    trace_out: Option<String>,
-}
-
 /// Strip and apply the global observability flags; returns the
-/// remaining arguments and the export paths.
-fn strip_obs_flags(args: &[String]) -> Result<(Vec<String>, ObsSetup), String> {
+/// remaining arguments and the `--trace-out` path. `--heartbeat[=MS]`
+/// acts directly on the `ccsql_obs` global and needs no path.
+fn strip_obs_flags(args: &[String]) -> Result<(Vec<String>, Option<String>), String> {
     let mut rest = Vec::with_capacity(args.len());
-    let mut obs = ObsSetup::default();
+    let mut trace_out = None;
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if let Some(path) = a.strip_prefix("--metrics=") {
-            if path.is_empty() {
-                return Err("--metrics expects --metrics=FILE.jsonl".into());
-            }
-            obs.metrics = Some(path.to_string());
-        } else if a == "--metrics" {
-            return Err("--metrics expects --metrics=FILE.jsonl (use `=`)".into());
-        } else if a == "--trace" {
-            ccsql_obs::set_trace_enabled(true);
-        } else if let Some(n) = a.strip_prefix("--trace=") {
-            let cap: usize = n
-                .parse()
-                .map_err(|_| format!("--trace expects a number, got {n:?}"))?;
-            ccsql_obs::set_trace_cap(cap);
-            ccsql_obs::set_trace_enabled(true);
+        if a.starts_with("--metrics") || a == "--trace" || a.starts_with("--trace=") {
+            // Commands ignore flags they do not read, so without this a
+            // removed flag would succeed silently and write nothing.
+            return Err(format!(
+                "{a}: the metrics file and the event trace were removed; \
+                 use --trace-out FILE.json (span args carry every counter) \
+                 or `ccsql stats <command>`"
+            ));
         } else if a == "--trace-out" {
             i += 1;
             match args.get(i) {
-                Some(path) if !path.starts_with("--") => obs.trace_out = Some(path.clone()),
+                Some(path) if !path.starts_with("--") => trace_out = Some(path.clone()),
                 _ => return Err("--trace-out expects a file path".into()),
             }
         } else if let Some(path) = a.strip_prefix("--trace-out=") {
             if path.is_empty() {
                 return Err("--trace-out expects a file path".into());
             }
-            obs.trace_out = Some(path.to_string());
+            trace_out = Some(path.to_string());
         } else if a == "--heartbeat" {
             ccsql_obs::heartbeat::set_heartbeat_ms(ccsql_obs::heartbeat::DEFAULT_HEARTBEAT_MS);
         } else if let Some(n) = a.strip_prefix("--heartbeat=") {
@@ -296,13 +269,10 @@ fn strip_obs_flags(args: &[String]) -> Result<(Vec<String>, ObsSetup), String> {
         }
         i += 1;
     }
-    if obs.trace_out.is_some() {
+    if trace_out.is_some() {
         ccsql_obs::flight::set_enabled(true);
     }
-    if obs.metrics.is_some() || ccsql_obs::trace_enabled() {
-        ccsql_obs::set_enabled(true);
-    }
-    Ok((rest, obs))
+    Ok((rest, trace_out))
 }
 
 fn dispatch(args: &[String]) -> Result<String, String> {
@@ -664,17 +634,7 @@ fn cmd_sim(opts: &Opts) -> Result<String, String> {
         };
         sim.enable_chaos(plan);
     }
-    if ccsql_obs::trace_enabled() {
-        sim.enable_trace();
-    }
     let out = sim.run().map_err(|e| e.to_string())?;
-    // Forward the simulator's local event ring to the global ring so a
-    // `--metrics` export carries the sim events alongside the rest.
-    if let Some(ring) = sim.ring() {
-        for e in ring.snapshot() {
-            ccsql_obs::global_ring().push(e.stage, e.name, e.fields);
-        }
-    }
     let s = sim.stats;
     let mut text = String::new();
     writeln!(
@@ -960,17 +920,8 @@ fn cmd_fuzz(opts: &Opts) -> Result<String, String> {
         round_span.arg("kind", kind.as_str());
         round_span.arg("outcome", outcome);
         round_span.arg("new_rows", new_rows as u64);
-        ccsql_obs::emit(
-            "fuzz",
-            "round",
-            vec![
-                ("round", (round as u64).into()),
-                ("kind", kind.as_str().into()),
-                ("outcome", outcome.into()),
-                ("new_rows", (new_rows as u64).into()),
-                ("rows_covered", (rows_covered as u64).into()),
-            ],
-        );
+        round_span.arg("rows_covered", rows_covered as u64);
+        round_span.arg("faults_injected", fs.injected());
         hb_round.store(round as u64 + 1, Relaxed);
         hb_rows.store(rows_covered as u64, Relaxed);
         hb_faults.store(faults_total, Relaxed);
@@ -993,12 +944,6 @@ fn cmd_fuzz(opts: &Opts) -> Result<String, String> {
             .finish(),
     );
     jsonl.push('\n');
-
-    let reg = ccsql_obs::global();
-    reg.counter("fuzz.rounds").add(rounds as u64);
-    reg.counter("fuzz.faults_injected").add(faults_total);
-    reg.counter("fuzz.audit_failures").add(audit_failures);
-    reg.counter("fuzz.rows_covered").add(rows_covered as u64);
 
     if let Some(path) = opts.value("--out") {
         std::fs::write(path, &jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -1035,20 +980,41 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// `--mem-budget` and `--spill-dir`, shared by every command that model
+/// checks. Under a non-zero budget the engine spills, so the directory
+/// is proved usable up front — a spill directory is created there and
+/// dropped again — and a bad path is an error naming the flag instead
+/// of a panic in the middle of the run.
+fn spill_opts(opts: &Opts) -> Result<(usize, Option<PathBuf>), String> {
+    let mem_budget = opts.bytes("--mem-budget", 0)?;
+    let spill_dir = opts.value("--spill-dir").map(PathBuf::from);
+    if mem_budget > 0 {
+        ccsql_mc::spill::SpillDir::create(spill_dir.as_deref()).map_err(|e| {
+            let base = spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+            format!(
+                "--spill-dir {}: cannot create a spill directory there: {e}",
+                base.display()
+            )
+        })?;
+    }
+    Ok((mem_budget, spill_dir))
+}
+
 fn cmd_mc(opts: &Opts) -> Result<String, String> {
     // `--spec FILE.ccsql`: model-check the spec pack's transaction
     // machine (any protocol with `machine` directives) instead of the
     // built-in ASURA model.
     if let Some(path) = opts.value("--spec") {
         let m = load_spec_machine(path)?;
+        let (mem_budget, spill_dir) = spill_opts(opts)?;
         let mc = SpecMcOpts {
             agents: opts.num::<usize>("--nodes", 2)?,
             threads: opts.num::<usize>("--threads", 1)?,
             symmetry: !opts.flag("--no-symmetry"),
             budget: opts.num::<usize>("--budget", 1_000_000)?,
             shards: opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?,
-            mem_budget: opts.bytes("--mem-budget", 0)?,
-            spill_dir: opts.value("--spill-dir").map(Into::into),
+            mem_budget,
+            spill_dir,
         };
         if mc.agents > m.max_agents() {
             return Err(format!(
@@ -1078,8 +1044,7 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
     let threads = opts.num::<usize>("--threads", default_threads())?;
     let symmetry = !opts.flag("--no-symmetry");
     let shards = opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?;
-    let mem_budget = opts.bytes("--mem-budget", 0)?;
-    let spill_dir = opts.value("--spill-dir").map(Into::into);
+    let (mem_budget, spill_dir) = spill_opts(opts)?;
     if nodes < 2 {
         return Err("nodes must be at least 2".into());
     }
@@ -1176,10 +1141,13 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
 
 /// `ccsql stats [<command> …]` — run a command (or, with no arguments,
 /// a representative pipeline touching the solver, the deadlock
-/// analysis, the simulator and the model checker) with metrics
-/// recording on, then pretty-print the global registry.
+/// analysis, the simulator and the model checker) with the flight
+/// recorder on, then append the per-stage span table and one
+/// `stage/name key=value …` line per span that enters a stage: the
+/// counters of every call into a stage, in call order.
 fn cmd_stats(inner: &[String]) -> Result<String, String> {
-    ccsql_obs::set_enabled(true);
+    ccsql_obs::flight::set_enabled(true);
+    let first = ccsql_obs::flight::global().len();
     let mut out = String::new();
     let mut inner_failed = false;
     if inner.is_empty() {
@@ -1187,7 +1155,7 @@ fn cmd_stats(inner: &[String]) -> Result<String, String> {
             |s: &str| -> Vec<String> { s.split_whitespace().map(|x| x.to_string()).collect() };
         out.push_str(&dispatch(&argv("gen"))?);
         // V1 has cycles by design: the Err path still records the
-        // depend/vcg/report metrics we are after.
+        // depend/flows spans we are after.
         let _ = dispatch(&argv("deadlock --assignment v1"));
         out.push_str(&dispatch(&argv("sim --seed 1 --ops 40"))?);
         out.push_str(&dispatch(&argv("mc --nodes 2 --quota 1"))?);
@@ -1200,37 +1168,52 @@ fn cmd_stats(inner: &[String]) -> Result<String, String> {
             }
         }
     }
-    out.push_str("\n=== metrics ===\n");
-    let snap = ccsql_obs::global().snapshot();
-    out.push_str(&snap.render());
-    let (mut hists, mut samples) = (0u64, 0u64);
-    for m in &snap.metrics {
-        if let ccsql_obs::MetricValue::Histogram(h) = m.value {
-            hists += 1;
-            samples += h.count;
+    let spans = ccsql_obs::flight::snapshot();
+    let spans = &spans[first..];
+    out.push_str("\n=== spans ===\n");
+    out.push_str(&stage_table(spans));
+    for s in spans
+        .iter()
+        .filter(|s| ccsql_obs::flight::is_entry(spans, s))
+    {
+        write!(out, "{}/{}", s.stage, s.name).unwrap();
+        for (k, v) in &s.args {
+            write!(out, " {k}={v}").unwrap();
         }
-    }
-    writeln!(out, "histograms: {hists} with {samples} sample(s)").unwrap();
-    let ring = ccsql_obs::global_ring();
-    let retained = ring.snapshot().len();
-    let (pushed, dropped) = (ring.pushed(), ring.dropped());
-    writeln!(
-        out,
-        "events: pushed={pushed} retained={retained} dropped={dropped}"
-    )
-    .unwrap();
-    if dropped > 0 {
-        writeln!(
-            out,
-            "warning: event ring dropped {dropped} event(s); raise the cap with --trace=N"
-        )
-        .unwrap();
+        out.push('\n');
     }
     if inner_failed {
         Err(out)
     } else {
         Ok(out)
     }
+}
+
+/// The per-stage spans / total / self-time table that `profile` and
+/// `stats` print for a recording (or the tail of one).
+fn stage_table(spans: &[ccsql_obs::flight::SpanNode]) -> String {
+    let summary = ccsql_obs::flight::stage_summary(spans);
+    let total_self: u64 = summary.iter().map(|s| s.self_us).sum();
+    let mut text = String::new();
+    writeln!(
+        text,
+        "{:<10} {:>6} {:>12} {:>12} {:>6}",
+        "stage", "spans", "total_ms", "self_ms", "self%"
+    )
+    .unwrap();
+    for s in &summary {
+        writeln!(
+            text,
+            "{:<10} {:>6} {:>12.3} {:>12.3} {:>5.1}%",
+            s.stage,
+            s.spans,
+            s.total_us as f64 / 1e3,
+            s.self_us as f64 / 1e3,
+            100.0 * s.self_us as f64 / total_self.max(1) as f64
+        )
+        .unwrap();
+    }
+    text
 }
 
 /// Guarded ratio (0 when the denominator is zero).
@@ -1245,10 +1228,8 @@ fn per_sec(count: f64, secs: f64) -> f64 {
 /// `ccsql profile <spec>` — run the whole pipeline once (parse → lint
 /// → solve → dependency closure → model check → simulate) with the
 /// flight recorder on, and print a per-stage self-time / throughput /
-/// memory report. [`run`] defaults the artifacts to
-/// `ccsql-profile.trace.json` (Perfetto) and
-/// `ccsql-profile.metrics.jsonl` unless `--trace-out` / `--metrics=`
-/// say otherwise.
+/// memory report. [`run`] writes the Perfetto trace to
+/// `ccsql-profile.trace.json` unless `--trace-out` says otherwise.
 fn cmd_profile(opts: &Opts) -> Result<String, String> {
     let value_flags = [
         "--threads",
@@ -1269,13 +1250,13 @@ fn cmd_profile(opts: &Opts) -> Result<String, String> {
     let budget = opts.num::<usize>("--budget", 1_000_000)?;
     let ops = opts.num::<usize>("--ops", if quick { 40 } else { 200 })?;
     let seed = opts.num::<u64>("--seed", 1)?;
+    let (mem_budget, spill_dir) = spill_opts(opts)?;
 
     // `run()` switches the recorder on for `profile`; repeat here so the
     // command is self-sufficient when dispatched indirectly (e.g.
     // `ccsql stats profile …`).
-    ccsql_obs::set_enabled(true);
-    ccsql_obs::set_trace_enabled(true);
     ccsql_obs::flight::set_enabled(true);
+    let first = ccsql_obs::flight::global().len();
 
     let pipeline = ccsql_obs::flight::span("profile", "pipeline");
 
@@ -1335,8 +1316,8 @@ fn cmd_profile(opts: &Opts) -> Result<String, String> {
             threads,
             symmetry: true,
             shards: opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?,
-            mem_budget: opts.bytes("--mem-budget", 0)?,
-            spill_dir: opts.value("--spill-dir").map(Into::into),
+            mem_budget,
+            spill_dir,
         },
     );
 
@@ -1363,28 +1344,8 @@ fn cmd_profile(opts: &Opts) -> Result<String, String> {
     // the span *structure* (stages, names, nesting) is deterministic and
     // gated in `scripts/verify.sh`.
     let spans = ccsql_obs::flight::snapshot();
-    let summary = ccsql_obs::flight::stage_summary(&spans);
-    let total_self: u64 = summary.iter().map(|s| s.self_us).sum();
-    let mut text = String::new();
-    writeln!(text, "profile: {path}").unwrap();
-    writeln!(
-        text,
-        "{:<10} {:>6} {:>12} {:>12} {:>6}",
-        "stage", "spans", "total_ms", "self_ms", "self%"
-    )
-    .unwrap();
-    for s in &summary {
-        writeln!(
-            text,
-            "{:<10} {:>6} {:>12.3} {:>12.3} {:>5.1}%",
-            s.stage,
-            s.spans,
-            s.total_us as f64 / 1e3,
-            s.self_us as f64 / 1e3,
-            100.0 * s.self_us as f64 / total_self.max(1) as f64
-        )
-        .unwrap();
-    }
+    let mut text = format!("profile: {path}\n");
+    text.push_str(&stage_table(&spans[first..]));
     let mc_secs = mc_stats.elapsed.as_secs_f64();
     writeln!(
         text,
@@ -1538,14 +1499,15 @@ fn cmd_zoo(opts: &Opts) -> Result<String, String> {
     // --mem-budget / --spill-dir steer the out-of-core machinery and
     // never change a verdict byte (the identity gates below would
     // catch it if they did).
+    let (mem_budget, spill_dir) = spill_opts(opts)?;
     let proto = SpecMcOpts {
         agents,
         threads: 1,
         symmetry: false,
         budget: 1_000_000,
         shards: opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?,
-        mem_budget: opts.bytes("--mem-budget", 0)?,
-        spill_dir: opts.value("--spill-dir").map(Into::into),
+        mem_budget,
+        spill_dir,
     };
     let mut rows: Vec<ZooRow> = Vec::new();
     let mut broken: Vec<String> = Vec::new();
@@ -2092,6 +2054,14 @@ mod tests {
         // wrapped cast (257 as u8 would be a valid quota of 1).
         let err = run(&argv("mc --nodes 2 --quota 257")).unwrap_err();
         assert!(err.contains("--quota"), "{err}");
+        // A spill directory that cannot be created is an error naming
+        // the flag, not a panic inside the engine.
+        for bad in ["/proc/nope", "/dev/null"] {
+            let cmd =
+                format!("mc --nodes 3 --quota 2 --no-symmetry --mem-budget 64K --spill-dir {bad}");
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(err.contains("--spill-dir") && err.contains(bad), "{err}");
+        }
     }
 
     #[test]
@@ -2122,38 +2092,44 @@ mod tests {
         assert!(asura.contains("verified"), "{asura}");
     }
 
+    /// The metrics file and the event trace are gone: their flags fail
+    /// closed, naming the replacement, instead of being ignored like an
+    /// unknown command flag (which would "succeed" and write nothing).
     #[test]
-    fn metrics_flag_exports_jsonl() {
-        let path = std::env::temp_dir().join("ccsql_cli_metrics_test.jsonl");
-        let arg = format!("--metrics={}", path.display());
-        let out = run(&[
-            "sim".into(),
-            arg,
-            "--seed".into(),
-            "3".into(),
-            "--ops".into(),
-            "20".into(),
-        ])
-        .unwrap();
-        assert!(out.contains("quiescent"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.lines().next().unwrap().contains("\"meta\""), "{text}");
-        assert!(text.contains("\"sim.steps\""), "{text}");
+    fn removed_observability_flags_fail_closed() {
+        let path = std::env::temp_dir().join("ccsql_cli_removed_metrics.jsonl");
         let _ = std::fs::remove_file(&path);
-        // Malformed flag forms are rejected up front.
-        assert!(run(&argv("sim --metrics")).is_err());
-        assert!(run(&argv("sim --metrics=")).is_err());
-        assert!(run(&argv("sim --trace=abc")).is_err());
+        let metrics = format!("--metrics={}", path.display());
+        for args in [
+            vec!["sim".into(), metrics, "--ops".into(), "5".into()],
+            argv("--trace sim --ops 5"),
+            argv("sim --trace=8 --ops 5"),
+            argv("sim --metrics"),
+        ] {
+            let err = run(&args).unwrap_err();
+            assert!(err.contains("--trace-out"), "{args:?}: {err}");
+        }
+        assert!(!path.exists(), "a removed flag wrote {}", path.display());
     }
 
     #[test]
-    fn stats_renders_registry() {
+    fn stats_renders_the_recording() {
         let out = run(&argv("stats mc --nodes 2 --quota 1")).unwrap();
-        assert!(out.contains("=== metrics ==="), "{out}");
-        assert!(out.contains("mc.states"), "{out}");
-        assert!(out.contains("mc.states_per_sec"), "{out}");
-        assert!(out.contains("histograms:"), "{out}");
-        assert!(out.contains("events: pushed="), "{out}");
+        assert!(out.contains("verified"), "{out}");
+        assert!(out.contains("=== spans ==="), "{out}");
+        assert!(out.contains("self_ms"), "{out}");
+        assert!(
+            out.lines().any(|l| l.starts_with("mc ")),
+            "no mc row in the stage table:\n{out}"
+        );
+        // One line per entry span, carrying the stage's counters.
+        assert!(
+            out.lines().any(|l| l.starts_with("mc/explore ")
+                && l.contains(" states=")
+                && l.contains(" orbit_states=")
+                && l.contains(" outcome=verified")),
+            "no mc/explore line:\n{out}"
+        );
     }
 
     #[test]
@@ -2315,9 +2291,9 @@ mod tests {
     }
 
     /// Heartbeats must never change a result byte: the ticker only
-    /// *reads* atomics the workload publishes, and writes only to stderr
-    /// and the event ring — stdout is compared byte for byte here, at
-    /// both thread counts for mc and across seeds for fuzz.
+    /// *reads* atomics the workload publishes, and writes only to
+    /// stderr — stdout is compared byte for byte here, at both thread
+    /// counts for mc and across seeds for fuzz.
     #[test]
     fn heartbeat_is_result_neutral() {
         // The mc report's only nondeterministic bytes are the elapsed
@@ -2367,12 +2343,10 @@ mod tests {
     fn profile_writes_valid_perfetto_trace_and_report() {
         let tmp = std::env::temp_dir();
         let trace = tmp.join("ccsql_profile_test.trace.json");
-        let metrics = tmp.join("ccsql_profile_test.metrics.jsonl");
         let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig3.ccsql");
         let out = run(&[
             "--trace-out".into(),
             trace.display().to_string(),
-            format!("--metrics={}", metrics.display()),
             "profile".into(),
             spec.into(),
             "--quick".into(),
@@ -2420,10 +2394,12 @@ mod tests {
             }
             stack.push(ts + dur);
         }
-        let m = std::fs::read_to_string(&metrics).unwrap();
-        assert!(m.contains("\"mc."), "no mc metrics in: {m}");
+        // The stage spans carry the counters the stages report.
+        let mc = ["\"orbit_states\":", "\"dedup_hits\":", "\"depth\":"];
+        assert!(has_span(&text, "\"cat\":\"mc\",\"name\":\"explore\"", &mc));
+        let sim = ["\"retries\":", "\"msgs\":"];
+        assert!(has_span(&text, "\"cat\":\"sim\",\"name\":\"run\"", &sim));
         let _ = std::fs::remove_file(&trace);
-        let _ = std::fs::remove_file(&metrics);
         // `lint --protocol` splits each controller's lint time into its
         // expression and coverage halves.
         let lint_trace = tmp.join("ccsql_lint_protocol_test.trace.json");
@@ -2451,29 +2427,49 @@ mod tests {
         assert!(run(&argv("profile")).is_err());
     }
 
-    /// Every long-running subcommand honors the global `--metrics=` flag
-    /// (fuzz and lint each leave their own counters behind).
+    /// Does some serialized trace event contain `span` (a
+    /// `"cat":…,"name":…` pair) and every one of `args`? The recorder
+    /// is process-wide, so the trace may hold other tests' spans too.
+    fn has_span(trace: &str, span: &str, args: &[&str]) -> bool {
+        trace
+            .split("{\"ph\":\"X\"")
+            .any(|e| e.contains(span) && args.iter().all(|a| e.contains(a)))
+    }
+
+    /// Long-running subcommands leave their counters on their spans:
+    /// fuzz per round, lint per entry point.
     #[test]
-    fn metrics_flag_covers_fuzz_and_lint() {
+    fn trace_out_carries_fuzz_and_lint_counters() {
         let tmp = std::env::temp_dir();
-        let p = tmp.join("ccsql_metrics_fuzz.jsonl");
-        let mut args = vec![format!("--metrics={}", p.display())];
+        let p = tmp.join("ccsql_trace_fuzz.json");
+        let mut args = vec!["--trace-out".into(), p.display().to_string()];
         args.extend(argv("fuzz --quick --seed 1"));
         run(&args).unwrap();
         let text = std::fs::read_to_string(&p).unwrap();
-        assert!(text.contains("\"fuzz.rounds\""), "{text}");
+        let round = ["\"new_rows\":", "\"rows_covered\":", "\"faults_injected\":"];
+        assert!(has_span(
+            &text,
+            "\"cat\":\"fuzz\",\"name\":\"round\"",
+            &round
+        ));
         let _ = std::fs::remove_file(&p);
 
-        let p = tmp.join("ccsql_metrics_lint.jsonl");
+        let p = tmp.join("ccsql_trace_lint.json");
         let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig3.ccsql");
         let args = vec![
-            format!("--metrics={}", p.display()),
+            "--trace-out".into(),
+            p.display().to_string(),
             "lint".into(),
             spec.into(),
         ];
         run(&args).unwrap();
         let text = std::fs::read_to_string(&p).unwrap();
-        assert!(text.contains("\"ccsql_lint.tables\""), "{text}");
+        let lint = ["\"errors\":0", "\"warnings\":0", "\"infos\":"];
+        assert!(has_span(
+            &text,
+            "\"cat\":\"lint\",\"name\":\"specfiles\"",
+            &lint
+        ));
         let _ = std::fs::remove_file(&p);
     }
 
@@ -2547,12 +2543,10 @@ mod tests {
         // paths so the default names never land in the source tree.
         let tmp = std::env::temp_dir();
         let trace = tmp.join("ccsql_profile_zoo.trace.json");
-        let metrics = tmp.join("ccsql_profile_zoo.metrics.jsonl");
         for name in ["fig3", "bedrock_moesif", "phase_priority"] {
             let out = run(&[
                 "--trace-out".into(),
                 trace.display().to_string(),
-                format!("--metrics={}", metrics.display()),
                 "profile".into(),
                 zoo_spec(name),
                 "--quick".into(),
@@ -2563,7 +2557,6 @@ mod tests {
             }
         }
         let _ = std::fs::remove_file(&trace);
-        let _ = std::fs::remove_file(&metrics);
     }
 
     #[test]

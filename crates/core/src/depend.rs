@@ -28,7 +28,6 @@ use ccsql_protocol::ControllerSpec;
 use ccsql_relalg::{ColumnarRelation, Relation, Sym, Value};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::time::Instant;
 
 /// A virtual-channel assignment instance: message `msg` travelling from
 /// `src` to `dest` over channel `vc`. Roles are already canonicalised
@@ -369,7 +368,6 @@ pub fn protocol_dependency_table(
     v: &VcAssignment,
     cfg: &AnalysisConfig,
 ) -> ccsql_relalg::Result<DependencyTable> {
-    let started = Instant::now();
     let fspan = ccsql_obs::flight::span("depend", "build");
     let mut rows: Vec<DepRow> = Vec::new();
     let mut seen: FxHashMap<(Assignment, Assignment, u8), usize> = FxHashMap::default();
@@ -416,25 +414,9 @@ pub fn protocol_dependency_table(
         PAR_MIN_UNITS_PER_WORKER,
         |range| units[range].iter().map(|&(p, rc)| rc.dep_rows(p)).collect(),
     );
-    let mut generated = unit_rows.into_iter().flatten();
-    for &placement in &cfg.placements {
-        let before = rows.len();
-        for _ in &gen.spec.controllers {
-            for r in generated.next().expect("one output per unit") {
-                if !push(&mut rows, r) {
-                    dedup_hits += 1;
-                }
-            }
-        }
-        if ccsql_obs::trace_enabled() {
-            ccsql_obs::emit(
-                "depend",
-                "placement",
-                vec![
-                    ("placement", placement.notation().into()),
-                    ("rows", (rows.len() - before).into()),
-                ],
-            );
+    for r in unit_rows.into_iter().flatten().flatten() {
+        if !push(&mut rows, r) {
+            dedup_hits += 1;
         }
     }
     let direct = rows.len();
@@ -444,7 +426,8 @@ pub fn protocol_dependency_table(
 
     if !cfg.compose {
         fspan.arg("rows", rows.len());
-        record_depend_metrics(direct, rows.len(), dedup_hits, cfg.threads, started);
+        fspan.arg("dedup_hits", dedup_hits);
+        fspan.arg("threads", cfg.threads.max(1));
         return Ok(DependencyTable { rows });
     }
 
@@ -516,31 +499,9 @@ pub fn protocol_dependency_table(
     }
     fspan.arg("rows", rows.len());
     fspan.arg("rounds", round);
-    record_depend_metrics(direct, rows.len(), dedup_hits, cfg.threads, started);
+    fspan.arg("dedup_hits", dedup_hits);
+    fspan.arg("threads", cfg.threads.max(1));
     Ok(DependencyTable { rows })
-}
-
-/// Record one dependency-table construction into the global `ccsql_obs`
-/// registry (no-op when metrics are disabled).
-fn record_depend_metrics(
-    direct: usize,
-    total: usize,
-    dedup_hits: u64,
-    threads: usize,
-    started: Instant,
-) {
-    if !ccsql_obs::enabled() {
-        return;
-    }
-    let reg = ccsql_obs::global();
-    reg.counter("depend.tables").inc();
-    reg.counter("depend.rows_direct").add(direct as u64);
-    reg.counter("depend.rows_composed")
-        .add(total.saturating_sub(direct) as u64);
-    reg.counter("depend.dedup_hits").add(dedup_hits);
-    reg.gauge("depend.threads").set(threads.max(1) as f64);
-    reg.histogram("depend.build_us")
-        .record(started.elapsed().as_micros() as u64);
 }
 
 impl DependencyTable {

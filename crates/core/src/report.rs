@@ -45,11 +45,6 @@ pub fn deadlock_report(
     // silently reported as an exact count.
     let enumerated = vcg.simple_cycles(SIMPLE_CYCLE_CAP + 1).len();
     let simple_cycles_truncated = enumerated > SIMPLE_CYCLE_CAP;
-    if simple_cycles_truncated && ccsql_obs::enabled() {
-        ccsql_obs::global()
-            .counter("report.simple_cycles_truncated")
-            .inc();
-    }
     DeadlockReport {
         assignment,
         simple_cycles: enumerated.min(SIMPLE_CYCLE_CAP),

@@ -112,19 +112,6 @@ impl Vcg {
     /// that is non-trivial (more than one node, or a self-loop).
     pub fn cycles(&self) -> Vec<Cycle> {
         let sccs = self.tarjan();
-        if ccsql_obs::enabled() {
-            let reg = ccsql_obs::global();
-            reg.counter("vcg.analyses").inc();
-            reg.gauge("vcg.channels").set(self.nodes.len() as f64);
-            reg.gauge("vcg.edges")
-                .set(self.adj.iter().map(|a| a.len()).sum::<usize>() as f64);
-            reg.gauge("vcg.sccs").set(sccs.len() as f64);
-            reg.gauge("vcg.scc_max_size")
-                .set(sccs.iter().map(|s| s.len()).max().unwrap_or(0) as f64);
-            for scc in &sccs {
-                reg.histogram("vcg.scc_size").record(scc.len() as u64);
-            }
-        }
         let mut out = Vec::new();
         for scc in sccs {
             let nontrivial = scc.len() > 1 || self.adj[scc[0]].iter().any(|&(t, _)| t == scc[0]);

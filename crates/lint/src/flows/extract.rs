@@ -145,12 +145,12 @@ pub fn extract(u: &FlowUniverse) -> Extraction {
         }
     }
 
-    ccsql_obs::counter_add("ccsql_flows.flows", flows.len() as u64);
-    ccsql_obs::counter_add(
-        "ccsql_flows.steps",
-        flows.iter().map(|f| f.steps.len() as u64).sum(),
-    );
-    Extraction { flows, covered }
+    let extraction = Extraction { flows, covered };
+    if fspan.is_live() {
+        fspan.arg("flows", extraction.flows.len());
+        fspan.arg("steps", extraction.step_count());
+    }
+    extraction
 }
 
 /// BFS one flow from its root (row, accept) pairs. `usize::MAX` as the

@@ -102,8 +102,8 @@ pub fn analyze(u: FlowUniverse) -> FlowsAnalysis {
         })
         .collect();
     let uncovered = extraction.uncovered();
-    ccsql_obs::counter_add("ccsql_flows.cycles", cycles.len() as u64);
-    ccsql_obs::counter_add("ccsql_flows.uncovered", uncovered.len() as u64);
+    fspan.arg("cycles", cycles.len());
+    fspan.arg("uncovered", uncovered.len());
     FlowsAnalysis {
         uncovered,
         cycles,

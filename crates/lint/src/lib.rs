@@ -41,6 +41,7 @@ pub use flow::{Boundary, BoundaryTriple, FlowModel, FlowPoint, ANY};
 pub use flows::FlowsAnalysis;
 
 use ccsql::vc::VcAssignment;
+use ccsql_obs::flight::FlightSpan;
 use ccsql_protocol::ProtocolSpec;
 use ccsql_relalg::expr::EvalContext;
 use ccsql_relalg::solver::{ColumnRole, TableSpec};
@@ -55,7 +56,6 @@ pub fn lint_table(
     span_of: &dyn Fn(&str) -> Span,
     report: &mut LintReport,
 ) {
-    ccsql_obs::counter_add("ccsql_lint.tables", 1);
     {
         let fspan = ccsql_obs::flight::span("lint", "exprs");
         fspan.arg("table", spec.name.as_str());
@@ -112,7 +112,7 @@ pub fn lint_specfiles_with(
     // role slots; without them every triple carries `"*"` roles.
     let vc = any_roles.then_some(vc);
     flow::lint_flow(&model, vc, &mut report);
-    finish(report)
+    finish(report, &fspan)
 }
 
 /// Collect a spec file's accept/emit [`FlowPoint`]s into `model`.
@@ -219,7 +219,7 @@ fn spec_flow_points(f: &SpecFile, model: &mut FlowModel) -> bool {
 /// external boundary ([`ProtocolSpec::flow_env`]) and the selected
 /// virtual-channel assignment.
 pub fn lint_protocol(p: &ProtocolSpec, vc: &VcAssignment) -> LintReport {
-    let _fspan = ccsql_obs::flight::span("lint", "protocol");
+    let fspan = ccsql_obs::flight::span("lint", "protocol");
     let ctx = ProtocolSpec::eval_context();
     let mut report = LintReport::new();
     let mut model = FlowModel::default();
@@ -277,26 +277,17 @@ pub fn lint_protocol(p: &ProtocolSpec, vc: &VcAssignment) -> LintReport {
     model.boundary.recv = env.sinks.iter().map(triple).collect();
 
     flow::lint_flow(&model, Some(vc), &mut report);
-    finish(report)
+    finish(report, &fspan)
 }
 
-fn finish(mut report: LintReport) -> LintReport {
+/// Sort the report and record its severity counts on the entry span.
+fn finish(mut report: LintReport, span: &FlightSpan) -> LintReport {
     report.finish();
-    ccsql_obs::counter_add(
-        "ccsql_lint.diag.error",
-        report.count(Severity::Error) as u64,
-    );
-    ccsql_obs::counter_add("ccsql_lint.diag.warn", report.count(Severity::Warn) as u64);
-    ccsql_obs::counter_add("ccsql_lint.diag.info", report.count(Severity::Info) as u64);
-    ccsql_obs::emit(
-        "lint",
-        "report",
-        vec![
-            ("errors", (report.count(Severity::Error) as u64).into()),
-            ("warnings", (report.count(Severity::Warn) as u64).into()),
-            ("infos", (report.count(Severity::Info) as u64).into()),
-        ],
-    );
+    if span.is_live() {
+        span.arg("errors", report.count(Severity::Error));
+        span.arg("warnings", report.count(Severity::Warn));
+        span.arg("infos", report.count(Severity::Info));
+    }
     report
 }
 

@@ -2,7 +2,7 @@
 //! level-synchronous BFS over any [`Space`].
 //!
 //! Both explorers in this crate — the builtin bit-packed protocol
-//! model ([`crate::explore`]) and the compiled spec machines
+//! model ([`mod@crate::explore`]) and the compiled spec machines
 //! ([`crate::spec`]) — route through this engine, so the out-of-core
 //! ceiling lift applies to the whole protocol zoo, not just the
 //! hand-written model.

@@ -330,10 +330,14 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
     };
     let stats = mc_stats(&out.stats, opts.symmetry, witness, start.elapsed());
     run_span.arg("states", stats.states as u64);
+    run_span.arg("orbit_states", stats.orbit_states);
     run_span.arg("transitions", stats.transitions);
+    run_span.arg("dedup_hits", stats.dedup_hits);
     run_span.arg("levels", stats.levels as u64);
+    run_span.arg("depth", stats.depth as u64);
     run_span.arg("frontier_peak", stats.frontier_peak as u64);
     run_span.arg("arena_bytes", stats.arena_bytes as u64);
+    run_span.arg("frontier_bytes", stats.frontier_bytes as u64);
     run_span.arg("mem_peak_bytes", stats.mem_peak_bytes as u64);
     run_span.arg("spilled_bytes", stats.spilled_bytes);
     run_span.arg(
@@ -345,7 +349,6 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
             McOutcome::BudgetExceeded => "budget_exceeded",
         },
     );
-    record_mc_metrics(&stats);
     (outcome, stats)
 }
 
@@ -375,63 +378,6 @@ fn mc_stats(
         witness,
         elapsed,
     }
-}
-
-/// Record one exploration's aggregates into the global obs registry.
-fn record_mc_metrics(stats: &McStats) {
-    if !ccsql_obs::enabled() {
-        return;
-    }
-    let reg = ccsql_obs::global();
-    reg.counter("mc.runs").inc();
-    reg.counter("mc.states").add(stats.states as u64);
-    reg.counter("mc.orbit_states").add(stats.orbit_states);
-    reg.counter("mc.transitions").add(stats.transitions);
-    reg.counter("mc.dedup_hits").add(stats.dedup_hits);
-    reg.counter("mc.levels").add(stats.levels as u64);
-    reg.gauge("mc.threads").set(stats.threads as f64);
-    reg.gauge("mc.shards").set(stats.shards as f64);
-    reg.gauge("mc.symmetry")
-        .set(if stats.symmetry { 1.0 } else { 0.0 });
-    reg.gauge("mc.arena_bytes").set(stats.arena_bytes as f64);
-    reg.gauge("mc.frontier_bytes")
-        .set(stats.frontier_bytes as f64);
-    reg.gauge("mc.mem_budget").set(stats.mem_budget as f64);
-    reg.gauge("mc.mem_peak_bytes")
-        .set(stats.mem_peak_bytes as f64);
-    reg.gauge("mc.spilled_bytes")
-        .set(stats.spilled_bytes as f64);
-    reg.gauge("mc.frontier_peak")
-        .set(stats.frontier_peak as f64);
-    reg.gauge("mc.depth").set(stats.depth as f64);
-    let secs = stats.elapsed.as_secs_f64();
-    if secs > 0.0 {
-        reg.gauge("mc.states_per_sec")
-            .set(stats.states as f64 / secs);
-    }
-    reg.histogram("mc.explore_us")
-        .record(stats.elapsed.as_micros() as u64);
-    ccsql_obs::emit(
-        "mc",
-        "explore",
-        vec![
-            ("states", (stats.states as u64).into()),
-            ("orbit_states", stats.orbit_states.into()),
-            ("transitions", stats.transitions.into()),
-            ("dedup_hits", stats.dedup_hits.into()),
-            ("frontier_peak", (stats.frontier_peak as u64).into()),
-            ("depth", (stats.depth as u64).into()),
-            ("threads", (stats.threads as u64).into()),
-            ("shards", (stats.shards as u64).into()),
-            ("symmetry", u64::from(stats.symmetry).into()),
-            ("arena_bytes", (stats.arena_bytes as u64).into()),
-            ("frontier_bytes", (stats.frontier_bytes as u64).into()),
-            ("mem_budget", (stats.mem_budget as u64).into()),
-            ("mem_peak_bytes", (stats.mem_peak_bytes as u64).into()),
-            ("spilled_bytes", stats.spilled_bytes.into()),
-            ("elapsed_us", (stats.elapsed.as_micros() as u64).into()),
-        ],
-    );
 }
 
 #[cfg(test)]

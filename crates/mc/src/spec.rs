@@ -20,7 +20,7 @@
 //!   [`RESPONSE_CAP`], i.e. "many").
 //!
 //! Exploration is a breadth-first search with the same discipline as
-//! [`crate::explore`]: byte-identical results at any thread count, and
+//! [`mod@crate::explore`]: byte-identical results at any thread count, and
 //! an optional symmetry reduction over the requester permutation group
 //! (agent lanes are sorted into a canonical order; the orbit sizes must
 //! sum back to the full state count).

@@ -1,15 +1,18 @@
 //! Flight recorder: a hierarchical span tree over the whole pipeline,
 //! exportable as Chrome trace-event JSON (loadable in `ui.perfetto.dev`).
 //!
-//! A flight span records *structure*, not a histogram sample (stages
-//! record their timing histograms themselves): every span knows its
-//! parent (tracked per thread, so nesting falls out of lexical scope),
-//! carries typed `args`, and keeps a stable id equal to its begin
-//! order. The recorder is coarse-grained by design: spans mark pipeline
-//! stages (a solve of one controller, one dependency-closure round, one
-//! BFS level), never per-row or per-state work, so the cost is a mutex
-//! push per stage boundary and exactly one predictable branch when the
-//! recorder is off (the default).
+//! This is the crate's only recorder. Every stage opens spans at its
+//! natural granularity and attaches what it counted as typed span args
+//! ([`FlightSpan::arg`]): a span's duration is its timer and its args
+//! are its counters, so one recording answers both "where did the time
+//! go" and "how much work was that". Every span knows its parent
+//! (tracked per thread, so nesting falls out of lexical scope) and
+//! keeps a stable id equal to its begin order. The recorder is
+//! coarse-grained by design: spans mark pipeline stages (a solve of one
+//! controller, one dependency-closure round, one BFS level), never
+//! per-row or per-state work, so the cost is a mutex push per stage
+//! boundary and exactly one predictable branch when the recorder is off
+//! (the default).
 //!
 //! ## Determinism
 //!
@@ -21,11 +24,70 @@
 //! recorder lock, so the exported event list is non-decreasing in `ts`
 //! by construction.
 
-use crate::trace::FieldValue;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// One typed span arg.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FieldValue {
+    /// Unsigned integer.
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Float (exported as `null` when not finite).
+    F64(f64),
+    /// Owned string (message renderings, table names, …).
+    Str(String),
+}
+
+impl From<u64> for FieldValue {
+    fn from(v: u64) -> FieldValue {
+        FieldValue::U64(v)
+    }
+}
+
+impl From<usize> for FieldValue {
+    fn from(v: usize) -> FieldValue {
+        FieldValue::U64(v as u64)
+    }
+}
+
+impl From<i64> for FieldValue {
+    fn from(v: i64) -> FieldValue {
+        FieldValue::I64(v)
+    }
+}
+
+impl From<f64> for FieldValue {
+    fn from(v: f64) -> FieldValue {
+        FieldValue::F64(v)
+    }
+}
+
+impl From<String> for FieldValue {
+    fn from(v: String) -> FieldValue {
+        FieldValue::Str(v)
+    }
+}
+
+impl From<&str> for FieldValue {
+    fn from(v: &str) -> FieldValue {
+        FieldValue::Str(v.to_string())
+    }
+}
+
+impl std::fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldValue::U64(v) => write!(f, "{v}"),
+            FieldValue::I64(v) => write!(f, "{v}"),
+            FieldValue::F64(v) => write!(f, "{v}"),
+            FieldValue::Str(v) => write!(f, "{v}"),
+        }
+    }
+}
 
 static FLIGHT_ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TRACK: AtomicU32 = AtomicU32::new(1);
@@ -313,30 +375,36 @@ pub struct StageSummary {
     pub self_us: u64,
 }
 
-/// Fold a span snapshot into per-stage totals and self times, in order
-/// of first appearance (deterministic).
+/// Index of span `id` in `spans` — a snapshot or the tail of one (ids
+/// are contiguous in begin order). `None` for the root id 0 and for
+/// spans recorded before the slice starts.
+fn position(spans: &[SpanNode], id: u32) -> Option<usize> {
+    let i = id.checked_sub(spans.first()?.id)? as usize;
+    (i < spans.len()).then_some(i)
+}
+
+/// Does `s` enter its stage: no parent within `spans`, or a parent in
+/// another stage? Entry spans carry a stage's [`StageSummary::total_us`]
+/// and the counters of one call into it.
+pub fn is_entry(spans: &[SpanNode], s: &SpanNode) -> bool {
+    position(spans, s.parent).is_none_or(|p| spans[p].stage != s.stage)
+}
+
+/// Fold a span snapshot (or the tail of one) into per-stage totals and
+/// self times, in order of first appearance (deterministic).
 pub fn stage_summary(spans: &[SpanNode]) -> Vec<StageSummary> {
-    // dur of direct children, indexed by parent id.
-    let mut child_dur = vec![0u64; spans.len() + 1];
+    // dur of direct children, indexed by the parent's position.
+    let mut child_dur = vec![0u64; spans.len()];
     for s in spans {
-        if (s.parent as usize) < child_dur.len() {
-            child_dur[s.parent as usize] += s.dur_us;
+        if let Some(p) = position(spans, s.parent) {
+            child_dur[p] += s.dur_us;
         }
     }
-    let stage_of = |id: u32| -> Option<&'static str> {
-        if id == 0 {
-            None
-        } else {
-            spans.get(id as usize - 1).map(|p| p.stage)
-        }
-    };
-    let mut order: Vec<&'static str> = Vec::new();
     let mut out: Vec<StageSummary> = Vec::new();
-    for s in spans {
-        let idx = match order.iter().position(|&n| n == s.stage) {
-            Some(i) => i,
+    for (i, s) in spans.iter().enumerate() {
+        let idx = match out.iter().position(|st| st.stage == s.stage) {
+            Some(idx) => idx,
             None => {
-                order.push(s.stage);
                 out.push(StageSummary {
                     stage: s.stage,
                     spans: 0,
@@ -347,8 +415,8 @@ pub fn stage_summary(spans: &[SpanNode]) -> Vec<StageSummary> {
             }
         };
         out[idx].spans += 1;
-        out[idx].self_us += s.dur_us.saturating_sub(child_dur[s.id as usize]);
-        if stage_of(s.parent) != Some(s.stage) {
+        out[idx].self_us += s.dur_us.saturating_sub(child_dur[i]);
+        if is_entry(spans, s) {
             out[idx].total_us += s.dur_us;
         }
     }
@@ -456,6 +524,19 @@ mod tests {
         // 10 (profile) + 60 (solve: 20 outer + 40 inner) + 30 (mc).
         let total_self: u64 = sum.iter().map(|s| s.self_us).sum();
         assert_eq!(total_self, 100);
+        // A tail of the snapshot: spans whose parent lies before it are
+        // entry spans, and the parent's self time is not charged.
+        let tail = stage_summary(&spans[1..]);
+        assert_eq!(tail.len(), 2);
+        assert_eq!(
+            (tail[0].stage, tail[0].total_us, tail[0].self_us),
+            ("solve", 60, 60)
+        );
+        assert_eq!(
+            (tail[1].stage, tail[1].total_us, tail[1].self_us),
+            ("mc", 30, 30)
+        );
+        assert!(is_entry(&spans[1..], &spans[1]) && !is_entry(&spans[1..], &spans[2]));
     }
 
     #[test]

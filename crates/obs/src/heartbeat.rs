@@ -2,11 +2,10 @@
 //! long-running stages (`mc`, `fuzz`, `solve`).
 //!
 //! A [`Ticker`] wakes every `--heartbeat[=MS]` interval, calls a
-//! caller-supplied snapshot closure, and emits one progress line to
-//! **stderr** plus one structured record onto the global event ring
-//! (exported as JSONL by `--metrics=FILE`). On drop it signals the
-//! thread, which emits a final tick — so even a run shorter than the
-//! interval leaves at least one record — and joins it.
+//! caller-supplied snapshot closure, and prints one progress line to
+//! **stderr**. On drop it signals the thread, which emits a final tick
+//! — so even a run shorter than the interval leaves at least one line,
+//! and the last line reflects the end-of-run counters — and joins it.
 //!
 //! ## Why heartbeats are provably result-neutral
 //!
@@ -14,18 +13,19 @@
 //! storing into shared atomics (once per BFS level / fuzz round — never
 //! per state), and the ticker only *loads* those atomics. The workload
 //! never reads anything the ticker writes, takes no lock the hot loop
-//! contends on, and the ticker writes only to stderr and the event ring
-//! — never to the stdout result. Outputs are therefore byte-identical
+//! contends on, and the ticker writes only to stderr — never to the
+//! stdout result. Outputs are therefore byte-identical
 //! with heartbeats on or off; `crates/cli` gates this in tests.
 //!
 //! ## Monotonic-clock rule
 //!
-//! All timing here (tick scheduling, elapsed seconds in records) uses
+//! All timing here (tick scheduling, elapsed seconds in the lines) uses
 //! [`Instant`], never `SystemTime`: wall clocks can jump backwards
 //! (NTP, suspend), which would yield negative rates and non-monotonic
-//! `t_ms` fields.
+//! elapsed times.
 
-use crate::trace::FieldValue;
+use crate::flight::FieldValue;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -98,7 +98,7 @@ impl Ticker {
                 }
                 drop(stopped);
                 // Final tick: a run shorter than one interval still
-                // leaves a record, and the last record reflects the
+                // leaves a line, and the last line reflects the
                 // end-of-run counters.
                 emit_tick(stage, epoch, &snap, true);
             })
@@ -125,73 +125,62 @@ impl Drop for Ticker {
 }
 
 fn emit_tick(stage: &'static str, epoch: Instant, snap: &Snap, fin: bool) {
-    let secs = epoch.elapsed().as_secs_f64();
-    let mut fields = snap();
-    fields.push(("t_s", FieldValue::F64((secs * 10.0).round() / 10.0)));
-    if fin {
-        fields.push(("final", FieldValue::U64(1)));
+    let mut line = format!("ccsql[{stage}] +{:.1}s", epoch.elapsed().as_secs_f64());
+    for (k, v) in snap() {
+        write!(line, " {k}={v}").expect("writing to a String cannot fail");
     }
-    let mut line = format!("ccsql[{stage}] +{secs:.1}s");
-    for (k, v) in &fields {
-        if *k == "t_s" {
-            continue;
-        }
-        line.push(' ');
-        line.push_str(k);
-        line.push('=');
-        line.push_str(&v.to_string());
+    if fin {
+        line.push_str(" final=1");
     }
     eprintln!("{line}");
-    // Structured record straight onto the global ring (bypassing the
-    // `--trace` gate: `--heartbeat` is its own opt-in), so
-    // `--metrics=FILE` exports heartbeats as JSONL event records.
-    crate::global_ring().push(stage, "heartbeat", fields);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
-    #[test]
-    fn disabled_ticker_is_inert() {
-        set_heartbeat_ms(0);
-        let t = Ticker::start("test_hb_off", Vec::new);
-        assert!(!t.active());
-        drop(t);
-        assert!(!crate::global_ring()
-            .snapshot()
-            .iter()
-            .any(|e| e.stage == "test_hb_off"));
+    /// The interval is process-global: tests that set it run one at a
+    /// time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    /// A snapshot closure reading `states`; it counts its calls into
+    /// `seen.0` and keeps the last value it read in `seen.1`.
+    fn snapshot(
+        states: &Arc<AtomicU64>,
+        seen: &Arc<Mutex<(u64, u64)>>,
+    ) -> impl Fn() -> Vec<(&'static str, FieldValue)> + Send + 'static {
+        let (states, seen) = (Arc::clone(states), Arc::clone(seen));
+        move || {
+            let v = states.load(Ordering::Relaxed);
+            let mut seen = seen.lock().unwrap();
+            *seen = (seen.0 + 1, v);
+            vec![("states", FieldValue::U64(v))]
+        }
     }
 
     #[test]
-    fn ticker_emits_final_record_and_reads_atomics() {
+    fn disabled_ticker_is_inert() {
+        let _serial = SERIAL.lock().unwrap();
+        set_heartbeat_ms(0);
+        let seen = Arc::new(Mutex::new((0, 0)));
+        let t = Ticker::start("test_hb_off", snapshot(&Arc::default(), &seen));
+        assert!(!t.active());
+        drop(t);
+        assert_eq!(seen.lock().unwrap().0, 0, "no thread, no snapshot call");
+    }
+
+    #[test]
+    fn final_tick_reads_the_published_atomic() {
+        let _serial = SERIAL.lock().unwrap();
         set_heartbeat_ms(2);
-        let counter = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&counter);
-        let t = Ticker::start("test_hb_on", move || {
-            vec![("states", FieldValue::U64(seen.load(Ordering::Relaxed)))]
-        });
+        let (counter, seen) = (Arc::new(AtomicU64::new(0)), Arc::new(Mutex::new((0, 0))));
+        let t = Ticker::start("test_hb_on", snapshot(&counter, &seen));
+        set_heartbeat_ms(0);
         assert!(t.active());
         counter.store(42, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(10));
         drop(t); // stop + final tick + join
-        set_heartbeat_ms(0);
-        let ticks: Vec<_> = crate::global_ring()
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.stage == "test_hb_on" && e.name == "heartbeat")
-            .collect();
-        assert!(!ticks.is_empty(), "at least the final tick lands");
-        let last = ticks.last().unwrap();
-        assert!(
-            last.fields.contains(&("final", FieldValue::U64(1))),
-            "{last:?}"
-        );
-        assert!(
-            last.fields.contains(&("states", FieldValue::U64(42))),
-            "ticker reads the published atomic: {last:?}"
-        );
+        let (calls, last) = *seen.lock().unwrap();
+        assert!(calls >= 1, "at least the final tick ran");
+        assert_eq!(last, 42, "the final tick sees the end-of-run value");
     }
 }

@@ -1,17 +1,7 @@
-//! Hand-rolled JSON writing (no serde) and the JSONL exporters.
-//!
-//! Output is line-delimited JSON: one object per metric and per event,
-//! prefixed by a `meta` line. Example:
-//!
-//! ```text
-//! {"type":"meta","dropped_events":0,"events":12}
-//! {"type":"counter","name":"solver.rows_pruned","value":93960}
-//! {"type":"histogram","name":"solver.generate_us","count":8,"sum":4120,...}
-//! {"type":"event","seq":0,"t_us":17,"stage":"solver","name":"column","fields":{...}}
-//! ```
-
-use crate::metrics::{MetricValue, Registry, Snapshot};
-use crate::trace::{Event, FieldValue, Ring};
+//! Hand-rolled JSON writing (no serde): string escaping and an
+//! incremental object builder, shared by the Perfetto trace export
+//! ([`crate::flight::chrome_trace_json`]) and every `--json` /
+//! JSON-lines report the CLI prints.
 
 /// Append `s` to `out` as a JSON string literal (quoted, escaped).
 pub fn write_json_str(out: &mut String, s: &str) {
@@ -113,90 +103,6 @@ impl Default for JsonObj {
     }
 }
 
-/// One JSON line per metric in the snapshot.
-pub fn metrics_jsonl(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    for m in &snap.metrics {
-        let line = match m.value {
-            MetricValue::Counter(v) => JsonObj::new()
-                .str("type", "counter")
-                .str("name", &m.name)
-                .u64("value", v)
-                .finish(),
-            MetricValue::Gauge(v) => JsonObj::new()
-                .str("type", "gauge")
-                .str("name", &m.name)
-                .f64("value", v)
-                .finish(),
-            MetricValue::Histogram(h) => JsonObj::new()
-                .str("type", "histogram")
-                .str("name", &m.name)
-                .u64("count", h.count)
-                .u64("sum", h.sum)
-                .u64("min", h.min)
-                .u64("p50", h.p50)
-                .u64("p90", h.p90)
-                .u64("p99", h.p99)
-                .u64("max", h.max)
-                .finish(),
-        };
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
-fn fields_json(fields: &[(&'static str, FieldValue)]) -> String {
-    let mut o = JsonObj::new();
-    for (k, v) in fields {
-        o = match v {
-            FieldValue::U64(v) => o.u64(k, *v),
-            FieldValue::I64(v) => o.i64(k, *v),
-            FieldValue::F64(v) => o.f64(k, *v),
-            FieldValue::Str(v) => o.str(k, v),
-        };
-    }
-    o.finish()
-}
-
-/// One JSON line per event.
-pub fn events_jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let line = JsonObj::new()
-            .str("type", "event")
-            .u64("seq", e.seq)
-            .u64("t_us", e.t_us)
-            .str("stage", e.stage)
-            .str("name", e.name)
-            .raw("fields", &fields_json(&e.fields))
-            .finish();
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
-/// Full export: meta line, then metrics, then the retained events of
-/// every ring (in order).
-pub fn export_jsonl(reg: &Registry, rings: &[&Ring]) -> String {
-    let mut events: Vec<Event> = Vec::new();
-    let mut dropped = 0u64;
-    for r in rings {
-        events.extend(r.snapshot());
-        dropped += r.dropped();
-    }
-    let mut out = JsonObj::new()
-        .str("type", "meta")
-        .u64("dropped_events", dropped)
-        .u64("events", events.len() as u64)
-        .finish();
-    out.push('\n');
-    out.push_str(&metrics_jsonl(&reg.snapshot()));
-    out.push_str(&events_jsonl(&events));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,19 +125,5 @@ mod tests {
             .finish();
         assert_eq!(o, r#"{"type":"x","n":3,"i":-4,"f":0.5,"bad":null}"#);
         assert_eq!(JsonObj::new().finish(), "{}");
-    }
-
-    #[test]
-    fn export_has_meta_then_metrics_then_events() {
-        let reg = Registry::new();
-        reg.counter("s.c").add(2);
-        let ring = Ring::new(4);
-        ring.push("s", "e", vec![("k", "v".into())]);
-        let out = export_jsonl(&reg, &[&ring]);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains(r#""type":"meta""#));
-        assert!(lines[1].contains(r#""name":"s.c""#));
-        assert!(lines[2].contains(r#""fields":{"k":"v"}"#));
     }
 }

@@ -1,9 +1,10 @@
-//! The JSONL export must be valid line-delimited JSON. Rather than
-//! trusting the writer, parse every line back with a minimal
-//! test-side JSON parser (objects, arrays, strings, numbers, literals).
+//! The Perfetto export must be one valid JSON document that carries
+//! every span and arg verbatim. Rather than trusting the writer, parse
+//! it back with a minimal test-side JSON parser (objects, arrays,
+//! strings, numbers, literals).
 
-use ccsql_obs::json::export_jsonl;
-use ccsql_obs::{Registry, Ring};
+use ccsql_obs::flight::{chrome_trace_json, Flight};
+use ccsql_obs::FieldValue;
 use std::collections::BTreeMap;
 
 // ----------------------------------------------------------- parser
@@ -217,80 +218,68 @@ fn n(v: &Json) -> f64 {
     }
 }
 
-#[test]
-fn full_export_parses_line_by_line() {
-    let reg = Registry::new();
-    reg.counter("solver.rows_kept").add(498);
-    reg.counter("solver.rows_pruned").add(93_000);
-    reg.gauge("mc.states_per_sec").set(123456.75);
-    let h = reg.histogram("solver.generate_us");
-    for v in [100u64, 200, 400, 80_000] {
-        h.record(v);
+fn arr(v: &Json) -> &[Json] {
+    match v {
+        Json::Arr(a) => a,
+        _ => panic!("not an array: {v:?}"),
     }
-    let ring = Ring::new(8);
-    ring.push(
-        "solver",
-        "column",
-        vec![
-            ("table", "D".into()),
-            ("column", "nxtdirst \"quoted\"\n".into()),
-            ("rows", 498usize.into()),
-            ("mean", 0.5f64.into()),
-            ("delta", (-3i64).into()),
-        ],
-    );
-    let out = export_jsonl(&reg, &[&ring]);
+}
 
-    let lines: Vec<&str> = out.lines().collect();
-    assert_eq!(lines.len(), 1 + 4 + 1, "meta + 4 metrics + 1 event");
-    let parsed: Vec<Json> = lines
-        .iter()
-        .map(|l| parse(l).unwrap_or_else(|e| panic!("invalid JSON line {l:?}: {e}")))
-        .collect();
-
-    assert_eq!(s(get(&parsed[0], "type")), "meta");
-    assert_eq!(n(get(&parsed[0], "events")), 1.0);
-
-    let counters: Vec<&Json> = parsed
-        .iter()
-        .filter(|v| matches!(v, Json::Obj(_)) && s(get(v, "type")) == "counter")
-        .collect();
-    assert_eq!(counters.len(), 2);
-    let kept = counters
-        .iter()
-        .find(|v| s(get(v, "name")) == "solver.rows_kept")
-        .unwrap();
-    assert_eq!(n(get(kept, "value")), 498.0);
-
-    let hist = parsed
-        .iter()
-        .find(|v| matches!(v, Json::Obj(_)) && s(get(v, "type")) == "histogram")
-        .unwrap();
-    assert_eq!(n(get(hist, "count")), 4.0);
-    assert!(n(get(hist, "p99")) >= n(get(hist, "p50")));
-
-    let ev = parsed.last().unwrap();
-    assert_eq!(s(get(ev, "type")), "event");
-    let fields = get(ev, "fields");
-    assert_eq!(s(get(fields, "table")), "D");
-    // The escaped quoted/newline value survives a round trip.
-    assert_eq!(s(get(fields, "column")), "nxtdirst \"quoted\"\n");
-    assert_eq!(n(get(fields, "rows")), 498.0);
-    assert_eq!(n(get(fields, "delta")), -3.0);
+fn has(v: &Json, k: &str) -> bool {
+    matches!(v, Json::Obj(m) if m.contains_key(k))
 }
 
 #[test]
-fn wraparound_export_still_valid() {
-    let reg = Registry::new();
-    let ring = Ring::new(3);
-    for i in 0..10u64 {
-        ring.push("t", "e", vec![("i", i.into())]);
+fn chrome_trace_parses_back_with_every_arg() {
+    let f = Flight::new();
+    {
+        let root = f.begin("solve", "table \"D\"\n");
+        root.arg("column", "nxtdirst \"quoted\"\n\t\u{1}");
+        root.arg("rows", 498usize);
+        root.arg("delta", -3i64);
+        root.arg("mean", 0.5f64);
+        root.arg("nan", f64::NAN);
+        root.arg("inf", FieldValue::F64(f64::INFINITY));
+        let child = f.begin("mc", "explore");
+        child.arg("states", 60u64);
     }
-    let out = export_jsonl(&reg, &[&ring]);
-    for line in out.lines() {
-        parse(line).unwrap_or_else(|e| panic!("invalid line {line:?}: {e}"));
-    }
-    let meta = parse(out.lines().next().unwrap()).unwrap();
-    assert_eq!(n(get(&meta, "dropped_events")), 7.0);
-    assert_eq!(n(get(&meta, "events")), 3.0);
+    let doc = parse(&chrome_trace_json(&f.snapshot()))
+        .unwrap_or_else(|e| panic!("trace is not one JSON document: {e}"));
+    let events = arr(get(&doc, "traceEvents"));
+    assert_eq!(events.len(), 1 + 2, "process-name record + 2 spans");
+    assert_eq!(s(get(&events[0], "ph")), "M");
+
+    let (root, child) = (&events[1], &events[2]);
+    assert_eq!(s(get(root, "ph")), "X");
+    assert_eq!(s(get(root, "cat")), "solve");
+    // Escaped span names and Str args survive the round trip.
+    assert_eq!(s(get(root, "name")), "table \"D\"\n");
+    let args = get(root, "args");
+    assert_eq!(s(get(args, "column")), "nxtdirst \"quoted\"\n\t\u{1}");
+    assert_eq!(n(get(args, "rows")), 498.0);
+    assert_eq!(n(get(args, "delta")), -3.0);
+    assert_eq!(n(get(args, "mean")), 0.5);
+    // Non-finite floats have no JSON spelling: they are written as null.
+    assert_eq!(get(args, "nan"), &Json::Null);
+    assert_eq!(get(args, "inf"), &Json::Null);
+
+    // Parent ids: the root has none, the child names the root's id.
+    assert_eq!(n(get(args, "span_id")), 1.0);
+    assert!(!has(args, "parent_id"), "a root span has no parent_id");
+    let cargs = get(child, "args");
+    assert_eq!(n(get(cargs, "span_id")), 2.0);
+    assert_eq!(n(get(cargs, "parent_id")), 1.0);
+    assert_eq!(n(get(cargs, "states")), 60.0);
+    assert_eq!(
+        get(child, "tid"),
+        get(root, "tid"),
+        "same thread, same track"
+    );
+    assert!(n(get(child, "ts")) >= n(get(root, "ts")));
+}
+
+#[test]
+fn empty_recording_is_a_valid_document() {
+    let doc = parse(&chrome_trace_json(&[])).unwrap();
+    assert_eq!(arr(get(&doc, "traceEvents")).len(), 1, "process name only");
 }

@@ -194,46 +194,6 @@ pub struct GenStep {
     pub elapsed: Duration,
 }
 
-/// Record a finished generation run into the global `ccsql_obs`
-/// registry and (when tracing) the global event ring. No-op when
-/// metrics are disabled — the solver's hot loops never touch this.
-fn record_gen_metrics(table: &str, stats: &GenStats) {
-    if !ccsql_obs::enabled() {
-        return;
-    }
-    let reg = ccsql_obs::global();
-    reg.counter("solver.tables").inc();
-    reg.counter("solver.candidates").add(stats.candidates);
-    reg.counter("solver.rows_kept").add(stats.rows as u64);
-    let pruned: u64 = stats
-        .steps
-        .iter()
-        .map(|s| s.candidates.saturating_sub(s.rows as u64))
-        .sum();
-    reg.counter("solver.rows_pruned").add(pruned);
-    reg.histogram("solver.generate_us")
-        .record(stats.elapsed.as_micros() as u64);
-    if !stats.compile.is_zero() {
-        reg.histogram("solver.compile_us")
-            .record(stats.compile.as_micros() as u64);
-    }
-    for s in &stats.steps {
-        reg.histogram("solver.step_us")
-            .record(s.elapsed.as_micros() as u64);
-        ccsql_obs::emit(
-            "solver",
-            "column",
-            vec![
-                ("table", table.into()),
-                ("column", s.column.as_str().into()),
-                ("candidates", s.candidates.into()),
-                ("rows", s.rows.into()),
-                ("elapsed_us", (s.elapsed.as_micros() as u64).into()),
-            ],
-        );
-    }
-}
-
 impl TableSpec {
     /// New spec.
     pub fn new(name: &str) -> TableSpec {
@@ -322,7 +282,6 @@ impl TableSpec {
             fspan.arg("rows", stats.rows);
             fspan.arg("columns", stats.columns);
             fspan.arg("candidates", stats.candidates);
-            record_gen_metrics(&self.name, &stats);
             (rel, stats)
         })
     }
@@ -423,11 +382,6 @@ impl TableSpec {
                 .collect::<Result<_>>()?
         };
         let compile_time = compile_start.elapsed();
-        if ccsql_obs::enabled() {
-            ccsql_obs::global()
-                .counter("solver.programs_compiled")
-                .add(programs.len() as u64);
-        }
 
         // Constant-true programs (unconstrained columns after folding)
         // filter nothing; skipping them lets fully unconstrained

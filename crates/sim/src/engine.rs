@@ -19,12 +19,13 @@ use crate::state::{BusyEntry, DirEntry, NodeState, PendTxn, QuadState};
 use crate::tables::ExecTable;
 use crate::workload::{CpuOp, Workload};
 use ccsql::gen::GeneratedProtocol;
-use ccsql_obs::{FieldValue, Registry, Ring, SplitMix64};
+use ccsql_obs::{FieldValue, SplitMix64};
 use ccsql_protocol::messages;
 use ccsql_protocol::topology::{NodeId, PresenceVector};
 use ccsql_relalg::{Sym, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Addresses with this bit set live in I/O space (never cached).
 pub const IO_SPACE: Addr = 0x8000_0000;
@@ -258,16 +259,9 @@ pub struct Sim {
     expected: HashMap<Addr, u64>,
     expected_io: HashMap<Addr, u64>,
     version: u64,
-    /// Bounded structured-event trace (enable with
-    /// [`Sim::enable_trace`]). `None` means tracing is off — the
-    /// per-event cost is a single `Option` check.
-    ring: Option<Ring>,
-    /// Run-local metrics, merged into the `ccsql_obs` global registry
-    /// at the end of [`Sim::run`] when global metrics are enabled.
-    /// Local-first keeps parallel test runs from polluting each other
-    /// and makes same-seed runs byte-comparable.
-    metrics: Registry,
-    merged_global: bool,
+    /// Bounded step log (enable with [`Sim::enable_trace`]). `None`
+    /// means it is off — the per-event cost is a single `Option` check.
+    log: Option<StepLog>,
     latency: HashMap<&'static str, LatAgg>,
     /// Per-controller row hit counts: how often each specification row
     /// was exercised (table coverage).
@@ -277,6 +271,33 @@ pub struct Sim {
     chaos: Option<FaultInjector>,
     /// Diagnoses of operations abandoned after exhausting retries.
     abandoned: Vec<String>,
+}
+
+/// Default retention of the step log ([`Sim::enable_trace`]).
+const DEFAULT_TRACE_CAP: usize = 4096;
+
+/// The simulator's step log: rendered `sim.<event> key=value …` lines,
+/// at most `cap` of them. When full, the oldest line is evicted and
+/// counted, so a long run can never grow the log without bound. One
+/// thread drives a [`Sim`], so the log is a plain owned deque.
+struct StepLog {
+    cap: usize,
+    dropped: u64,
+    lines: VecDeque<String>,
+}
+
+impl StepLog {
+    fn push(&mut self, name: &str, fields: Vec<(&'static str, FieldValue)>) {
+        let mut line = format!("sim.{name}");
+        for (k, v) in fields {
+            write!(line, " {k}={v}").expect("writing to a String cannot fail");
+        }
+        if self.lines.len() >= self.cap {
+            self.lines.pop_front();
+            self.dropped += 1;
+        }
+        self.lines.push_back(line);
+    }
 }
 
 /// Latency aggregate for one operation type (in engine steps).
@@ -351,9 +372,7 @@ impl Sim {
             expected: HashMap::new(),
             expected_io: HashMap::new(),
             version: 0,
-            ring: None,
-            metrics: Registry::new(),
-            merged_global: false,
+            log: None,
             latency: HashMap::new(),
             coverage: HashMap::new(),
             chaos: None,
@@ -392,55 +411,45 @@ impl Sim {
         &self.abandoned
     }
 
-    /// Record a structured event trace, bounded at the process-wide
-    /// default capacity ([`ccsql_obs::trace_cap`]). When the ring
-    /// fills, the oldest events are evicted and counted in
-    /// `sim.trace_dropped` — a long run can never grow the trace
-    /// without bound.
+    /// Keep a step log of the run, retaining the last 4096 lines.
     pub fn enable_trace(&mut self) {
-        self.enable_trace_with_cap(ccsql_obs::trace_cap());
+        self.enable_trace_with_cap(DEFAULT_TRACE_CAP);
     }
 
-    /// Record a structured event trace retaining at most `cap` events.
+    /// Keep a step log retaining at most `cap` lines (at least one).
     pub fn enable_trace_with_cap(&mut self, cap: usize) {
-        self.ring = Some(Ring::new(cap));
+        let cap = cap.max(1);
+        self.log = Some(StepLog {
+            cap,
+            dropped: 0,
+            lines: VecDeque::with_capacity(cap.min(1024)),
+        });
     }
 
-    /// The structured event ring, if tracing is enabled.
-    pub fn ring(&self) -> Option<&Ring> {
-        self.ring.as_ref()
-    }
-
-    /// Rendered trace lines (`stage.name key=value …`), oldest retained
-    /// first. Compatibility shim over the structured ring for callers
-    /// of the old `Vec<String>` trace.
+    /// The retained step-log lines (`sim.<event> key=value …`), oldest
+    /// first; empty when the log is off.
     pub fn trace(&self) -> Vec<String> {
-        self.ring
+        self.log
             .as_ref()
-            .map(|r| r.snapshot().iter().map(|e| e.render()).collect())
+            .map(|l| l.lines.iter().cloned().collect())
             .unwrap_or_default()
     }
 
-    /// Events evicted from the bounded trace ring.
+    /// Lines evicted from the bounded step log.
     pub fn trace_dropped(&self) -> u64 {
-        self.ring.as_ref().map(|r| r.dropped()).unwrap_or(0)
+        self.log.as_ref().map_or(0, |l| l.dropped)
     }
 
-    /// The run-local metrics registry (populated by [`Sim::run`]).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// Push a structured event; the field closure only runs when
-    /// tracing is enabled, so the disabled path does no formatting or
+    /// Append one line to the step log; the field closure only runs
+    /// when the log is on, so the disabled path does no formatting or
     /// allocation at all.
     #[inline]
-    fn trace_event<F>(&self, name: &'static str, fields: F)
+    fn trace_event<F>(&mut self, name: &'static str, fields: F)
     where
         F: FnOnce() -> Vec<(&'static str, FieldValue)>,
     {
-        if let Some(ring) = &self.ring {
-            ring.push("sim", name, fields());
+        if let Some(log) = &mut self.log {
+            log.push(name, fields());
         }
     }
 
@@ -1653,18 +1662,32 @@ impl Sim {
 
     /// Run until quiescence, deadlock, or the step budget.
     ///
-    /// On return (including the error paths) the run's aggregate
-    /// counters are recorded into the local [`Sim::metrics`] registry
-    /// and, when `ccsql_obs` global metrics are enabled, merged once
-    /// into the global registry.
+    /// On return (including the error paths) the run's [`SimStats`]
+    /// are recorded as args of its `sim/run` span.
     pub fn run(&mut self) -> Result<Outcome, SimError> {
         let fspan = ccsql_obs::flight::span("sim", "run");
         let out = self.run_inner();
-        fspan.arg("steps", self.stats.steps);
-        fspan.arg("issued", self.stats.issued);
-        fspan.arg("completed", self.stats.completed);
-        self.flush_metrics();
+        if fspan.is_live() {
+            let s = &self.stats;
+            for (k, v) in [
+                ("steps", s.steps),
+                ("issued", s.issued),
+                ("completed", s.completed),
+                ("hits", s.hits),
+                ("retries", s.retries),
+                ("msgs", s.msgs),
+                ("read_checks", s.read_checks),
+                ("faults_injected", s.faults_injected),
+                ("timeouts", s.timeouts),
+                ("retransmits", s.retransmits),
+                ("strays", s.strays),
+                ("abandoned", s.abandoned),
+            ] {
+                fspan.arg(k, v);
+            }
+        }
         if let Ok(o) = &out {
+            let steps = self.stats.steps;
             self.trace_event("outcome", || {
                 let kind = match o {
                     Outcome::Quiescent => "quiescent",
@@ -1672,7 +1695,7 @@ impl Sim {
                     Outcome::StepLimit => "step_limit",
                     Outcome::Stalled { .. } => "stalled",
                 };
-                vec![("kind", kind.into()), ("steps", self.stats.steps.into())]
+                vec![("kind", kind.into()), ("steps", steps.into())]
             });
         }
         out
@@ -1723,53 +1746,6 @@ impl Sim {
                 }
                 return Ok(Outcome::Deadlock(info));
             }
-        }
-    }
-
-    /// Record end-of-run aggregates (`sim.*`) into the local registry,
-    /// replacing any previous flush, and merge them into the
-    /// `ccsql_obs` global registry the first time (so re-running a
-    /// `Sim` never double-counts globally).
-    pub fn flush_metrics(&mut self) {
-        self.metrics.reset();
-        let reg = &self.metrics;
-        reg.counter("sim.steps").add(self.stats.steps);
-        reg.counter("sim.issued").add(self.stats.issued);
-        reg.counter("sim.hits").add(self.stats.hits);
-        reg.counter("sim.completed").add(self.stats.completed);
-        reg.counter("sim.retries").add(self.stats.retries);
-        reg.counter("sim.msgs").add(self.stats.msgs);
-        reg.counter("sim.read_checks").add(self.stats.read_checks);
-        reg.counter("sim.faults_injected")
-            .add(self.stats.faults_injected);
-        reg.counter("sim.timeouts").add(self.stats.timeouts);
-        reg.counter("sim.retransmits").add(self.stats.retransmits);
-        reg.counter("sim.strays").add(self.stats.strays);
-        reg.counter("sim.abandoned").add(self.stats.abandoned);
-        for (table, hit, total) in self.coverage_report() {
-            reg.counter(&format!("sim.rows_hit.{table}"))
-                .add(hit as u64);
-            reg.gauge(&format!("sim.coverage.{table}"))
-                .set(if total == 0 {
-                    0.0
-                } else {
-                    hit as f64 / total as f64
-                });
-        }
-        for (op, agg) in self.latency_report() {
-            reg.counter(&format!("sim.ops.{op}")).add(agg.count);
-            reg.gauge(&format!("sim.latency_mean_steps.{op}"))
-                .set(agg.mean());
-            reg.gauge(&format!("sim.latency_max_steps.{op}"))
-                .set(agg.max as f64);
-        }
-        if let Some(ring) = &self.ring {
-            reg.counter("sim.trace_events").add(ring.pushed());
-            reg.counter("sim.trace_dropped").add(ring.dropped());
-        }
-        if ccsql_obs::enabled() && !self.merged_global {
-            ccsql_obs::global().merge_from(&self.metrics);
-            self.merged_global = true;
         }
     }
 

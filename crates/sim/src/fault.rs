@@ -185,7 +185,8 @@ impl FaultPlan {
     }
 }
 
-/// Fault counters (mirrored into `sim.faults_*` metrics).
+/// Fault counters of one chaos run (their total is
+/// `SimStats::faults_injected`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages discarded.
@@ -265,7 +266,7 @@ impl FaultInjector {
     /// over the probabilistic draws; probabilistic draws happen in the
     /// fixed order drop → duplicate → delay → reorder, each only when
     /// its rate is nonzero. Some message classes take fewer fault
-    /// kinds — see [`FaultInjector::scope`] for the fault boundary.
+    /// kinds — see `FaultInjector::scope` for the fault boundary.
     pub fn decide(&mut self, vc: VcId, msg: &SimMsg) -> Decision {
         let scope = Self::scope(msg);
         if scope == FaultScope::Exempt {

@@ -1,8 +1,9 @@
 //! Chaos-mode integration tests: the regression for the old
 //! `expect("retry goes to the sender")` panic, the differential oracle
-//! pinning zero-rate chaos to byte-identical behaviour, coherence
-//! audits under 10% fault rates, and the table-row coverage baseline
-//! for the paper scenarios.
+//! pinning zero-rate chaos to byte-identical behaviour (stats and step
+//! log), the step log's bounded retention, coherence audits under 10%
+//! fault rates, and the table-row coverage baseline for the paper
+//! scenarios.
 
 use ccsql::gen::GeneratedProtocol;
 use ccsql_protocol::topology::NodeId;
@@ -138,6 +139,30 @@ fn zero_rate_chaos_is_byte_identical_to_a_plain_run() {
             chaos.audit().unwrap();
         }
     }
+}
+
+/// The step log the oracle above compares is bounded: a small cap
+/// retains exactly the newest lines of an uncapped run's log and counts
+/// every eviction; a log that is off keeps nothing.
+#[test]
+fn step_log_keeps_the_newest_lines_and_counts_evictions() {
+    let run = |cap: Option<usize>| {
+        let mut sim = random_sim(2, 2, 60, 7);
+        if let Some(cap) = cap {
+            sim.enable_trace_with_cap(cap);
+        }
+        assert!(matches!(sim.run().unwrap(), Outcome::Quiescent));
+        (sim.trace(), sim.trace_dropped())
+    };
+    let (all, dropped) = run(Some(100_000));
+    assert_eq!(dropped, 0);
+    assert!(all.len() > 4, "{all:?}");
+    assert!(all[0].starts_with("sim."), "{all:?}");
+    assert!(all[all.len() - 1].starts_with("sim.outcome kind=quiescent steps="));
+    let (tail, dropped) = run(Some(4));
+    assert_eq!(tail, all[all.len() - 4..]);
+    assert_eq!(dropped, (all.len() - 4) as u64);
+    assert_eq!(run(None), (Vec::new(), 0));
 }
 
 /// Chaos runs are reproducible: the same (workload seed, fault seed)

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Pre-PR gate: the tier-1 build/test pass plus formatting and lint,
-# all fully offline. Every tracked Cargo.toml must resolve without the
-# network, so no crate with crates.io dependencies can creep back in.
+# Pre-PR gate: the tier-1 build/test pass plus formatting, lint and
+# rustdoc, all fully offline. Every tracked Cargo.toml must resolve
+# without the network, so no crate with crates.io dependencies can
+# creep back in.
 #
 #   sh scripts/verify.sh
 #
@@ -101,11 +102,9 @@ fi
 
 echo "==> ccsql profile (flight-recorder smoke: valid trace, every stage spanned, stable span structure)"
 cargo run --quiet --release -p ccsql-cli -- profile specs/fig3.ccsql --quick \
-    --trace-out "$WORK_DIR/prof1.json" "--metrics=$WORK_DIR/prof1.jsonl" \
-    > "$WORK_DIR/prof1.txt"
+    --trace-out "$WORK_DIR/prof1.json" > "$WORK_DIR/prof1.txt"
 cargo run --quiet --release -p ccsql-cli -- profile specs/fig3.ccsql --quick \
-    --trace-out "$WORK_DIR/prof2.json" "--metrics=$WORK_DIR/prof2.jsonl" \
-    > "$WORK_DIR/prof2.txt"
+    --trace-out "$WORK_DIR/prof2.json" > "$WORK_DIR/prof2.txt"
 # The trace must be one well-formed JSON document with at least one span
 # for every pipeline stage.
 for stage in profile parse lint solve depend mc sim; do
@@ -226,5 +225,8 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (no broken or ambiguous intra-doc links)"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
 
 echo "verify: all gates passed"

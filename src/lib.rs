@@ -13,7 +13,7 @@
 //!   virtual-channel deadlock analysis, and the hardware mapping;
 //! * [`sim`] — the table-driven multiprocessor simulator;
 //! * [`mc`] — the Murphi-style explicit-state model checker baseline;
-//! * [`obs`] — the dependency-free tracing/metrics layer shared by all
+//! * [`obs`] — the dependency-free observability layer shared by all
 //!   of the above (see DESIGN.md § Observability).
 
 pub use ccsql as core;

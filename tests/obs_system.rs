@@ -1,11 +1,12 @@
-//! System-level tests of the observability layer: the simulator's
-//! metric counters must be a pure function of the seeded configuration,
-//! and the disabled-observability hot path must stay close to free.
+//! System-level tests of the observability surface: the simulator's
+//! counters and step log must be a pure function of the seeded
+//! configuration, and the disabled flight recorder must stay close to
+//! free on the model checker's hot path.
 
 use ccsql_suite::core::gen::GeneratedProtocol;
 use ccsql_suite::mc::{explore, McOutcome, Model};
 use ccsql_suite::protocol::topology::NodeId;
-use ccsql_suite::sim::{Mix, Outcome, Schedule, Sim, SimConfig, Workload};
+use ccsql_suite::sim::{Mix, Outcome, Schedule, Sim, SimConfig, SimStats, Workload};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -14,7 +15,17 @@ fn generated() -> &'static GeneratedProtocol {
     G.get_or_init(|| GeneratedProtocol::generate_default().unwrap())
 }
 
-fn run_seeded(seed: u64) -> Vec<(String, u64)> {
+/// Everything a seeded run reports about itself: its stats, its
+/// spec-row coverage, its completed operations per kind and its step
+/// log.
+type RunReport = (
+    SimStats,
+    Vec<(&'static str, usize, usize)>,
+    Vec<(&'static str, u64)>,
+    Vec<String>,
+);
+
+fn run_seeded(seed: u64) -> RunReport {
     let cfg = SimConfig {
         quads: 2,
         nodes_per_quad: 2,
@@ -31,19 +42,25 @@ fn run_seeded(seed: u64) -> Vec<(String, u64)> {
     sim.enable_trace_with_cap(256);
     let out = sim.run().unwrap();
     assert!(matches!(out, Outcome::Quiescent), "{out:?}");
-    sim.metrics().snapshot().counters()
+    let completed = sim
+        .latency_report()
+        .into_iter()
+        .map(|(op, agg)| (op, agg.count))
+        .collect();
+    (sim.stats, sim.coverage_report(), completed, sim.trace())
 }
 
 #[test]
 fn sim_counters_are_deterministic_across_identical_runs() {
-    // Two runs with the same seed and configuration must produce
-    // byte-identical counter snapshots (counters carry no wall-clock):
+    // Two runs with the same seed and configuration must report the
+    // same counters, coverage and step log (none carries wall-clock):
     // the splitmix64 schedule/workload PRNG is the only randomness.
     let a = run_seeded(7);
     let b = run_seeded(7);
-    assert!(!a.is_empty());
-    assert!(a.iter().any(|(n, _)| n == "sim.steps"));
-    assert!(a.iter().any(|(n, _)| n == "sim.trace_events"));
+    assert!(a.0.steps > 0 && a.0.msgs > 0, "{:?}", a.0);
+    assert!(a.1.iter().any(|&(_, hit, _)| hit > 0), "{:?}", a.1);
+    assert!(!a.2.is_empty());
+    assert!(!a.3.is_empty());
     assert_eq!(a, b);
     // And a different seed must actually change something.
     let c = run_seeded(8);
@@ -53,11 +70,11 @@ fn sim_counters_are_deterministic_across_identical_runs() {
 #[test]
 #[ignore = "timing test — run manually with `cargo test -- --ignored`"]
 fn mc_disabled_observability_overhead_is_small() {
-    // The explorer's obs hook is a single relaxed atomic load per run
-    // (aggregates are recorded at the end, not per transition). The
-    // design target is ≤5% hot-loop overhead when disabled; the
-    // assertion is relaxed to 25% because wall-clock comparisons on
-    // shared machines are noisy.
+    // With the flight recorder off every span is one relaxed atomic
+    // load, and the explorer opens spans per run and per BFS level,
+    // never per state. The design target is ≤5% hot-loop overhead when
+    // disabled; the assertion is relaxed to 25% because wall-clock
+    // comparisons on shared machines are noisy.
     let m = Model {
         nodes: 3,
         quota: 2,
@@ -73,11 +90,11 @@ fn mc_disabled_observability_overhead_is_small() {
         }
         best
     };
-    ccsql_suite::obs::set_enabled(false);
+    ccsql_suite::obs::flight::set_enabled(false);
     let disabled = time_runs(3);
-    ccsql_suite::obs::set_enabled(true);
+    ccsql_suite::obs::flight::set_enabled(true);
     let enabled = time_runs(3);
-    ccsql_suite::obs::set_enabled(false);
+    ccsql_suite::obs::flight::set_enabled(false);
     assert!(
         disabled <= enabled * 1.25,
         "disabled {disabled:.4}s vs enabled {enabled:.4}s"

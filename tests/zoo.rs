@@ -179,7 +179,10 @@ fn spec_sim_walks_each_clean_protocol_deterministically() {
 
 #[test]
 fn zoo_rejects_a_directory_with_no_packs() {
-    let empty = format!("{}/target", env!("CARGO_MANIFEST_DIR"));
-    let err = ccsql_cli::run(&argv(&format!("zoo {empty}"))).unwrap_err();
+    let empty = std::env::temp_dir().join(format!("ccsql-zoo-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&empty);
+    std::fs::create_dir_all(&empty).unwrap();
+    let err = ccsql_cli::run(&["zoo".into(), empty.display().to_string()]).unwrap_err();
+    let _ = std::fs::remove_dir(&empty);
     assert!(err.contains("no .ccsql spec packs"), "{err}");
 }
