@@ -1272,8 +1272,7 @@ fn cmd_profile(opts: &Opts) -> Result<String, String> {
     };
 
     // Stage 2: lint — early error detection before any time is spent.
-    let ctx = ccsql_protocol::ProtocolSpec::eval_context();
-    let lint_report = ccsql_lint::lint_specfiles(&[&sf], &ctx);
+    let lint_report = lint_specs(&[&sf]);
     if lint_report.failed() {
         return Err(format!(
             "{}\nlint found problems in {path}; profile needs a clean spec",
@@ -1597,7 +1596,7 @@ fn zoo_pack(
     };
 
     // Stage 1: lint (boundary hygiene, coverage, nondeterminism, …).
-    let report = ccsql_lint::lint_specfiles(&[&sf], &ccsql_protocol::ProtocolSpec::eval_context());
+    let report = lint_specs(&[&sf]);
     let (errors, warns) = report
         .diagnostics()
         .iter()
@@ -1730,6 +1729,13 @@ fn positional<'a>(opts: &Opts<'a>, value_flags: &[&str]) -> Vec<&'a str> {
     out
 }
 
+/// Lint spec files under the context `solve` solves them in (no named
+/// sets), so the lint's one solve of each table is the table `solve`
+/// computes.
+fn lint_specs(files: &[&ccsql_relalg::SpecFile]) -> ccsql_lint::LintReport {
+    ccsql_lint::lint_specfiles(files, &ccsql_relalg::expr::SetContext::new())
+}
+
 fn cmd_lint(opts: &Opts) -> Result<String, String> {
     let report = if opts.flag("--protocol") {
         let v = parse_assignment(opts)?;
@@ -1748,7 +1754,7 @@ fn cmd_lint(opts: &Opts) -> Result<String, String> {
             files.push(sf);
         }
         let refs: Vec<&ccsql_relalg::SpecFile> = files.iter().collect();
-        ccsql_lint::lint_specfiles(&refs, &ccsql_protocol::ProtocolSpec::eval_context())
+        lint_specs(&refs)
     };
     let out = if opts.flag("--json") {
         report.render_jsonl()
@@ -1772,8 +1778,7 @@ fn cmd_solve(opts: &Opts) -> Result<String, String> {
     if !opts.flag("--no-lint") {
         // Early error detection: lint the spec before spending time on
         // the solve. `--no-lint` bypasses the gate.
-        let report =
-            ccsql_lint::lint_specfiles(&[&sf], &ccsql_protocol::ProtocolSpec::eval_context());
+        let report = lint_specs(&[&sf]);
         if report.failed() {
             return Err(format!(
                 "{}\nlint found problems in {path}; fix them or rerun with --no-lint",
@@ -2017,6 +2022,75 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("table Fig3Buggy"), "{out}");
+    }
+
+    /// Write `text` to `name` under the temp dir and return its path.
+    fn temp_spec(name: &str, text: &str) -> String {
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, text).unwrap();
+        path.display().to_string()
+    }
+
+    #[test]
+    fn lint_solves_specs_under_the_context_solve_uses() {
+        // `isrequest` is a named set of the built-in protocol, not of spec
+        // files: `solve` rejects the table, and the lint's one solve of it
+        // reports the same error instead of vestigial-value findings.
+        let path = temp_spec(
+            "ccsql_cli_named_set.ccsql",
+            "table T\n\
+             input inmsg = readex, data\n\
+             output o = p\n\
+             constrain inmsg: isrequest(inmsg)\n",
+        );
+        let out = run(&["lint".to_string(), path.clone()]).unwrap();
+        assert!(out.contains("info CCL019"), "{out}");
+        assert!(
+            out.contains("no such named set/predicate: isrequest"),
+            "{out}"
+        );
+        assert!(!out.contains("CCL006"), "{out}");
+        let err = run(&argv(&format!("solve {path} --no-lint"))).unwrap_err();
+        assert!(err.contains("isrequest"), "{err}");
+    }
+
+    #[test]
+    fn row_budget_fails_every_solve_closed() {
+        // 100 x 100 x 100 unconstrained values: adding `o` takes 10^6
+        // candidate rows, over the budget. Every stage that solves the
+        // spec fails with the budget error; the lint notes it.
+        let values = |col: &str| -> String {
+            let vs: Vec<String> = (0..100).map(|i| format!("{col}{i}")).collect();
+            vs.join(", ")
+        };
+        let path = temp_spec(
+            "ccsql_cli_row_budget.ccsql",
+            &format!(
+                "table Big\ninput a = {}\ninput b = {}\noutput o = {}\nflow a, o\n",
+                values("a"),
+                values("b"),
+                values("o")
+            ),
+        );
+        let budget = "table Big: adding column o takes 1000000 candidate rows, \
+                      over the 500000-row budget";
+        for cmd in [
+            "solve --no-lint",
+            "solve --no-lint --no-compile",
+            "flows",
+            "mc --spec",
+            "sim --spec",
+        ] {
+            let err = run(&argv(&format!("{cmd} {path}"))).unwrap_err();
+            assert!(err.contains(budget), "{cmd}: {err}");
+        }
+        let err = run(&argv(&format!("lint {path}"))).unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "Big: info CCL019: coverage skipped: the solver rejects the table ({budget})"
+            )),
+            "{err}"
+        );
     }
 
     #[test]

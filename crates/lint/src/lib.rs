@@ -1,20 +1,20 @@
-//! # `ccsql-lint` — pre-solve static analysis of constraint specs
+//! # `ccsql-lint` — static analysis of constraint specs
 //!
 //! The paper's thesis is *early* error detection: catching protocol
 //! bugs from the table specifications, before simulation. This crate
-//! pulls detection one stage earlier still — before even the constraint
-//! solve — by linting parsed `.ccsql` specs and the built-in controller
-//! declarations directly. Three analysis families:
+//! lints parsed `.ccsql` specs and the built-in controller declarations
+//! directly, before any check, simulation or model checking runs. Four
+//! analysis families:
 //!
 //! 1. **Expression-level** ([`expr_lint`]): references to undeclared
 //!    columns (CCL001), comparisons against values outside a column
 //!    table (CCL002), unreachable ternary branches over the declared
 //!    domains (CCL003), constraints forcing a column outside its own
 //!    table (CCL004), and outputs whose every branch is `NULL` (CCL005).
-//! 2. **Table-shape** ([`coverage`]): symbolic input-coverage analysis —
-//!    legal inputs admitting no output row (CCL010, incompleteness) or
-//!    two and more (CCL011, nondeterminism) — without running the
-//!    solver.
+//! 2. **Table-shape** ([`coverage`]): queries over the one solve of each
+//!    table — legal inputs admitting no output row (CCL010,
+//!    incompleteness) or two and more (CCL011, nondeterminism), and
+//!    declared values no row carries (CCL006).
 //! 3. **Message flow** ([`flow`]): emitted messages nothing accepts
 //!    (CCL020), accepted messages nothing emits (CCL021), emitted
 //!    triples without a virtual-channel assignment (CCL022) or without
@@ -24,11 +24,11 @@
 //!    (CCL030), wait-cycles that hold for every node count (CCL031),
 //!    and flow cycles the concrete analysis cannot realise (CCL032).
 //!
-//! Analyses that cannot run (domain over budget, opaque predicate)
-//! report an informational CCL019 rather than guessing. All findings
-//! flow into a [`LintReport`] with stable codes, severities, source
-//! spans, and a deterministic order; rendering is human-readable or
-//! JSONL (the `ccsql-obs` export idiom).
+//! Analyses that cannot run (domain over budget, a table the solver
+//! rejects) report an informational CCL019 rather than guessing. All
+//! findings flow into a [`LintReport`] with stable codes, severities,
+//! source spans, and a deterministic order; rendering is human-readable
+//! or JSONL (the `ccsql-obs` export idiom).
 
 pub mod coverage;
 pub mod diag;
@@ -45,17 +45,18 @@ use ccsql_obs::flight::FlightSpan;
 use ccsql_protocol::ProtocolSpec;
 use ccsql_relalg::expr::EvalContext;
 use ccsql_relalg::solver::{ColumnRole, TableSpec};
-use ccsql_relalg::{Span, SpecFile, Value};
+use ccsql_relalg::{Relation, Span, SpecFile, Value};
 
-/// Lint a single table spec (expression + coverage families). `span_of`
-/// maps a column name to its constraint's source span; pass
-/// `|_| Span::UNKNOWN` for built-in specs.
+/// Lint a single table spec (expression + coverage families) and return
+/// its solved table, input columns first, or `None` when the solver
+/// rejects it. `span_of` maps a column name to its constraint's source
+/// span; pass `|_| Span::UNKNOWN` for built-in specs.
 pub fn lint_table(
     spec: &TableSpec,
     ctx: &dyn EvalContext,
     span_of: &dyn Fn(&str) -> Span,
     report: &mut LintReport,
-) {
+) -> Option<Relation> {
     {
         let fspan = ccsql_obs::flight::span("lint", "exprs");
         fspan.arg("table", spec.name.as_str());
@@ -64,8 +65,9 @@ pub fn lint_table(
     }
     let fspan = ccsql_obs::flight::span("lint", "coverage");
     fspan.arg("table", spec.name.as_str());
-    let rows = coverage::lint_coverage(spec, ctx, span_of, report);
-    fspan.arg("legal_inputs", rows);
+    let (legal_inputs, table) = coverage::lint_coverage(spec, ctx, span_of, report);
+    fspan.arg("legal_inputs", legal_inputs);
+    table
 }
 
 /// Lint one or more parsed spec files together: per-table analyses for
@@ -91,14 +93,13 @@ pub fn lint_specfiles_with(
     let mut model = FlowModel::default();
     let mut any_roles = false;
     for f in files {
-        lint_table(
+        let solved = lint_table(
             &f.spec,
             ctx,
             &|col| f.meta.constraint_span(col),
             &mut report,
         );
-
-        any_roles |= spec_flow_points(f, &mut model);
+        any_roles |= spec_flow_points(f, solved.as_ref(), &mut model);
         model
             .boundary
             .send
@@ -117,29 +118,18 @@ pub fn lint_specfiles_with(
 
 /// Collect a spec file's accept/emit [`FlowPoint`]s into `model`.
 /// Returns whether any flow column carried role slots. Role-tagged
-/// columns are expanded from the *solved* table (one triple per
+/// columns are expanded from the `solved` table (one triple per
 /// distinct row projection) so per-row role columns resolve to real
 /// roles; role-less columns expand declaration-level with [`ANY`] roles
-/// exactly as before.
-fn spec_flow_points(f: &SpecFile, model: &mut FlowModel) -> bool {
+/// exactly as before. A spec that failed to solve (`None`) falls back
+/// to declaration-level points; the coverage lint already reports why.
+fn spec_flow_points(f: &SpecFile, solved: Option<&Relation>, model: &mut FlowModel) -> bool {
     use std::collections::BTreeSet;
     let has_roles = f
         .meta
         .flow_columns
         .iter()
         .any(|fc| fc.src.is_some() || fc.dest.is_some());
-    // Solve once per file, only when a role slot needs per-row values.
-    // A spec that fails to solve falls back to declaration-level points;
-    // the expression/coverage lints already report the underlying bug.
-    let solved = if has_roles {
-        let rspan = ccsql_obs::flight::span("lint", "solve-roles");
-        rspan.arg("table", f.spec.name.as_str());
-        ccsql_relalg::specfile::solve_specfile(f)
-            .ok()
-            .map(|(r, _)| r)
-    } else {
-        None
-    };
     let mut seen: BTreeSet<(bool, String, String, String)> = BTreeSet::new();
     for fc in &f.meta.flow_columns {
         let Some(col) = f
@@ -170,9 +160,7 @@ fn spec_flow_points(f: &SpecFile, model: &mut FlowModel) -> bool {
                 model.emits.push(point);
             }
         };
-        let rel = solved
-            .as_ref()
-            .filter(|_| fc.src.is_some() || fc.dest.is_some());
+        let rel = solved.filter(|_| fc.src.is_some() || fc.dest.is_some());
         match rel {
             Some(rel) => {
                 let idx = |name: &str| rel.schema().index_of_str(name);

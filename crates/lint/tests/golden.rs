@@ -164,6 +164,47 @@ fn ccl011_nondeterministic() {
 }
 
 #[test]
+fn ccl011_sees_every_output_row_of_a_nondeterministic_input() {
+    // For a = x, p, q and r all satisfy `o != NULL`, and the solved
+    // table carries all three: r is not vestigial.
+    let r = lint_src(
+        "table T\n\
+         input a = x, y\n\
+         output o = p, q, r, NULL\n\
+         constrain o: a = x ? o != NULL : o = NULL\n",
+    );
+    assert_eq!(
+        findings(&r),
+        vec![
+            "T at 4:14: error CCL011: constraints admit 2+ distinct output rows for \
+             legal input a=\"x\"",
+        ]
+    );
+}
+
+#[test]
+fn ccl019_carries_the_solver_error() {
+    // The then-arm `o` is a value, not a predicate: the solver rejects
+    // the table, so coverage reports the solver's error instead of a
+    // CCL010 on a = x.
+    let r = lint_src(
+        "table T\n\
+         input a = x, y\n\
+         output o = p, NULL\n\
+         constrain o: a = x ? o : o = NULL\n",
+    );
+    assert_eq!(
+        findings(&r),
+        vec![
+            "T: info CCL019: coverage skipped: the solver rejects the table \
+             (expression is not boolean: \"p\")",
+            "T.o at 4:14: warn CCL005: every branch assigns `o = NULL`: this output \
+             can never do anything",
+        ]
+    );
+}
+
+#[test]
 fn ccl019_analysis_skipped_over_budget() {
     // Three 100-value inputs: 10^6 assignments exceed both the
     // reachability and the coverage enumeration budgets. Notes only —
@@ -385,6 +426,33 @@ fn fig3_buggy_reports_each_seeded_bug() {
              path that reaches it",
             "Fig3Buggy.nxtdirst at 45:21: warn CCL006: output column table declares \
              \"Busy-sd\" but no generated row ever carries it — vestigial domain value",
+        ]
+    );
+}
+
+#[test]
+fn phase_priority_buggy_reports_three_nondeterministic_witnesses() {
+    // Four legal inputs admit two output rows each: the first three in
+    // legal-input order are shown, and a summary counts them all.
+    let src = include_str!("../../../specs/phase_priority_buggy.ccsql");
+    let r = lint_src(src);
+    let at = "PhasePriorityBuggy at 69:19: error CCL011:";
+    let witness = |input: &str| {
+        format!("{at} constraints admit 2+ distinct output rows for legal input {input}")
+    };
+    assert_eq!(
+        findings(&r),
+        vec![
+            format!("{at} 4 legal inputs admit 2+ distinct output rows in total (3 shown)"),
+            witness(
+                "inmsg=\"read\", reqph=\"high\", insrc=\"local\", dirst=\"B-r\", pend=\"none\""
+            ),
+            witness(
+                "inmsg=\"read\", reqph=\"high\", insrc=\"local\", dirst=\"B-x\", pend=\"none\""
+            ),
+            witness(
+                "inmsg=\"readex\", reqph=\"high\", insrc=\"local\", dirst=\"B-r\", pend=\"none\""
+            ),
         ]
     );
 }

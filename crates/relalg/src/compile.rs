@@ -359,11 +359,6 @@ impl Program {
         }
     }
 
-    /// Evaluate over a row of value ids.
-    pub fn eval_ids(&self, row: &[u32], ctx: &dyn EvalContext, regs: &mut [u32]) -> Result<bool> {
-        self.eval_cols(|c| row[c], ctx, regs)
-    }
-
     /// Evaluate over a row of [`Value`]s, interning each referenced
     /// cell — the convenience form for tests and cold paths.
     pub fn eval_row(&self, row: &[Value], ctx: &dyn EvalContext) -> Result<bool> {

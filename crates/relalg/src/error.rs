@@ -93,6 +93,14 @@ pub enum Error {
     NoSuchSet(String),
     /// Constraint-solver specification problem.
     BadSpec(String),
+    /// An incremental solve step would evaluate more candidate rows
+    /// (intermediate rows × column values) than
+    /// [`crate::solver::ROW_BUDGET`] allows.
+    RowBudget {
+        table: String,
+        column: String,
+        candidates: u64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -113,6 +121,16 @@ impl fmt::Display for Error {
             Error::NotBoolean(e) => write!(f, "expression is not boolean: {e}"),
             Error::NoSuchSet(s) => write!(f, "no such named set/predicate: {s}"),
             Error::BadSpec(m) => write!(f, "bad table specification: {m}"),
+            Error::RowBudget {
+                table,
+                column,
+                candidates,
+            } => write!(
+                f,
+                "table {table}: adding column {column} takes {candidates} candidate rows, \
+                 over the {}-row budget",
+                crate::solver::ROW_BUDGET
+            ),
         }
     }
 }

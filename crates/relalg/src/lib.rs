@@ -54,7 +54,7 @@ pub mod value;
 mod engine;
 
 pub use columnar::ColumnarRelation;
-pub use compile::{compile_constraint, Program};
+pub use compile::Program;
 pub use engine::{Database, NamedSet};
 pub use error::{Error, Result, Span};
 pub use expr::{BoundExpr, EvalContext, Expr};

@@ -52,6 +52,20 @@
 //!
 //! The interpreter remains available via [`GenOptions`] `compile: false`
 //! (CLI `--no-compile`) as the differential-testing oracle.
+//!
+//! ## One row budget
+//!
+//! Every incremental solve obeys [`ROW_BUDGET`]: an extension step whose
+//! candidate count (intermediate rows × column values) exceeds it fails
+//! with [`Error::RowBudget`] instead of materialising the product. The
+//! compiled and interpreted paths check it at the same steps, so the
+//! oracle still matches. Monolithic generation, a test-only oracle, is
+//! unbudgeted.
+//!
+//! [`TableSpec::generate_with_legal_inputs`] is the search behind the
+//! coverage lints: one compiled pass, inputs first, that also hands back
+//! the legal inputs — the intermediate table once every input column is
+//! in.
 
 use crate::columnar::ColumnarRelation;
 use crate::compile::{compile_constraint, Program};
@@ -62,6 +76,9 @@ use crate::schema::Schema;
 use crate::symbol::Sym;
 use crate::value::Value;
 use std::time::{Duration, Instant};
+
+/// The most candidate rows one incremental extension step may evaluate.
+pub const ROW_BUDGET: u64 = 500_000;
 
 /// Whether a column is an input or an output of the controller state
 /// machine. (Outputs with value `NULL` mean "no operation".)
@@ -264,26 +281,85 @@ impl TableSpec {
         opts: GenOptions,
         ctx: &C,
     ) -> Result<(Relation, GenStats)> {
+        self.solve(opts, ctx, 0).map(|(rel, stats, _)| (rel, stats))
+    }
+
+    /// Solve compiled and incrementally, inputs first, and return the
+    /// legal inputs — the intermediate table once every input column is
+    /// in — together with the solved table, both from the one pass. A
+    /// spec that declares an output before an input is solved under a
+    /// stable inputs-first reorder, so both relations list the input
+    /// columns first. The legal inputs are `None` when the spec has no
+    /// input or no output column.
+    pub fn generate_with_legal_inputs(
+        &self,
+        ctx: &dyn EvalContext,
+    ) -> Result<(Option<Relation>, Relation)> {
+        let is_input = |c: &ColumnDef| c.role == ColumnRole::Input;
+        let inputs = self.columns.iter().filter(|c| is_input(c)).count();
+        let reordered;
+        let spec = if self.columns[..inputs].iter().all(is_input) {
+            self
+        } else {
+            let (mut columns, outputs): (Vec<ColumnDef>, Vec<ColumnDef>) =
+                self.columns.iter().cloned().partition(is_input);
+            columns.extend(outputs);
+            reordered = TableSpec {
+                name: self.name.clone(),
+                columns,
+            };
+            &reordered
+        };
+        let (table, _, legal) = spec.solve(GenMode::Incremental.into(), ctx, inputs)?;
+        Ok((legal, table))
+    }
+
+    /// Validate and solve under `opts` inside the `solve/<table>` span.
+    /// The compiled incremental path also returns the intermediate table
+    /// once the first `keep` columns are in, when `0 < keep < arity`.
+    fn solve(
+        &self,
+        opts: GenOptions,
+        ctx: &dyn EvalContext,
+        keep: usize,
+    ) -> Result<(Relation, GenStats, Option<Relation>)> {
         self.validate()?;
         let start = Instant::now();
         let fspan = ccsql_obs::flight::span("solve", &self.name);
         let schema = Schema::from_syms(&self.column_names())?;
         let result = match opts.mode {
-            GenMode::Monolithic => self.generate_monolithic(&schema, ctx),
+            GenMode::Monolithic => self
+                .generate_monolithic(&schema, ctx)
+                .map(|(rel, stats)| (rel, stats, None)),
             GenMode::Incremental if opts.compile => {
-                self.generate_incremental_compiled(&schema, ctx)
+                self.generate_incremental_compiled(&schema, ctx, keep)
             }
-            GenMode::Incremental => self.generate_incremental_interp(&schema, ctx),
+            GenMode::Incremental => self
+                .generate_incremental_interp(&schema, ctx)
+                .map(|(rel, stats)| (rel, stats, None)),
         };
-        result.map(|(rel, mut stats)| {
+        result.map(|(rel, mut stats, kept)| {
             stats.elapsed = start.elapsed();
             stats.rows = rel.len();
             stats.columns = rel.arity();
             fspan.arg("rows", stats.rows);
             fspan.arg("columns", stats.columns);
             fspan.arg("candidates", stats.candidates);
-            (rel, stats)
+            (rel, stats, kept)
         })
+    }
+
+    /// Fail the step that adds column `k` when its `candidates` exceed
+    /// [`ROW_BUDGET`].
+    fn check_budget(&self, k: usize, candidates: u64) -> Result<()> {
+        if candidates > ROW_BUDGET {
+            return Err(Error::RowBudget {
+                table: self.name.clone(),
+                column: self.columns[k].name.to_string(),
+                candidates,
+            });
+        }
+        Ok(())
     }
 
     /// Convenience: incremental generation with a default context.
@@ -291,10 +367,10 @@ impl TableSpec {
         self.generate(GenMode::Incremental, &SetContext::new())
     }
 
-    fn generate_monolithic<C: EvalContext>(
+    fn generate_monolithic(
         &self,
         schema: &Schema,
-        ctx: &C,
+        ctx: &dyn EvalContext,
     ) -> Result<(Relation, GenStats)> {
         // Conjunction of all constraints, bound once against the full schema.
         let conj = Expr::all(self.columns.iter().map(|c| c.constraint.clone()));
@@ -364,12 +440,14 @@ impl TableSpec {
     /// bytecode against the full schema (valid at every step because
     /// intermediate schemas are prefixes), intermediate table held
     /// columnar as value ids, decoded to a row-major [`Relation`] once
-    /// at the end.
-    fn generate_incremental_compiled<C: EvalContext>(
+    /// at the end. The intermediate table once the first `keep` columns
+    /// are in is decoded too, when a later step extends it.
+    fn generate_incremental_compiled(
         &self,
         full_schema: &Schema,
-        ctx: &C,
-    ) -> Result<(Relation, GenStats)> {
+        ctx: &dyn EvalContext,
+        keep: usize,
+    ) -> Result<(Relation, GenStats, Option<Relation>)> {
         let all_names = self.column_names();
         let deps = self.constraint_deps(full_schema);
 
@@ -407,6 +485,7 @@ impl TableSpec {
         cur.col_mut(0)
             .extend(self.columns[0].values.iter().map(|v| v.vid()));
         let step_cands = cur.len() as u64;
+        self.check_budget(0, step_cands)?;
         candidates += step_cands;
         let ready: Vec<usize> = (0..self.columns.len())
             .filter(|&ci| !applied[ci] && deps[ci].iter().all(|&d| d < 1))
@@ -426,6 +505,7 @@ impl TableSpec {
             elapsed: step_start.elapsed(),
         });
 
+        let mut kept = None;
         for k in 1..self.columns.len() {
             let step_start = Instant::now();
             let col_span = ccsql_obs::flight::span("solve", self.columns[k].name.as_str());
@@ -441,7 +521,11 @@ impl TableSpec {
 
             let ext_ids: Vec<u32> = self.columns[k].values.iter().map(|v| v.vid()).collect();
             let step_cands = cur.len() as u64 * ext_ids.len() as u64;
+            self.check_budget(k, step_cands)?;
             candidates += step_cands;
+            if k == keep {
+                kept = Some(cur.to_relation());
+            }
             cur = extend_filter_ids(&cur, sub_schema, &ext_ids, &progs, ctx)?;
             col_span.arg("candidates", step_cands);
             col_span.arg("rows", cur.len());
@@ -454,16 +538,6 @@ impl TableSpec {
             });
         }
 
-        // Any constraint not yet applied (e.g. one whose dependencies are
-        // all early columns but was registered late) — apply now.
-        let pending: Vec<usize> = (0..self.columns.len()).filter(|&i| !applied[i]).collect();
-        if !pending.is_empty() {
-            let progs = active(&pending);
-            if !progs.is_empty() {
-                cur = filter_ids(&cur, &progs, ctx)?;
-            }
-        }
-
         let stats = GenStats {
             candidates,
             rows: 0,
@@ -473,7 +547,7 @@ impl TableSpec {
             compile: compile_time,
             elapsed: Duration::ZERO,
         };
-        Ok((cur.to_relation(), stats))
+        Ok((cur.to_relation(), stats, kept))
     }
 
     /// The interpreted incremental path (the differential oracle).
@@ -481,10 +555,10 @@ impl TableSpec {
     /// every step because intermediate schemas are prefixes of it — and
     /// each step evaluates its ready set as a short-circuit conjunction,
     /// instead of the old per-step `Expr::all(…clone())` rebuild+rebind.
-    fn generate_incremental_interp<C: EvalContext>(
+    fn generate_incremental_interp(
         &self,
         full_schema: &Schema,
-        ctx: &C,
+        ctx: &dyn EvalContext,
     ) -> Result<(Relation, GenStats)> {
         let all_names = self.column_names();
         let deps = self.constraint_deps(full_schema);
@@ -507,6 +581,7 @@ impl TableSpec {
             current.push_row_unchecked(&[v]);
         }
         let step_cands = current.len() as u64;
+        self.check_budget(0, step_cands)?;
         candidates += step_cands;
         let ready: Vec<usize> = (0..self.columns.len())
             .filter(|&ci| !applied[ci] && deps[ci].iter().all(|&d| d < 1))
@@ -541,6 +616,7 @@ impl TableSpec {
 
             let vals = &self.columns[k].values;
             let step_cands = current.len() as u64 * vals.len() as u64;
+            self.check_budget(k, step_cands)?;
             candidates += step_cands;
             current = extend_filter(&current, &sub_schema, vals, &preds, ctx)?;
             col_span.arg("candidates", step_cands);
@@ -552,14 +628,6 @@ impl TableSpec {
                 rows: current.len(),
                 elapsed: step_start.elapsed(),
             });
-        }
-
-        // Any constraint not yet applied (e.g. one whose dependencies are
-        // all early columns but was registered late) — apply now.
-        let pending: Vec<usize> = (0..self.columns.len()).filter(|&i| !applied[i]).collect();
-        if !pending.is_empty() {
-            let preds: Vec<&BoundExpr> = pending.iter().map(|&ci| &bounds[ci]).collect();
-            current = filter_rows(&current, &preds, ctx)?;
         }
 
         let stats = GenStats {
@@ -602,12 +670,12 @@ fn scratch_regs(progs: &[&Program]) -> Vec<u32> {
 /// gathered column-at-a-time — sequential reads and writes, no
 /// per-candidate row materialisation. With no programs the result is
 /// the pure cross product, built by bulk repetition.
-fn extend_filter_ids<C: EvalContext>(
+fn extend_filter_ids(
     cur: &ColumnarRelation,
     out_schema: Schema,
     ext_ids: &[u32],
     progs: &[&Program],
-    ctx: &C,
+    ctx: &dyn EvalContext,
 ) -> Result<ColumnarRelation> {
     let arity = cur.arity();
     let n = cur.len();
@@ -652,10 +720,10 @@ fn extend_filter_ids<C: EvalContext>(
 }
 
 /// Keep the rows of `cur` every program accepts (columnar id path).
-fn filter_ids<C: EvalContext>(
+fn filter_ids(
     cur: &ColumnarRelation,
     progs: &[&Program],
-    ctx: &C,
+    ctx: &dyn EvalContext,
 ) -> Result<ColumnarRelation> {
     let mut survivors: Vec<u32> = Vec::new();
     let mut regs = scratch_regs(progs);
@@ -687,12 +755,12 @@ fn preds_pass(preds: &[&BoundExpr], row: &[Value], ctx: &dyn EvalContext) -> Res
 
 /// Extend every row of `current` with every value in `vals`, keeping the
 /// candidates satisfying every predicate (interpreted oracle path).
-fn extend_filter<C: EvalContext>(
+fn extend_filter(
     current: &Relation,
     out_schema: &Schema,
     vals: &[Value],
     preds: &[&BoundExpr],
-    ctx: &C,
+    ctx: &dyn EvalContext,
 ) -> Result<Relation> {
     let arity = current.arity();
     let mut out = Relation::new(out_schema.clone());
@@ -711,7 +779,7 @@ fn extend_filter<C: EvalContext>(
 
 /// Keep the rows of `rel` satisfying every predicate (interpreted
 /// oracle path).
-fn filter_rows<C: EvalContext>(rel: &Relation, preds: &[&BoundExpr], ctx: &C) -> Result<Relation> {
+fn filter_rows(rel: &Relation, preds: &[&BoundExpr], ctx: &dyn EvalContext) -> Result<Relation> {
     let mut out = Relation::new(rel.schema().clone());
     for r in rel.rows() {
         if preds_pass(preds, r, ctx)? {

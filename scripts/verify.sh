@@ -68,14 +68,26 @@ if grep -q 'spilled 0 bytes' "$WORK_DIR/mc_ooc1.txt"; then
     exit 1
 fi
 
-echo "==> solver differential oracle (compiled vs --no-compile, byte-for-byte, every spec)"
-for spec in specs/*.ccsql; do
+echo "==> solver differential oracle (compiled vs --no-compile, byte-for-byte, every spec + an over-budget one)"
+# Three unconstrained 100-value columns: the step adding `o` takes 10^6
+# candidates, over the solver's row budget, so both paths must refuse
+# the table with the same error.
+big="$WORK_DIR/big.ccsql"
+{
+    echo "table Big"
+    for col in a b; do
+        echo "input $col = $(seq -s ', ' -f "$col%g" 0 99)"
+    done
+    echo "output o = $(seq -s ', ' -f 'o%g' 0 99)"
+    echo "flow a, o"
+} > "$big"
+for spec in specs/*.ccsql "$big"; do
     rc_c=0
     rc_i=0
     cargo run --quiet --release -p ccsql-cli -- solve "$spec" --no-lint \
-        > "$WORK_DIR/solve_c.txt" || rc_c=$?
+        > "$WORK_DIR/solve_c.txt" 2>&1 || rc_c=$?
     cargo run --quiet --release -p ccsql-cli -- solve "$spec" --no-lint --no-compile \
-        > "$WORK_DIR/solve_i.txt" || rc_i=$?
+        > "$WORK_DIR/solve_i.txt" 2>&1 || rc_i=$?
     if [ "$rc_c" -ne "$rc_i" ]; then
         echo "solve exit codes differ for $spec (compiled=$rc_c interpreted=$rc_i)" >&2
         exit 1
@@ -85,6 +97,12 @@ for spec in specs/*.ccsql; do
         exit 1
     }
 done
+# The loop ended on the over-budget spec: both paths refused it.
+if [ "$rc_c" -ne 1 ] || ! grep -q 'column o takes 1000000 candidate rows, over the 500000-row budget' \
+    "$WORK_DIR/solve_c.txt"; then
+    echo "the over-budget spec was not refused with the row-budget error" >&2
+    exit 1
+fi
 
 echo "==> ccsql fuzz --quick (chaos smoke: clean audit, live fault path, determinism)"
 cargo run --quiet --release -p ccsql-cli -- fuzz --quick --seed 1 \
