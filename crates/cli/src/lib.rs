@@ -3,25 +3,7 @@
 //! analyse deadlocks, map to hardware, simulate, and query the central
 //! database ad hoc.
 //!
-//! ```text
-//! ccsql gen [--table NAME] [--format ascii|csv|md] [--stats]
-//! ccsql check [--liveness]
-//! ccsql deadlock [--assignment v0|v1|v2] [--exact-only] [--closure] [--threads N]
-//! ccsql map [--emit verilog|rust] [--table NAME]
-//! ccsql sim [--seed N] [--quads N] [--nodes N] [--ops N] [--shared-vc4]
-//!           [--chaos] [--fault-seed N] [--faults drop=R,...] [--coverage-report]
-//! ccsql fuzz [--rounds N] [--seed N] [--out FILE.jsonl] [--quick]
-//! ccsql mc [--nodes N] [--quota N] [--resp-depth N] [--budget N] [--threads N]
-//!          [--no-symmetry]
-//! ccsql fig4 [--fixed]
-//! ccsql query "SELECT …"
-//! ccsql lint [--json] [--protocol] [--assignment v0|v1|v2] FILE.ccsql …
-//! ccsql solve FILE.ccsql [--format ascii|csv|md] [--no-lint] [--no-compile]
-//! ccsql walk [--request MSG --dirst ST --sharers N]
-//! ccsql export [--table NAME] [--invariants]
-//! ccsql stats [<command> …]
-//! ccsql profile FILE.ccsql [--quick] [--threads N]
-//! ```
+//! The commands and their flags are listed once, in [`USAGE`].
 //!
 //! Observability is one recorder, the `ccsql-obs` flight recorder: every
 //! stage opens spans and attaches its counters to them as span args.
@@ -79,7 +61,6 @@ USAGE:
     ccsql lint     [--json] [--protocol] [--assignment v0|v1|v2] FILE.ccsql ...
     ccsql solve    FILE.ccsql [--format ascii|csv|md] [--no-lint] [--no-compile]
     ccsql walk     [--request MSG --dirst ST --sharers N]
-    ccsql export   [--table NAME] [--invariants]
     ccsql stats    [<command> ...]
     ccsql profile  FILE.ccsql [--quick] [--threads N] [--nodes N] [--quota N]
                    [--budget N] [--ops N] [--seed N] [--shards N]
@@ -131,14 +112,53 @@ OUT-OF-CORE:
                         they are removed on exit, even on panic.
 ";
 
+/// Every flag that takes a value: the flags read through
+/// [`Opts::value`], [`Opts::num`] and [`Opts::bytes`]. [`positional`]
+/// skips their value slots, and [`Opts::new`] refuses one that has no
+/// value after it.
+const VALUE_FLAGS: &[&str] = &[
+    "--assignment",
+    "--budget",
+    "--dirst",
+    "--emit",
+    "--fault-seed",
+    "--faults",
+    "--format",
+    "--mem-budget",
+    "--nodes",
+    "--ops",
+    "--out",
+    "--quads",
+    "--quota",
+    "--request",
+    "--resp-depth",
+    "--rounds",
+    "--seed",
+    "--shards",
+    "--sharers",
+    "--spec",
+    "--spill-dir",
+    "--table",
+    "--threads",
+];
+
 /// Parsed `--flag value` options.
 struct Opts<'a> {
     args: &'a [String],
 }
 
 impl<'a> Opts<'a> {
-    fn new(args: &'a [String]) -> Opts<'a> {
-        Opts { args }
+    /// A [`VALUE_FLAGS`] flag that comes last or is followed by another
+    /// `--flag` is an error naming it, never a silent default.
+    fn new(args: &'a [String]) -> Result<Opts<'a>, String> {
+        for (i, a) in args.iter().enumerate() {
+            if VALUE_FLAGS.contains(&a.as_str())
+                && args.get(i + 1).is_none_or(|v| v.starts_with("--"))
+            {
+                return Err(format!("{a} expects a value"));
+            }
+        }
+        Ok(Opts { args })
     }
 
     fn flag(&self, name: &str) -> bool {
@@ -146,6 +166,10 @@ impl<'a> Opts<'a> {
     }
 
     fn value(&self, name: &str) -> Option<&'a str> {
+        debug_assert!(
+            VALUE_FLAGS.contains(&name),
+            "{name} is read as a value but is missing from VALUE_FLAGS"
+        );
         self.args
             .iter()
             .position(|a| a == name)
@@ -279,7 +303,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
     let Some(cmd) = args.first() else {
         return Err(USAGE.to_string());
     };
-    let opts = Opts::new(&args[1..]);
+    let opts = Opts::new(&args[1..])?;
     match cmd.as_str() {
         "gen" => cmd_gen(&opts),
         "check" => cmd_check(&opts),
@@ -294,7 +318,6 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         "lint" => cmd_lint(&opts),
         "solve" => cmd_solve(&opts),
         "walk" => cmd_walk(&opts),
-        "export" => cmd_export(&opts),
         "stats" => cmd_stats(&args[1..]),
         "profile" => cmd_profile(&opts),
         "zoo" => cmd_zoo(&opts),
@@ -486,7 +509,7 @@ fn cmd_flows(opts: &Opts) -> Result<String, String> {
         let gen = generate()?;
         ccsql_lint::flows::analyze_protocol(&gen, &v)?
     } else {
-        let path = positional(opts, &["--assignment"])
+        let path = positional(opts)
             .first()
             .copied()
             .ok_or_else(|| "flows expects a .ccsql spec file (or --protocol)".to_string())?;
@@ -591,7 +614,7 @@ fn cmd_sim(opts: &Opts) -> Result<String, String> {
     // transaction machine instead of the ASURA system simulator.
     if let Some(path) = opts.value("--spec") {
         let m = load_spec_machine(path)?;
-        let agents = opts.num::<usize>("--nodes", 2)?;
+        let agents = spec_agents(opts)?;
         let seed = opts.num::<u64>("--seed", 1)?;
         let steps = opts.num::<usize>("--ops", 10_000)?;
         let r = m.simulate(agents, seed, steps);
@@ -1008,7 +1031,7 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
         let m = load_spec_machine(path)?;
         let (mem_budget, spill_dir) = spill_opts(opts)?;
         let mc = SpecMcOpts {
-            agents: opts.num::<usize>("--nodes", 2)?,
+            agents: spec_agents(opts)?,
             threads: opts.num::<usize>("--threads", 1)?,
             symmetry: !opts.flag("--no-symmetry"),
             budget: opts.num::<usize>("--budget", 1_000_000)?,
@@ -1045,9 +1068,6 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
     let symmetry = !opts.flag("--no-symmetry");
     let shards = opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?;
     let (mem_budget, spill_dir) = spill_opts(opts)?;
-    if nodes < 2 {
-        return Err("nodes must be at least 2".into());
-    }
     let m = Model {
         nodes,
         quota,
@@ -1231,15 +1251,7 @@ fn per_sec(count: f64, secs: f64) -> f64 {
 /// memory report. [`run`] writes the Perfetto trace to
 /// `ccsql-profile.trace.json` unless `--trace-out` says otherwise.
 fn cmd_profile(opts: &Opts) -> Result<String, String> {
-    let value_flags = [
-        "--threads",
-        "--nodes",
-        "--quota",
-        "--budget",
-        "--ops",
-        "--seed",
-    ];
-    let path = positional(opts, &value_flags)
+    let path = positional(opts)
         .first()
         .copied()
         .ok_or_else(|| "profile expects a .ccsql spec file (try specs/fig3.ccsql)".to_string())?;
@@ -1251,6 +1263,12 @@ fn cmd_profile(opts: &Opts) -> Result<String, String> {
     let ops = opts.num::<usize>("--ops", if quick { 40 } else { 200 })?;
     let seed = opts.num::<u64>("--seed", 1)?;
     let (mem_budget, spill_dir) = spill_opts(opts)?;
+    let m = Model {
+        nodes,
+        quota,
+        resp_depth: 2,
+    };
+    m.validate()?;
 
     // `run()` switches the recorder on for `profile`; repeat here so the
     // command is self-sufficient when dispatched indirectly (e.g.
@@ -1301,12 +1319,6 @@ fn cmd_profile(opts: &Opts) -> Result<String, String> {
         protocol_dependency_table(&gen, &VcAssignment::v2(), &cfg).map_err(|e| e.to_string())?;
 
     // Stage 5: model check (per-level spans come from `ccsql_mc`).
-    let m = Model {
-        nodes,
-        quota,
-        resp_depth: 2,
-    };
-    m.validate()?;
     let (mc_out, mc_stats) = explore_with(
         &m,
         m.initial(),
@@ -1425,8 +1437,15 @@ fn cmd_query(opts: &Opts) -> Result<String, String> {
     ))
 }
 
-/// Positional (non-flag) arguments: everything that is not a `--flag`
-/// and not the value slot of a value-taking flag.
+/// `--nodes` for the spec-machine engines (`mc --spec`, `sim --spec`):
+/// the number of symmetric requesters, at least one.
+fn spec_agents(opts: &Opts) -> Result<usize, String> {
+    match opts.num::<usize>("--nodes", 2)? {
+        0 => Err("--nodes must be at least 1 for a spec machine".into()),
+        agents => Ok(agents),
+    }
+}
+
 /// Parse a spec pack, solve it (compiled path) and compile its
 /// transaction machine — the shared front half of `mc --spec`,
 /// `sim --spec` and the zoo's machine stages.
@@ -1474,10 +1493,7 @@ impl ZooRow {
 /// line; the whole output is deterministic across runs.
 fn cmd_zoo(opts: &Opts) -> Result<String, String> {
     let quick = opts.flag("--quick");
-    let dir = positional(opts, &["--assignment"])
-        .first()
-        .copied()
-        .unwrap_or("specs");
+    let dir = positional(opts).first().copied().unwrap_or("specs");
     let vc = parse_assignment(opts)?;
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read directory {dir}: {e}"))?
@@ -1714,13 +1730,15 @@ fn zoo_pack(
     Ok(rows)
 }
 
-fn positional<'a>(opts: &Opts<'a>, value_flags: &[&str]) -> Vec<&'a str> {
+/// Positional (non-flag) arguments: everything that is not a `--flag`
+/// and not the value slot of a [`VALUE_FLAGS`] flag.
+fn positional<'a>(opts: &Opts<'a>) -> Vec<&'a str> {
     let mut out = Vec::new();
     let mut skip = false;
     for a in opts.args {
         if skip {
             skip = false;
-        } else if value_flags.contains(&a.as_str()) {
+        } else if VALUE_FLAGS.contains(&a.as_str()) {
             skip = true;
         } else if !a.starts_with("--") {
             out.push(a.as_str());
@@ -1741,7 +1759,7 @@ fn cmd_lint(opts: &Opts) -> Result<String, String> {
         let v = parse_assignment(opts)?;
         ccsql_lint::lint_protocol(&ccsql_protocol::ProtocolSpec::asura(), &v)
     } else {
-        let paths = positional(opts, &["--assignment"]);
+        let paths = positional(opts);
         if paths.is_empty() {
             return Err("lint expects .ccsql spec files (or --protocol)".to_string());
         }
@@ -1769,7 +1787,7 @@ fn cmd_lint(opts: &Opts) -> Result<String, String> {
 }
 
 fn cmd_solve(opts: &Opts) -> Result<String, String> {
-    let path = positional(opts, &["--format"])
+    let path = positional(opts)
         .first()
         .copied()
         .ok_or_else(|| "solve expects a .ccsql database-input file".to_string())?;
@@ -1847,19 +1865,6 @@ fn cmd_walk(opts: &Opts) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-fn cmd_export(opts: &Opts) -> Result<String, String> {
-    if opts.flag("--invariants") {
-        return Ok(ccsql::export::invariants_to_murphi());
-    }
-    let gen = generate()?;
-    let name = opts.value("--table").unwrap_or("D");
-    let ctrl = gen
-        .controller(name)
-        .ok_or_else(|| format!("no controller {name:?}"))?;
-    let table = gen.table(name).map_err(|e| e.to_string())?;
-    Ok(ccsql::export::to_murphi(ctrl, table))
 }
 
 #[cfg(test)]
@@ -2102,15 +2107,6 @@ mod tests {
         let all = run(&argv("walk")).unwrap();
         assert!(all.matches("completed").count() >= 20);
         assert!(run(&argv("walk --request bogus")).is_err());
-    }
-
-    #[test]
-    fn export_emits_murphi() {
-        let out = run(&argv("export --table M")).unwrap();
-        assert!(out.contains("rule \"M_0\""));
-        let inv = run(&argv("export --invariants")).unwrap();
-        assert!(inv.contains("invariant \"D-retry-on-busy\""));
-        assert!(run(&argv("export --table NOPE")).is_err());
     }
 
     #[test]
@@ -2360,6 +2356,8 @@ mod tests {
         let out = run(&argv("mc --nodes 2 --quota 1 --threads 2")).unwrap();
         assert!(out.contains("2 thread(s)"), "{out}");
         assert!(run(&argv("mc --threads abc")).is_err());
+        let err = run(&argv("mc --nodes 2 --threads")).unwrap_err();
+        assert!(err.contains("--threads"), "{err}");
         let ok = run(&argv("deadlock --assignment v2 --threads 2")).unwrap();
         assert!(ok.contains("absence of deadlocks"));
     }
@@ -2473,6 +2471,31 @@ mod tests {
         assert!(has_span(&text, "\"cat\":\"mc\",\"name\":\"explore\"", &mc));
         let sim = ["\"retries\":", "\"msgs\":"];
         assert!(has_span(&text, "\"cat\":\"sim\",\"name\":\"run\"", &sim));
+        // A value flag before the path takes its value with it.
+        let out = run(&[
+            "--trace-out".into(),
+            trace.display().to_string(),
+            "profile".into(),
+            "--quick".into(),
+            "--shards".into(),
+            "4".into(),
+            spec.into(),
+        ])
+        .unwrap();
+        assert!(out.contains("outcomes: lint clean"), "{out}");
+        // One node is below the builtin model's minimum: refused, not
+        // explored.
+        let err = run(&[
+            "--trace-out".into(),
+            trace.display().to_string(),
+            "profile".into(),
+            spec.into(),
+            "--quick".into(),
+            "--nodes".into(),
+            "1".into(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("nodes must be 2..="), "{err}");
         let _ = std::fs::remove_file(&trace);
         // `lint --protocol` splits each controller's lint time into its
         // expression and coverage halves.
@@ -2557,6 +2580,9 @@ mod tests {
         }
         // Summary counts agree with the fixture layout under specs/.
         assert!(out.contains("7 pack(s) (3 clean, 4 seeded-bug)"), "{out}");
+        // A value flag before DIR takes its value with it.
+        let shards = run(&argv(&format!("zoo --shards 4 {dir} --quick"))).unwrap();
+        assert_eq!(shards, out);
         assert!(run(&argv("zoo /nonexistent-zoo-dir")).is_err());
         assert!(run(&argv(&format!("zoo {dir} --assignment bogus"))).is_err());
         // A directory with no spec packs is an error, not an empty pass.
@@ -2587,6 +2613,9 @@ mod tests {
             err.contains("--nodes 40") && err.contains("at most"),
             "{err}"
         );
+        // So are zero agents.
+        let err = run(&argv(&format!("mc --spec {fig3} --nodes 0"))).unwrap_err();
+        assert!(err.contains("--nodes must be at least 1"), "{err}");
         // fig3_buggy carries no operational directives (and a broken
         // table): it cannot be animated as a machine.
         let buggy = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig3_buggy.ccsql");
@@ -2603,6 +2632,8 @@ mod tests {
         assert!(out.contains("completion(s)"), "{out}");
         assert!(!out.contains("STUCK"), "{out}");
         assert!(run(&argv("sim --spec /nonexistent.ccsql")).is_err());
+        let err = run(&argv(&format!("sim --spec {spec} --nodes 0"))).unwrap_err();
+        assert!(err.contains("--nodes must be at least 1"), "{err}");
     }
 
     /// Absolute path of a zoo spec pack.

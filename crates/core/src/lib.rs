@@ -41,7 +41,6 @@
 pub mod codegen;
 pub mod depend;
 pub mod diff;
-pub mod export;
 pub mod gen;
 pub mod hwmap;
 pub mod invariants;

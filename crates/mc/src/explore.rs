@@ -278,7 +278,7 @@ pub fn explore_from(
 pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, McStats) {
     model
         .validate()
-        .expect("model parameters exceed the packed-state bounds");
+        .expect("model parameters must pass Model::validate");
     let start = Instant::now();
     let run_span = ccsql_obs::flight::span("mc", "explore");
     run_span.arg("budget", opts.budget as u64);

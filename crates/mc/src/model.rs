@@ -29,14 +29,15 @@ impl Model {
         State::initial(self.nodes, self.quota)
     }
 
-    /// Check the parameters fit the 128-bit packed encoding the
-    /// explorer's visited arena uses ([`crate::compact`]). The CLI
-    /// surfaces this as a friendly error; [`crate::explore::explore_with`]
-    /// asserts it.
+    /// Check the parameters: at least two nodes, so that there is a
+    /// remote node to snoop, and no more than the 128-bit packed
+    /// encoding the explorer's visited arena uses ([`crate::compact`])
+    /// holds. The CLI surfaces this as a friendly error;
+    /// [`crate::explore::explore_with`] asserts it.
     pub fn validate(&self) -> Result<(), String> {
         use crate::compact::{MAX_NODES, MAX_QUOTA, MAX_RESP_DEPTH};
-        if !(1..=MAX_NODES).contains(&self.nodes) {
-            return Err(format!("nodes must be 1..={MAX_NODES}, got {}", self.nodes));
+        if !(2..=MAX_NODES).contains(&self.nodes) {
+            return Err(format!("nodes must be 2..={MAX_NODES}, got {}", self.nodes));
         }
         if !(1..=MAX_QUOTA).contains(&self.quota) {
             return Err(format!("quota must be 1..={MAX_QUOTA}, got {}", self.quota));
@@ -459,6 +460,7 @@ mod tests {
         assert!(bad(2, 4, 2));
         assert!(bad(2, 1, 4));
         assert!(bad(0, 1, 2));
+        assert!(bad(1, 1, 2));
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod memory;
 pub mod messages;
 pub mod node;
 pub mod rac;
-pub mod snooping;
 pub mod spec;
 pub mod states;
 pub mod topology;
@@ -73,25 +72,6 @@ pub struct FlowEnv {
     /// Triples the environment consumes (emitted by some controller but
     /// accepted by none).
     pub sinks: Vec<FlowTriple>,
-}
-
-impl FlowEnv {
-    /// Is `msg` injected by the environment (any role pair)?
-    pub fn is_source_msg(&self, msg: &str) -> bool {
-        self.sources.iter().any(|t| t.msg == msg)
-    }
-
-    /// Is `msg` consumed by the environment (any role pair)?
-    pub fn is_sink_msg(&self, msg: &str) -> bool {
-        self.sinks.iter().any(|t| t.msg == msg)
-    }
-
-    /// Is the exact triple consumed by the environment?
-    pub fn is_sink(&self, msg: &str, src: &str, dest: &str) -> bool {
-        self.sinks
-            .iter()
-            .any(|t| t.msg == msg && t.src == src && t.dest == dest)
-    }
 }
 
 /// The complete protocol: all 8 controller specifications.

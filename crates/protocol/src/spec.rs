@@ -156,11 +156,6 @@ impl ControllerBuilder {
         self
     }
 
-    /// Number of rules so far.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Compile into a [`TableSpec`].
     ///
     /// * The **legality** constraint — the disjunction of all rule guards

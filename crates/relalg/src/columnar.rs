@@ -63,13 +63,6 @@ impl ColumnarRelation {
         &mut self.cols[c]
     }
 
-    /// Replace the columns wholesale (the schema's arity must match).
-    pub fn set_cols(&mut self, cols: Vec<Vec<u32>>) {
-        debug_assert_eq!(cols.len(), self.schema.arity());
-        debug_assert!(cols.windows(2).all(|w| w[0].len() == w[1].len()));
-        self.cols = cols;
-    }
-
     /// Intern every cell of `r` into the id pool, column by column.
     pub fn from_relation(r: &Relation) -> ColumnarRelation {
         let mut out = ColumnarRelation::new(r.schema().clone());

@@ -49,11 +49,6 @@ impl Database {
         self.tables.insert(Sym::intern(name), rel);
     }
 
-    /// Remove a table, returning it if present.
-    pub fn drop_table(&mut self, name: &str) -> Option<Relation> {
-        self.tables.remove(&Sym::intern(name))
-    }
-
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Relation> {
         self.tables

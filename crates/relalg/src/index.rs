@@ -58,11 +58,6 @@ impl Index {
                 self.key_cols.iter().zip(key).all(|(&c, &k)| row[c] == k)
             })
     }
-
-    /// Number of distinct hash buckets (diagnostics).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]

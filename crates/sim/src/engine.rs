@@ -133,11 +133,6 @@ impl Outcome {
     pub fn is_deadlock(&self) -> bool {
         matches!(self, Outcome::Deadlock(_))
     }
-
-    /// Is this a chaos-mode stall?
-    pub fn is_stalled(&self) -> bool {
-        matches!(self, Outcome::Stalled { .. })
-    }
 }
 
 /// Description of a dynamic deadlock.
@@ -387,11 +382,6 @@ impl Sim {
     /// before the first step.
     pub fn enable_chaos(&mut self, plan: FaultPlan) {
         self.chaos = Some(FaultInjector::new(plan));
-    }
-
-    /// Is chaos mode armed?
-    pub fn chaos_enabled(&self) -> bool {
-        self.chaos.is_some()
     }
 
     /// Is chaos armed with a plan that can actually discard messages?
@@ -1816,29 +1806,9 @@ impl CtrlStep {
     pub fn blocked(&self) -> bool {
         matches!(self.0, Progress::Blocked(..))
     }
-
-    /// The blocked description, if any.
-    pub fn block_reason(&self) -> Option<&str> {
-        match &self.0 {
-            Progress::Blocked(w, _) => Some(w),
-            _ => None,
-        }
-    }
 }
 
 impl Sim {
-    /// Debug helper: a node's pending transaction, rendered.
-    pub fn debug_pend(&self, node: NodeId) -> Option<String> {
-        self.nodes[&node]
-            .pend
-            .map(|p| format!("{:?}@{:x} {:?}", p.st.as_str(), p.addr, p.op))
-    }
-
-    /// Debug helper: a node's held snoop, rendered.
-    pub fn debug_held(&self, node: NodeId) -> Option<String> {
-        self.nodes[&node].held_snoop.map(|m| m.to_string())
-    }
-
     /// Specification-row coverage: for each controller table, how many
     /// of its rows were exercised by this run (rows hit, rows total).
     /// The paper's late-phase "protocol testing" measured exactly this
@@ -1870,28 +1840,6 @@ impl Sim {
             .collect();
         v.sort_unstable();
         v
-    }
-
-    /// The symbolic value of column `col` in row `row_idx` of
-    /// `controller`'s table (`None` for NULL, non-symbol values, or
-    /// out-of-range indices). The coverage-closing fuzz driver uses
-    /// this to map never-hit rows back to the stimulus (`inmsg`) that
-    /// could exercise them.
-    pub fn row_field(&self, controller: &str, row_idx: usize, col: &str) -> Option<&'static str> {
-        let rel = match controller {
-            "D" => &self.d.rel,
-            "M" => &self.m.rel,
-            "N" => &self.n.rel,
-            "R" => &self.r.rel,
-            _ => return None,
-        };
-        if row_idx >= rel.len() {
-            return None;
-        }
-        match rel.get(row_idx, col) {
-            Some(Value::Sym(s)) => Some(s.as_str()),
-            _ => None,
-        }
     }
 
     /// Row indices of `controller` never exercised by this run.

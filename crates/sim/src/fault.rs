@@ -65,11 +65,6 @@ impl FaultRates {
             reorder: r,
         }
     }
-
-    /// Is every rate zero?
-    pub fn is_zero(&self) -> bool {
-        self.drop == 0.0 && self.duplicate == 0.0 && self.delay == 0.0 && self.reorder == 0.0
-    }
 }
 
 /// A targeted one-shot fault: apply `kind` to the `nth` (0-based) sent

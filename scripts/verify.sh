@@ -28,6 +28,11 @@ cargo test -q --workspace
 echo "==> benchmark tests (own workspace; smoke iterations pin every workload's verdicts)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> examples (each one asserts the story it prints)"
+for ex in examples/*.rs; do
+    cargo run --quiet --release --example "$(basename "$ex" .rs)" > /dev/null
+done
+
 echo "==> parallel equivalence (1 vs 2 vs 8 threads)"
 cargo test -q -p ccsql-mc --test parallel
 cargo test -q -p ccsql thread_count_does_not_change_the_table
