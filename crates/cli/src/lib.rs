@@ -10,11 +10,11 @@
 //! The global `--trace-out FILE.json` flag (accepted anywhere on the
 //! command line) records the span tree across the whole pipeline and
 //! writes it as Chrome trace-event JSON (loadable in
-//! `ui.perfetto.dev`); `ccsql stats` and `ccsql profile` fold the same
-//! recording into a per-stage table. `--heartbeat[=MS]` turns on live
-//! progress lines on stderr for the long-running stages (mc, fuzz,
-//! solve) — provably without changing any result byte (see
-//! `ccsql_obs::heartbeat`).
+//! `ui.perfetto.dev`); `ccsql stats` folds the same recording into a
+//! per-stage table and one line per call into a stage.
+//! `--heartbeat[=MS]` prints the span that closed most recently, with
+//! its counters, as a live progress line on stderr — provably without
+//! changing any result byte (see `ccsql_obs::heartbeat`).
 //!
 //! The library entry point [`run`] returns the rendered output, so the
 //! whole surface is unit-testable.
@@ -43,7 +43,7 @@ ccsql — table-driven cache coherence design & early error detection (IPPS 2003
 USAGE:
     ccsql [--trace-out FILE.json] [--heartbeat[=MS]] <command> ...
 
-    ccsql gen      [--table NAME] [--format ascii|csv|md] [--stats]
+    ccsql gen      [--table NAME] [--format ascii|csv|md]
     ccsql check    [--liveness]
     ccsql deadlock [--assignment v0|v1|v2] [--exact-only] [--closure] [--threads N]
                    [--json] [--no-flows]
@@ -62,9 +62,6 @@ USAGE:
     ccsql solve    FILE.ccsql [--format ascii|csv|md] [--no-lint] [--no-compile]
     ccsql walk     [--request MSG --dirst ST --sharers N]
     ccsql stats    [<command> ...]
-    ccsql profile  FILE.ccsql [--quick] [--threads N] [--nodes N] [--quota N]
-                   [--budget N] [--ops N] [--seed N] [--shards N]
-                   [--mem-budget BYTES] [--spill-dir DIR]
     ccsql zoo      [DIR] [--quick] [--assignment v0|v1|v2] [--shards N]
                    [--mem-budget BYTES] [--spill-dir DIR]
 
@@ -81,14 +78,15 @@ ZOO:
 GLOBAL FLAGS (accepted anywhere):
     --trace-out FILE.json  record pipeline spans, with every stage's counters as
                            span args, and write a Chrome/Perfetto trace
-    --heartbeat[=MS]       live progress on stderr every MS ms (default 1000; 0 = off);
-                           never changes any result byte
+    --heartbeat[=MS]       every MS ms (default 1000; 0 = off), print the span that
+                           closed last, with its counters, on stderr; never changes
+                           any result byte
 
 STATS:
     stats runs a command (default: gen, deadlock v1, sim and mc) with the
-    flight recorder on, then appends the per-stage span table profile
-    prints and one `stage/name key=value ...` line per span that enters
-    a stage, carrying that stage's counters.
+    flight recorder on, then appends the per-stage span table and one
+    `stage/name ms=... key=value ...` line per span that enters a stage,
+    carrying its wall time and that stage's counters.
 
 THREADS:
     --threads N  worker threads for the parallel BFS (mc) and the dependency
@@ -142,6 +140,26 @@ const VALUE_FLAGS: &[&str] = &[
     "--threads",
 ];
 
+/// Every flag that takes no value: the flags read through
+/// [`Opts::flag`]. [`Opts::new`] refuses a `--flag` in neither list.
+const BOOL_FLAGS: &[&str] = &[
+    "--chaos",
+    "--closure",
+    "--coverage-report",
+    "--dot",
+    "--exact-only",
+    "--fixed",
+    "--json",
+    "--liveness",
+    "--no-compile",
+    "--no-flows",
+    "--no-lint",
+    "--no-symmetry",
+    "--protocol",
+    "--quick",
+    "--shared-vc4",
+];
+
 /// Parsed `--flag value` options.
 struct Opts<'a> {
     args: &'a [String],
@@ -149,19 +167,27 @@ struct Opts<'a> {
 
 impl<'a> Opts<'a> {
     /// A [`VALUE_FLAGS`] flag that comes last or is followed by another
-    /// `--flag` is an error naming it, never a silent default.
+    /// `--flag`, and a `--flag` in neither [`VALUE_FLAGS`] nor
+    /// [`BOOL_FLAGS`], are errors naming the flag, never a silent
+    /// default.
     fn new(args: &'a [String]) -> Result<Opts<'a>, String> {
         for (i, a) in args.iter().enumerate() {
-            if VALUE_FLAGS.contains(&a.as_str())
-                && args.get(i + 1).is_none_or(|v| v.starts_with("--"))
-            {
-                return Err(format!("{a} expects a value"));
+            if VALUE_FLAGS.contains(&a.as_str()) {
+                if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+                    return Err(format!("{a} expects a value"));
+                }
+            } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a.as_str()) {
+                return Err(format!("unknown flag {a}"));
             }
         }
         Ok(Opts { args })
     }
 
     fn flag(&self, name: &str) -> bool {
+        debug_assert!(
+            BOOL_FLAGS.contains(&name),
+            "{name} is read as a flag but is missing from BOOL_FLAGS"
+        );
         self.args.iter().any(|a| a == name)
     }
 
@@ -221,27 +247,18 @@ impl<'a> Opts<'a> {
 /// rendered output or an error message.
 ///
 /// Global observability flags (`--trace-out FILE.json`,
-/// `--heartbeat[=MS]`) are stripped before the command dispatch.
-/// `--trace-out` writes the flight recorder's span tree as Chrome
-/// trace-event JSON after the dispatch — on the error path too, so a
-/// failing check still leaves its trace behind. The `profile` command
-/// implies it, defaulting the path to `ccsql-profile.trace.json`.
+/// `--heartbeat[=MS]`) are stripped before the command dispatch; each
+/// switches the flight recorder on. `--trace-out` writes the recorder's
+/// span tree as Chrome trace-event JSON after the dispatch — on the
+/// error path too, so a failing check still leaves its trace behind.
+/// `--heartbeat` runs the one heartbeat ticker for the whole dispatch.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let (rest, mut trace_out) = strip_obs_flags(args)?;
-    // A path the user asked for is written even when the command fails;
-    // one only *defaulted* for `profile` is not — a bad `profile`
-    // argument must not litter the working directory.
-    let mut trace_defaulted = false;
-    if rest.first().is_some_and(|c| c == "profile") {
-        ccsql_obs::flight::set_enabled(true);
-        if trace_out.is_none() {
-            trace_out = Some("ccsql-profile.trace.json".into());
-            trace_defaulted = true;
-        }
-    }
+    let (rest, trace_out, heartbeat_ms) = strip_obs_flags(args)?;
+    let ticker = ccsql_obs::heartbeat::Ticker::start(heartbeat_ms, ccsql_obs::flight::global());
     let result = dispatch(&rest);
+    drop(ticker);
     let mut trace_note = String::new();
-    if let Some(path) = &trace_out.filter(|_| result.is_ok() || !trace_defaulted) {
+    if let Some(path) = &trace_out {
         let spans = ccsql_obs::flight::snapshot();
         let json = ccsql_obs::flight::chrome_trace_json(&spans);
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -253,18 +270,19 @@ pub fn run(args: &[String]) -> Result<String, String> {
     })
 }
 
-/// Strip and apply the global observability flags; returns the
-/// remaining arguments and the `--trace-out` path. `--heartbeat[=MS]`
-/// acts directly on the `ccsql_obs` global and needs no path.
-fn strip_obs_flags(args: &[String]) -> Result<(Vec<String>, Option<String>), String> {
+/// Strip the global observability flags and switch the flight recorder
+/// on when one asks for it; returns the remaining arguments, the
+/// `--trace-out` path and the heartbeat interval (0 = off).
+fn strip_obs_flags(args: &[String]) -> Result<(Vec<String>, Option<String>, u64), String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut trace_out = None;
+    let mut heartbeat_ms = 0;
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if a.starts_with("--metrics") || a == "--trace" || a.starts_with("--trace=") {
-            // Commands ignore flags they do not read, so without this a
-            // removed flag would succeed silently and write nothing.
+            // A removed flag names its replacement, which the generic
+            // unknown-flag error could not.
             return Err(format!(
                 "{a}: the metrics file and the event trace were removed; \
                  use --trace-out FILE.json (span args carry every counter) \
@@ -282,21 +300,20 @@ fn strip_obs_flags(args: &[String]) -> Result<(Vec<String>, Option<String>), Str
             }
             trace_out = Some(path.to_string());
         } else if a == "--heartbeat" {
-            ccsql_obs::heartbeat::set_heartbeat_ms(ccsql_obs::heartbeat::DEFAULT_HEARTBEAT_MS);
+            heartbeat_ms = ccsql_obs::heartbeat::DEFAULT_HEARTBEAT_MS;
         } else if let Some(n) = a.strip_prefix("--heartbeat=") {
-            let ms: u64 = n
+            heartbeat_ms = n
                 .parse()
                 .map_err(|_| format!("--heartbeat expects milliseconds, got {n:?}"))?;
-            ccsql_obs::heartbeat::set_heartbeat_ms(ms);
         } else {
             rest.push(a.clone());
         }
         i += 1;
     }
-    if trace_out.is_some() {
+    if trace_out.is_some() || heartbeat_ms > 0 {
         ccsql_obs::flight::set_enabled(true);
     }
-    Ok((rest, trace_out))
+    Ok((rest, trace_out, heartbeat_ms))
 }
 
 fn dispatch(args: &[String]) -> Result<String, String> {
@@ -319,7 +336,6 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         "solve" => cmd_solve(&opts),
         "walk" => cmd_walk(&opts),
         "stats" => cmd_stats(&args[1..]),
-        "profile" => cmd_profile(&opts),
         "zoo" => cmd_zoo(&opts),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
@@ -355,17 +371,6 @@ fn cmd_gen(opts: &Opts) -> Result<String, String> {
                 )
                 .unwrap();
             }
-        }
-    }
-    if opts.flag("--stats") {
-        for c in &gen.spec.controllers {
-            let s = &gen.stats[c.name];
-            writeln!(
-                out,
-                "{:<4} candidates={} elapsed={:?}",
-                c.name, s.candidates, s.elapsed
-            )
-            .unwrap();
         }
     }
     Ok(out)
@@ -802,27 +807,6 @@ fn cmd_fuzz(opts: &Opts) -> Result<String, String> {
         .flat_map(|q| (0..2).map(move |n| NodeId::new(q, n)))
         .collect();
 
-    // Live-progress plumbing for `--heartbeat`: published once per round
-    // here, only ever *read* by the ticker thread — the fuzz results are
-    // a pure function of `--seed` with or without it.
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::Arc;
-    let hb_round = Arc::new(AtomicU64::new(0));
-    let hb_rows = Arc::new(AtomicU64::new(0));
-    let hb_faults = Arc::new(AtomicU64::new(0));
-    let _ticker = {
-        let (r, c, f) = (hb_round.clone(), hb_rows.clone(), hb_faults.clone());
-        let total = rounds as u64;
-        ccsql_obs::heartbeat::Ticker::start("fuzz", move || {
-            vec![
-                ("round", r.load(Relaxed).into()),
-                ("rounds_total", total.into()),
-                ("rows_covered", c.load(Relaxed).into()),
-                ("faults_injected", f.load(Relaxed).into()),
-            ]
-        })
-    };
-
     for round in 0..rounds {
         let round_span = ccsql_obs::flight::span("fuzz", "round");
         round_span.arg("round", round as u64);
@@ -945,9 +929,6 @@ fn cmd_fuzz(opts: &Opts) -> Result<String, String> {
         round_span.arg("new_rows", new_rows as u64);
         round_span.arg("rows_covered", rows_covered as u64);
         round_span.arg("faults_injected", fs.injected());
-        hb_round.store(round as u64 + 1, Relaxed);
-        hb_rows.store(rows_covered as u64, Relaxed);
-        hb_faults.store(faults_total, Relaxed);
     }
 
     let rows_covered: usize = covered.iter().map(|s| s.len()).sum();
@@ -1039,14 +1020,8 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
             mem_budget,
             spill_dir,
         };
-        if mc.agents > m.max_agents() {
-            return Err(format!(
-                "--nodes {} is too many for {path}: a {} state holds at most {} agent(s)",
-                mc.agents,
-                m.table,
-                m.max_agents()
-            ));
-        }
+        agents_fit(&m, mc.agents, path)
+            .map_err(|e| format!("--nodes {} is too many for {e}", mc.agents))?;
         let out = m.explore(&mc);
         let mut text = if opts.flag("--json") {
             out.render_json(&m.table, &mc)
@@ -1196,11 +1171,7 @@ fn cmd_stats(inner: &[String]) -> Result<String, String> {
         .iter()
         .filter(|s| ccsql_obs::flight::is_entry(spans, s))
     {
-        write!(out, "{}/{}", s.stage, s.name).unwrap();
-        for (k, v) in &s.args {
-            write!(out, " {k}={v}").unwrap();
-        }
-        out.push('\n');
+        writeln!(out, "{s}").unwrap();
     }
     if inner_failed {
         Err(out)
@@ -1209,8 +1180,8 @@ fn cmd_stats(inner: &[String]) -> Result<String, String> {
     }
 }
 
-/// The per-stage spans / total / self-time table that `profile` and
-/// `stats` print for a recording (or the tail of one).
+/// The per-stage spans / total / self-time table that `stats` prints
+/// for a recording (or the tail of one).
 fn stage_table(spans: &[ccsql_obs::flight::SpanNode]) -> String {
     let summary = ccsql_obs::flight::stage_summary(spans);
     let total_self: u64 = summary.iter().map(|s| s.self_us).sum();
@@ -1234,162 +1205,6 @@ fn stage_table(spans: &[ccsql_obs::flight::SpanNode]) -> String {
         .unwrap();
     }
     text
-}
-
-/// Guarded ratio (0 when the denominator is zero).
-fn per_sec(count: f64, secs: f64) -> f64 {
-    if secs > 0.0 {
-        count / secs
-    } else {
-        0.0
-    }
-}
-
-/// `ccsql profile <spec>` — run the whole pipeline once (parse → lint
-/// → solve → dependency closure → model check → simulate) with the
-/// flight recorder on, and print a per-stage self-time / throughput /
-/// memory report. [`run`] writes the Perfetto trace to
-/// `ccsql-profile.trace.json` unless `--trace-out` says otherwise.
-fn cmd_profile(opts: &Opts) -> Result<String, String> {
-    let path = positional(opts)
-        .first()
-        .copied()
-        .ok_or_else(|| "profile expects a .ccsql spec file (try specs/fig3.ccsql)".to_string())?;
-    let quick = opts.flag("--quick");
-    let threads = opts.num::<usize>("--threads", default_threads())?;
-    let nodes = opts.num::<usize>("--nodes", if quick { 2 } else { 3 })?;
-    let quota = opts.num::<u8>("--quota", 1)?;
-    let budget = opts.num::<usize>("--budget", 1_000_000)?;
-    let ops = opts.num::<usize>("--ops", if quick { 40 } else { 200 })?;
-    let seed = opts.num::<u64>("--seed", 1)?;
-    let (mem_budget, spill_dir) = spill_opts(opts)?;
-    let m = Model {
-        nodes,
-        quota,
-        resp_depth: 2,
-    };
-    m.validate()?;
-
-    // `run()` switches the recorder on for `profile`; repeat here so the
-    // command is self-sufficient when dispatched indirectly (e.g.
-    // `ccsql stats profile …`).
-    ccsql_obs::flight::set_enabled(true);
-    let first = ccsql_obs::flight::global().len();
-
-    let pipeline = ccsql_obs::flight::span("profile", "pipeline");
-
-    // Stage 1: parse.
-    let sf = {
-        let s = ccsql_obs::flight::span("parse", "specfile");
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        s.arg("bytes", text.len());
-        let sf =
-            ccsql_relalg::specfile::parse_specfile(&text).map_err(|e| format!("{path}: {e}"))?;
-        s.arg("columns", sf.spec.columns.len());
-        sf
-    };
-
-    // Stage 2: lint — early error detection before any time is spent.
-    let lint_report = lint_specs(&[&sf]);
-    if lint_report.failed() {
-        return Err(format!(
-            "{}\nlint found problems in {path}; profile needs a clean spec",
-            lint_report.render_human()
-        ));
-    }
-
-    // Stage 3: solve — the spec's own table plus the eight protocol
-    // controller tables (per-controller and per-column spans come from
-    // the solver itself).
-    let (spec_rel, _) = ccsql_relalg::specfile::solve_specfile(&sf).map_err(|e| e.to_string())?;
-    let gen = generate()?;
-    let mut solver_rows = spec_rel.len();
-    for c in &gen.spec.controllers {
-        solver_rows += gen.table(c.name).map_err(|e| e.to_string())?.len();
-    }
-
-    // Stage 4: dependency closure on the deadlock-free v2 assignment
-    // (per-round spans come from `ccsql::depend`).
-    let cfg = AnalysisConfig {
-        transitive_closure: !quick,
-        threads,
-        ..AnalysisConfig::default()
-    };
-    let deps =
-        protocol_dependency_table(&gen, &VcAssignment::v2(), &cfg).map_err(|e| e.to_string())?;
-
-    // Stage 5: model check (per-level spans come from `ccsql_mc`).
-    let (mc_out, mc_stats) = explore_with(
-        &m,
-        m.initial(),
-        &McOpts {
-            budget,
-            threads,
-            symmetry: true,
-            shards: opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?,
-            mem_budget,
-            spill_dir,
-        },
-    );
-
-    // Stage 6: simulate one seeded workload.
-    let sim_cfg = SimConfig {
-        quads: 2,
-        nodes_per_quad: 2,
-        vc_capacity: 2,
-        dedicated_mem_path: true,
-        schedule: Schedule::Random(seed),
-        max_steps: 10_000_000,
-    };
-    let sim_nodes: Vec<NodeId> = (0..2)
-        .flat_map(|q| (0..2).map(move |n| NodeId::new(q, n)))
-        .collect();
-    let wl = Workload::random(&sim_nodes, ops, 16, Mix::default(), seed);
-    let mut sim = Sim::new(&gen, sim_cfg, wl);
-    let sim_out = sim.run().map_err(|e| e.to_string())?;
-    let sim_steps = sim.stats.steps;
-
-    drop(pipeline);
-
-    // The report. Times are wall-clock and therefore vary run to run;
-    // the span *structure* (stages, names, nesting) is deterministic and
-    // gated in `scripts/verify.sh`.
-    let spans = ccsql_obs::flight::snapshot();
-    let mut text = format!("profile: {path}\n");
-    text.push_str(&stage_table(&spans[first..]));
-    let mc_secs = mc_stats.elapsed.as_secs_f64();
-    writeln!(
-        text,
-        "throughput: solver {solver_rows} rows; depend {} rows; \
-         mc {} states ({:.0} states/sec); sim {sim_steps} steps",
-        deps.rows.len(),
-        mc_stats.states,
-        per_sec(mc_stats.states as f64, mc_secs),
-    )
-    .unwrap();
-    writeln!(
-        text,
-        "memory: mc arena {} bytes, resident peak {} bytes, spilled {} bytes, \
-         peak frontier {} states",
-        mc_stats.arena_bytes,
-        mc_stats.mem_peak_bytes,
-        mc_stats.spilled_bytes,
-        mc_stats.frontier_peak
-    )
-    .unwrap();
-    let sim_label = match &sim_out {
-        Outcome::Quiescent => "quiescent",
-        Outcome::Stalled { .. } => "stalled",
-        Outcome::StepLimit => "step limit",
-        Outcome::Deadlock(_) => "deadlock",
-    };
-    writeln!(
-        text,
-        "outcomes: lint clean; mc {:?} (nodes={nodes} quota={quota} budget={budget}); sim {sim_label}",
-        mc_out
-    )
-    .unwrap();
-    Ok(text)
 }
 
 fn cmd_fig4(opts: &Opts) -> Result<String, String> {
@@ -1444,6 +1259,22 @@ fn spec_agents(opts: &Opts) -> Result<usize, String> {
         0 => Err("--nodes must be at least 1 for a spec machine".into()),
         agents => Ok(agents),
     }
+}
+
+/// The agent ceiling of `mc --spec` and the zoo's model check: a state
+/// of `m` must fit the engine word with one lane per agent, which
+/// [`SpecMachine::explore`] asserts. More agents is an error naming the
+/// pack and the limit (`{path}: a T state holds at most N agent(s)`),
+/// which each caller prefixes with where its agent count came from.
+fn agents_fit(m: &SpecMachine, agents: usize, path: &str) -> Result<(), String> {
+    if agents > m.max_agents() {
+        return Err(format!(
+            "{path}: a {} state holds at most {} agent(s)",
+            m.table,
+            m.max_agents()
+        ));
+    }
+    Ok(())
 }
 
 /// Parse a spec pack, solve it (compiled path) and compile its
@@ -1684,37 +1515,13 @@ fn zoo_pack(
             push("specsim", None, format!("skipped: {e}"));
         }
         Ok(m) => {
-            // Model check at 1 thread without symmetry, then with
-            // symmetry at 1 and 2 threads: the verdicts must agree, the
-            // orbit sizes must sum back to the full state count, and
-            // the two symmetric runs must render byte-identically.
-            let base = proto.clone();
-            let sym_opts = SpecMcOpts {
-                symmetry: true,
-                ..base.clone()
+            // A pack whose state cannot hold the zoo's agents fails the
+            // model check instead of panicking in it.
+            let (pass, detail) = match agents_fit(m, agents, &path_str) {
+                Ok(()) => zoo_specmc(m, proto),
+                Err(e) => (false, format!("{agents} agent(s) is too many for {e}")),
             };
-            let full = m.explore(&base);
-            let sym = m.explore(&sym_opts);
-            let threaded = m.explore(&SpecMcOpts {
-                threads: 2,
-                ..sym_opts.clone()
-            });
-            let identity = full.verdict == sym.verdict
-                && sym.stats.orbit_states == full.stats.states as u128
-                && sym.render_json(&m.table, &sym_opts)
-                    == threaded.render_json(&m.table, &sym_opts);
-            push(
-                "specmc",
-                Some(full.verdict == SpecVerdict::Verified && identity),
-                format!(
-                    "verdict {}, {} state(s) ({} orbit reps), rows {}/{}, sym/thread identity: {identity}",
-                    full.verdict.as_str(),
-                    full.stats.states,
-                    sym.stats.states,
-                    full.stats.rows_covered,
-                    full.stats.rows_total,
-                ),
-            );
+            push("specmc", Some(pass), detail);
             // Seeded random walk, run twice: must be deterministic,
             // never get stuck, and complete at least one transaction.
             let r1 = m.simulate(agents, 5, sim_steps);
@@ -1728,6 +1535,37 @@ fn zoo_pack(
         }
     }
     Ok(rows)
+}
+
+/// The zoo's model-check stage: 1 thread without symmetry, then with
+/// symmetry at 1 and 2 threads. The verdicts must agree, the orbit
+/// sizes must sum back to the full state count, and the two symmetric
+/// runs must render byte-identically. Returns the verdict and detail.
+fn zoo_specmc(m: &SpecMachine, proto: &SpecMcOpts) -> (bool, String) {
+    let sym_opts = SpecMcOpts {
+        symmetry: true,
+        ..proto.clone()
+    };
+    let full = m.explore(proto);
+    let sym = m.explore(&sym_opts);
+    let threaded = m.explore(&SpecMcOpts {
+        threads: 2,
+        ..sym_opts.clone()
+    });
+    let identity = full.verdict == sym.verdict
+        && sym.stats.orbit_states == full.stats.states as u128
+        && sym.render_json(&m.table, &sym_opts) == threaded.render_json(&m.table, &sym_opts);
+    (
+        full.verdict == SpecVerdict::Verified && identity,
+        format!(
+            "verdict {}, {} state(s) ({} orbit reps), rows {}/{}, sym/thread identity: {identity}",
+            full.verdict.as_str(),
+            full.stats.states,
+            sym.stats.states,
+            full.stats.rows_covered,
+            full.stats.rows_total,
+        ),
+    )
 }
 
 /// Positional (non-flag) arguments: everything that is not a `--flag`
@@ -2163,8 +2001,7 @@ mod tests {
     }
 
     /// The metrics file and the event trace are gone: their flags fail
-    /// closed, naming the replacement, instead of being ignored like an
-    /// unknown command flag (which would "succeed" and write nothing).
+    /// closed, naming the replacement.
     #[test]
     fn removed_observability_flags_fail_closed() {
         let path = std::env::temp_dir().join("ccsql_cli_removed_metrics.jsonl");
@@ -2180,6 +2017,24 @@ mod tests {
             assert!(err.contains("--trace-out"), "{args:?}: {err}");
         }
         assert!(!path.exists(), "a removed flag wrote {}", path.display());
+    }
+
+    /// A flag no command reads is an error naming it, never a run with
+    /// the defaults.
+    #[test]
+    fn unknown_flags_fail_closed() {
+        for (cmd, flag) in [
+            ("mc --node 3 --quota 1", "--node"),
+            ("mc --nodes 3 --no-symetry", "--no-symetry"),
+            ("gen --tabel D", "--tabel"),
+            ("gen --stats", "--stats"),
+        ] {
+            let err = run(&argv(cmd)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag {flag}")),
+                "{cmd}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2199,6 +2054,21 @@ mod tests {
                 && l.contains(" orbit_states=")
                 && l.contains(" outcome=verified")),
             "no mc/explore line:\n{out}"
+        );
+        // Each line leads with the span's wall time: `stats gen` times
+        // every controller's solve.
+        let out = run(&argv("stats gen")).unwrap();
+        for t in ["D", "M", "N", "R", "C", "IO", "L", "CFG"] {
+            assert!(
+                out.lines().any(|l| l.starts_with(&format!("solve/{t} ms="))
+                    && l.contains(" rows=")
+                    && l.contains(" candidates=")),
+                "no solve/{t} line:\n{out}"
+            );
+        }
+        assert!(
+            out.contains(" rows=498 columns=30 candidates=62842"),
+            "{out}"
         );
     }
 
@@ -2363,9 +2233,9 @@ mod tests {
     }
 
     /// Heartbeats must never change a result byte: the ticker only
-    /// *reads* atomics the workload publishes, and writes only to
-    /// stderr — stdout is compared byte for byte here, at both thread
-    /// counts for mc and across seeds for fuzz.
+    /// *reads* the flight recorder, and writes only to stderr — stdout
+    /// is compared byte for byte here, at both thread counts for mc,
+    /// for a spec machine, for the zoo and across seeds for fuzz.
     #[test]
     fn heartbeat_is_result_neutral() {
         // The mc report's only nondeterministic bytes are the elapsed
@@ -2381,19 +2251,24 @@ mod tests {
                 .join("\n")
         };
         for t in ["1", "2"] {
-            ccsql_obs::heartbeat::set_heartbeat_ms(0);
             let cmd = format!("mc --nodes 3 --quota 1 --threads {t}");
             let base = normalize(run(&argv(&cmd)).unwrap());
             let hb = normalize(run(&argv(&format!("{cmd} --heartbeat=1"))).unwrap());
-            ccsql_obs::heartbeat::set_heartbeat_ms(0);
             assert_eq!(base, hb, "heartbeat changed mc output at {t} thread(s)");
         }
+        let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        for cmd in [
+            format!("mc --spec {} --nodes 3", zoo_spec("phase_priority")),
+            format!("zoo {specs} --quick"),
+        ] {
+            let base = run(&argv(&cmd)).unwrap();
+            let hb = run(&argv(&format!("{cmd} --heartbeat=1"))).unwrap();
+            assert_eq!(base, hb, "heartbeat changed the output of {cmd}");
+        }
         for seed in ["1", "2"] {
-            ccsql_obs::heartbeat::set_heartbeat_ms(0);
             let cmd = format!("fuzz --quick --seed {seed}");
             let base = run(&argv(&cmd)).unwrap();
             let hb = run(&argv(&format!("{cmd} --heartbeat=1"))).unwrap();
-            ccsql_obs::heartbeat::set_heartbeat_ms(0);
             assert_eq!(base, hb, "heartbeat changed fuzz output for seed {seed}");
         }
     }
@@ -2412,29 +2287,19 @@ mod tests {
     }
 
     #[test]
-    fn profile_writes_valid_perfetto_trace_and_report() {
+    fn stats_writes_valid_perfetto_trace() {
         let tmp = std::env::temp_dir();
-        let trace = tmp.join("ccsql_profile_test.trace.json");
-        let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig3.ccsql");
+        let trace = tmp.join("ccsql_stats_test.trace.json");
         let out = run(&[
             "--trace-out".into(),
             trace.display().to_string(),
-            "profile".into(),
-            spec.into(),
-            "--quick".into(),
+            "stats".into(),
         ])
         .unwrap();
-        for line in [
-            "stage",
-            "throughput: solver",
-            "memory: mc arena",
-            "outcomes: lint clean",
-        ] {
-            assert!(out.contains(line), "missing {line:?} in:\n{out}");
-        }
+        assert!(out.contains("=== spans ==="), "{out}");
         let text = std::fs::read_to_string(&trace).unwrap();
         json_check::parse(&text).unwrap_or_else(|e| panic!("trace is not JSON: {e}"));
-        for stage in ["profile", "parse", "lint", "solve", "depend", "mc", "sim"] {
+        for stage in ["solve", "depend", "flows", "mc", "sim"] {
             assert!(
                 text.contains(&format!("\"cat\":\"{stage}\"")),
                 "no {stage} span in trace"
@@ -2471,31 +2336,6 @@ mod tests {
         assert!(has_span(&text, "\"cat\":\"mc\",\"name\":\"explore\"", &mc));
         let sim = ["\"retries\":", "\"msgs\":"];
         assert!(has_span(&text, "\"cat\":\"sim\",\"name\":\"run\"", &sim));
-        // A value flag before the path takes its value with it.
-        let out = run(&[
-            "--trace-out".into(),
-            trace.display().to_string(),
-            "profile".into(),
-            "--quick".into(),
-            "--shards".into(),
-            "4".into(),
-            spec.into(),
-        ])
-        .unwrap();
-        assert!(out.contains("outcomes: lint clean"), "{out}");
-        // One node is below the builtin model's minimum: refused, not
-        // explored.
-        let err = run(&[
-            "--trace-out".into(),
-            trace.display().to_string(),
-            "profile".into(),
-            spec.into(),
-            "--quick".into(),
-            "--nodes".into(),
-            "1".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("nodes must be 2..="), "{err}");
         let _ = std::fs::remove_file(&trace);
         // `lint --protocol` splits each controller's lint time into its
         // expression and coverage halves.
@@ -2521,7 +2361,8 @@ mod tests {
         assert!(run(&argv("sim --trace-out --seed 1")).is_err());
         assert!(run(&argv("sim --trace-out=")).is_err());
         assert!(run(&argv("sim --heartbeat=abc")).is_err());
-        assert!(run(&argv("profile")).is_err());
+        let err = run(&argv("profile specs/fig3.ccsql")).unwrap_err();
+        assert!(err.contains("unknown command \"profile\""), "{err}");
     }
 
     /// Does some serialized trace event contain `span` (a
@@ -2639,29 +2480,6 @@ mod tests {
     /// Absolute path of a zoo spec pack.
     fn zoo_spec(name: &str) -> String {
         format!("{}/../../specs/{name}.ccsql", env!("CARGO_MANIFEST_DIR"))
-    }
-
-    #[test]
-    fn profile_covers_every_zoo_protocol() {
-        // `ccsql profile` must take any clean pack through the whole
-        // pipeline, not just the MESI fig3 spec. Artifacts go to temp
-        // paths so the default names never land in the source tree.
-        let tmp = std::env::temp_dir();
-        let trace = tmp.join("ccsql_profile_zoo.trace.json");
-        for name in ["fig3", "bedrock_moesif", "phase_priority"] {
-            let out = run(&[
-                "--trace-out".into(),
-                trace.display().to_string(),
-                "profile".into(),
-                zoo_spec(name),
-                "--quick".into(),
-            ])
-            .unwrap_or_else(|e| panic!("profile {name}: {e}"));
-            for line in ["stage", "throughput: solver", "outcomes: lint clean"] {
-                assert!(out.contains(line), "{name}: missing {line:?} in:\n{out}");
-            }
-        }
-        let _ = std::fs::remove_file(&trace);
     }
 
     #[test]

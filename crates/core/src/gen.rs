@@ -61,30 +61,8 @@ impl GeneratedProtocol {
         let mut db = Database::new();
         define_protocol_sets(&mut db);
         let mut stats = HashMap::new();
-        // Live-progress plumbing for `--heartbeat`: tables done / rows
-        // solved so far, published once per controller and only read by
-        // the ticker thread.
-        let done = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let rows = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let cands = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let _ticker = {
-            let (done, rows, cands) = (done.clone(), rows.clone(), cands.clone());
-            let total = spec.controllers.len() as u64;
-            ccsql_obs::heartbeat::Ticker::start("solve", move || {
-                use std::sync::atomic::Ordering::Relaxed;
-                vec![
-                    ("tables_done", done.load(Relaxed).into()),
-                    ("tables_total", total.into()),
-                    ("rows", rows.load(Relaxed).into()),
-                    ("candidates", cands.load(Relaxed).into()),
-                ]
-            })
-        };
         for c in &spec.controllers {
             let (rel, st) = c.spec.generate_with(opts, &ctx)?;
-            done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            rows.fetch_add(rel.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            cands.fetch_add(st.candidates, std::sync::atomic::Ordering::Relaxed);
             db.put_table(c.name, rel);
             stats.insert(c.name, st);
         }

@@ -289,20 +289,6 @@ pub struct EngineStats {
     pub spilled_bytes: u64,
 }
 
-/// Live counters published once per level for the heartbeat ticker
-/// (relaxed stores; the hot path never reads them).
-#[derive(Default)]
-pub struct EngineProgress {
-    pub states: AtomicU64,
-    pub frontier: AtomicU64,
-    pub levels: AtomicU64,
-    pub transitions: AtomicU64,
-    pub orbit_states: AtomicU64,
-    pub arena_bytes: AtomicU64,
-    pub resident_bytes: AtomicU64,
-    pub spilled_bytes: AtomicU64,
-}
-
 /// Everything an exploration returns.
 pub struct EngineOut<W: Word, P> {
     pub outcome: EngineOutcome<W>,
@@ -682,7 +668,6 @@ pub fn run<S: Space, P: Payload<S::W>>(
     space: &S,
     inits: &[S::W],
     opts: &EngineOpts,
-    progress: Option<&EngineProgress>,
 ) -> EngineOut<S::W, P> {
     let threads = opts.threads.max(1);
     let shards = opts.shards.max(1);
@@ -1077,20 +1062,13 @@ pub fn run<S: Space, P: Payload<S::W>>(
             &spilled_total,
         );
 
-        if let Some(p) = progress {
-            p.states.store(states as u64, Ordering::Relaxed);
-            p.frontier.store(frontier_len as u64, Ordering::Relaxed);
-            p.levels.store(levels as u64, Ordering::Relaxed);
-            p.transitions.store(transitions, Ordering::Relaxed);
-            p.orbit_states
-                .store(orbit_states.min(u64::MAX as u128) as u64, Ordering::Relaxed);
-            p.arena_bytes
-                .store((states * wsize) as u64, Ordering::Relaxed);
-            p.resident_bytes
-                .store(gauge.current() as u64, Ordering::Relaxed);
-            p.spilled_bytes
-                .store(spilled_total.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
+        // Running totals: the most recently closed level span shows how
+        // far a long exploration has got.
+        level_span.arg("states", states as u64);
+        level_span.arg("transitions", transitions);
+        level_span.arg("orbit_states", orbit_states.min(u64::MAX as u128) as u64);
+        level_span.arg("resident_bytes", gauge.current() as u64);
+        level_span.arg("spilled_bytes", spilled_total.load(Ordering::Relaxed));
     };
 
     EngineOut {
@@ -1319,7 +1297,7 @@ mod tests {
         };
         let mut o = opts(1, 1, 0, usize::MAX);
         o.track_parents = true;
-        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o, None);
+        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o);
         let idx = ((out.parents.len() as f64) * frac) as usize;
         out.parents[idx.min(out.parents.len() - 1)].0 .0
     }
@@ -1355,18 +1333,13 @@ mod tests {
             size: 40_000,
             violating: None,
         };
-        let base = run::<_, ()>(&toy, &[TW(1)], &opts(1, 1, 0, usize::MAX), None);
+        let base = run::<_, ()>(&toy, &[TW(1)], &opts(1, 1, 0, usize::MAX));
         assert_eq!(base.outcome, EngineOutcome::Verified);
         assert!(base.stats.states > 10_000, "{}", base.stats.states);
         for threads in [2, 8] {
             for shards in [1, 4, 16] {
                 for mem in [0, 64 * 1024] {
-                    let out = run::<_, ()>(
-                        &toy,
-                        &[TW(1)],
-                        &opts(threads, shards, mem, usize::MAX),
-                        None,
-                    );
+                    let out = run::<_, ()>(&toy, &[TW(1)], &opts(threads, shards, mem, usize::MAX));
                     assert_eq!(fields(&out), fields(&base), "t{threads} s{shards} m{mem}");
                     if mem > 0 {
                         assert!(out.stats.spilled_bytes > 0, "tiny budget must spill");
@@ -1382,11 +1355,11 @@ mod tests {
             size: 40_000,
             violating: None,
         };
-        let base = run::<_, ()>(&toy, &[TW(1)], &opts(1, 1, 0, 5_000), None);
+        let base = run::<_, ()>(&toy, &[TW(1)], &opts(1, 1, 0, 5_000));
         assert_eq!(base.outcome, EngineOutcome::BudgetExceeded);
         assert_eq!(base.stats.states, 5_000);
         for (threads, shards, mem) in [(2, 4, 0), (8, 16, 32 * 1024), (1, 16, 0)] {
-            let out = run::<_, ()>(&toy, &[TW(1)], &opts(threads, shards, mem, 5_000), None);
+            let out = run::<_, ()>(&toy, &[TW(1)], &opts(threads, shards, mem, 5_000));
             assert_eq!(fields(&out), fields(&base), "t{threads} s{shards} m{mem}");
         }
     }
@@ -1397,17 +1370,12 @@ mod tests {
             size: 40_000,
             violating: Some(reachable_word(40_000, 0.6)),
         };
-        let base = run::<_, ()>(&toy, &[TW(1)], &opts(1, 1, 0, usize::MAX), None);
+        let base = run::<_, ()>(&toy, &[TW(1)], &opts(1, 1, 0, usize::MAX));
         let EngineOutcome::Violation(w) = base.outcome else {
             panic!("expected violation, got {:?}", base.outcome);
         };
         for (threads, shards, mem) in [(8, 16, 0), (2, 4, 16 * 1024)] {
-            let out = run::<_, ()>(
-                &toy,
-                &[TW(1)],
-                &opts(threads, shards, mem, usize::MAX),
-                None,
-            );
+            let out = run::<_, ()>(&toy, &[TW(1)], &opts(threads, shards, mem, usize::MAX));
             assert_eq!(out.outcome, EngineOutcome::Violation(w));
             assert_eq!(fields(&out), fields(&base));
         }
@@ -1422,7 +1390,7 @@ mod tests {
         };
         let mut o = opts(4, 8, 0, usize::MAX);
         o.track_parents = true;
-        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o, None);
+        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o);
         let EngineOutcome::Violation(w) = out.outcome else {
             panic!("expected violation, got {:?}", out.outcome);
         };
@@ -1439,7 +1407,7 @@ mod tests {
         // And be identical under a different configuration.
         let mut o2 = opts(1, 1, 8 * 1024, usize::MAX);
         o2.track_parents = true;
-        let out2 = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o2, None);
+        let out2 = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o2);
         assert_eq!(out2.outcome, EngineOutcome::Violation(w));
         let map2: std::collections::HashMap<TW, ParentLink<TW>> =
             out2.parents.iter().map(|&(w, p)| (w, p)).collect();
@@ -1465,7 +1433,7 @@ mod tests {
                 // words ≥ 5: no successors, not quiescent → stuck
             }
         }
-        let out = run::<_, ()>(&DeadEnd, &[TW(0)], &opts(1, 4, 0, usize::MAX), None);
+        let out = run::<_, ()>(&DeadEnd, &[TW(0)], &opts(1, 4, 0, usize::MAX));
         let EngineOutcome::Stuck(w) = out.outcome else {
             panic!("expected stuck, got {:?}", out.outcome);
         };
@@ -1485,7 +1453,7 @@ mod tests {
                 }
             }
         }
-        let out = run::<_, ()>(&AllQuiet, &[TW(0)], &opts(2, 4, 0, usize::MAX), None);
+        let out = run::<_, ()>(&AllQuiet, &[TW(0)], &opts(2, 4, 0, usize::MAX));
         assert_eq!(out.outcome, EngineOutcome::Verified);
         assert_eq!(out.stats.states, 11);
     }
@@ -1500,7 +1468,7 @@ mod tests {
         };
         let mut o = opts(2, 4, 16 * 1024, usize::MAX);
         o.spill_dir = Some(base.clone());
-        let out = run::<_, ()>(&toy, &[TW(1)], &o, None);
+        let out = run::<_, ()>(&toy, &[TW(1)], &o);
         assert!(out.stats.spilled_bytes > 0);
         let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
         assert!(leftovers.is_empty(), "spill leftovers: {leftovers:?}");
@@ -1528,7 +1496,7 @@ mod tests {
         }
         let mut o = opts(1, 2, 0, usize::MAX);
         o.capture_edges = true;
-        let out = run::<_, ()>(&Covered, &[TW(0)], &o, None);
+        let out = run::<_, ()>(&Covered, &[TW(0)], &o);
         assert_eq!(out.coverage, vec![true, true, true, false]);
         let mut edges = out.edges.clone();
         edges.sort();

@@ -32,15 +32,11 @@
 
 use crate::compact::{canon, orbit_size, pack, unpack, Compact};
 use crate::engine::{
-    self, Emitter, EngineOpts, EngineOutcome, EngineProgress, EngineStats, Space, Word,
-    DEFAULT_SHARDS,
+    self, Emitter, EngineOpts, EngineOutcome, EngineStats, Space, Word, DEFAULT_SHARDS,
 };
 use crate::model::Model;
 use crate::state::State;
-use ccsql_obs::FieldValue;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 impl Word for Compact {
@@ -193,55 +189,6 @@ impl Space for ModelSpace<'_> {
     }
 }
 
-/// Start the mc heartbeat ticker (inert when `--heartbeat` is off),
-/// deriving states/sec, budget fraction and a budget-exhaustion ETA
-/// from the engine's published counters and the monotonic start
-/// instant, plus the out-of-core gauges (resident and spilled bytes).
-fn start_heartbeat(
-    progress: &Arc<EngineProgress>,
-    budget: usize,
-    t0: Instant,
-) -> ccsql_obs::heartbeat::Ticker {
-    let p = Arc::clone(progress);
-    let budget_f = budget as f64;
-    ccsql_obs::heartbeat::Ticker::start("mc", move || {
-        let round1 = |x: f64| (x * 10.0).round() / 10.0;
-        let states = p.states.load(Ordering::Relaxed);
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let rate = states as f64 / secs;
-        let frac = (states as f64 / budget_f).min(1.0);
-        let mut fields: Vec<(&'static str, FieldValue)> = vec![
-            ("states", states.into()),
-            ("frontier", p.frontier.load(Ordering::Relaxed).into()),
-            ("level", p.levels.load(Ordering::Relaxed).into()),
-            ("transitions", p.transitions.load(Ordering::Relaxed).into()),
-            ("arena_bytes", p.arena_bytes.load(Ordering::Relaxed).into()),
-            (
-                "resident_bytes",
-                p.resident_bytes.load(Ordering::Relaxed).into(),
-            ),
-            (
-                "spilled_bytes",
-                p.spilled_bytes.load(Ordering::Relaxed).into(),
-            ),
-            ("states_per_sec", round1(rate).into()),
-            ("budget_frac", ((frac * 1000.0).round() / 1000.0).into()),
-        ];
-        let orbit = p.orbit_states.load(Ordering::Relaxed);
-        if orbit > states {
-            let red = orbit as f64 / states.max(1) as f64;
-            fields.push(("orbit_reduction", ((red * 100.0).round() / 100.0).into()));
-        }
-        if rate > 0.0 && frac < 1.0 {
-            fields.push((
-                "eta_budget_s",
-                round1((budget_f - states as f64) / rate).into(),
-            ));
-        }
-        fields
-    })
-}
-
 /// Explore the model's state space up to `budget` distinct states
 /// (single worker, no symmetry reduction, fully resident).
 pub fn explore(model: &Model, budget: usize) -> (McOutcome, McStats) {
@@ -286,16 +233,6 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
     run_span.arg("symmetry", u64::from(opts.symmetry));
     run_span.arg("shards", opts.shards.max(1) as u64);
     run_span.arg("mem_budget", opts.mem_budget as u64);
-    // Heartbeat plumbing exists only when `--heartbeat` is on: the
-    // default path allocates nothing and stores nothing.
-    let progress: Option<Arc<EngineProgress>> = if ccsql_obs::heartbeat::heartbeat_ms() > 0 {
-        Some(Arc::new(EngineProgress::default()))
-    } else {
-        None
-    };
-    let _ticker = progress
-        .as_ref()
-        .map(|p| start_heartbeat(p, opts.budget, start));
 
     let space = ModelSpace {
         model,
@@ -314,7 +251,7 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
         track_parents: false,
         capture_edges: false,
     };
-    let out = engine::run::<_, ()>(&space, &[c0], &eopts, progress.as_deref());
+    let out = engine::run::<_, ()>(&space, &[c0], &eopts);
 
     let (outcome, witness) = match out.outcome {
         EngineOutcome::Verified => (McOutcome::Verified, None),

@@ -159,7 +159,8 @@ struct Violation {
 /// Exploration options.
 #[derive(Clone, Debug)]
 pub struct SpecMcOpts {
-    /// Number of symmetric requester agents.
+    /// Number of symmetric requester agents: at least 1 and at most
+    /// [`SpecMachine::max_agents`].
     pub agents: usize,
     /// Worker threads (results are byte-identical for every count).
     pub threads: usize,
@@ -1010,8 +1011,13 @@ impl SpecMachine {
     /// the built-in model use the same shard-owned visited runs,
     /// exchange spill and exact budget rule, so shards / memory budget
     /// behave — and determinise — identically on both paths.
+    ///
+    /// Panics unless `1 <= opts.agents <= self.max_agents()`: callers
+    /// check the agent count first, the way [`crate::explore_with`]
+    /// expects `Model::validate` to pass.
     pub fn explore(&self, opts: &SpecMcOpts) -> SpecMcOutcome {
-        let agents = opts.agents.max(1);
+        let agents = opts.agents;
+        assert!(agents >= 1, "a spec machine needs at least one agent");
         let len = self.agent_off() + agents;
         assert!(
             len <= SPEC_WORD_BYTES,
@@ -1044,7 +1050,7 @@ impl SpecMachine {
             track_parents: true,
             capture_edges: true,
         };
-        let eout = crate::engine::run::<_, ParentLink<SpecWord>>(&space, &inits, &eopts, None);
+        let eout = crate::engine::run::<_, ParentLink<SpecWord>>(&space, &inits, &eopts);
 
         let stats = SpecMcStats {
             states: eout.stats.states,
@@ -1169,8 +1175,9 @@ impl SpecMachine {
     /// A seeded random walk over the same transition relation (the
     /// spec-level chaos simulator): picks one enabled transition per
     /// step. Deterministic for a fixed `(agents, seed, steps)`.
+    /// Panics when `agents` is 0.
     pub fn simulate(&self, agents: usize, seed: u64, steps: usize) -> SpecSimReport {
-        let agents = agents.max(1);
+        assert!(agents >= 1, "a spec machine needs at least one agent");
         let mut rng = ccsql_obs::rng::SplitMix64::new(seed);
         let inits = self.initial_var_states();
         let pick = (rng.next_u64() % inits.states.len() as u64) as usize;
@@ -1522,6 +1529,21 @@ constrain nxtst: inmsg = req ? nxtst = DONE : nxtst = NULL
         assert!(a.stuck.is_none(), "{}", a.render(7));
         assert!(a.completions > 0);
         assert_eq!(a.rows_covered, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one agent")]
+    fn explore_refuses_zero_agents() {
+        machine(PING).explore(&SpecMcOpts {
+            agents: 0,
+            ..SpecMcOpts::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one agent")]
+    fn simulate_refuses_zero_agents() {
+        machine(PING).simulate(0, 7, 500);
     }
 
     #[test]

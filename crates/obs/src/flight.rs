@@ -107,7 +107,8 @@ pub fn enabled() -> bool {
     FLIGHT_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn global flight recording on or off (`--trace-out`, `profile`).
+/// Turn global flight recording on or off (`--trace-out`,
+/// `--heartbeat`, `ccsql stats`).
 pub fn set_enabled(on: bool) {
     FLIGHT_ENABLED.store(on, Ordering::Relaxed);
 }
@@ -157,7 +158,7 @@ pub struct SpanNode {
     /// Per-thread track (exported as the Perfetto `tid`). Nesting is
     /// guaranteed within a track, which is all the trace format needs.
     pub track: u32,
-    /// Pipeline stage (`"parse"`, `"solve"`, `"mc"`, …) — the trace
+    /// Pipeline stage (`"lint"`, `"solve"`, `"mc"`, …) — the trace
     /// event category.
     pub stage: &'static str,
     /// Span name within the stage (a controller name, `"level"`, …).
@@ -170,9 +171,30 @@ pub struct SpanNode {
     pub args: Vec<(&'static str, FieldValue)>,
 }
 
+/// The one-line rendering of a span that `ccsql stats` and the
+/// heartbeat share: `stage/name ms=1.234 key=value …`, the wall time
+/// followed by the args in the order they were attached.
+impl std::fmt::Display for SpanNode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}/{} ms={:.3}",
+            self.stage,
+            self.name,
+            self.dur_us as f64 / 1e3
+        )?;
+        for (k, v) in &self.args {
+            write!(f, " {k}={v}")?;
+        }
+        Ok(())
+    }
+}
+
 struct Inner {
     epoch: Instant,
     spans: Vec<SpanNode>,
+    /// Id of the span that closed most recently (0 = none yet).
+    last_closed: u32,
 }
 
 /// A span-tree recorder. One global instance serves the pipeline
@@ -194,6 +216,7 @@ impl Flight {
             inner: Mutex::new(Inner {
                 epoch: Instant::now(),
                 spans: Vec::new(),
+                last_closed: 0,
             }),
         }
     }
@@ -239,6 +262,16 @@ impl Flight {
     /// Copy of all spans, in begin order.
     pub fn snapshot(&self) -> Vec<SpanNode> {
         self.inner.lock().unwrap().spans.clone()
+    }
+
+    /// Copy of the span that closed most recently, or `None` while no
+    /// span has closed. A span counts as closed when its guard drops,
+    /// so a zero-length span counts, and an outer span that closes
+    /// after its children is the one returned.
+    pub fn last_closed(&self) -> Option<SpanNode> {
+        let inner = self.inner.lock().expect("a span holder panicked");
+        let i = inner.last_closed.checked_sub(1)?;
+        inner.spans.get(i as usize).cloned()
     }
 
     /// Number of spans recorded so far.
@@ -293,6 +326,7 @@ impl Drop for FlightSpan<'_> {
             if let Some(s) = inner.spans.get_mut(self.id as usize - 1) {
                 s.dur_us = end_us.saturating_sub(s.start_us);
             }
+            inner.last_closed = self.id;
         }
         let key = self.flight.key();
         STACK.with(|st| {
@@ -457,6 +491,31 @@ mod tests {
         assert_eq!(
             spans.iter().map(|s| s.id).collect::<Vec<_>>(),
             vec![1, 2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn last_closed_is_the_latest_guard_dropped() {
+        let f = Flight::new();
+        let outer = f.begin("mc", "explore");
+        assert!(f.last_closed().is_none(), "an open span is never returned");
+        // Dropped at once: a zero-length span still counts as closed.
+        drop(f.begin("mc", "level"));
+        assert_eq!(f.last_closed().unwrap().name, "level");
+        let open = f.begin("mc", "level2");
+        assert_eq!(
+            f.last_closed().unwrap().name,
+            "level",
+            "an open span is never returned"
+        );
+        drop(open);
+        outer.arg("states", 6u64);
+        drop(outer);
+        let last = f.last_closed().unwrap();
+        assert_eq!(
+            (last.name.as_str(), last.args),
+            ("explore", vec![("states", FieldValue::U64(6))]),
+            "the outer span closed after its children"
         );
     }
 

@@ -11,13 +11,13 @@
 //!   stable ids, typed per-span args (every counter a stage reports
 //!   about itself) and per-thread parent tracking. It is exported as
 //!   Chrome trace-event / Perfetto JSON (`--trace-out FILE.json`) and
-//!   folded into per-stage self times (`ccsql profile`, `ccsql stats`
-//!   and the benchmark). Off by default: a disabled span is one relaxed
-//!   atomic load.
-//! * [`heartbeat`] — a monotonic-clock ticker thread printing live
-//!   stderr progress lines for long `mc`/`fuzz`/solve runs
-//!   (`--heartbeat[=MS]`); provably result-neutral (see the module
-//!   docs).
+//!   folded into per-stage self times (`ccsql stats` and the
+//!   benchmark). Off by default: a disabled span is one relaxed atomic
+//!   load.
+//! * [`heartbeat`] — a monotonic-clock ticker thread printing the
+//!   recorder's most recently closed span, with its args, as a live
+//!   stderr progress line (`--heartbeat[=MS]`); provably result-neutral
+//!   (see the module docs).
 //! * [`json`] — a hand-rolled JSON writer; no serde.
 //! * [`mem`] — a resident-bytes gauge with a high-water mark, the
 //!   out-of-core explorer's memory ledger.

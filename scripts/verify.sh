@@ -123,31 +123,58 @@ if grep '"type":"fuzz-summary"' "$WORK_DIR/fuzz1.txt" | grep -q '"faults_injecte
     exit 1
 fi
 
-echo "==> ccsql profile (flight-recorder smoke: valid trace, every stage spanned, stable span structure)"
-cargo run --quiet --release -p ccsql-cli -- profile specs/fig3.ccsql --quick \
-    --trace-out "$WORK_DIR/prof1.json" > "$WORK_DIR/prof1.txt"
-cargo run --quiet --release -p ccsql-cli -- profile specs/fig3.ccsql --quick \
-    --trace-out "$WORK_DIR/prof2.json" > "$WORK_DIR/prof2.txt"
-# The trace must be one well-formed JSON document with at least one span
-# for every pipeline stage.
-for stage in profile parse lint solve depend mc sim; do
-    grep -q "\"cat\":\"$stage\"" "$WORK_DIR/prof1.json" || {
-        echo "profile trace has no $stage span" >&2
-        exit 1
-    }
+echo "==> ccsql stats (flight-recorder smoke: valid traces, every stage spanned, stable span structure, stage counters)"
+# The default pipeline (gen, deadlock v1, sim, mc) and a spec-file
+# lint, each traced twice.
+for i in 1 2; do
+    cargo run --quiet --release -p ccsql-cli -- --trace-out "$WORK_DIR/stats$i.json" \
+        stats > "$WORK_DIR/stats$i.txt"
+    cargo run --quiet --release -p ccsql-cli -- --trace-out "$WORK_DIR/lint$i.json" \
+        stats lint specs/fig3.ccsql > "$WORK_DIR/lint$i.txt"
 done
-grep -q '"displayTimeUnit"' "$WORK_DIR/prof1.json"
-grep -q 'throughput: solver' "$WORK_DIR/prof1.txt"
-grep -q 'memory: mc arena' "$WORK_DIR/prof1.txt"
+for trace in "$WORK_DIR"/stats?.json "$WORK_DIR"/lint?.json; do
+    grep -q '"displayTimeUnit"' "$trace"
+done
 # Span *structure* (stage/name sequence) is a pure function of control
-# flow — only the timestamps may differ between the two runs.
+# flow — only the timestamps may differ between two runs.
 structure() {
     tr '{' '\n' < "$1" | sed -n 's/.*"cat":"\([a-z]*\)","name":"\([^"]*\)".*/\1 \2/p'
 }
-structure "$WORK_DIR/prof1.json" > "$WORK_DIR/spans1.txt"
-structure "$WORK_DIR/prof2.json" > "$WORK_DIR/spans2.txt"
-test -s "$WORK_DIR/spans1.txt"
-diff "$WORK_DIR/spans1.txt" "$WORK_DIR/spans2.txt"
+for cmd in stats lint; do
+    structure "$WORK_DIR/${cmd}1.json" > "$WORK_DIR/${cmd}_spans1.txt"
+    structure "$WORK_DIR/${cmd}2.json" > "$WORK_DIR/${cmd}_spans2.txt"
+    test -s "$WORK_DIR/${cmd}_spans1.txt"
+    diff "$WORK_DIR/${cmd}_spans1.txt" "$WORK_DIR/${cmd}_spans2.txt"
+done
+# Together the traces span every pipeline stage.
+for stage in lint solve depend flows mc sim; do
+    cat "$WORK_DIR/stats1.json" "$WORK_DIR/lint1.json" | grep -q "\"cat\":\"$stage\"" || {
+        echo "stats traces have no $stage span" >&2
+        exit 1
+    }
+done
+# The entry lines carry each call's wall time and the stage counters.
+grep -q '^solve/D ms=[0-9.]* rows=498 ' "$WORK_DIR/stats1.txt"
+grep -q '^mc/explore ms=[0-9.]* .* arena_bytes=[0-9]* .* mem_peak_bytes=[0-9]* ' "$WORK_DIR/stats1.txt"
+
+echo "==> ccsql --heartbeat (result-neutral; the final tick shows the last span of the run)"
+cargo run --quiet --release -p ccsql-cli -- mc --spec specs/phase_priority.ccsql --nodes 3 \
+    > "$WORK_DIR/hb_off.txt"
+cargo run --quiet --release -p ccsql-cli -- --heartbeat=1 mc --spec specs/phase_priority.ccsql \
+    --nodes 3 > "$WORK_DIR/hb_on.txt" 2> "$WORK_DIR/hb_on.err"
+diff "$WORK_DIR/hb_off.txt" "$WORK_DIR/hb_on.txt"
+tail -n1 "$WORK_DIR/hb_on.err" | grep -q '^ccsql +[0-9.]*s mc/.* final=1$' || {
+    echo "the final heartbeat named no mc span" >&2
+    exit 1
+}
+# The builtin checker's last span is its exploration, with the end-of-run
+# state count.
+cargo run --quiet --release -p ccsql-cli -- --heartbeat=1 mc --nodes 3 --quota 2 \
+    > /dev/null 2> "$WORK_DIR/hb_mc.err"
+tail -n1 "$WORK_DIR/hb_mc.err" | grep -q '^ccsql +[0-9.]*s mc/explore .* states=6376 .* final=1$' || {
+    echo "the final heartbeat of mc --nodes 3 --quota 2 did not show states=6376" >&2
+    exit 1
+}
 
 echo "==> ccsql lint (clean specs must stay clean; seeded bugs must be caught)"
 cargo test -q -p ccsql-lint

@@ -186,3 +186,27 @@ fn zoo_rejects_a_directory_with_no_packs() {
     let _ = std::fs::remove_dir(&empty);
     assert!(err.contains("no .ccsql spec packs"), "{err}");
 }
+
+#[test]
+fn zoo_fails_a_pack_whose_state_cannot_hold_its_agents() {
+    // fig3 plus 28 machine variables: 30 variables and the 2 credit
+    // counters fill the 32-byte state word, leaving no agent lane.
+    let mut text = std::fs::read_to_string(spec("fig3")).unwrap();
+    for k in 0..28 {
+        text.push_str(&format!(
+            "input v{k} = a\noutput nv{k} = a, NULL\n\
+             machine v{k} = nv{k}, init a\nconstrain nv{k}: nv{k} = NULL\n"
+        ));
+    }
+    let dir = std::env::temp_dir().join(format!("ccsql-zoo-wide-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wide.ccsql"), text).unwrap();
+    let err =
+        ccsql_cli::run(&["zoo".into(), dir.display().to_string(), "--quick".into()]).unwrap_err();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(err.contains("holds at most 0 agent(s)"), "{err}");
+    let v = verdicts(&err);
+    assert_eq!(v["wide"]["specmc"], "fail", "{err}");
+    assert!(v["wide"].contains_key("specsim"), "{err}");
+}
