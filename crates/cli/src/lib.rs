@@ -3,7 +3,9 @@
 //! analyse deadlocks, map to hardware, simulate, and query the central
 //! database ad hoc.
 //!
-//! The commands and their flags are listed once, in [`USAGE`].
+//! The commands and their flags are listed in [`USAGE`], and each
+//! command accepts exactly the flags it reads (`COMMANDS`; a test keeps
+//! the two in step).
 //!
 //! Observability is one recorder, the `ccsql-obs` flight recorder: every
 //! stage opens spans and attaches its counters to them as span args.
@@ -45,8 +47,8 @@ USAGE:
 
     ccsql gen      [--table NAME] [--format ascii|csv|md]
     ccsql check    [--liveness]
-    ccsql deadlock [--assignment v0|v1|v2] [--exact-only] [--closure] [--threads N]
-                   [--json] [--no-flows]
+    ccsql deadlock [--assignment v0|v1|v2] [--exact-only] [--closure] [--json]
+                   [--no-flows]
     ccsql flows    FILE.ccsql | --protocol  [--assignment v0|v1|v2] [--json] [--dot]
     ccsql map      [--emit verilog|rust] [--table NAME]
     ccsql sim      [--seed N] [--quads N] [--nodes N] [--ops N] [--shared-vc4]
@@ -89,9 +91,9 @@ STATS:
     carrying its wall time and that stage's counters.
 
 THREADS:
-    --threads N  worker threads for the parallel BFS (mc) and the dependency
-                 closure (deadlock); default: available parallelism.
-                 Results are byte-identical for every thread count.
+    --threads N  worker threads for the model checker's parallel BFS (mc);
+                 default: available parallelism (1 with --spec). Results are
+                 byte-identical for every thread count.
 
 SYMMETRY:
     mc explores the node-permutation quotient by default (one canonical
@@ -110,91 +112,130 @@ OUT-OF-CORE:
                         they are removed on exit, even on panic.
 ";
 
-/// Every flag that takes a value: the flags read through
-/// [`Opts::value`], [`Opts::num`] and [`Opts::bytes`]. [`positional`]
-/// skips their value slots, and [`Opts::new`] refuses one that has no
-/// value after it.
-const VALUE_FLAGS: &[&str] = &[
-    "--assignment",
-    "--budget",
-    "--dirst",
-    "--emit",
-    "--fault-seed",
-    "--faults",
-    "--format",
-    "--mem-budget",
-    "--nodes",
-    "--ops",
-    "--out",
-    "--quads",
-    "--quota",
-    "--request",
-    "--resp-depth",
-    "--rounds",
-    "--seed",
-    "--shards",
-    "--sharers",
-    "--spec",
-    "--spill-dir",
-    "--table",
-    "--threads",
+/// A command and the flags it reads, declared once.
+struct Command {
+    name: &'static str,
+    /// Flags that take a value: read through [`Opts::value`],
+    /// [`Opts::num`] and [`Opts::bytes`]; [`positional`] skips their
+    /// value slots.
+    values: &'static [&'static str],
+    /// Flags that take no value: read through [`Opts::flag`].
+    flags: &'static [&'static str],
+}
+
+const fn cmd(
+    name: &'static str,
+    values: &'static [&'static str],
+    flags: &'static [&'static str],
+) -> Command {
+    Command {
+        name,
+        values,
+        flags,
+    }
+}
+
+/// Every command with exactly the flags it reads. `stats` passes its
+/// arguments on to the command it runs, so it declares none.
+const COMMANDS: &[Command] = &[
+    cmd("gen", &["--table", "--format"], &[]),
+    cmd("check", &[], &["--liveness"]),
+    cmd(
+        "deadlock",
+        &["--assignment"],
+        &["--exact-only", "--closure", "--json", "--no-flows"],
+    ),
+    cmd(
+        "flows",
+        &["--assignment"],
+        &["--protocol", "--json", "--dot"],
+    ),
+    cmd("map", &["--emit", "--table"], &[]),
+    cmd(
+        "sim",
+        &[
+            "--seed",
+            "--quads",
+            "--nodes",
+            "--ops",
+            "--fault-seed",
+            "--faults",
+            "--spec",
+        ],
+        &["--shared-vc4", "--chaos", "--coverage-report"],
+    ),
+    cmd("fuzz", &["--rounds", "--seed", "--out"], &["--quick"]),
+    cmd(
+        "mc",
+        &[
+            "--nodes",
+            "--quota",
+            "--resp-depth",
+            "--budget",
+            "--threads",
+            "--shards",
+            "--mem-budget",
+            "--spill-dir",
+            "--spec",
+        ],
+        &["--no-symmetry", "--json"],
+    ),
+    cmd("fig4", &[], &["--fixed"]),
+    cmd("query", &[], &[]),
+    cmd("lint", &["--assignment"], &["--json", "--protocol"]),
+    cmd("solve", &["--format"], &["--no-lint", "--no-compile"]),
+    cmd("walk", &["--request", "--dirst", "--sharers"], &[]),
+    cmd("stats", &[], &[]),
+    cmd(
+        "zoo",
+        &["--assignment", "--shards", "--mem-budget", "--spill-dir"],
+        &["--quick"],
+    ),
+    cmd("help", &[], &[]),
 ];
 
-/// Every flag that takes no value: the flags read through
-/// [`Opts::flag`]. [`Opts::new`] refuses a `--flag` in neither list.
-const BOOL_FLAGS: &[&str] = &[
-    "--chaos",
-    "--closure",
-    "--coverage-report",
-    "--dot",
-    "--exact-only",
-    "--fixed",
-    "--json",
-    "--liveness",
-    "--no-compile",
-    "--no-flows",
-    "--no-lint",
-    "--no-symmetry",
-    "--protocol",
-    "--quick",
-    "--shared-vc4",
-];
-
-/// Parsed `--flag value` options.
+/// Parsed `--flag value` options of one command.
 struct Opts<'a> {
+    cmd: &'static Command,
     args: &'a [String],
 }
 
 impl<'a> Opts<'a> {
-    /// A [`VALUE_FLAGS`] flag that comes last or is followed by another
-    /// `--flag`, and a `--flag` in neither [`VALUE_FLAGS`] nor
-    /// [`BOOL_FLAGS`], are errors naming the flag, never a silent
-    /// default.
-    fn new(args: &'a [String]) -> Result<Opts<'a>, String> {
+    /// The options of command `name`. An unknown command, a flag the
+    /// command does not read, and a value flag that comes last or is
+    /// followed by another `--flag` are errors naming the culprit, never
+    /// a silent default.
+    fn new(name: &str, args: &'a [String]) -> Result<Opts<'a>, String> {
+        let cmd = COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| format!("unknown command {name:?}\n\n{USAGE}"))?;
         for (i, a) in args.iter().enumerate() {
-            if VALUE_FLAGS.contains(&a.as_str()) {
+            if cmd.values.contains(&a.as_str()) {
                 if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
                     return Err(format!("{a} expects a value"));
                 }
-            } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a.as_str()) {
+            } else if a.starts_with("--") && !cmd.flags.contains(&a.as_str()) {
                 return Err(format!("unknown flag {a}"));
             }
         }
-        Ok(Opts { args })
+        Ok(Opts { cmd, args })
     }
 
     fn flag(&self, name: &str) -> bool {
         debug_assert!(
-            BOOL_FLAGS.contains(&name),
-            "{name} is read as a flag but is missing from BOOL_FLAGS"
+            self.cmd.flags.contains(&name),
+            "{} reads {name} as a flag but does not declare it in COMMANDS",
+            self.cmd.name
         );
         self.args.iter().any(|a| a == name)
     }
 
     fn value(&self, name: &str) -> Option<&'a str> {
         debug_assert!(
-            VALUE_FLAGS.contains(&name),
-            "{name} is read as a value but is missing from VALUE_FLAGS"
+            self.cmd.values.contains(&name),
+            "{} reads {name} as a value but does not declare it in COMMANDS",
+            self.cmd.name
         );
         self.args
             .iter()
@@ -317,17 +358,28 @@ fn strip_obs_flags(args: &[String]) -> Result<(Vec<String>, Option<String>, u64)
 }
 
 fn dispatch(args: &[String]) -> Result<String, String> {
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         return Err(USAGE.to_string());
     };
-    let opts = Opts::new(&args[1..])?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&opts),
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    // `stats` runs a command line of its own: that command checks it.
+    if name == "stats" {
+        return cmd_stats(&args[1..]);
+    }
+    let opts = Opts::new(name, &args[1..])?;
+    match name {
+        "gen" => cmd_gen(&opts, &generate()?),
         "check" => cmd_check(&opts),
-        "deadlock" => cmd_deadlock(&opts),
+        "deadlock" => cmd_deadlock(&opts, &generate()?),
         "flows" => cmd_flows(&opts),
         "map" => cmd_map(&opts),
-        "sim" => cmd_sim(&opts),
+        "sim" => match opts.value("--spec") {
+            Some(path) => cmd_spec_sim(&opts, path),
+            None => cmd_sim(&opts, &generate()?),
+        },
         "fuzz" => cmd_fuzz(&opts),
         "mc" => cmd_mc(&opts),
         "fig4" => cmd_fig4(&opts),
@@ -335,19 +387,20 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         "lint" => cmd_lint(&opts),
         "solve" => cmd_solve(&opts),
         "walk" => cmd_walk(&opts),
-        "stats" => cmd_stats(&args[1..]),
         "zoo" => cmd_zoo(&opts),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        // `help`, the one other command `COMMANDS` declares.
+        _ => Ok(USAGE.to_string()),
     }
 }
 
+/// Solve the eight ASURA tables. `gen`, `deadlock` and `sim` take the
+/// result from their caller, so `stats` solves once for its whole
+/// default pipeline.
 fn generate() -> Result<GeneratedProtocol, String> {
     GeneratedProtocol::generate_default().map_err(|e| format!("generation failed: {e}"))
 }
 
-fn cmd_gen(opts: &Opts) -> Result<String, String> {
-    let gen = generate()?;
+fn cmd_gen(opts: &Opts, gen: &GeneratedProtocol) -> Result<String, String> {
     let mut out = String::new();
     match opts.value("--table") {
         Some(name) => {
@@ -421,8 +474,7 @@ fn parse_assignment(opts: &Opts) -> Result<VcAssignment, String> {
     }
 }
 
-fn cmd_deadlock(opts: &Opts) -> Result<String, String> {
-    let gen = generate()?;
+fn cmd_deadlock(opts: &Opts, gen: &GeneratedProtocol) -> Result<String, String> {
     let v = parse_assignment(opts)?;
     let mut cfg = if opts.flag("--exact-only") {
         AnalysisConfig::exact_only()
@@ -430,16 +482,15 @@ fn cmd_deadlock(opts: &Opts) -> Result<String, String> {
         AnalysisConfig::default()
     };
     cfg.transitive_closure = opts.flag("--closure");
-    cfg.threads = opts.num::<usize>("--threads", default_threads())?;
-    let deps = protocol_dependency_table(&gen, &v, &cfg).map_err(|e| e.to_string())?;
-    let rep = deadlock_report(&gen, v.name, &deps);
+    let deps = protocol_dependency_table(gen, &v, &cfg).map_err(|e| e.to_string())?;
+    let rep = deadlock_report(gen, v.name, &deps);
     // Parameterized flow pre-pass (skip with --no-flows): the symbolic
     // verdict is printed first and cross-checked against the concrete
     // one — a disagreement is a tool bug worth failing loudly on.
     let flows = if opts.flag("--no-flows") {
         None
     } else {
-        Some(ccsql_lint::flows::analyze_protocol(&gen, &v)?)
+        Some(ccsql_lint::flows::analyze_protocol(gen, &v)?)
     };
     if let Some(f) = &flows {
         if f.deadlock_free_all_n() != rep.cycles.is_empty() {
@@ -614,23 +665,23 @@ fn parse_fault_rates(s: &str) -> Result<FaultRates, String> {
     Ok(r)
 }
 
-fn cmd_sim(opts: &Opts) -> Result<String, String> {
-    // `--spec FILE.ccsql`: a seeded random walk over the spec pack's
-    // transaction machine instead of the ASURA system simulator.
-    if let Some(path) = opts.value("--spec") {
-        let m = load_spec_machine(path)?;
-        let agents = spec_agents(opts)?;
-        let seed = opts.num::<u64>("--seed", 1)?;
-        let steps = opts.num::<usize>("--ops", 10_000)?;
-        let r = m.simulate(agents, seed, steps);
-        let text = format!("{}\n", r.render(seed));
-        return if r.stuck.is_none() {
-            Ok(text)
-        } else {
-            Err(text)
-        };
+/// `sim --spec FILE.ccsql`: a seeded random walk over the spec pack's
+/// transaction machine instead of the ASURA system simulator.
+fn cmd_spec_sim(opts: &Opts, path: &str) -> Result<String, String> {
+    let m = load_spec_machine(path)?;
+    let agents = spec_agents(opts)?;
+    let seed = opts.num::<u64>("--seed", 1)?;
+    let steps = opts.num::<usize>("--ops", 10_000)?;
+    let r = m.simulate(agents, seed, steps);
+    let text = format!("{}\n", r.render(seed));
+    if r.stuck.is_none() {
+        Ok(text)
+    } else {
+        Err(text)
     }
-    let gen = generate()?;
+}
+
+fn cmd_sim(opts: &Opts, gen: &GeneratedProtocol) -> Result<String, String> {
     let quads = opts.num::<usize>("--quads", 2)?;
     let nodes_per_quad = opts.num::<usize>("--nodes", 2)?;
     let ops = opts.num::<usize>("--ops", 100)?;
@@ -653,7 +704,7 @@ fn cmd_sim(opts: &Opts) -> Result<String, String> {
         .flat_map(|q| (0..nodes_per_quad).map(move |n| NodeId::new(q, n)))
         .collect();
     let wl = Workload::random(&nodes, ops, 16, Mix::default(), seed);
-    let mut sim = Sim::new(&gen, cfg, wl);
+    let mut sim = Sim::new(gen, cfg, wl);
     if chaos {
         let mut plan = FaultPlan::quiet(opts.num("--fault-seed", seed)?);
         plan.rates = match opts.value("--faults") {
@@ -1148,11 +1199,15 @@ fn cmd_stats(inner: &[String]) -> Result<String, String> {
     if inner.is_empty() {
         let argv =
             |s: &str| -> Vec<String> { s.split_whitespace().map(|x| x.to_string()).collect() };
-        out.push_str(&dispatch(&argv("gen"))?);
+        // One solve of the ASURA tables serves gen, deadlock and sim.
+        let gen = generate()?;
+        out.push_str(&cmd_gen(&Opts::new("gen", &[])?, &gen)?);
         // V1 has cycles by design: the Err path still records the
         // depend/flows spans we are after.
-        let _ = dispatch(&argv("deadlock --assignment v1"));
-        out.push_str(&dispatch(&argv("sim --seed 1 --ops 40"))?);
+        let v1 = argv("--assignment v1");
+        let _ = cmd_deadlock(&Opts::new("deadlock", &v1)?, &gen);
+        let sim = argv("--seed 1 --ops 40");
+        out.push_str(&cmd_sim(&Opts::new("sim", &sim)?, &gen)?);
         out.push_str(&dispatch(&argv("mc --nodes 2 --quota 1"))?);
     } else {
         match dispatch(inner) {
@@ -1163,8 +1218,16 @@ fn cmd_stats(inner: &[String]) -> Result<String, String> {
             }
         }
     }
-    let spans = ccsql_obs::flight::snapshot();
-    let spans = &spans[first..];
+    // Every stage records on the thread that calls it (the mc workers
+    // record nothing), so this thread's spans are the whole run, and a
+    // concurrent caller of the library never lands in the report.
+    let track = ccsql_obs::flight::current_track();
+    let spans: Vec<_> = ccsql_obs::flight::snapshot()
+        .split_off(first)
+        .into_iter()
+        .filter(|s| s.track == track)
+        .collect();
+    let spans = &spans[..];
     out.push_str("\n=== spans ===\n");
     out.push_str(&stage_table(spans));
     for s in spans
@@ -1569,14 +1632,14 @@ fn zoo_specmc(m: &SpecMachine, proto: &SpecMcOpts) -> (bool, String) {
 }
 
 /// Positional (non-flag) arguments: everything that is not a `--flag`
-/// and not the value slot of a [`VALUE_FLAGS`] flag.
+/// and not the value slot of one of the command's value flags.
 fn positional<'a>(opts: &Opts<'a>) -> Vec<&'a str> {
     let mut out = Vec::new();
     let mut skip = false;
     for a in opts.args {
         if skip {
             skip = false;
-        } else if VALUE_FLAGS.contains(&a.as_str()) {
+        } else if opts.cmd.values.contains(&a.as_str()) {
             skip = true;
         } else if !a.starts_with("--") {
             out.push(a.as_str());
@@ -2019,20 +2082,79 @@ mod tests {
         assert!(!path.exists(), "a removed flag wrote {}", path.display());
     }
 
-    /// A flag no command reads is an error naming it, never a run with
-    /// the defaults.
+    /// A flag the command does not read is an error naming it, never a
+    /// run with the defaults — also when another command reads it.
     #[test]
     fn unknown_flags_fail_closed() {
+        let fig3 = zoo_spec("fig3");
         for (cmd, flag) in [
-            ("mc --node 3 --quota 1", "--node"),
-            ("mc --nodes 3 --no-symetry", "--no-symetry"),
-            ("gen --tabel D", "--tabel"),
-            ("gen --stats", "--stats"),
+            ("mc --node 3 --quota 1".to_string(), "--node"),
+            ("mc --nodes 3 --no-symetry".to_string(), "--no-symetry"),
+            ("gen --tabel D".to_string(), "--tabel"),
+            ("gen --stats".to_string(), "--stats"),
+            ("gen --quick".to_string(), "--quick"),
+            (
+                format!("sim --spec {fig3} --no-symmetry --ops 10"),
+                "--no-symmetry",
+            ),
+            (
+                "deadlock --assignment v2 --threads 2".to_string(),
+                "--threads",
+            ),
+            ("stats gen --quick".to_string(), "--quick"),
         ] {
-            let err = run(&argv(cmd)).unwrap_err();
+            let err = run(&argv(&cmd)).unwrap_err();
             assert!(
                 err.contains(&format!("unknown flag {flag}")),
                 "{cmd}: {err}"
+            );
+        }
+    }
+
+    /// Each command's `USAGE` entry names exactly the flags `COMMANDS`
+    /// declares for it, and every command but `help` has an entry.
+    #[test]
+    fn usage_lists_exactly_each_commands_flags() {
+        let section = USAGE
+            .split("\n\n")
+            .find(|p| p.contains("    ccsql gen "))
+            .expect("the USAGE command list");
+        // An entry is a `    ccsql NAME …` line plus its indented
+        // continuation lines.
+        let mut entries: Vec<(String, std::collections::BTreeSet<String>)> = Vec::new();
+        for line in section.lines() {
+            if let Some(rest) = line.strip_prefix("    ccsql ") {
+                let name = rest.split_whitespace().next().unwrap_or_default();
+                entries.push((name.to_string(), Default::default()));
+            } else if !line.starts_with("        ") {
+                continue;
+            }
+            let Some((_, flags)) = entries.last_mut() else {
+                continue;
+            };
+            for token in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if token.starts_with("--") {
+                    flags.insert(token.to_string());
+                }
+            }
+        }
+        for c in COMMANDS.iter().filter(|c| c.name != "help") {
+            let (_, listed) = entries
+                .iter()
+                .find(|(name, _)| name == c.name)
+                .unwrap_or_else(|| panic!("USAGE has no entry for {}", c.name));
+            let declared: std::collections::BTreeSet<String> = c
+                .values
+                .iter()
+                .chain(c.flags)
+                .map(|f| f.to_string())
+                .collect();
+            assert_eq!(listed, &declared, "USAGE vs COMMANDS for {}", c.name);
+        }
+        for (name, _) in &entries {
+            assert!(
+                COMMANDS.iter().any(|c| c.name == name),
+                "USAGE lists {name}, which COMMANDS does not declare"
             );
         }
     }
@@ -2070,6 +2192,11 @@ mod tests {
             out.contains(" rows=498 columns=30 candidates=62842"),
             "{out}"
         );
+        // The default pipeline solves the ASURA tables once for gen,
+        // deadlock and sim.
+        let out = run(&argv("stats")).unwrap();
+        let solves = out.lines().filter(|l| l.starts_with("solve/D ms=")).count();
+        assert_eq!(solves, 1, "{out}");
     }
 
     #[test]
@@ -2222,14 +2349,12 @@ mod tests {
     }
 
     #[test]
-    fn mc_and_deadlock_accept_threads() {
+    fn mc_accepts_threads() {
         let out = run(&argv("mc --nodes 2 --quota 1 --threads 2")).unwrap();
         assert!(out.contains("2 thread(s)"), "{out}");
         assert!(run(&argv("mc --threads abc")).is_err());
         let err = run(&argv("mc --nodes 2 --threads")).unwrap_err();
         assert!(err.contains("--threads"), "{err}");
-        let ok = run(&argv("deadlock --assignment v2 --threads 2")).unwrap();
-        assert!(ok.contains("absence of deadlocks"));
     }
 
     /// Heartbeats must never change a result byte: the ticker only

@@ -19,15 +19,18 @@
 //! The union of all individual and pairwise tables is the *protocol
 //! dependency table* — the virtual channel dependency graph in tabular
 //! form, analysed for cycles by [`crate::vcg`].
+//!
+//! Every direct row is built from one shape, the message view of a
+//! solved table row ([`FlowRow`]): the built-in protocol's tables
+//! ([`protocol_flow_rows`]) and the flow analysis of `ccsql-lint`, over
+//! spec files too, go through the same [`dependency_table`].
 
 use crate::gen::GeneratedProtocol;
 use crate::vc::VcAssignment;
 use ccsql_obs::hash::FxHashMap;
 use ccsql_protocol::topology::{QuadPlacement, Role, PLACEMENTS};
 use ccsql_protocol::ControllerSpec;
-use ccsql_relalg::{ColumnarRelation, Relation, Sym, Value};
-use std::collections::HashMap;
-use std::ops::Range;
+use ccsql_relalg::{Relation, Sym, Value};
 
 /// A virtual-channel assignment instance: message `msg` travelling from
 /// `src` to `dest` over channel `vc`. Roles are already canonicalised
@@ -60,7 +63,7 @@ pub enum Provenance {
     /// Directly from a controller-table row.
     Direct {
         /// Controller table name.
-        controller: &'static str,
+        controller: Sym,
         /// Row index in the generated controller table.
         row: usize,
     },
@@ -111,12 +114,6 @@ pub struct AnalysisConfig {
     /// paper abandoned: "we abandoned this due to the excessive number
     /// of spurious cycles"). `false` = single pairwise pass.
     pub transitive_closure: bool,
-    /// Worker threads for the direct-row generation and the candidate
-    /// join of each composition round (`<= 1` = sequential). The result
-    /// is byte-identical for every thread count: workers own contiguous
-    /// chunks and their outputs are merged in chunk order, reproducing
-    /// the sequential row order exactly.
-    pub threads: usize,
 }
 
 impl Default for AnalysisConfig {
@@ -126,7 +123,6 @@ impl Default for AnalysisConfig {
             compose: true,
             ignore_messages: true,
             transitive_closure: false,
-            threads: 1,
         }
     }
 }
@@ -140,196 +136,148 @@ impl AnalysisConfig {
             compose: true,
             ignore_messages: false,
             transitive_closure: false,
-            threads: 1,
         }
     }
+}
 
-    /// The same configuration with `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> AnalysisConfig {
-        self.threads = threads;
-        self
+/// One accept or emit occurrence of a table row: a message triple with
+/// its *physical* roles and the virtual channel `V` assigns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlowAssign {
+    /// Message name.
+    pub msg: Sym,
+    /// Physical source role.
+    pub src: Role,
+    /// Physical destination role.
+    pub dest: Role,
+    /// The shared channel of the triple; `None` when `V` assigns it no
+    /// channel or a dedicated path (dedicated paths are private per
+    /// message class, so nothing ever waits on them).
+    pub vc: Option<Sym>,
+}
+
+impl FlowAssign {
+    /// Resolve the triple `(msg, src, dest)` against `v`: the one
+    /// channel resolver of the dependency table and the flow analysis.
+    pub fn new(v: &VcAssignment, msg: Sym, src: Role, dest: Role) -> FlowAssign {
+        let vc = v
+            .lookup(msg.as_str(), src, dest)
+            .filter(|vc| !v.is_dedicated(vc))
+            .map(Sym::intern);
+        FlowAssign { msg, src, dest, vc }
     }
-}
 
-/// Below this many (placement, controller) work units per worker, the
-/// direct-row generation runs sequentially: spawning a thread costs more
-/// than deriving a unit's rows (parallelising the 40-unit workload once
-/// made it 13× *slower*).
-const PAR_MIN_UNITS_PER_WORKER: usize = 32;
-
-/// Below this many probe rows per worker, a composition round runs
-/// sequentially: thread spawn and join would cost more than the probes.
-const PAR_MIN_ROWS_PER_WORKER: usize = 4096;
-
-/// Run `run` over `0..n` split into at most `threads` contiguous
-/// chunks on scoped threads; chunk outputs come back in chunk order,
-/// so concatenating them reproduces the sequential iteration order.
-///
-/// `min_per_worker` is the spawn-cost guard: the worker count is capped
-/// at `n / min_per_worker`, so small workloads degrade gracefully to an
-/// inline sequential run (and mid-sized ones to fewer workers) instead
-/// of paying thread spawn/join for sub-millisecond work. The output is
-/// identical for every `threads` value either way.
-fn par_chunks<R: Send>(
-    n: usize,
-    threads: usize,
-    min_per_worker: usize,
-    run: impl Fn(Range<usize>) -> R + Sync,
-) -> Vec<R> {
-    let workers = threads
-        .max(1)
-        .min(n / min_per_worker.max(1))
-        .max(1)
-        .min(n.max(1));
-    if workers <= 1 {
-        return vec![run(0..n)];
+    /// `msg src→dest` (the rendering shared by diagnostics and DOT).
+    pub fn describe(&self) -> String {
+        format!("{} {}→{}", self.msg, self.src, self.dest)
     }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                // Clamp both ends: with ceil-division the trailing
-                // worker's nominal start can land past `n` (e.g. n=40,
-                // workers=12, chunk=4 → worker 11 starts at 44), which
-                // must become an empty range, not an out-of-bounds slice.
-                let lo = (w * chunk).min(n);
-                let hi = ((w + 1) * chunk).min(n);
-                let run = &run;
-                s.spawn(move || run(lo..hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("depend worker panicked"))
-            .collect()
-    })
-}
 
-/// A resolved `(msg, src, dest, vc)` assignment *before* quad-placement
-/// canonicalisation — shared by all five placements of a controller.
-#[derive(Clone, Copy, Debug)]
-struct PreAssignment {
-    msg: Sym,
-    src: Role,
-    dest: Role,
-    vc: Sym,
-}
+    /// Same `(msg, src, dest)` triple?
+    pub fn same_triple(&self, other: &FlowAssign) -> bool {
+        self.msg == other.msg && self.src == other.src && self.dest == other.dest
+    }
 
-impl PreAssignment {
-    #[inline]
-    fn canon(self, placement: QuadPlacement) -> Assignment {
-        Assignment {
+    /// The dependency-table assignment under `placement`: roles
+    /// canonicalised, `None` off the shared channels.
+    fn under(self, placement: QuadPlacement) -> Option<Assignment> {
+        Some(Assignment {
             msg: self.msg,
             src: placement.canon(self.src),
             dest: placement.canon(self.dest),
-            vc: self.vc,
-        }
+            vc: self.vc?,
+        })
     }
 }
 
-/// A controller table pre-resolved for dependency extraction.
-///
-/// The old path re-did the whole string pipeline — `index_of_str` per
-/// triple, `Sym::as_str` + `Role::parse`, the `V` lookup by message
-/// *name* — for every row under every one of the five quad placements.
-/// This resolves each table **once**: the relation goes columnar as
-/// interned value ids, each triple's three columns are located once,
-/// and every *distinct* id-triple is resolved through a memo (the
-/// column domains are tiny, so almost every row is a memo hit). What
-/// remains per placement is a pure array scan plus the placement's role
-/// canonicalisation.
-struct ResolvedController {
-    ctrl_name: &'static str,
-    rows: usize,
-    /// Per input triple, per row: the resolved assignment (pre-canon).
-    inputs: Vec<Vec<Option<PreAssignment>>>,
-    /// Per output triple, per row: the resolved assignment (pre-canon).
-    outputs: Vec<Vec<Option<PreAssignment>>>,
+/// The message view of one solved table row: the triples it accepts and
+/// emits, in the order of the table's triple columns.
+#[derive(Clone, Debug)]
+pub struct FlowRow {
+    /// Owning table (controller) name.
+    pub table: Sym,
+    /// Row index in the solved table.
+    pub row: usize,
+    /// Triples the row consumes.
+    pub accepts: Vec<FlowAssign>,
+    /// Triples the row produces.
+    pub emits: Vec<FlowAssign>,
 }
 
-impl ResolvedController {
-    fn new(ctrl: &ControllerSpec, table: &Relation, v: &VcAssignment) -> ResolvedController {
-        let cols = ColumnarRelation::from_relation(table);
-        let rows = cols.len();
-        let schema = table.schema();
-        let mut memo: FxHashMap<(u32, u32, u32), Option<PreAssignment>> = FxHashMap::default();
-        let mut resolve_triple = |t: &ccsql_protocol::MsgTriple| -> Vec<Option<PreAssignment>> {
-            let (Some(mi), Some(si), Some(di)) = (
-                schema.index_of_str(t.msg),
-                schema.index_of_str(t.src),
-                schema.index_of_str(t.dest),
-            ) else {
-                return vec![None; rows];
-            };
-            let (mc, sc, dc) = (cols.col(mi), cols.col(si), cols.col(di));
-            (0..rows)
-                .map(|i| {
-                    *memo
-                        .entry((mc[i], sc[i], dc[i]))
-                        .or_insert_with(|| resolve_ids(mc[i], sc[i], dc[i], v))
-                })
-                .collect()
-        };
-        let inputs = ctrl.input_triples.iter().map(&mut resolve_triple).collect();
-        let outputs = ctrl
-            .output_triples
+impl FlowRow {
+    /// The individual dependency rows of this table row under
+    /// `placement`: one per (accept, emit) pair on shared channels
+    /// ("multiple outgoing messages for an incoming message lead to
+    /// multiple entries").
+    fn dep_rows(&self, placement: QuadPlacement) -> impl Iterator<Item = DepRow> + '_ {
+        self.accepts
             .iter()
-            .map(&mut resolve_triple)
-            .collect();
-        ResolvedController {
-            ctrl_name: ctrl.name,
-            rows,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// The individual dependency rows under one placement — the same
-    /// rows, in the same order, as the original per-row resolution.
-    fn dep_rows(&self, placement: QuadPlacement) -> Vec<DepRow> {
-        let mut out = Vec::new();
-        for ri in 0..self.rows {
-            for it in &self.inputs {
-                let Some(input) = it[ri] else {
-                    continue;
-                };
-                let input = input.canon(placement);
-                for ot in &self.outputs {
-                    let Some(output) = ot[ri] else {
-                        continue;
-                    };
-                    out.push(DepRow {
+            .filter_map(move |a| a.under(placement))
+            .flat_map(move |input| {
+                self.emits
+                    .iter()
+                    .filter_map(move |e| e.under(placement))
+                    .map(move |output| DepRow {
                         input,
-                        output: output.canon(placement),
+                        output,
                         placement,
                         provenance: Provenance::Direct {
-                            controller: self.ctrl_name,
-                            row: ri,
+                            controller: self.table,
+                            row: self.row,
                         },
-                    });
-                }
-            }
-        }
-        out
+                    })
+            })
     }
 }
 
-/// Resolve one interned id-triple against `V`: decode, parse roles, look
-/// up the channel, drop dedicated paths.
-fn resolve_ids(m: u32, s: u32, d: u32, v: &VcAssignment) -> Option<PreAssignment> {
-    let msg = Value::from_vid(m).as_sym()?;
-    let src = Role::parse(Value::from_vid(s).as_sym()?.as_str())?;
-    let dest = Role::parse(Value::from_vid(d).as_sym()?.as_str())?;
-    let vc = v.lookup(msg.as_str(), src, dest)?;
-    if v.is_dedicated(vc) {
-        return None;
+/// The message view of one controller table: one [`FlowRow`] per row,
+/// each triple resolved through the controller's declared `(msg, src,
+/// dest)` column triples. A triple whose cells are not a message and
+/// two roles (`NULL` outputs) is no occurrence at all.
+fn controller_flow_rows(ctrl: &ControllerSpec, table: &Relation, v: &VcAssignment) -> Vec<FlowRow> {
+    let schema = table.schema();
+    // Locate each triple's three columns once.
+    let locate = |ts: &[ccsql_protocol::MsgTriple]| -> Vec<[usize; 3]> {
+        ts.iter()
+            .filter_map(|t| {
+                Some([
+                    schema.index_of_str(t.msg)?,
+                    schema.index_of_str(t.src)?,
+                    schema.index_of_str(t.dest)?,
+                ])
+            })
+            .collect()
+    };
+    let (ins, outs) = (locate(&ctrl.input_triples), locate(&ctrl.output_triples));
+    let name = Sym::intern(ctrl.name);
+    table
+        .rows()
+        .enumerate()
+        .map(|(ri, row)| {
+            let resolve = |&[mi, si, di]: &[usize; 3]| -> Option<FlowAssign> {
+                let role = |i: usize| Role::parse(row[i].as_sym()?.as_str());
+                Some(FlowAssign::new(v, row[mi].as_sym()?, role(si)?, role(di)?))
+            };
+            FlowRow {
+                table: name,
+                row: ri,
+                accepts: ins.iter().filter_map(resolve).collect(),
+                emits: outs.iter().filter_map(resolve).collect(),
+            }
+        })
+        .collect()
+}
+
+/// The message view of every controller table of `gen` under `v`, in
+/// (controller, row) order.
+pub fn protocol_flow_rows(
+    gen: &GeneratedProtocol,
+    v: &VcAssignment,
+) -> ccsql_relalg::Result<Vec<FlowRow>> {
+    let mut rows = Vec::new();
+    for c in &gen.spec.controllers {
+        rows.extend(controller_flow_rows(c, gen.table(c.name)?, v));
     }
-    Some(PreAssignment {
-        msg,
-        src,
-        dest,
-        vc: Sym::intern(vc),
-    })
+    Ok(rows)
 }
 
 /// Extract the individual controller dependency table of one controller
@@ -347,7 +295,10 @@ pub fn controller_dependency_rows(
     v: &VcAssignment,
     placement: QuadPlacement,
 ) -> Vec<DepRow> {
-    ResolvedController::new(ctrl, table, v).dep_rows(placement)
+    controller_flow_rows(ctrl, table, v)
+        .iter()
+        .flat_map(|r| r.dep_rows(placement))
+        .collect()
 }
 
 /// Composition match key: message (unless ignored), source, destination
@@ -368,67 +319,51 @@ pub fn protocol_dependency_table(
     v: &VcAssignment,
     cfg: &AnalysisConfig,
 ) -> ccsql_relalg::Result<DependencyTable> {
+    let rows = {
+        let _rspan = ccsql_obs::flight::span("depend", "resolve");
+        protocol_flow_rows(gen, v)?
+    };
+    Ok(dependency_table(&rows, cfg))
+}
+
+/// Build the dependency table of solved table rows under `cfg`: the
+/// individual controller dependency tables placement-major (each
+/// placement over every row in order), then — with `cfg.compose` — the
+/// pairwise composition, all deduplicated on (input, output, placement).
+pub fn dependency_table(rows: &[FlowRow], cfg: &AnalysisConfig) -> DependencyTable {
     let fspan = ccsql_obs::flight::span("depend", "build");
-    let mut rows: Vec<DepRow> = Vec::new();
+    let mut out: Vec<DepRow> = Vec::new();
     let mut seen: FxHashMap<(Assignment, Assignment, u8), usize> = FxHashMap::default();
     let mut dedup_hits: u64 = 0;
     let placement_id = |p: QuadPlacement| PLACEMENTS.iter().position(|&q| q == p).unwrap() as u8;
 
-    let mut push = |rows: &mut Vec<DepRow>, r: DepRow| -> bool {
+    let mut push = |out: &mut Vec<DepRow>, r: DepRow| -> bool {
         let key = (r.input, r.output, placement_id(r.placement));
         match seen.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(rows.len());
-                rows.push(r);
+                e.insert(out.len());
+                out.push(r);
                 true
             }
         }
     };
 
-    // Resolve every controller table once — columnar ids + memoised
-    // triple lookups — then fan the five placements out over the shared
-    // resolutions instead of re-resolving per placement.
-    let resolved: Vec<ResolvedController> = {
-        let _rspan = ccsql_obs::flight::span("depend", "resolve");
-        gen.spec
-            .controllers
-            .iter()
-            .map(|c| Ok(ResolvedController::new(c, gen.table(c.name)?, v)))
-            .collect::<ccsql_relalg::Result<_>>()?
-    };
-
-    // Individual controller dependency tables: one work unit per
-    // (placement, controller) pair, generated in parallel and merged in
-    // unit order (placement-major), i.e. the sequential order.
-    let mut units: Vec<(QuadPlacement, &ResolvedController)> = Vec::new();
-    for &placement in &cfg.placements {
-        for rc in &resolved {
-            units.push((placement, rc));
-        }
-    }
     let direct_span = ccsql_obs::flight::span("depend", "direct");
-    let unit_rows: Vec<Vec<Vec<DepRow>>> = par_chunks(
-        units.len(),
-        cfg.threads,
-        PAR_MIN_UNITS_PER_WORKER,
-        |range| units[range].iter().map(|&(p, rc)| rc.dep_rows(p)).collect(),
-    );
-    for r in unit_rows.into_iter().flatten().flatten() {
-        if !push(&mut rows, r) {
-            dedup_hits += 1;
+    for &placement in &cfg.placements {
+        for r in rows.iter().flat_map(|row| row.dep_rows(placement)) {
+            if !push(&mut out, r) {
+                dedup_hits += 1;
+            }
         }
     }
-    let direct = rows.len();
-    direct_span.arg("units", units.len());
-    direct_span.arg("rows", direct);
+    direct_span.arg("rows", out.len());
     drop(direct_span);
 
     if !cfg.compose {
-        fspan.arg("rows", rows.len());
+        fspan.arg("rows", out.len());
         fspan.arg("dedup_hits", dedup_hits);
-        fspan.arg("threads", cfg.threads.max(1));
-        return Ok(DependencyTable { rows });
+        return DependencyTable { rows: out };
     }
 
     // Pairwise composition (optionally to a fixpoint). Matching is done
@@ -442,11 +377,11 @@ pub fn protocol_dependency_table(
         round += 1;
         let round_span = ccsql_obs::flight::span("depend", "round");
         round_span.arg("round", round);
-        round_span.arg("rows_in", rows.len());
+        round_span.arg("rows_in", out.len());
         // Index current rows by (placement, input key) — the build side
         // of the hash join.
         let mut index: FxHashMap<(u8, Key), Vec<usize>> = FxHashMap::default();
-        for (i, r) in rows.iter().enumerate() {
+        for (i, r) in out.iter().enumerate() {
             for &mode in &modes {
                 index
                     .entry((placement_id(r.placement), match_key(&r.input, mode)))
@@ -454,54 +389,42 @@ pub fn protocol_dependency_table(
                     .push(i);
             }
         }
-        // Probe side, partitioned by left row across workers. Each
-        // worker owns a contiguous chunk of left rows and emits its
-        // candidates in (left, mode, right) order, so concatenating the
-        // chunks reproduces the sequential candidate order exactly.
-        let candidate_chunks: Vec<Vec<DepRow>> =
-            par_chunks(rows.len(), cfg.threads, PAR_MIN_ROWS_PER_WORKER, |range| {
-                let mut out: Vec<DepRow> = Vec::new();
-                for li in range {
-                    let left = &rows[li];
-                    for &mode in &modes {
-                        let key = (placement_id(left.placement), match_key(&left.output, mode));
-                        if let Some(cands) = index.get(&key) {
-                            for &ri in cands {
-                                out.push(DepRow {
-                                    input: left.input,
-                                    output: rows[ri].output,
-                                    placement: left.placement,
-                                    provenance: Provenance::Composed {
-                                        left: li,
-                                        right: ri,
-                                        mode,
-                                    },
-                                });
-                            }
-                        }
-                    }
+        // Probe side, in (left, mode, right) order.
+        let mut candidates: Vec<DepRow> = Vec::new();
+        for (li, left) in out.iter().enumerate() {
+            for &mode in &modes {
+                let key = (placement_id(left.placement), match_key(&left.output, mode));
+                for &ri in index.get(&key).into_iter().flatten() {
+                    candidates.push(DepRow {
+                        input: left.input,
+                        output: out[ri].output,
+                        placement: left.placement,
+                        provenance: Provenance::Composed {
+                            left: li,
+                            right: ri,
+                            mode,
+                        },
+                    });
                 }
-                out
-            });
-        // Round barrier: merge + dedup sequentially, in chunk order.
+            }
+        }
         let mut added = false;
-        for r in candidate_chunks.into_iter().flatten() {
-            if push(&mut rows, r) {
+        for r in candidates {
+            if push(&mut out, r) {
                 added = true;
             } else {
                 dedup_hits += 1;
             }
         }
-        round_span.arg("rows_out", rows.len());
+        round_span.arg("rows_out", out.len());
         if !cfg.transitive_closure || !added {
             break;
         }
     }
-    fspan.arg("rows", rows.len());
+    fspan.arg("rows", out.len());
     fspan.arg("rounds", round);
     fspan.arg("dedup_hits", dedup_hits);
-    fspan.arg("threads", cfg.threads.max(1));
-    Ok(DependencyTable { rows })
+    DependencyTable { rows: out }
 }
 
 impl DependencyTable {
@@ -529,18 +452,8 @@ impl DependencyTable {
         rel
     }
 
-    /// Distinct channel-dependency edges `(vc1, vc2)` with one witness
-    /// row index each.
-    pub fn edges(&self) -> HashMap<(Sym, Sym), usize> {
-        let mut edges = HashMap::new();
-        for (i, r) in self.rows.iter().enumerate() {
-            edges.entry((r.input.vc, r.output.vc)).or_insert(i);
-        }
-        edges
-    }
-
     /// Trace the direct controller-row witnesses underlying row `i`.
-    pub fn direct_witnesses(&self, i: usize) -> Vec<(&'static str, usize)> {
+    pub fn direct_witnesses(&self, i: usize) -> Vec<(Sym, usize)> {
         let mut out = Vec::new();
         let mut stack = vec![i];
         while let Some(j) = stack.pop() {
@@ -663,7 +576,7 @@ mod tests {
         let r3 = r3.expect("paper row R3 not inferred");
         // Its witnesses trace back to real controller rows in M and D.
         let wits = table.direct_witnesses(r3);
-        let ctrls: Vec<&str> = wits.iter().map(|(c, _)| *c).collect();
+        let ctrls: Vec<&str> = wits.iter().map(|(c, _)| c.as_str()).collect();
         assert!(ctrls.contains(&"M") && ctrls.contains(&"D"));
     }
 
@@ -696,86 +609,6 @@ mod tests {
         )
         .unwrap();
         assert!(closure.rows.len() >= single.rows.len());
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_table() {
-        // Parallel generation + composition must be byte-identical to
-        // sequential: same rows, same order, same provenance — not just
-        // the same set.
-        let g = generated();
-        let base = AnalysisConfig {
-            transitive_closure: true,
-            ..AnalysisConfig::default()
-        };
-        let seq = protocol_dependency_table(g, &VcAssignment::v1(), &base).unwrap();
-        // 12 and 32 deliberately do not divide the unit count (5
-        // placements × controllers): with ceil-division chunking the
-        // trailing workers get empty ranges, which must not panic.
-        for threads in [2, 4, 8, 12, 32] {
-            let par = protocol_dependency_table(
-                g,
-                &VcAssignment::v1(),
-                &base.clone().with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(seq.rows.len(), par.rows.len(), "{threads} threads");
-            for (i, (a, b)) in seq.rows.iter().zip(&par.rows).enumerate() {
-                assert_eq!(
-                    (a.input, a.output, a.placement, a.provenance),
-                    (b.input, b.output, b.placement, b.provenance),
-                    "row {i} differs at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_chunks_covers_every_index_for_awkward_worker_counts() {
-        // Thread counts that don't divide n leave trailing workers with
-        // nominal starts past n (e.g. n=40, threads=12 → chunk=4, worker
-        // 11 would start at 44); those must become empty ranges, and the
-        // concatenated chunks must still be exactly 0..n in order.
-        for (n, threads) in [
-            (40, 12),
-            (40, 16),
-            (40, 24),
-            (40, 32),
-            (5, 3),
-            (1, 8),
-            (0, 4),
-        ] {
-            let chunks = par_chunks(n, threads, 1, |r| r.collect::<Vec<usize>>());
-            let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-            assert_eq!(
-                flat,
-                (0..n).collect::<Vec<usize>>(),
-                "n={n} threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn spawn_cost_guard_caps_workers_by_workload() {
-        // The guard runs small workloads inline (one chunk), mid-sized
-        // ones on fewer workers than requested, and never changes the
-        // concatenated output.
-        for (n, threads, min, want_chunks) in [
-            (40, 4, 32, 1),     // the regressing depend workload: inline
-            (64, 4, 32, 2),     // 2×32 units → 2 workers despite threads=4
-            (40, 4, 1, 4),      // min=1 keeps the old behaviour
-            (8192, 4, 4096, 2), // solver-sized guard
-            (4095, 8, 4096, 1),
-        ] {
-            let chunks = par_chunks(n, threads, min, |r| r.collect::<Vec<usize>>());
-            assert_eq!(
-                chunks.len(),
-                want_chunks,
-                "n={n} threads={threads} min={min}"
-            );
-            let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-            assert_eq!(flat, (0..n).collect::<Vec<usize>>());
-        }
     }
 
     #[test]

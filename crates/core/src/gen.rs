@@ -58,8 +58,7 @@ impl GeneratedProtocol {
         opts: GenOptions,
     ) -> ccsql_relalg::Result<GeneratedProtocol> {
         let ctx = ProtocolSpec::eval_context();
-        let mut db = Database::new();
-        define_protocol_sets(&mut db);
+        let mut db = Database::with_sets(ctx.clone());
         let mut stats = HashMap::new();
         for c in &spec.controllers {
             let (rel, st) = c.spec.generate_with(opts, &ctx)?;
@@ -88,20 +87,6 @@ impl GeneratedProtocol {
     pub fn context() -> SetContext {
         ProtocolSpec::eval_context()
     }
-}
-
-/// Define the protocol's named sets on a database so invariants written
-/// with `isrequest(…)` / `iscompletion(…)` evaluate.
-pub fn define_protocol_sets(db: &mut Database) {
-    for (name, values) in ccsql_protocol::messages::named_sets() {
-        db.define_set(name, values);
-    }
-    db.define_set(
-        "iscompletion",
-        ccsql_protocol::directory::COMPLETIONS
-            .iter()
-            .map(|n| ccsql_relalg::Value::sym(n)),
-    );
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //!    that the original debugged `D` is contained in the mapping —
 //!    "to ensure that no errors are introduced in mapping D".
 
-use crate::gen::{define_protocol_sets, GeneratedProtocol};
+use crate::gen::GeneratedProtocol;
 use ccsql_protocol::messages;
 use ccsql_relalg::ops;
 use ccsql_relalg::{Database, Relation, Schema, Value};
@@ -310,8 +310,7 @@ impl HwMapping {
     pub fn build(gen: &GeneratedProtocol) -> ccsql_relalg::Result<HwMapping> {
         let d = gen.table("D")?.clone();
         let ed = extend_table(&d)?;
-        let mut db = Database::new();
-        define_protocol_sets(&mut db);
+        let mut db = Database::with_sets(GeneratedProtocol::context());
         db.put_table("D", d);
         db.put_table("ED", ed.clone());
         let impl_tables = partition(&mut db)?;

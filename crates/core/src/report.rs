@@ -99,7 +99,7 @@ pub fn narrate_cycle(gen: &GeneratedProtocol, table: &DependencyTable, cycle: &C
                     "      direct from controller table {controller}, row {r}"
                 )
                 .unwrap();
-                if let Some(desc) = describe_controller_row(gen, controller, r) {
+                if let Some(desc) = describe_controller_row(gen, controller.as_str(), r) {
                     writeln!(s, "        {desc}").unwrap();
                 }
             }
@@ -111,7 +111,7 @@ pub fn narrate_cycle(gen: &GeneratedProtocol, table: &DependencyTable, cycle: &C
                 };
                 writeln!(s, "      composed ({mode}) from:").unwrap();
                 for (c, r) in wits {
-                    if let Some(desc) = describe_controller_row(gen, c, r) {
+                    if let Some(desc) = describe_controller_row(gen, c.as_str(), r) {
                         writeln!(s, "        {c}[{r}]: {desc}").unwrap();
                     }
                 }
@@ -191,7 +191,7 @@ impl DeadlockReport {
             let prov = match row.provenance {
                 Provenance::Direct { controller, row } => JsonObj::new()
                     .str("kind", "direct")
-                    .str("controller", controller)
+                    .str("controller", controller.as_str())
                     .u64("row", row as u64)
                     .finish(),
                 Provenance::Composed { left, right, mode } => {
@@ -202,7 +202,7 @@ impl DeadlockReport {
                         }
                         wits.push_str(
                             &JsonObj::new()
-                                .str("controller", c)
+                                .str("controller", c.as_str())
                                 .u64("row", r as u64)
                                 .finish(),
                         );

@@ -348,7 +348,7 @@ mod tests {
             output: asg(to.0, to.1),
             placement: QuadPlacement::AllDistinct,
             provenance: Provenance::Direct {
-                controller: "T",
+                controller: Sym::intern("T"),
                 row: 0,
             },
         }

@@ -45,7 +45,7 @@ fn random_table(rng: &mut SplitMix64) -> DependencyTable {
                     },
                     placement: QuadPlacement::AllDistinct,
                     provenance: Provenance::Direct {
-                        controller: "T",
+                        controller: Sym::intern("T"),
                         row: 0,
                     },
                 });
@@ -207,7 +207,7 @@ fn report_truncation_flag_tracks_cap() {
                     },
                     placement: QuadPlacement::AllDistinct,
                     provenance: Provenance::Direct {
-                        controller: "T",
+                        controller: Sym::intern("T"),
                         row: 0,
                     },
                 });

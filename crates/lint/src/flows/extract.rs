@@ -18,9 +18,10 @@
 
 use super::model::{FlowAssign, FlowUniverse};
 use ccsql_protocol::topology::Role;
+use ccsql_relalg::Sym;
 
 /// Accept occurrences `(row, accept)` indexed by their triple.
-type AcceptIndex<'a> = std::collections::HashMap<(&'a str, Role, Role), Vec<(usize, usize)>>;
+type AcceptIndex = std::collections::HashMap<(Sym, Role, Role), Vec<(usize, usize)>>;
 
 /// One step of a flow: a table row activated by one accepted triple.
 #[derive(Clone, Debug)]
@@ -83,7 +84,7 @@ pub fn extract(u: &FlowUniverse) -> Extraction {
     for (ri, r) in u.rows.iter().enumerate() {
         for (ai, a) in r.accepts.iter().enumerate() {
             accept_index
-                .entry((a.msg.as_str(), a.src, a.dest))
+                .entry((a.msg, a.src, a.dest))
                 .or_default()
                 .push((ri, ai));
         }
@@ -113,11 +114,10 @@ pub fn extract(u: &FlowUniverse) -> Extraction {
 
     // Rows consuming nothing but emitting something are environment-less
     // transactions of their own; group them per table.
-    let mut spont_tables: Vec<&str> = Vec::new();
+    let mut spont_tables: Vec<Sym> = Vec::new();
     for r in &u.rows {
-        if r.accepts.is_empty() && !r.emits.is_empty() && !spont_tables.contains(&r.table.as_str())
-        {
-            spont_tables.push(&r.table);
+        if r.accepts.is_empty() && !r.emits.is_empty() && !spont_tables.contains(&r.table) {
+            spont_tables.push(r.table);
         }
     }
     for table in spont_tables {
@@ -182,8 +182,7 @@ fn grow(
         next += 1;
         let row = &u.rows[steps[si].row];
         for emit in &row.emits {
-            let Some(consumers) = accept_index.get(&(emit.msg.as_str(), emit.src, emit.dest))
-            else {
+            let Some(consumers) = accept_index.get(&(emit.msg, emit.src, emit.dest)) else {
                 continue;
             };
             for &(ri, ai) in consumers {

@@ -126,7 +126,7 @@ impl WaitGraph {
         for (fi, f) in ex.flows.iter().enumerate() {
             for (si, s) in f.steps.iter().enumerate() {
                 let a = super::extract::step_accept(u, s)
-                    .and_then(|a| a.vc.clone())
+                    .and_then(|a| a.vc)
                     .map(|vc| {
                         push(
                             &mut nodes,
@@ -134,14 +134,14 @@ impl WaitGraph {
                             Node::Accept {
                                 flow: fi,
                                 step: si,
-                                vc,
+                                vc: vc.to_string(),
                             },
                         )
                     });
                 accept_id[fi].push(a);
                 let mut es = Vec::new();
                 for (ei, e) in u.rows[s.row].emits.iter().enumerate() {
-                    es.push(e.vc.clone().map(|vc| {
+                    es.push(e.vc.map(|vc| {
                         push(
                             &mut nodes,
                             &mut adj,
@@ -149,7 +149,7 @@ impl WaitGraph {
                                 flow: fi,
                                 step: si,
                                 emit: ei,
-                                vc,
+                                vc: vc.to_string(),
                             },
                         )
                     }));

@@ -10,9 +10,10 @@
 //!    (CCL030);
 //! 3. [`graph`] — build the flow-waits-for graph over `(flow, step,
 //!    VC)` nodes and find wait-cycles symbolically in the node count;
-//! 4. [`xcheck`] — rebuild the concrete dependency table / VCG from the
-//!    same universe: corroborated cycles are parameterized deadlocks
-//!    (CCL031), uncorroborated ones triage notes (CCL032).
+//! 4. [`xcheck`] — build the concrete dependency table / VCG from the
+//!    same rows with `ccsql::depend`'s own builder: corroborated cycles
+//!    are parameterized deadlocks (CCL031), uncorroborated ones triage
+//!    notes (CCL032).
 //!
 //! The result renders as human text, canonical JSON (byte-identical
 //! across runs) or GraphViz DOT, and feeds a [`LintReport`].
@@ -141,7 +142,7 @@ impl FlowsAnalysis {
                 report.push(Diagnostic::new(
                     codes::NO_FLOW_COVER,
                     Severity::Warn,
-                    &row.table,
+                    row.table.as_str(),
                     "",
                     format!(
                         "…and {} more rows without flow cover",
@@ -154,7 +155,7 @@ impl FlowsAnalysis {
             report.push(Diagnostic::new(
                 codes::NO_FLOW_COVER,
                 Severity::Warn,
-                &row.table,
+                row.table.as_str(),
                 "",
                 format!(
                     "row {} (accepts {}) is reachable from no environment-initiated flow; \

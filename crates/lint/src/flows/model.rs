@@ -10,52 +10,13 @@
 //! Everything downstream (tree extraction, the waits-for graph, the
 //! concrete cross-check) consumes only this shape.
 
+use ccsql::depend::protocol_flow_rows;
+pub use ccsql::depend::{FlowAssign, FlowRow};
 use ccsql::gen::GeneratedProtocol;
 use ccsql::vc::VcAssignment;
 use ccsql_protocol::topology::Role;
 use ccsql_relalg::specfile::ROLE_LITERALS;
-use ccsql_relalg::{Relation, SpecFile, Value};
-
-/// One accept or emit occurrence of a table row: a fully-resolved
-/// message triple and its virtual channel.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlowAssign {
-    /// Message name.
-    pub msg: String,
-    /// Physical source role.
-    pub src: Role,
-    /// Physical destination role.
-    pub dest: Role,
-    /// The channel `V` assigns the triple; `None` when the triple has
-    /// no assignment or travels a dedicated path (no shared resource,
-    /// so it never participates in a wait).
-    pub vc: Option<String>,
-}
-
-impl FlowAssign {
-    /// `msg src→dest` (the rendering shared by diagnostics and DOT).
-    pub fn describe(&self) -> String {
-        format!("{} {}→{}", self.msg, self.src, self.dest)
-    }
-
-    /// Same `(msg, src, dest)` triple?
-    pub fn same_triple(&self, other: &FlowAssign) -> bool {
-        self.msg == other.msg && self.src == other.src && self.dest == other.dest
-    }
-}
-
-/// The message view of one solved table row.
-#[derive(Clone, Debug)]
-pub struct FlowRow {
-    /// Owning table (controller) name.
-    pub table: String,
-    /// Row index in the solved table.
-    pub row: usize,
-    /// Triples the row consumes.
-    pub accepts: Vec<FlowAssign>,
-    /// Triples the row produces.
-    pub emits: Vec<FlowAssign>,
-}
+use ccsql_relalg::{Relation, SpecFile, Sym, Value};
 
 /// A triple the environment may inject. Role slots are `None` when the
 /// boundary declares only message names (`extern send` in spec files).
@@ -72,7 +33,7 @@ pub struct EnvSource {
 impl EnvSource {
     /// Does this source trigger `accept`?
     pub fn matches(&self, accept: &FlowAssign) -> bool {
-        self.msg == accept.msg
+        self.msg == accept.msg.as_str()
             && self.src.is_none_or(|r| r == accept.src)
             && self.dest.is_none_or(|r| r == accept.dest)
     }
@@ -146,16 +107,17 @@ impl FlowUniverse {
             let dest = slot(fc.dest.as_deref().unwrap_or_default())?;
             plans.push((mi, is_input, src, dest));
         }
+        let table = Sym::intern(&sf.spec.name);
         let mut rows = Vec::with_capacity(rel.len());
         for (ri, row) in rel.rows().enumerate() {
             let mut fr = FlowRow {
-                table: sf.spec.name.clone(),
+                table,
                 row: ri,
                 accepts: Vec::new(),
                 emits: Vec::new(),
             };
             for (mi, is_input, src, dest) in &plans {
-                let Value::Sym(msg) = &row[*mi] else { continue };
+                let Value::Sym(msg) = row[*mi] else { continue };
                 let role_of = |s: &std::result::Result<usize, Role>| -> Option<Role> {
                     match s {
                         Ok(i) => match &row[*i] {
@@ -168,12 +130,7 @@ impl FlowUniverse {
                 let (Some(src), Some(dest)) = (role_of(src), role_of(dest)) else {
                     continue;
                 };
-                let assign = FlowAssign {
-                    msg: msg.to_string(),
-                    src,
-                    dest,
-                    vc: channel(v, msg.as_str(), src, dest),
-                };
+                let assign = FlowAssign::new(v, msg, src, dest);
                 if *is_input {
                     fr.accepts.push(assign);
                 } else {
@@ -209,52 +166,7 @@ impl FlowUniverse {
         gen: &GeneratedProtocol,
         v: &VcAssignment,
     ) -> Result<FlowUniverse, String> {
-        let mut rows = Vec::new();
-        for c in &gen.spec.controllers {
-            let table = gen
-                .table(c.name)
-                .map_err(|e| format!("controller {} has no generated table: {e}", c.name))?;
-            let schema = table.schema();
-            // Locate each triple's three columns once.
-            let locate = |ts: &[ccsql_protocol::MsgTriple]| -> Vec<(usize, usize, usize)> {
-                ts.iter()
-                    .filter_map(|t| {
-                        Some((
-                            schema.index_of_str(t.msg)?,
-                            schema.index_of_str(t.src)?,
-                            schema.index_of_str(t.dest)?,
-                        ))
-                    })
-                    .collect()
-            };
-            let (ins, outs) = (locate(&c.input_triples), locate(&c.output_triples));
-            for (ri, row) in table.rows().enumerate() {
-                let resolve = |&(mi, si, di): &(usize, usize, usize)| -> Option<FlowAssign> {
-                    let Value::Sym(msg) = &row[mi] else {
-                        return None;
-                    };
-                    let Value::Sym(src) = &row[si] else {
-                        return None;
-                    };
-                    let Value::Sym(dest) = &row[di] else {
-                        return None;
-                    };
-                    let (src, dest) = (Role::parse(src.as_str())?, Role::parse(dest.as_str())?);
-                    Some(FlowAssign {
-                        msg: msg.to_string(),
-                        src,
-                        dest,
-                        vc: channel(v, msg.as_str(), src, dest),
-                    })
-                };
-                rows.push(FlowRow {
-                    table: c.name.to_string(),
-                    row: ri,
-                    accepts: ins.iter().filter_map(&resolve).collect(),
-                    emits: outs.iter().filter_map(&resolve).collect(),
-                });
-            }
-        }
+        let rows = protocol_flow_rows(gen, v).map_err(|e| e.to_string())?;
         let sources = ccsql_protocol::ProtocolSpec::flow_env()
             .sources
             .iter()
@@ -271,15 +183,4 @@ impl FlowUniverse {
             sources,
         })
     }
-}
-
-/// The shared channel of a triple under `v`: `None` when unassigned or
-/// on a dedicated path (dedicated paths are private per message class,
-/// so nothing ever waits on them — mirrors `depend::resolve_ids`).
-fn channel(v: &VcAssignment, msg: &str, src: Role, dest: Role) -> Option<String> {
-    let vc = v.lookup(msg, src, dest)?;
-    if v.is_dedicated(vc) {
-        return None;
-    }
-    Some(vc.to_string())
 }

@@ -11,65 +11,27 @@
 //! triage instead.
 
 use super::model::FlowUniverse;
-use ccsql::depend::{Assignment, DepRow, DependencyTable, Provenance};
+use ccsql::depend::{dependency_table, AnalysisConfig};
 use ccsql::vcg::Vcg;
-use ccsql_protocol::topology::PLACEMENTS;
-use ccsql_relalg::Sym;
-use std::collections::HashMap;
 
 /// The concrete side of the differential.
 pub struct Concrete {
-    /// Direct dependency rows of the universe, all five placements.
-    pub table: DependencyTable,
-    /// The VCG over those rows.
-    pub vcg: Vcg,
-    /// Channel sets of the VCG's cycles (each sorted).
+    /// Channel sets of the cycles of the VCG over the universe's direct
+    /// dependency rows, all five placements (each sorted).
     pub cycle_channels: Vec<Vec<String>>,
 }
 
 impl Concrete {
-    /// Build the concrete dependency table and VCG from a universe.
+    /// Build the concrete dependency table and VCG from a universe: the
+    /// dependency table's own builder, without composition.
     pub fn build(u: &FlowUniverse) -> Concrete {
         let _fspan = ccsql_obs::flight::span("flows", "xcheck");
-        // `Provenance::Direct` wants 'static controller names; intern
-        // each table name once per analysis.
-        let mut names: HashMap<&str, &'static str> = HashMap::new();
-        let mut rows = Vec::new();
-        for r in &u.rows {
-            let controller: &'static str = names
-                .entry(r.table.as_str())
-                .or_insert_with(|| Box::leak(r.table.clone().into_boxed_str()));
-            for a in &r.accepts {
-                let Some(va) = &a.vc else { continue };
-                for e in &r.emits {
-                    let Some(ve) = &e.vc else { continue };
-                    for &p in PLACEMENTS {
-                        rows.push(DepRow {
-                            input: Assignment {
-                                msg: Sym::intern(&a.msg),
-                                src: p.canon(a.src),
-                                dest: p.canon(a.dest),
-                                vc: Sym::intern(va),
-                            },
-                            output: Assignment {
-                                msg: Sym::intern(&e.msg),
-                                src: p.canon(e.src),
-                                dest: p.canon(e.dest),
-                                vc: Sym::intern(ve),
-                            },
-                            placement: p,
-                            provenance: Provenance::Direct {
-                                controller,
-                                row: r.row,
-                            },
-                        });
-                    }
-                }
-            }
-        }
-        let table = DependencyTable { rows };
-        let vcg = Vcg::build(&table);
-        let cycle_channels = vcg
+        let cfg = AnalysisConfig {
+            compose: false,
+            ..AnalysisConfig::default()
+        };
+        let table = dependency_table(&u.rows, &cfg);
+        let cycle_channels = Vcg::build(&table)
             .cycles()
             .iter()
             .map(|c| {
@@ -78,11 +40,7 @@ impl Concrete {
                 chs
             })
             .collect();
-        Concrete {
-            table,
-            vcg,
-            cycle_channels,
-        }
+        Concrete { cycle_channels }
     }
 
     /// Is a flow-cycle channel set contained in some concrete cycle?
@@ -90,10 +48,5 @@ impl Concrete {
         self.cycle_channels
             .iter()
             .any(|cc| channels.iter().all(|c| cc.contains(c)))
-    }
-
-    /// Does the concrete VCG have any cycle at all?
-    pub fn cyclic(&self) -> bool {
-        !self.cycle_channels.is_empty()
     }
 }

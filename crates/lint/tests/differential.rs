@@ -12,8 +12,10 @@
 //! scripts/verify.sh; this test keeps the invariant enforced at
 //! `cargo test` granularity (debug build, so mc runs at small N).
 
+use ccsql::depend::{protocol_dependency_table, AnalysisConfig};
 use ccsql::gen::GeneratedProtocol;
 use ccsql::vc::VcAssignment;
+use ccsql::vcg::Vcg;
 use ccsql_lint::flows::{analyze_protocol, analyze_specfile, FlowsAnalysis, N_RANGE};
 use ccsql_relalg::specfile::parse_specfile;
 
@@ -88,6 +90,48 @@ fn protocol_verdicts_agree_for_every_assignment() {
             "{name}: wrong parameterized verdict"
         );
         assert_agreement(name, &a);
+    }
+}
+
+/// Composition never changes the VCG's cyclic components: the sorted
+/// SCC channel sets of the full dependency table, under pairwise
+/// composition and under the transitive closure, equal those of the
+/// direct rows the flows cross-check builds.
+#[test]
+fn composition_keeps_the_cyclic_components_of_the_direct_rows() {
+    let gen = GeneratedProtocol::generate_default().unwrap();
+    let sorted = |mut sets: Vec<Vec<String>>| {
+        for s in &mut sets {
+            s.sort();
+        }
+        sets.sort();
+        sets
+    };
+    for (v, want) in [
+        (VcAssignment::v0(), vec![vec!["VC0", "VC1", "VC2"]]),
+        (VcAssignment::v1(), vec![vec!["VC2", "VC4"]]),
+        (VcAssignment::v2(), vec![]),
+    ] {
+        let name = v.name;
+        let direct = sorted(analyze_protocol(&gen, &v).unwrap().vcg_cycles);
+        assert_eq!(direct, want, "{name}: direct-row cycles");
+        for transitive_closure in [false, true] {
+            let cfg = AnalysisConfig {
+                transitive_closure,
+                ..AnalysisConfig::default()
+            };
+            let table = protocol_dependency_table(&gen, &v, &cfg).unwrap();
+            let composed = Vcg::build(&table)
+                .cycles()
+                .iter()
+                .map(|c| c.channels.iter().map(|s| s.to_string()).collect())
+                .collect();
+            assert_eq!(
+                sorted(composed),
+                direct,
+                "{name}: composition (closure: {transitive_closure}) changed the cycles"
+            );
+        }
     }
 }
 

@@ -137,7 +137,8 @@ pub fn snapshot() -> Vec<SpanNode> {
     global().snapshot()
 }
 
-fn current_track() -> u32 {
+/// This thread's track: the Perfetto `tid` of the spans it records.
+pub fn current_track() -> u32 {
     TRACK.with(|t| {
         let mut t = t.borrow_mut();
         if *t == 0 {
@@ -409,12 +410,11 @@ pub struct StageSummary {
     pub self_us: u64,
 }
 
-/// Index of span `id` in `spans` — a snapshot or the tail of one (ids
-/// are contiguous in begin order). `None` for the root id 0 and for
-/// spans recorded before the slice starts.
+/// Index of span `id` in `spans` — a snapshot or any part of one kept
+/// in begin order (a tail, one thread's spans). `None` for the root id
+/// 0 and for spans outside the part.
 fn position(spans: &[SpanNode], id: u32) -> Option<usize> {
-    let i = id.checked_sub(spans.first()?.id)? as usize;
-    (i < spans.len()).then_some(i)
+    spans.binary_search_by_key(&id, |s| s.id).ok()
 }
 
 /// Does `s` enter its stage: no parent within `spans`, or a parent in

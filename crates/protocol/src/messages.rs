@@ -171,7 +171,7 @@ pub fn all_names() -> Vec<&'static str> {
 }
 
 /// The named sets the paper's SQL uses (`isrequest(…)`, `isresponse(…)`),
-/// as (set name, members) pairs ready for `Database::define_set`.
+/// as (set name, members) pairs ready for `SetContext::define`.
 pub fn named_sets() -> Vec<(&'static str, Vec<Value>)> {
     vec![
         (

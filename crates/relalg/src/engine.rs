@@ -30,6 +30,15 @@ impl Database {
         Database::default()
     }
 
+    /// Empty database whose expressions see the named sets of `sets`
+    /// (usable as `name(x)`).
+    pub fn with_sets(sets: SetContext) -> Database {
+        Database {
+            tables: HashMap::new(),
+            sets,
+        }
+    }
+
     /// Create an empty table with the given columns.
     pub fn create_table<I, S>(&mut self, name: &str, cols: I) -> Result<()>
     where
@@ -71,11 +80,6 @@ impl Database {
             .get_mut(&sym)
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))?;
         rel.push_row(row)
-    }
-
-    /// Define a named set usable as `name(x)` in expressions.
-    pub fn define_set<I: IntoIterator<Item = Value>>(&mut self, name: &str, values: I) {
-        self.sets.define(name, values);
     }
 
     /// The evaluation context (named sets) of this database.
@@ -517,8 +521,12 @@ mod tests {
 
     #[test]
     fn named_set_predicates_in_queries() {
-        let mut db = sample_db();
-        db.define_set("isrequest", [v("readex"), v("wb")]);
+        let mut sets = SetContext::new();
+        sets.define("isrequest", [v("readex"), v("wb")]);
+        let mut db = Database {
+            sets,
+            ..sample_db()
+        };
         let r = db
             .query("select inmsg from D where isrequest(inmsg)")
             .unwrap();
@@ -583,8 +591,12 @@ mod tests {
 
     #[test]
     fn count_star() {
-        let mut db = sample_db();
-        db.define_set("isrequest", [v("readex")]);
+        let mut sets = SetContext::new();
+        sets.define("isrequest", [v("readex")]);
+        let mut db = Database {
+            sets,
+            ..sample_db()
+        };
         let r = db
             .query("select count(*) from D where isrequest(inmsg)")
             .unwrap();
