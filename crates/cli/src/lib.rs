@@ -21,7 +21,7 @@
 //! The library entry point [`run`] returns the rendered output, so the
 //! whole surface is unit-testable.
 
-use ccsql::depend::{protocol_dependency_table, AnalysisConfig};
+use ccsql::depend::{dependency_table, protocol_dependency_table, AnalysisConfig};
 use ccsql::gen::GeneratedProtocol;
 use ccsql::hwmap::{HwMapping, IMPL_INPUTS};
 use ccsql::liveness::BusyGraph;
@@ -482,16 +482,20 @@ fn cmd_deadlock(opts: &Opts, gen: &GeneratedProtocol) -> Result<String, String> 
         AnalysisConfig::default()
     };
     cfg.transitive_closure = opts.flag("--closure");
-    let deps = protocol_dependency_table(gen, &v, &cfg).map_err(|e| e.to_string())?;
-    let rep = deadlock_report(gen, v.name, &deps);
     // Parameterized flow pre-pass (skip with --no-flows): the symbolic
     // verdict is printed first and cross-checked against the concrete
-    // one — a disagreement is a tool bug worth failing loudly on.
+    // one — a disagreement is a tool bug worth failing loudly on. Its
+    // resolved flow rows also build the dependency table.
     let flows = if opts.flag("--no-flows") {
         None
     } else {
         Some(ccsql_lint::flows::analyze_protocol(gen, &v)?)
     };
+    let deps = match &flows {
+        Some(f) => dependency_table(&f.universe.rows, &cfg),
+        None => protocol_dependency_table(gen, &v, &cfg).map_err(|e| e.to_string())?,
+    };
+    let rep = deadlock_report(gen, v.name, &deps);
     if let Some(f) = &flows {
         if f.deadlock_free_all_n() != rep.cycles.is_empty() {
             return Err(format!(
@@ -2188,8 +2192,10 @@ mod tests {
                 "no solve/{t} line:\n{out}"
             );
         }
+        // The masked extension step evaluates D's constraints once per
+        // row where it can, not once per candidate.
         assert!(
-            out.contains(" rows=498 columns=30 candidates=62842"),
+            out.contains(" rows=498 columns=30 candidates=62842 evals=16222"),
             "{out}"
         );
         // The default pipeline solves the ASURA tables once for gen,
@@ -2197,6 +2203,25 @@ mod tests {
         let out = run(&argv("stats")).unwrap();
         let solves = out.lines().filter(|l| l.starts_with("solve/D ms=")).count();
         assert_eq!(solves, 1, "{out}");
+    }
+
+    #[test]
+    fn deadlock_resolves_the_flow_rows_once() {
+        // The flows pre-pass resolves the protocol's rows, and the
+        // dependency table is built from them; without the pre-pass the
+        // table resolves them itself.
+        for cmd in [
+            "stats deadlock --assignment v1",
+            "stats deadlock --assignment v1 --no-flows",
+        ] {
+            let out = run(&argv(cmd)).unwrap_or_else(|e| e);
+            let resolves = out
+                .lines()
+                .filter(|l| l.starts_with("depend/resolve "))
+                .count();
+            assert_eq!(resolves, 1, "{cmd}:\n{out}");
+            assert!(out.contains("depend/build ms="), "{cmd}:\n{out}");
+        }
     }
 
     #[test]

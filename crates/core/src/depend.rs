@@ -268,11 +268,12 @@ fn controller_flow_rows(ctrl: &ControllerSpec, table: &Relation, v: &VcAssignmen
 }
 
 /// The message view of every controller table of `gen` under `v`, in
-/// (controller, row) order.
+/// (controller, row) order, inside the `depend/resolve` span.
 pub fn protocol_flow_rows(
     gen: &GeneratedProtocol,
     v: &VcAssignment,
 ) -> ccsql_relalg::Result<Vec<FlowRow>> {
+    let _rspan = ccsql_obs::flight::span("depend", "resolve");
     let mut rows = Vec::new();
     for c in &gen.spec.controllers {
         rows.extend(controller_flow_rows(c, gen.table(c.name)?, v));
@@ -319,11 +320,7 @@ pub fn protocol_dependency_table(
     v: &VcAssignment,
     cfg: &AnalysisConfig,
 ) -> ccsql_relalg::Result<DependencyTable> {
-    let rows = {
-        let _rspan = ccsql_obs::flight::span("depend", "resolve");
-        protocol_flow_rows(gen, v)?
-    };
-    Ok(dependency_table(&rows, cfg))
+    Ok(dependency_table(&protocol_flow_rows(gen, v)?, cfg))
 }
 
 /// Build the dependency table of solved table rows under `cfg`: the

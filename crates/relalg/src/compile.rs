@@ -31,6 +31,21 @@
 //! literals) before binding and lowering, so an unconstrained or
 //! constant-guarded column compiles to a single `LoadConst` the solver
 //! can skip entirely ([`Program::const_result`]).
+//!
+//! ## Masked evaluation
+//!
+//! An extension step tries every value of the column it adds against
+//! each row. The solver's masked pass evaluates a program once per row
+//! for the whole domain of that column (at most 64 values, one bit
+//! each): loads of the row's other columns, and everything computed
+//! from them, stay one value id; a load of the new column, and the
+//! compares, set tests and calls over it, give a bitmask over the
+//! domain. A jump on a mask splits the live values, so each value
+//! follows exactly its own per-candidate path: a guard chain that never
+//! reads the new column walks once per row instead of once per value,
+//! and the worst case costs what per-candidate evaluation costs. A pass
+//! that meets a non-boolean value or a named-set error gives up, and
+//! the solver reruns that row per candidate to report the first error.
 
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, EvalContext, Expr};
@@ -106,6 +121,137 @@ pub struct Program {
 
 fn not_boolean(id: u32) -> Error {
     Error::NotBoolean(format!("{:?}", Value::from_vid(id)))
+}
+
+fn bool_id(b: bool) -> u32 {
+    if b {
+        TRUE_VID
+    } else {
+        FALSE_VID
+    }
+}
+
+/// The values of the column an extension step adds, as the bits of a
+/// `u64`: value `j` is bit `j`, so a domain holds at most
+/// [`Domain::MAX`] values.
+pub(crate) struct Domain<'a> {
+    ids: &'a [u32],
+    /// The values that are booleans.
+    bools: u64,
+}
+
+impl<'a> Domain<'a> {
+    /// The most values a domain can hold.
+    pub(crate) const MAX: usize = 64;
+
+    /// The domain of a column's value ids, or `None` past
+    /// [`Domain::MAX`] values.
+    pub(crate) fn new(ids: &'a [u32]) -> Option<Domain<'a>> {
+        if ids.len() > Domain::MAX {
+            return None;
+        }
+        let mut d = Domain { ids, bools: 0 };
+        d.bools = d.eq(TRUE_VID) | d.eq(FALSE_VID);
+        Some(d)
+    }
+
+    /// Every value of the domain.
+    pub(crate) fn all(&self) -> u64 {
+        match self.ids.len() {
+            Domain::MAX => u64::MAX,
+            n => (1 << n) - 1,
+        }
+    }
+
+    /// The values whose id is `id`.
+    #[inline]
+    fn eq(&self, id: u32) -> u64 {
+        self.ids
+            .iter()
+            .enumerate()
+            .fold(0, |m, (j, &x)| m | u64::from(x == id) << j)
+    }
+}
+
+/// One register of a masked evaluation: what it holds for each live
+/// value of the new column.
+#[derive(Clone, Copy, Debug)]
+enum Lane {
+    /// The same value id for every value.
+    Id(u32),
+    /// The new column itself: value `j` holds `ids[j]`.
+    New,
+    /// A boolean per value: bit `j` is value `j`'s truth.
+    Mask(u64),
+}
+
+impl Lane {
+    /// The id value `j` holds.
+    fn id_at(self, j: u32, d: &Domain) -> u32 {
+        match self {
+            Lane::Id(id) => id,
+            Lane::New => d.ids[j as usize],
+            Lane::Mask(m) => bool_id(m >> j & 1 != 0),
+        }
+    }
+
+    /// The live values that hold true, or `None` when a live value
+    /// holds a non-boolean.
+    #[inline]
+    fn truth(self, live: u64, d: &Domain) -> Option<u64> {
+        match self {
+            Lane::Id(TRUE_VID) => Some(live),
+            Lane::Id(FALSE_VID) => Some(0),
+            Lane::Id(_) => None,
+            Lane::Mask(m) => Some(live & m),
+            Lane::New => (live & !d.bools == 0).then_some(live & d.eq(TRUE_VID)),
+        }
+    }
+
+    /// Boolean negation; `None` when a live value is non-boolean.
+    fn negate(self, live: u64, d: &Domain) -> Option<Lane> {
+        match self {
+            Lane::Id(TRUE_VID) => Some(Lane::Id(FALSE_VID)),
+            Lane::Id(FALSE_VID) => Some(Lane::Id(TRUE_VID)),
+            Lane::Mask(m) => Some(Lane::Mask(!m)),
+            l => l.truth(live, d).map(|t| Lane::Mask(!t)),
+        }
+    }
+
+    /// Per-value equality.
+    fn equals(self, other: Lane, live: u64, d: &Domain) -> Lane {
+        match (self, other) {
+            (Lane::Id(a), Lane::Id(b)) => Lane::Id(bool_id(a == b)),
+            (Lane::New, Lane::Id(id)) | (Lane::Id(id), Lane::New) => Lane::Mask(d.eq(id)),
+            (Lane::New, Lane::New) => Lane::Id(TRUE_VID),
+            (a, b) => Lane::Mask(select(live, |j| a.id_at(j, d) == b.id_at(j, d))),
+        }
+    }
+}
+
+/// The live values `f` holds for.
+fn select(live: u64, mut f: impl FnMut(u32) -> bool) -> u64 {
+    bits(live).filter(|&j| f(j)).fold(0, |m, j| m | 1 << j)
+}
+
+/// The positions of the set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let j = mask.trailing_zeros();
+            mask &= mask - 1;
+            j
+        })
+    })
+}
+
+/// Reusable scratch for [`Program::eval_masked`]: the register file,
+/// and the split-off paths still to run with their saved registers.
+#[derive(Default)]
+pub(crate) struct MaskScratch {
+    regs: Vec<Lane>,
+    forks: Vec<(u32, u64)>,
+    saved: Vec<Lane>,
 }
 
 impl Program {
@@ -288,25 +434,14 @@ impl Program {
                 Op::LoadCol { dst, col: c } => regs[dst as usize] = col(c as usize),
                 Op::LoadConst { dst, id } => regs[dst as usize] = id,
                 Op::Eq { dst, a, b } => {
-                    regs[dst as usize] = if regs[a as usize] == regs[b as usize] {
-                        TRUE_VID
-                    } else {
-                        FALSE_VID
-                    };
+                    regs[dst as usize] = bool_id(regs[a as usize] == regs[b as usize]);
                 }
                 Op::Ne { dst, a, b } => {
-                    regs[dst as usize] = if regs[a as usize] != regs[b as usize] {
-                        TRUE_VID
-                    } else {
-                        FALSE_VID
-                    };
+                    regs[dst as usize] = bool_id(regs[a as usize] != regs[b as usize]);
                 }
                 Op::InSet { dst, src, set } => {
-                    regs[dst as usize] = if self.sets[set as usize].contains(regs[src as usize]) {
-                        TRUE_VID
-                    } else {
-                        FALSE_VID
-                    };
+                    regs[dst as usize] =
+                        bool_id(self.sets[set as usize].contains(regs[src as usize]));
                 }
                 Op::Not { dst, src } => {
                     regs[dst as usize] = match regs[src as usize] {
@@ -343,11 +478,7 @@ impl Program {
                 },
                 Op::CallSet { dst, src, name } => {
                     let v = Value::from_vid(regs[src as usize]);
-                    regs[dst as usize] = if ctx.set_contains(name, v)? {
-                        TRUE_VID
-                    } else {
-                        FALSE_VID
-                    };
+                    regs[dst as usize] = bool_id(ctx.set_contains(name, v)?);
                 }
             }
             pc += 1;
@@ -356,6 +487,117 @@ impl Program {
             TRUE_VID => Ok(true),
             FALSE_VID => Ok(false),
             id => Err(not_boolean(id)),
+        }
+    }
+
+    /// Evaluate the program for every `live` value of `d`, the domain
+    /// of column `new`, at once, with the row's other cells supplied by
+    /// `col`; return the live values it accepts. A jump on a condition
+    /// that differs between values splits the live set, so every value
+    /// takes exactly the path [`Program::eval_cols`] would. `None` when
+    /// a live value meets a non-boolean or a named-set error: the
+    /// caller reruns the row per candidate for the error.
+    pub(crate) fn eval_masked(
+        &self,
+        col: impl Fn(usize) -> u32,
+        new: usize,
+        d: &Domain,
+        live: u64,
+        ctx: &dyn EvalContext,
+        scratch: &mut MaskScratch,
+    ) -> Option<u64> {
+        let n = self.num_regs;
+        let MaskScratch { regs, forks, saved } = scratch;
+        if regs.len() < n {
+            regs.resize(n, Lane::Id(FALSE_VID));
+        }
+        forks.clear();
+        saved.clear();
+        let ops = &self.ops;
+        let (mut pc, mut live, mut pass) = (0usize, live, 0u64);
+        loop {
+            while pc < ops.len() {
+                // A jump's target and the live values that take it.
+                let branch = match ops[pc] {
+                    Op::LoadCol { dst, col: c } => {
+                        regs[dst as usize] = if c as usize == new {
+                            Lane::New
+                        } else {
+                            Lane::Id(col(c as usize))
+                        };
+                        None
+                    }
+                    Op::LoadConst { dst, id } => {
+                        regs[dst as usize] = Lane::Id(id);
+                        None
+                    }
+                    Op::Eq { dst, a, b } => {
+                        regs[dst as usize] = regs[a as usize].equals(regs[b as usize], live, d);
+                        None
+                    }
+                    Op::Ne { dst, a, b } => {
+                        let eq = regs[a as usize].equals(regs[b as usize], live, d);
+                        regs[dst as usize] = eq.negate(live, d)?;
+                        None
+                    }
+                    Op::InSet { dst, src, set } => {
+                        let set = &self.sets[set as usize];
+                        regs[dst as usize] = match regs[src as usize] {
+                            Lane::Id(id) => Lane::Id(bool_id(set.contains(id))),
+                            l => Lane::Mask(select(live, |j| set.contains(l.id_at(j, d)))),
+                        };
+                        None
+                    }
+                    Op::Not { dst, src } => {
+                        regs[dst as usize] = regs[src as usize].negate(live, d)?;
+                        None
+                    }
+                    Op::AssertBool { src } => {
+                        regs[src as usize].truth(live, d)?;
+                        None
+                    }
+                    Op::CallSet { dst, src, name } => {
+                        let call = |id: u32| ctx.set_contains(name, Value::from_vid(id)).ok();
+                        regs[dst as usize] = match regs[src as usize] {
+                            Lane::Id(id) => Lane::Id(bool_id(call(id)?)),
+                            l => {
+                                let mut m = 0;
+                                for j in bits(live) {
+                                    if call(l.id_at(j, d))? {
+                                        m |= 1 << j;
+                                    }
+                                }
+                                Lane::Mask(m)
+                            }
+                        };
+                        None
+                    }
+                    Op::Jump { to } => Some((to, live)),
+                    Op::JumpIfFalse { cond, to } => {
+                        Some((to, live & !regs[cond as usize].truth(live, d)?))
+                    }
+                    Op::JumpIfTrue { cond, to } => Some((to, regs[cond as usize].truth(live, d)?)),
+                };
+                match branch {
+                    Some((to, away)) if away == live => pc = to as usize,
+                    Some((to, away)) if away != 0 => {
+                        // Split: run the rest here, the jumpers later.
+                        saved.extend_from_slice(&regs[..n]);
+                        forks.push((to, away));
+                        live &= !away;
+                        pc += 1;
+                    }
+                    _ => pc += 1,
+                }
+            }
+            pass |= regs[0].truth(live, d)?;
+            let Some((to, rest)) = forks.pop() else {
+                return Some(pass);
+            };
+            let base = saved.len() - n;
+            regs[..n].copy_from_slice(&saved[base..]);
+            saved.truncate(base);
+            (pc, live) = (to as usize, rest);
         }
     }
 

@@ -282,6 +282,12 @@ impl Expr {
         matches!(self, Expr::False)
     }
 
+    /// Does evaluating this give a boolean or an error, never another
+    /// value? Only a column, identifier or literal can give another.
+    fn is_predicate(&self) -> bool {
+        !matches!(self, Expr::Col(_) | Expr::Ident(_) | Expr::Lit(_))
+    }
+
     /// Rewrite [`Expr::Ident`] nodes: identifiers for which `is_column`
     /// holds become explicit [`Expr::Col`] references, all others
     /// become symbolic literals. This mirrors the resolution
@@ -329,11 +335,14 @@ impl Expr {
     /// over known arguments (errors leave the call in place). Determined
     /// sub-expressions fold to [`Expr::True`] / [`Expr::False`] /
     /// literals; the rest is rebuilt structurally. The folding matches
-    /// [`BoundExpr`] evaluation semantics: `=` is plain value equality
-    /// (so `NULL = NULL` holds) and and/or fold with Kleene rules,
-    /// which agrees with the short-circuit evaluator on every total
-    /// assignment of well-typed constraints. [`Expr::Ident`] is left
-    /// untouched — run [`Expr::resolve_idents`] first.
+    /// [`BoundExpr`] evaluation semantics, errors included: `=` is plain
+    /// value equality (so `NULL = NULL` holds), and `and`/`or`/ternaries
+    /// fold only where the short-circuit evaluator would skip the
+    /// dropped operand, or where a kept operand is a predicate whose
+    /// own evaluation already checks it is boolean. So `c and false`
+    /// stays as it is: the evaluator still evaluates `c`, which may
+    /// fail. [`Expr::Ident`] is left untouched — run
+    /// [`Expr::resolve_idents`] first.
     pub fn reduce(&self, lookup: &dyn Fn(Sym) -> Option<Value>, ctx: &dyn EvalContext) -> Expr {
         match self {
             Expr::Col(c) => match lookup(*c) {
@@ -377,14 +386,12 @@ impl Expr {
                     return Expr::False;
                 }
                 let rb = b.reduce(lookup, ctx);
-                if rb.is_false() {
-                    return Expr::False;
-                }
-                match (ra.is_true(), rb.is_true()) {
-                    (true, true) => Expr::True,
-                    (true, false) => rb,
-                    (false, true) => ra,
-                    (false, false) => Expr::And(Box::new(ra), Box::new(rb)),
+                if ra.is_true() && rb.is_predicate() {
+                    rb
+                } else if rb.is_true() && ra.is_predicate() {
+                    ra
+                } else {
+                    Expr::And(Box::new(ra), Box::new(rb))
                 }
             }
             Expr::Or(a, b) => {
@@ -393,14 +400,12 @@ impl Expr {
                     return Expr::True;
                 }
                 let rb = b.reduce(lookup, ctx);
-                if rb.is_true() {
-                    return Expr::True;
-                }
-                match (ra.is_false(), rb.is_false()) {
-                    (true, true) => Expr::False,
-                    (true, false) => rb,
-                    (false, true) => ra,
-                    (false, false) => Expr::Or(Box::new(ra), Box::new(rb)),
+                if ra.is_false() && rb.is_predicate() {
+                    rb
+                } else if rb.is_false() && ra.is_predicate() {
+                    ra
+                } else {
+                    Expr::Or(Box::new(ra), Box::new(rb))
                 }
             }
             Expr::Not(e) => match e.reduce(lookup, ctx) {
@@ -417,15 +422,18 @@ impl Expr {
                 }
                 Expr::Call(*name, Box::new(re))
             }
-            Expr::Ternary(c, t, f) => match c.reduce(lookup, ctx) {
-                Expr::True => t.reduce(lookup, ctx),
-                Expr::False => f.reduce(lookup, ctx),
-                rc => Expr::Ternary(
-                    Box::new(rc),
-                    Box::new(t.reduce(lookup, ctx)),
-                    Box::new(f.reduce(lookup, ctx)),
-                ),
-            },
+            Expr::Ternary(c, t, f) => {
+                let (rc, rt, rf) = (
+                    c.reduce(lookup, ctx),
+                    t.reduce(lookup, ctx),
+                    f.reduce(lookup, ctx),
+                );
+                match rc {
+                    Expr::True if rt.is_predicate() => rt,
+                    Expr::False if rf.is_predicate() => rf,
+                    rc => Expr::Ternary(Box::new(rc), Box::new(rt), Box::new(rf)),
+                }
+            }
         }
     }
 }

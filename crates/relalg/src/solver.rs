@@ -31,10 +31,14 @@
 //! By default incremental generation runs **compiled**: each column
 //! constraint is lowered once per `generate` call to a bytecode
 //! [`Program`] (see [`crate::compile`]) and the intermediate table is
-//! kept columnar as interned value ids ([`ColumnarRelation`]), so the
-//! per-candidate work is a tight register loop over `u32`s instead of a
-//! recursive `Expr` walk over freshly materialised `Vec<Value>` rows.
-//! Three properties make this safe:
+//! kept columnar as interned value ids ([`ColumnarRelation`]). Each
+//! extension step is solved **set-at-a-time**: its ready programs run
+//! once per row for the whole table of the column being added, as a
+//! bitmask over its values, so a guard that does not read that column
+//! is evaluated once per row instead of once per value. A row whose
+//! masked pass meets an error, and a column with more than 64 values,
+//! fall back to one register-loop evaluation per candidate. Four
+//! properties make this safe:
 //!
 //! * **compile-once-per-generate** — every intermediate schema is a
 //!   *prefix* of the full schema, so column indices bound against the
@@ -46,9 +50,14 @@
 //!   and filters only ever *remove* candidates from the fixed
 //!   cross-product order, so the rows and their order are byte-identical
 //!   to the interpreted path;
+//! * **identical short-circuits** — in a masked pass every value takes
+//!   its per-candidate path through each program, and each program sees
+//!   only the values the previous ones kept; the per-candidate rerun of
+//!   a failing row reports the first error in (row, value) order;
 //! * **identical accounting** — readiness is computed from the
 //!   *original* constraints on both paths, so `candidates`, `per_column`
-//!   and `steps` match too.
+//!   and `steps` match too. Only [`GenStep::evals`] differs: one per row
+//!   on the masked path, one per candidate otherwise.
 //!
 //! The interpreter remains available via [`GenOptions`] `compile: false`
 //! (CLI `--no-compile`) as the differential-testing oracle.
@@ -68,7 +77,7 @@
 //! in.
 
 use crate::columnar::ColumnarRelation;
-use crate::compile::{compile_constraint, Program};
+use crate::compile::{bits, compile_constraint, Domain, MaskScratch, Program};
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, EvalContext, Expr, SetContext};
 use crate::relation::Relation;
@@ -181,6 +190,9 @@ impl GenOptions {
 pub struct GenStats {
     /// Candidate rows evaluated (sum over all extension steps).
     pub candidates: u64,
+    /// Constraint evaluations (sum over all extension steps; see
+    /// [`GenStep::evals`]).
+    pub evals: u64,
     /// Rows in the final table.
     pub rows: usize,
     /// Columns in the final table.
@@ -205,6 +217,11 @@ pub struct GenStep {
     pub column: Sym,
     /// Candidate rows evaluated (|intermediate| × |column table|).
     pub candidates: u64,
+    /// Evaluations of the step's constraints. Compiled: one per
+    /// intermediate row when a masked pass covers the row's whole
+    /// column table at once, one per candidate otherwise, none on a
+    /// step with nothing to check. Interpreted: one per candidate.
+    pub evals: u64,
     /// Rows surviving the constraints applied at this step.
     pub rows: usize,
     /// Wall-clock time of the step.
@@ -345,6 +362,7 @@ impl TableSpec {
             fspan.arg("rows", stats.rows);
             fspan.arg("columns", stats.columns);
             fspan.arg("candidates", stats.candidates);
+            fspan.arg("evals", stats.evals);
             (rel, stats, kept)
         })
     }
@@ -404,12 +422,14 @@ impl TableSpec {
         }
         let stats = GenStats {
             candidates,
+            evals: candidates,
             rows: 0,
             columns: 0,
             per_column: vec![(self.columns[n - 1].name, out.len())],
             steps: vec![GenStep {
                 column: self.columns[n - 1].name,
                 candidates,
+                evals: candidates,
                 rows: out.len(),
                 elapsed: Duration::ZERO,
             }],
@@ -476,31 +496,33 @@ impl TableSpec {
         let mut applied = vec![false; self.columns.len()];
         let mut per_column = Vec::with_capacity(self.columns.len());
         let mut steps = Vec::with_capacity(self.columns.len());
-        let mut candidates: u64 = 0;
+        let (mut candidates, mut evals) = (0u64, 0u64);
 
         // Seed: the first column's table, filtered by any constraint
-        // that only mentions it (or nothing).
+        // that only mentions it (or nothing) — one step that extends the
+        // empty row, whose programs read no cell but the new column's.
         let step_start = Instant::now();
-        let mut cur = ColumnarRelation::new(Schema::from_syms(&all_names[..1])?);
-        cur.col_mut(0)
-            .extend(self.columns[0].values.iter().map(|v| v.vid()));
-        let step_cands = cur.len() as u64;
+        let ids: Vec<u32> = self.columns[0].values.iter().map(|v| v.vid()).collect();
+        let step_cands = ids.len() as u64;
         self.check_budget(0, step_cands)?;
         candidates += step_cands;
         let ready: Vec<usize> = (0..self.columns.len())
             .filter(|&ci| !applied[ci] && deps[ci].iter().all(|&d| d < 1))
             .collect();
         let progs = active(&ready);
-        if !progs.is_empty() {
-            cur = filter_ids(&cur, &progs, ctx)?;
-        }
         for &ci in &ready {
             applied[ci] = true;
         }
+        let mut cur = ColumnarRelation::new(Schema::from_syms(&all_names[..1])?);
+        let mut filter = StepFilter::new(&progs, &ids, 0);
+        let no_cells = |c: usize| -> u32 { unreachable!("the seed row has no cell {c}") };
+        filter.row(no_cells, ctx, |v| cur.col_mut(0).push(v))?;
+        evals += filter.evals;
         per_column.push((self.columns[0].name, cur.len()));
         steps.push(GenStep {
             column: self.columns[0].name,
             candidates: step_cands,
+            evals: filter.evals,
             rows: cur.len(),
             elapsed: step_start.elapsed(),
         });
@@ -526,13 +548,17 @@ impl TableSpec {
             if k == keep {
                 kept = Some(cur.to_relation());
             }
-            cur = extend_filter_ids(&cur, sub_schema, &ext_ids, &progs, ctx)?;
+            let step_evals;
+            (cur, step_evals) = extend_filter_ids(&cur, sub_schema, &ext_ids, &progs, ctx)?;
+            evals += step_evals;
             col_span.arg("candidates", step_cands);
+            col_span.arg("evals", step_evals);
             col_span.arg("rows", cur.len());
             per_column.push((self.columns[k].name, cur.len()));
             steps.push(GenStep {
                 column: self.columns[k].name,
                 candidates: step_cands,
+                evals: step_evals,
                 rows: cur.len(),
                 elapsed: step_start.elapsed(),
             });
@@ -540,6 +566,7 @@ impl TableSpec {
 
         let stats = GenStats {
             candidates,
+            evals,
             rows: 0,
             columns: 0,
             per_column,
@@ -597,6 +624,7 @@ impl TableSpec {
         steps.push(GenStep {
             column: self.columns[0].name,
             candidates: step_cands,
+            evals: step_cands,
             rows: current.len(),
             elapsed: step_start.elapsed(),
         });
@@ -620,11 +648,13 @@ impl TableSpec {
             candidates += step_cands;
             current = extend_filter(&current, &sub_schema, vals, &preds, ctx)?;
             col_span.arg("candidates", step_cands);
+            col_span.arg("evals", step_cands);
             col_span.arg("rows", current.len());
             per_column.push((self.columns[k].name, current.len()));
             steps.push(GenStep {
                 column: self.columns[k].name,
                 candidates: step_cands,
+                evals: step_cands,
                 rows: current.len(),
                 elapsed: step_start.elapsed(),
             });
@@ -632,6 +662,7 @@ impl TableSpec {
 
         let stats = GenStats {
             candidates,
+            evals: candidates,
             rows: 0,
             columns: 0,
             per_column,
@@ -660,23 +691,92 @@ fn progs_pass(
     Ok(true)
 }
 
-fn scratch_regs(progs: &[&Program]) -> Vec<u32> {
-    vec![0u32; progs.iter().map(|p| p.num_regs()).max().unwrap_or(1)]
+/// The filter of one extension step: its programs, run on one row at a
+/// time for every value of the column the step adds (`new`).
+struct StepFilter<'a> {
+    progs: &'a [&'a Program],
+    ext_ids: &'a [u32],
+    new: usize,
+    /// `None` when the column has too many values for a masked pass.
+    domain: Option<Domain<'a>>,
+    masks: MaskScratch,
+    regs: Vec<u32>,
+    /// Evaluations so far (see [`GenStep::evals`]).
+    evals: u64,
+}
+
+impl<'a> StepFilter<'a> {
+    fn new(progs: &'a [&'a Program], ext_ids: &'a [u32], new: usize) -> StepFilter<'a> {
+        StepFilter {
+            progs,
+            ext_ids,
+            new,
+            domain: Domain::new(ext_ids),
+            masks: MaskScratch::default(),
+            regs: vec![0u32; progs.iter().map(|p| p.num_regs()).max().unwrap_or(1)],
+            evals: 0,
+        }
+    }
+
+    /// Call `keep` with every value of the new column that all programs
+    /// accept next to the row whose other cells `col` gives, in value
+    /// order. One masked pass covers the whole column table; a row the
+    /// pass cannot settle (a non-boolean value or a named-set error)
+    /// and a column past [`Domain::MAX`] values run per candidate,
+    /// which returns the first error in value order.
+    fn row(
+        &mut self,
+        col: impl Fn(usize) -> u32 + Copy,
+        ctx: &dyn EvalContext,
+        mut keep: impl FnMut(u32),
+    ) -> Result<()> {
+        if self.progs.is_empty() {
+            self.ext_ids.iter().for_each(|&v| keep(v));
+            return Ok(());
+        }
+        if let Some(live) = self.masked(col, ctx) {
+            self.evals += 1;
+            bits(live).for_each(|j| keep(self.ext_ids[j as usize]));
+            return Ok(());
+        }
+        self.evals += self.ext_ids.len() as u64;
+        for &v in self.ext_ids {
+            let cand = |c: usize| if c == self.new { v } else { col(c) };
+            if progs_pass(self.progs, cand, ctx, &mut self.regs)? {
+                keep(v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Run the programs in order, each on the values the previous ones
+    /// kept; `None` when there is no domain or a pass gives up.
+    fn masked(&mut self, col: impl Fn(usize) -> u32 + Copy, ctx: &dyn EvalContext) -> Option<u64> {
+        let d = self.domain.as_ref()?;
+        let mut live = d.all();
+        for p in self.progs {
+            if live == 0 {
+                break;
+            }
+            live = p.eval_masked(col, self.new, d, live, ctx, &mut self.masks)?;
+        }
+        Some(live)
+    }
 }
 
 /// Extend every row of `cur` with every id in `ext_ids`, keeping the
-/// candidates every program accepts. Two-phase: one pass records the
-/// surviving `(row, extension)` pairs, then the new columns are
-/// gathered column-at-a-time — sequential reads and writes, no
-/// per-candidate row materialisation. With no programs the result is
-/// the pure cross product, built by bulk repetition.
+/// candidates every program accepts, and count the evaluations. Two-phase:
+/// one pass records the surviving `(row, extension)` pairs, then the
+/// new columns are gathered column-at-a-time — sequential reads and
+/// writes, no per-candidate row materialisation. With no programs the
+/// result is the pure cross product, built by bulk repetition.
 fn extend_filter_ids(
     cur: &ColumnarRelation,
     out_schema: Schema,
     ext_ids: &[u32],
     progs: &[&Program],
     ctx: &dyn EvalContext,
-) -> Result<ColumnarRelation> {
+) -> Result<(ColumnarRelation, u64)> {
     let arity = cur.arity();
     let n = cur.len();
     let m = ext_ids.len();
@@ -697,18 +797,13 @@ fn extend_filter_ids(
         for _ in 0..n {
             dst.extend_from_slice(ext_ids);
         }
-        return Ok(out);
+        return Ok((out, 0));
     }
 
     let mut survivors: Vec<(u32, u32)> = Vec::new();
-    let mut regs = scratch_regs(progs);
+    let mut filter = StepFilter::new(progs, ext_ids, arity);
     for i in 0..n {
-        for &v in ext_ids {
-            let col = |c: usize| if c < arity { cur.col(c)[i] } else { v };
-            if progs_pass(progs, col, ctx, &mut regs)? {
-                survivors.push((i as u32, v));
-            }
-        }
+        filter.row(|c| cur.col(c)[i], ctx, |v| survivors.push((i as u32, v)))?;
     }
     for c in 0..arity {
         let src = cur.col(c);
@@ -716,30 +811,7 @@ fn extend_filter_ids(
             .extend(survivors.iter().map(|&(r, _)| src[r as usize]));
     }
     out.col_mut(arity).extend(survivors.iter().map(|&(_, v)| v));
-    Ok(out)
-}
-
-/// Keep the rows of `cur` every program accepts (columnar id path).
-fn filter_ids(
-    cur: &ColumnarRelation,
-    progs: &[&Program],
-    ctx: &dyn EvalContext,
-) -> Result<ColumnarRelation> {
-    let mut survivors: Vec<u32> = Vec::new();
-    let mut regs = scratch_regs(progs);
-    for i in 0..cur.len() {
-        let col = |c: usize| cur.col(c)[i];
-        if progs_pass(progs, col, ctx, &mut regs)? {
-            survivors.push(i as u32);
-        }
-    }
-    let mut out = ColumnarRelation::new(cur.schema().clone());
-    for c in 0..cur.arity() {
-        let src = cur.col(c);
-        out.col_mut(c)
-            .extend(survivors.iter().map(|&r| src[r as usize]));
-    }
-    Ok(out)
+    Ok((out, filter.evals))
 }
 
 /// Evaluate the bound predicates as a short-circuit conjunction.

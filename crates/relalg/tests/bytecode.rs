@@ -4,14 +4,19 @@
 //! *observably identical* to the tree-walking interpreter — same
 //! booleans, same errors, in the same places. This is a self-contained
 //! splitmix64 property suite: deterministic random expressions × random
-//! rows, comparing the full `Result<bool, Error>` of both engines, plus
-//! golden end-to-end checks that the shipped spec files solve
+//! rows, comparing the full `Result<bool, Error>` of both engines; a
+//! second one that solves random table specs compiled (the masked
+//! extension step) and interpreted, rows in order or the same error;
+//! plus golden end-to-end checks that the shipped spec files solve
 //! byte-identically with compilation on and off.
 
 use ccsql_obs::SplitMix64;
 use ccsql_relalg::compile::compile_constraint;
-use ccsql_relalg::expr::{NoContext, SetContext};
-use ccsql_relalg::{parse_specfile, specfile, Expr, Program, Schema, Sym, Value};
+use ccsql_relalg::expr::{EvalContext, NoContext, SetContext};
+use ccsql_relalg::{
+    parse_specfile, specfile, ColumnDef, Error, Expr, GenMode, GenOptions, GenStats, Program,
+    Schema, Sym, TableSpec, Value,
+};
 
 const SYMS: &[&str] = &["a", "b", "readex", "idone", "Busy-sd"];
 const COLS: &[&str] = &["c0", "c1", "c2", "c3"];
@@ -69,14 +74,19 @@ fn gen_expr(r: &mut SplitMix64, depth: u32) -> Expr {
     }
 }
 
-#[test]
-fn program_eval_matches_interpreter_on_random_exprs() {
-    let schema = Schema::new(COLS.iter().copied()).unwrap();
+fn isrequest_context() -> SetContext {
     let mut ctx = SetContext::new();
     ctx.define(
         "isrequest",
         [Value::sym("readex"), Value::Bool(true), Value::Int(1)],
     );
+    ctx
+}
+
+#[test]
+fn program_eval_matches_interpreter_on_random_exprs() {
+    let schema = Schema::new(COLS.iter().copied()).unwrap();
+    let ctx = isrequest_context();
     let mut rng = SplitMix64::new(0xB17E_C0DE);
     let mut errors = 0u32;
     for case in 0..4000u32 {
@@ -100,15 +110,19 @@ fn program_eval_matches_interpreter_on_random_exprs() {
                 errors += 1;
             }
             // Constant folding (the solver's actual compile pipeline)
-            // must preserve every defined result.
-            if let Ok(b) = want {
-                let folded = compile_constraint(&e, &schema, &ctx).unwrap();
-                assert_eq!(
-                    folded.eval_row(&row, &ctx),
-                    Ok(b),
-                    "case {case} (folded): {e} over {row:?}"
-                );
-            }
+            // must preserve every result, errors included.
+            let folded = compile_constraint(&e, &schema, &ctx).unwrap();
+            assert_eq!(
+                folded.eval_row(&row, &ctx),
+                want,
+                "case {case} (folded): {e} over {row:?}"
+            );
+            let folded_nc = compile_constraint(&e, &schema, &NoContext).unwrap();
+            assert_eq!(
+                folded_nc.eval_row(&row, &NoContext),
+                want_nc,
+                "case {case} (folded, NoContext): {e} over {row:?}"
+            );
         }
     }
     // The generator must actually reach the error paths for this suite
@@ -116,16 +130,25 @@ fn program_eval_matches_interpreter_on_random_exprs() {
     assert!(errors > 100, "only {errors} error cases generated");
 }
 
-fn spec_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../specs")
-        .join(name)
+/// Every shipped spec pack, in name order.
+fn shipped_specs() -> Vec<std::path::PathBuf> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut specs: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ccsql"))
+        .collect();
+    specs.sort();
+    specs
 }
 
 #[test]
 fn shipped_specs_solve_identically_compiled_and_interpreted() {
-    for name in ["fig3.ccsql", "fig3_buggy.ccsql"] {
-        let text = std::fs::read_to_string(spec_path(name)).unwrap();
+    let specs = shipped_specs();
+    assert!(specs.len() >= 7, "{specs:?}");
+    for path in specs {
+        let name = path.display();
+        let text = std::fs::read_to_string(&path).unwrap();
         let sf = parse_specfile(&text).unwrap();
         let (compiled, cfail) = specfile::solve_specfile_with(&sf, true).unwrap();
         let (interp, ifail) = specfile::solve_specfile_with(&sf, false).unwrap();
@@ -138,5 +161,148 @@ fn shipped_specs_solve_identically_compiled_and_interpreted() {
             assert_eq!(na, nb);
             assert!(ra.rows().eq(rb.rows()), "{name}: witness rows differ");
         }
+    }
+}
+
+/// Solve `spec` compiled and interpreted under `ctx` and require the
+/// same result: the same rows in the same order, or the same error.
+/// Returns the compiled run's stats when it succeeds.
+fn solve_both<C: EvalContext>(spec: &TableSpec, ctx: &C, what: &str) -> Option<GenStats> {
+    let compiled = spec.generate_with(GenMode::Incremental.into(), ctx);
+    let interp = spec.generate_with(GenOptions::interpreted(GenMode::Incremental), ctx);
+    match (compiled, interp) {
+        (Ok((a, cs)), Ok((b, is))) => {
+            let same = a.len() == b.len() && a.rows().eq(b.rows());
+            assert!(same, "{what}: rows differ\n{a:?}\nvs\n{b:?}");
+            assert_eq!(cs.candidates, is.candidates, "{what}: candidates differ");
+            assert_eq!(is.evals, is.candidates, "{what}: interpreted evals");
+            assert!(cs.evals <= cs.candidates, "{what}: compiled evals");
+            Some(cs)
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "{what}: errors differ");
+            None
+        }
+        (a, b) => panic!(
+            "{what}: compiled {:?} vs interpreted {:?}",
+            a.map(|(r, _)| r.len()),
+            b.map(|(r, _)| r.len())
+        ),
+    }
+}
+
+/// A random spec of 2–4 columns over [`COLS`]: small domains (repeats
+/// allowed) of symbols, ints, bools and `NULL`, each column constrained
+/// by a random expression or left free.
+fn gen_spec(r: &mut SplitMix64) -> TableSpec {
+    let mut spec = TableSpec::new("Rand");
+    for name in &COLS[..2 + r.gen_range_u32(3) as usize] {
+        let values = (0..1 + r.gen_range_u32(6)).map(|_| gen_value(r)).collect();
+        let constraint = if r.gen_bool(0.2) {
+            Expr::True
+        } else {
+            gen_expr(r, 3)
+        };
+        spec.push(ColumnDef::input(name, values, constraint));
+    }
+    spec
+}
+
+#[test]
+fn masked_steps_solve_like_the_interpreter_on_random_specs() {
+    let ctx = isrequest_context();
+    let mut rng = SplitMix64::new(0x5EED_AA5C);
+    let (mut errors, mut masked) = (0u32, 0u32);
+    for case in 0..3000u32 {
+        let spec = gen_spec(&mut rng);
+        let what = |c: &str| format!("case {case} ({c}): {:?}", spec.columns);
+        for run in [
+            solve_both(&spec, &ctx, &what("SetContext")),
+            solve_both(&spec, &NoContext, &what("NoContext")),
+        ] {
+            match run {
+                Some(stats) if stats.evals < stats.candidates => masked += 1,
+                Some(_) => {}
+                None => errors += 1,
+            }
+        }
+    }
+    assert!(errors > 100, "only {errors} error cases generated");
+    assert!(masked > 100, "the masked step ran in only {masked} cases");
+}
+
+#[test]
+fn a_column_past_the_mask_width_is_solved_per_candidate() {
+    let mut spec = TableSpec::new("Wide");
+    spec.push(ColumnDef::input(
+        "a",
+        vec![Value::sym("x"), Value::sym("y")],
+        Expr::True,
+    ));
+    let wide: Vec<Value> = (0..65).map(Value::Int).collect();
+    let constraint = ccsql_relalg::parse_expr("a = x ? b in (0, 64) : b = 63").unwrap();
+    spec.push(ColumnDef::input("b", wide, constraint));
+    let stats = solve_both(&spec, &NoContext, "65 values").unwrap();
+    assert_eq!(stats.rows, 3);
+    assert_eq!(stats.steps[1].evals, stats.steps[1].candidates);
+    // One value fewer fits a mask: one evaluation per row.
+    spec.columns[1].values.pop();
+    let stats = solve_both(&spec, &NoContext, "64 values").unwrap();
+    assert_eq!(stats.rows, 2);
+    assert_eq!(stats.steps[1].evals, 2);
+}
+
+#[test]
+fn a_later_program_only_sees_the_values_earlier_ones_kept() {
+    // Both constraints become ready when `b` is added, `a`'s first.
+    // It keeps only `b = true`; `b`'s own reads `b` bare, which is not
+    // a boolean for `s` or `NULL`. Per candidate the conjunction stops
+    // before the second constraint sees them, so the masked step must
+    // not fail on them.
+    let is_true = ccsql_relalg::parse_expr("b = true").unwrap();
+    let bare = Expr::Col(Sym::intern("b"));
+    let mut spec = TableSpec::new("Short");
+    spec.push(ColumnDef::input(
+        "a",
+        vec![Value::sym("x")],
+        is_true.clone(),
+    ));
+    let b = vec![Value::sym("s"), Value::Bool(true), Value::Null];
+    spec.push(ColumnDef::input("b", b, bare.clone()));
+    let stats = solve_both(&spec, &NoContext, "short-circuit").unwrap();
+    assert_eq!(stats.rows, 1);
+    // One masked pass settled the row, with no per-candidate rerun.
+    assert_eq!(stats.steps[1].evals, 1);
+    // In the other order the bare read comes first and fails on `s`.
+    spec.columns[0].constraint = bare;
+    spec.columns[1].constraint = is_true;
+    let err = spec.generate_default().map(|_| ()).unwrap_err();
+    assert_eq!(err, Error::NotBoolean("\"s\"".to_string()));
+    assert_eq!(
+        solve_both(&spec, &NoContext, "reversed").map(|s| s.rows),
+        None
+    );
+}
+
+#[test]
+fn an_over_budget_step_keeps_its_row_budget_error() {
+    let mut spec = TableSpec::new("Big");
+    for name in ["a", "b", "o"] {
+        let values = (0..100)
+            .map(|i| Value::sym(&format!("{name}{i}")))
+            .collect();
+        spec.push(ColumnDef::input(name, values, Expr::True));
+    }
+    let want = Error::RowBudget {
+        table: "Big".to_string(),
+        column: "o".to_string(),
+        candidates: 1_000_000,
+    };
+    for opts in [
+        GenMode::Incremental.into(),
+        GenOptions::interpreted(GenMode::Incremental),
+    ] {
+        let got = spec.generate_with(opts, &NoContext).map(|_| ());
+        assert_eq!(got, Err(want.clone()));
     }
 }

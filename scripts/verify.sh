@@ -154,6 +154,15 @@ for stage in lint solve depend flows mc sim; do
 done
 # The entry lines carry each call's wall time and the stage counters.
 grep -q '^solve/D ms=[0-9.]* rows=498 ' "$WORK_DIR/stats1.txt"
+# The masked extension step evaluates D's constraints once per row, not
+# once per candidate: fewer than a third as many evaluations.
+d_line=$(grep '^solve/D ms=' "$WORK_DIR/stats1.txt")
+d_cands=$(echo "$d_line" | sed -n 's/.* candidates=\([0-9]*\).*/\1/p')
+d_evals=$(echo "$d_line" | sed -n 's/.* evals=\([0-9]*\).*/\1/p')
+if [ -z "$d_evals" ] || [ $((d_evals * 3)) -ge "$d_cands" ]; then
+    echo "solve/D made ${d_evals:-no} evaluation(s) for $d_cands candidates: the masked step did not run" >&2
+    exit 1
+fi
 grep -q '^mc/explore ms=[0-9.]* .* arena_bytes=[0-9]* .* mem_peak_bytes=[0-9]* ' "$WORK_DIR/stats1.txt"
 
 echo "==> ccsql --heartbeat (result-neutral; the final tick shows the last span of the run)"
