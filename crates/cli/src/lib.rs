@@ -1510,7 +1510,7 @@ fn zoo_pack(
     };
 
     // Stage 1: lint (boundary hygiene, coverage, nondeterminism, …).
-    let report = lint_specs(&[&sf]);
+    let (report, _) = lint_specs(&[&sf]);
     let (errors, warns) = report
         .diagnostics()
         .iter()
@@ -1654,9 +1654,16 @@ fn positional<'a>(opts: &Opts<'a>) -> Vec<&'a str> {
 
 /// Lint spec files under the context `solve` solves them in (no named
 /// sets), so the lint's one solve of each table is the table `solve`
-/// computes.
-fn lint_specs(files: &[&ccsql_relalg::SpecFile]) -> ccsql_lint::LintReport {
-    ccsql_lint::lint_specfiles(files, &ccsql_relalg::expr::SetContext::new())
+/// computes. Returns the report and each file's solved table, input
+/// columns first (`None` where the solver rejects it).
+fn lint_specs(
+    files: &[&ccsql_relalg::SpecFile],
+) -> (ccsql_lint::LintReport, Vec<Option<ccsql_relalg::Relation>>) {
+    ccsql_lint::lint_specfiles_with(
+        files,
+        &ccsql_relalg::expr::SetContext::new(),
+        &VcAssignment::v1(),
+    )
 }
 
 fn cmd_lint(opts: &Opts) -> Result<String, String> {
@@ -1677,7 +1684,7 @@ fn cmd_lint(opts: &Opts) -> Result<String, String> {
             files.push(sf);
         }
         let refs: Vec<&ccsql_relalg::SpecFile> = files.iter().collect();
-        lint_specs(&refs)
+        lint_specs(&refs).0
     };
     let out = if opts.flag("--json") {
         report.render_jsonl()
@@ -1698,23 +1705,35 @@ fn cmd_solve(opts: &Opts) -> Result<String, String> {
         .ok_or_else(|| "solve expects a .ccsql database-input file".to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let sf = ccsql_relalg::specfile::parse_specfile(&text).map_err(|e| e.to_string())?;
+    let mut linted = None;
     if !opts.flag("--no-lint") {
         // Early error detection: lint the spec before spending time on
         // the solve. `--no-lint` bypasses the gate.
-        let report = lint_specs(&[&sf]);
+        let (report, tables) = lint_specs(&[&sf]);
         if report.failed() {
             return Err(format!(
                 "{}\nlint found problems in {path}; fix them or rerun with --no-lint",
                 report.render_human()
             ));
         }
+        linted = tables.into_iter().next().flatten();
     }
     // `--no-compile`: solve with the interpreted oracle instead of the
     // compiled bytecode path; the outputs must be byte-identical (the
-    // differential gate in scripts/verify.sh diffs them).
-    let (rel, failures) =
-        ccsql_relalg::specfile::solve_specfile_with(&sf, !opts.flag("--no-compile"))
-            .map_err(|e| e.to_string())?;
+    // differential gate in scripts/verify.sh diffs them). On the
+    // compiled path the lint's table is the one `solve` computes when
+    // its columns come in the declared order: the lint solves a spec
+    // that declares an output before an input inputs-first.
+    let compile = !opts.flag("--no-compile");
+    let (rel, failures) = match linted {
+        Some(rel) if compile && rel.schema().columns() == sf.spec.column_names() => {
+            let failures = ccsql_relalg::specfile::check_specfile(&sf, &rel);
+            (rel, failures.map_err(|e| e.to_string())?)
+        }
+        _ => {
+            ccsql_relalg::specfile::solve_specfile_with(&sf, compile).map_err(|e| e.to_string())?
+        }
+    };
     let mut out = String::new();
     writeln!(
         out,
@@ -1939,6 +1958,36 @@ mod tests {
         let path = std::env::temp_dir().join(name);
         std::fs::write(&path, text).unwrap();
         path.display().to_string()
+    }
+
+    #[test]
+    fn solve_prints_the_lint_prepass_table() {
+        // On the compiled path the lint's one solve is the table `solve`
+        // prints; `--no-compile` solves again with the interpreted oracle.
+        let fig3 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig3.ccsql");
+        let solves = |path: &str, flags: &str, table: &str| {
+            let out = run(&argv(&format!("stats solve {path} {flags}"))).unwrap();
+            let prefix = format!("solve/{table} ms=");
+            out.lines().filter(|l| l.starts_with(&prefix)).count()
+        };
+        assert_eq!(solves(fig3, "", "Fig3"), 1);
+        assert_eq!(solves(fig3, "--no-lint", "Fig3"), 1);
+        assert_eq!(solves(fig3, "--no-compile", "Fig3"), 2);
+        let solve = |path: &str, flags: &str| run(&argv(&format!("solve {path} {flags}"))).unwrap();
+        assert_eq!(solve(fig3, ""), solve(fig3, "--no-lint"));
+        // The lint solves a spec that declares an output before an input
+        // inputs-first, so `solve` solves the declared order itself.
+        let path = temp_spec(
+            "ccsql_cli_output_first.ccsql",
+            "table T\n\
+             output o = p, q\n\
+             input a = x, y\n\
+             constrain o: a = x ? o = p : o = q\n",
+        );
+        assert_eq!(solves(&path, "", "T"), 2);
+        let out = solve(&path, "");
+        assert!(out.contains("| o | a |"), "{out}");
+        assert_eq!(out, solve(&path, "--no-lint"));
     }
 
     #[test]

@@ -77,21 +77,24 @@ pub fn lint_table(
 /// carrying role slots; use [`lint_specfiles_with`] to pick another
 /// assignment.
 pub fn lint_specfiles(files: &[&SpecFile], ctx: &dyn EvalContext) -> LintReport {
-    lint_specfiles_with(files, ctx, &VcAssignment::v1())
+    lint_specfiles_with(files, ctx, &VcAssignment::v1()).0
 }
 
 /// [`lint_specfiles`] with an explicit virtual-channel assignment for
-/// the role-level flow checks.
+/// the role-level flow checks. Also returns each file's solved table
+/// as [`lint_table`] does, so a caller can use the lint's one solve
+/// instead of solving again.
 pub fn lint_specfiles_with(
     files: &[&SpecFile],
     ctx: &dyn EvalContext,
     vc: &VcAssignment,
-) -> LintReport {
+) -> (LintReport, Vec<Option<Relation>>) {
     let fspan = ccsql_obs::flight::span("lint", "specfiles");
     fspan.arg("files", files.len());
     let mut report = LintReport::new();
     let mut model = FlowModel::default();
     let mut any_roles = false;
+    let mut tables = Vec::with_capacity(files.len());
     for f in files {
         let solved = lint_table(
             &f.spec,
@@ -108,12 +111,13 @@ pub fn lint_specfiles_with(
             .boundary
             .recv
             .extend(f.meta.extern_recv.iter().map(|m| BoundaryTriple::name(m)));
+        tables.push(solved);
     }
     // The role-level checks only have work to do once some spec declared
     // role slots; without them every triple carries `"*"` roles.
     let vc = any_roles.then_some(vc);
     flow::lint_flow(&model, vc, &mut report);
-    finish(report, &fspan)
+    (finish(report, &fspan), tables)
 }
 
 /// Collect a spec file's accept/emit [`FlowPoint`]s into `model`.

@@ -14,9 +14,10 @@
 //!   [`State`] in one `u128` (16 bytes): a 12-bit global header
 //!   (directory state + in-flight transaction), one 22-bit *lane* per
 //!   node, and the node count in the top bits. The visited arena stores
-//!   these words instead of heap-backed `State`s: membership probes
-//!   compare a `u128`, and 400k states cost 6.4 MB instead of
-//!   ~hundreds of bytes each across seven `Vec`s.
+//!   these words instead of the 64-byte inline `State`s: membership
+//!   probes compare a `u128`, and 400k states cost 6.4 MB. Both
+//!   directions work on stack values and never allocate, so the
+//!   explorer's expand (unpack, check, step, pack) stays off the heap.
 //! * [`canon`] — the orbit canonicaliser. Because the per-node lane
 //!   carries *everything* that moves with a node under a permutation —
 //!   cache state, pending op, request/snoop/response slots, quota,
@@ -254,7 +255,9 @@ pub fn unpack(c: Compact) -> State {
         }
         s.quota[i] = ((lane >> 12) & 0x3) as u8;
         let len = ((lane >> 14) & 0x3) as usize;
-        s.resp[i] = (0..len).map(|k| resp_from(lane >> (16 + 2 * k))).collect();
+        for k in 0..len {
+            s.resp[i].push(resp_from(lane >> (16 + 2 * k)));
+        }
     }
     s.pv = pv;
     s
@@ -339,6 +342,7 @@ pub fn orbit_size(c: Compact) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::{PerNode, RespQueue};
 
     #[test]
     fn initial_state_round_trips_and_is_canonical() {
@@ -356,12 +360,16 @@ mod tests {
     #[test]
     fn busy_and_queues_round_trip() {
         let mut s = State::initial(3, 1);
-        s.cache = vec![Cache::M, Cache::I, Cache::S];
-        s.pend = vec![Some(Req::Wb), None, Some(Req::Upgrade)];
-        s.req = vec![None, Some(Req::ReadEx), None];
-        s.snoop = vec![None, None, Some(Snoop::Down)];
-        s.sresp = vec![false, true, false];
-        s.resp = vec![vec![Resp::Retry, Resp::Data], vec![], vec![Resp::EData]];
+        s.cache = PerNode::from_slice(&[Cache::M, Cache::I, Cache::S]);
+        s.pend = PerNode::from_slice(&[Some(Req::Wb), None, Some(Req::Upgrade)]);
+        s.req = PerNode::from_slice(&[None, Some(Req::ReadEx), None]);
+        s.snoop = PerNode::from_slice(&[None, None, Some(Snoop::Down)]);
+        s.sresp = PerNode::from_slice(&[false, true, false]);
+        s.resp = PerNode::from_slice(&[
+            RespQueue::from_slice(&[Resp::Retry, Resp::Data]),
+            RespQueue::new(),
+            RespQueue::from_slice(&[Resp::EData]),
+        ]);
         s.dir = Dir::Mesi;
         s.pv = 0b101;
         s.busy = Some(Busy {
@@ -369,7 +377,7 @@ mod tests {
             requester: 2,
             pending: 1,
         });
-        s.quota = vec![0, 3, 1];
+        s.quota = PerNode::from_slice(&[0, 3, 1]);
         assert_eq!(unpack(pack(&s)), s);
     }
 
@@ -420,6 +428,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "MAX_NODES")]
     fn pack_rejects_too_many_nodes() {
+        // A state cannot even hold more nodes than `pack` encodes:
+        // `State::initial` panics first, naming the same bound.
         let s = State::initial(MAX_NODES + 1, 1);
         let _ = pack(&s);
     }

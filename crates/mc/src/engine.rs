@@ -61,8 +61,17 @@
 //!   word, all deterministic.
 //! * Spilling is pure storage: a run's words round-trip bit-exactly,
 //!   so only the explicitly nondeterministic accounting fields
-//!   (`spilled_bytes`, `mem_peak_bytes`) can differ between
-//!   configurations.
+//!   (`spilled_bytes`, `mem_peak_bytes` and the phase clocks) can
+//!   differ between configurations.
+//!
+//! ## Phase clocks
+//!
+//! Each level's phases are timed at their boundaries, never per state:
+//! `expand_ns` and `merge_ns` are the wall times of phases 1 and 2,
+//! `maintain_ns` that of phase 3, and `exchange_ns` the time spent
+//! inside candidate-file flushes during phase 1, summed over workers.
+//! They are args of the `mc/level` span, and their run totals are in
+//! [`EngineStats`].
 //!
 //! The matrix tests in `tests/out_of_core.rs` pin these rules across
 //! shard counts {1, 4, 16} × threads {1, 2, 8} × budgets that force
@@ -75,6 +84,7 @@ use std::io::{Seek, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// A state as a fixed-width, totally ordered, hashable word. The byte
 /// encoding must be order-preserving (big-endian style): the spill
@@ -287,6 +297,17 @@ pub struct EngineStats {
     pub mem_peak_bytes: usize,
     /// Total bytes written to spill files (0 when fully resident).
     pub spilled_bytes: u64,
+    /// Wall time of the expand phases, in nanoseconds. This and the
+    /// other phase clocks vary from run to run; never part of the
+    /// determinism gates.
+    pub expand_ns: u64,
+    /// Time spent flushing exchange buffers to candidate files, summed
+    /// over workers (0 when nothing was flushed).
+    pub exchange_ns: u64,
+    /// Wall time of the merge phases.
+    pub merge_ns: u64,
+    /// Wall time of the maintain phases (compaction and spilling).
+    pub maintain_ns: u64,
 }
 
 /// Everything an exploration returns.
@@ -491,6 +512,8 @@ struct WorkerOut<W: Word, P: Payload<W>> {
     edges: Vec<(W, W)>,
     /// Gauge bytes still accounted for the surviving hot buffers.
     accounted: usize,
+    /// Nanoseconds spent flushing candidate files.
+    exchange_ns: u64,
 }
 
 fn better_event<W: Word>(
@@ -724,6 +747,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
     let mut frontier_peak: usize = 0;
     let mut levels: usize = 0;
     let mut tracked_aux: usize = 0; // gauge-accounted parents+edges bytes
+    let (mut expand_ns, mut exchange_ns, mut merge_ns, mut maintain_ns) = (0u64, 0u64, 0u64, 0u64);
 
     let outcome = 'bfs: loop {
         if frontier_len == 0 {
@@ -739,6 +763,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
         level_span.arg("width", frontier_len as u64);
 
         // ---- Phase 1: expand ------------------------------------------------
+        let phase = Instant::now();
         let workers = if threads <= 1 {
             1
         } else {
@@ -765,6 +790,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
                 coverage: vec![false; space.coverage_slots()],
                 edges: Vec::new(),
                 accounted: 0,
+                exchange_ns: 0,
             };
             let mut block: Vec<S::W> = Vec::with_capacity(BLOCK_WORDS);
             let mut scratch: Vec<(S::W, u32)> = Vec::new();
@@ -809,6 +835,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
                 if buffered > cand_cap_bytes {
                     // Flush: one exchange file holding a sorted,
                     // prefix-coded segment per destination shard.
+                    let flush = Instant::now();
                     let dir = spill_dir.as_ref().expect("spill dir exists under budget");
                     let path = dir.next_file("xchg");
                     let mut file = CandFile {
@@ -863,6 +890,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
                     out.accounted = 0;
                     buffered = 0;
                     cand_files.lock().expect("cand files lock").push(file);
+                    out.exchange_ns += elapsed_ns(flush);
                 }
             }
             for buf in out.bufs.iter_mut() {
@@ -883,13 +911,16 @@ pub fn run<S: Space, P: Payload<S::W>>(
             })
         };
         let cand_files = cand_files.into_inner().expect("cand files");
+        let level_expand_ns = elapsed_ns(phase);
 
         // Fold per-worker counters and the minimum-word event.
         let mut event: Option<(S::W, EventKind)> = None;
         let mut level_transitions: u64 = 0;
+        let mut level_exchange_ns: u64 = 0;
         let mut bufs_accounted: usize = 0;
         for wo in &worker_outs {
             level_transitions += wo.transitions;
+            level_exchange_ns += wo.exchange_ns;
             event = better_event(event, wo.event);
             bufs_accounted += wo.accounted;
             for (a, b) in coverage.iter_mut().zip(&wo.coverage) {
@@ -897,6 +928,10 @@ pub fn run<S: Space, P: Payload<S::W>>(
             }
         }
         transitions += level_transitions;
+        expand_ns += level_expand_ns;
+        exchange_ns += level_exchange_ns;
+        level_span.arg("expand_ns", level_expand_ns);
+        level_span.arg("exchange_ns", level_exchange_ns);
         if opts.capture_edges {
             for wo in &mut worker_outs {
                 edges.append(&mut wo.edges);
@@ -912,6 +947,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
 
         // ---- Phase 2: merge (per shard; shards are disjoint, so ------------
         // ---- workers share nothing but the shard queue) ---------------------
+        let phase = Instant::now();
         let merge_inputs: ShardSlots<ShardMergeIn<S::W, P>> =
             (0..shards).map(|_| Mutex::new(None)).collect();
         {
@@ -990,6 +1026,9 @@ pub fn run<S: Space, P: Payload<S::W>>(
             .collect();
         let new_total: usize = new_runs.iter().map(|r| r.new_words.len()).sum();
         dedup_hits += level_transitions - new_total as u64;
+        let level_merge_ns = elapsed_ns(phase);
+        merge_ns += level_merge_ns;
+        level_span.arg("merge_ns", level_merge_ns);
 
         // ---- Budget rule: keep the globally smallest k new words -----------
         if states + new_total > opts.budget {
@@ -1053,6 +1092,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
         level_span.arg("new_states", new_total as u64);
 
         // ---- Phase 3: maintain (compaction + spill policy) -----------------
+        let phase = Instant::now();
         maintain(
             &mut stores,
             &mut frontier,
@@ -1061,6 +1101,9 @@ pub fn run<S: Space, P: Payload<S::W>>(
             spill_dir.as_ref(),
             &spilled_total,
         );
+        let level_maintain_ns = elapsed_ns(phase);
+        maintain_ns += level_maintain_ns;
+        level_span.arg("maintain_ns", level_maintain_ns);
 
         // Running totals: the most recently closed level span shows how
         // far a long exploration has got.
@@ -1087,11 +1130,20 @@ pub fn run<S: Space, P: Payload<S::W>>(
             mem_budget: opts.mem_budget,
             mem_peak_bytes: gauge.peak(),
             spilled_bytes: spilled_total.load(Ordering::Relaxed),
+            expand_ns,
+            exchange_ns,
+            merge_ns,
+            maintain_ns,
         },
         parents,
         coverage,
         edges,
     }
+}
+
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Post-level maintenance: compact shards that accumulated too many
@@ -1473,6 +1525,24 @@ mod tests {
         let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
         assert!(leftovers.is_empty(), "spill leftovers: {leftovers:?}");
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn phase_clocks_time_every_phase_of_a_spilled_run() {
+        let toy = Toy {
+            size: 40_000,
+            violating: None,
+        };
+        let s = run::<_, ()>(&toy, &[TW(1)], &opts(1, 4, 64 * 1024, usize::MAX)).stats;
+        assert!(s.spilled_bytes > 0, "{s:?}");
+        assert!(
+            s.expand_ns > 0 && s.merge_ns > 0 && s.maintain_ns > 0,
+            "{s:?}"
+        );
+        // One worker flushes inside its own expand phase.
+        assert!(s.exchange_ns > 0 && s.exchange_ns <= s.expand_ns, "{s:?}");
+        let resident = run::<_, ()>(&toy, &[TW(1)], &opts(1, 4, 0, usize::MAX)).stats;
+        assert_eq!(resident.exchange_ns, 0, "a resident run flushes nothing");
     }
 
     #[test]

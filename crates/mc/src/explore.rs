@@ -3,11 +3,13 @@
 //!
 //! The builtin directory-MESI model ([`crate::model::Model`]) is
 //! exposed to the engine as a [`Space`] over bit-packed [`Compact`]
-//! words (16 bytes each, see [`crate::compact`]): states are unpacked
-//! only at the model boundary, successors are packed (and, with
-//! [`McOpts::symmetry`] on, canonicalised to the lexicographically
-//! least member of their node-permutation orbit) before they enter the
-//! exchange. The engine owns everything else — sharding, sorted-run
+//! words (16 bytes each, see [`crate::compact`]): a state is unpacked
+//! into a stack [`State`] only at the model boundary, and
+//! [`Model::for_each_successor`] hands each successor to a callback
+//! that packs it (and, with [`McOpts::symmetry`] on, canonicalises it
+//! to the lexicographically least member of its node-permutation
+//! orbit) straight into the exchange, so expanding a state allocates
+//! nothing. The engine owns everything else — sharding, sorted-run
 //! dedup, spilling under [`McOpts::mem_budget`], parallel expansion
 //! and merge — so this module is mostly translation: `McOpts` →
 //! `EngineOpts`, `EngineOutcome` word witnesses → unpacked [`State`]s
@@ -164,19 +166,14 @@ impl Space for ModelSpace<'_> {
             em.violation();
             return;
         }
-        let succ = self.model.successors(&s);
-        if succ.is_empty() {
-            if s.quiescent() {
-                em.quiescent();
-            }
-            return;
-        }
-        for t in &succ {
-            let mut c = pack(t);
-            if self.symmetry {
-                c = canon(c);
-            }
-            em.succ(c, 0);
+        let mut any = false;
+        self.model.for_each_successor(&s, |t| {
+            any = true;
+            let c = pack(&t);
+            em.succ(if self.symmetry { canon(c) } else { c }, 0);
+        });
+        if !any && s.quiescent() {
+            em.quiescent();
         }
     }
 
@@ -277,6 +274,10 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
     run_span.arg("frontier_bytes", stats.frontier_bytes as u64);
     run_span.arg("mem_peak_bytes", stats.mem_peak_bytes as u64);
     run_span.arg("spilled_bytes", stats.spilled_bytes);
+    run_span.arg("expand_ns", out.stats.expand_ns);
+    run_span.arg("exchange_ns", out.stats.exchange_ns);
+    run_span.arg("merge_ns", out.stats.merge_ns);
+    run_span.arg("maintain_ns", out.stats.maintain_ns);
     run_span.arg(
         "outcome",
         match &outcome {
@@ -425,7 +426,7 @@ mod tests {
         let mut init = m.initial();
         init.cache[0] = crate::state::Cache::M;
         init.cache[1] = crate::state::Cache::S;
-        let (out, stats) = explore_from(&m, init.clone(), 1_000, 1);
+        let (out, stats) = explore_from(&m, init, 1_000, 1);
         assert_eq!(
             out,
             McOutcome::Violation("single-writer: M/E coexists with S")

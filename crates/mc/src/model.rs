@@ -51,21 +51,48 @@ impl Model {
         Ok(())
     }
 
-    /// All successor states of `s` (each enabled rule firing once).
+    /// All successor states of `s` (each enabled rule firing once), in
+    /// the order [`Model::for_each_successor`] emits them.
     pub fn successors(&self, s: &State) -> Vec<State> {
         let mut out = Vec::new();
-        for i in 0..self.nodes {
-            self.issue_rules(s, i, &mut out);
-            self.snoop_rule(s, i, &mut out);
-            self.sresp_rule(s, i, &mut out);
-            self.resp_rule(s, i, &mut out);
-            self.dir_rule(s, i, &mut out);
-        }
+        self.for_each_successor(s, |t| out.push(t));
         out
     }
 
+    /// Call `f` on every successor of `s` (each enabled rule firing
+    /// once): per node in index order, its issue, snoop, snoop-response,
+    /// response and directory rules. Each successor is a copy of `s`
+    /// with the rule applied, so the walk allocates nothing.
+    pub fn for_each_successor(&self, s: &State, mut f: impl FnMut(State)) {
+        for i in 0..self.nodes {
+            self.issue_rules(s, i, &mut f);
+            self.snoop_rule(s, i, &mut f);
+            self.sresp_rule(s, i, &mut f);
+            self.resp_rule(s, i, &mut f);
+            self.dir_rule(s, i, &mut f);
+        }
+    }
+
+    /// The presence bits of the nodes other than `i`.
+    fn others(&self, s: &State, i: usize) -> u16 {
+        s.pv & !(1 << i) & ((1 << self.nodes) - 1)
+    }
+
+    /// Whether any node in the presence mask `nodes` has a snoop in
+    /// flight.
+    fn any_snooped(&self, s: &State, nodes: u16) -> bool {
+        (0..self.nodes).any(|j| nodes & (1 << j) != 0 && s.snoop[j].is_some())
+    }
+
+    /// Send an invalidation to every node in the presence mask `nodes`.
+    fn invalidate(&self, t: &mut State, nodes: u16) {
+        for j in (0..self.nodes).filter(|&j| nodes & (1 << j) != 0) {
+            t.snoop[j] = Some(Snoop::Inv);
+        }
+    }
+
     /// Node `i` issues a new request (one successor per legal op).
-    fn issue_rules(&self, s: &State, i: usize, out: &mut Vec<State>) {
+    fn issue_rules(&self, s: &State, i: usize, f: &mut impl FnMut(State)) {
         if s.pend[i].is_some() || s.req[i].is_some() || s.quota[i] == 0 {
             return;
         }
@@ -76,28 +103,28 @@ impl Model {
             Cache::M => &[Req::Wb],
         };
         for &op in legal {
-            let mut t = s.clone();
+            let mut t = *s;
             t.pend[i] = Some(op);
             t.req[i] = Some(op);
             t.quota[i] -= 1;
-            out.push(t);
+            f(t);
         }
     }
 
     /// The directory consumes node `i`'s request.
-    fn dir_rule(&self, s: &State, i: usize, out: &mut Vec<State>) {
+    fn dir_rule(&self, s: &State, i: usize, f: &mut impl FnMut(State)) {
         let Some(op) = s.req[i] else { return };
         // A transaction in flight: serialise with retry.
         if s.busy.is_some() {
             if s.resp[i].len() < self.resp_depth {
-                let mut t = s.clone();
+                let mut t = *s;
                 t.req[i] = None;
                 t.resp[i].push(Resp::Retry);
-                out.push(t);
+                f(t);
             }
             return;
         }
-        let mut t = s.clone();
+        let mut t = *s;
         t.req[i] = None;
         match (op, s.dir) {
             (Req::Read, Dir::I) => {
@@ -140,34 +167,30 @@ impl Model {
             }
             (Req::ReadEx, Dir::Si) | (Req::ReadEx, Dir::Mesi) => {
                 // Invalidate every sharer/owner.
-                let targets: Vec<usize> =
-                    (0..self.nodes).filter(|&j| s.in_pv(j) && j != i).collect();
-                if targets.is_empty() {
+                let targets = self.others(s, i);
+                if targets == 0 {
                     // Stale request (our own copy was the only one).
                     if s.resp[i].len() >= self.resp_depth {
                         return;
                     }
                     t.resp[i].push(Resp::Retry);
-                    out.push(t);
+                    f(t);
                     return;
                 }
-                if targets.iter().any(|&j| s.snoop[j].is_some()) {
+                if self.any_snooped(s, targets) {
                     return;
                 }
-                for &j in &targets {
-                    t.snoop[j] = Some(Snoop::Inv);
-                }
+                self.invalidate(&mut t, targets);
                 t.busy = Some(Busy {
                     req: Req::ReadEx,
                     requester: i as u8,
-                    pending: targets.len() as u8,
+                    pending: targets.count_ones() as u8,
                 });
                 t.dir = Dir::I;
             }
             (Req::Upgrade, Dir::Si) if s.in_pv(i) => {
-                let others: Vec<usize> =
-                    (0..self.nodes).filter(|&j| s.in_pv(j) && j != i).collect();
-                if others.is_empty() {
+                let others = self.others(s, i);
+                if others == 0 {
                     if s.resp[i].len() >= self.resp_depth {
                         return;
                     }
@@ -175,16 +198,14 @@ impl Model {
                     t.pv = 1 << i;
                     t.resp[i].push(Resp::Compl);
                 } else {
-                    if others.iter().any(|&j| s.snoop[j].is_some()) {
+                    if self.any_snooped(s, others) {
                         return;
                     }
-                    for &j in &others {
-                        t.snoop[j] = Some(Snoop::Inv);
-                    }
+                    self.invalidate(&mut t, others);
                     t.busy = Some(Busy {
                         req: Req::Upgrade,
                         requester: i as u8,
-                        pending: others.len() as u8,
+                        pending: others.count_ones() as u8,
                     });
                     t.dir = Dir::I;
                 }
@@ -230,11 +251,11 @@ impl Model {
                 t.resp[i].push(Resp::Compl);
             }
         }
-        out.push(t);
+        f(t);
     }
 
     /// Node `i` answers a snoop.
-    fn snoop_rule(&self, s: &State, i: usize, out: &mut Vec<State>) {
+    fn snoop_rule(&self, s: &State, i: usize, f: &mut impl FnMut(State)) {
         let Some(sn) = s.snoop[i] else { return };
         if s.sresp[i] {
             return;
@@ -252,7 +273,7 @@ impl Model {
                 return;
             }
         }
-        let mut t = s.clone();
+        let mut t = *s;
         t.snoop[i] = None;
         match sn {
             Snoop::Inv => t.cache[i] = Cache::I,
@@ -263,22 +284,22 @@ impl Model {
             }
         }
         t.sresp[i] = true;
-        out.push(t);
+        f(t);
     }
 
     /// The directory collects node `i`'s snoop response.
-    fn sresp_rule(&self, s: &State, i: usize, out: &mut Vec<State>) {
+    fn sresp_rule(&self, s: &State, i: usize, f: &mut impl FnMut(State)) {
         if !s.sresp[i] {
             return;
         }
         let Some(b) = s.busy else { return };
-        let mut t = s.clone();
+        let mut t = *s;
         t.sresp[i] = false;
         let mut b2 = b;
         b2.pending -= 1;
         if b2.pending > 0 {
             t.busy = Some(b2);
-            out.push(t);
+            f(t);
             return;
         }
         // Transaction completes.
@@ -305,15 +326,15 @@ impl Model {
             }
             _ => unreachable!("only snooping transactions go busy"),
         }
-        out.push(t);
+        f(t);
     }
 
     /// Node `i` consumes a response.
-    fn resp_rule(&self, s: &State, i: usize, out: &mut Vec<State>) {
+    fn resp_rule(&self, s: &State, i: usize, f: &mut impl FnMut(State)) {
         if s.resp[i].is_empty() {
             return;
         }
-        let mut t = s.clone();
+        let mut t = *s;
         let r = t.resp[i].remove(0);
         let pend = s.pend[i];
         match (r, pend) {
@@ -331,7 +352,7 @@ impl Model {
             }
         }
         t.pend[i] = None;
-        out.push(t);
+        f(t);
     }
 
     /// Safety properties ("protocol invariants") of one state; returns
@@ -438,7 +459,7 @@ mod tests {
             resp_depth: 2,
         };
         let mut s = m.initial();
-        s.cache = vec![Cache::M, Cache::S, Cache::I];
+        s.cache = crate::state::PerNode::from_slice(&[Cache::M, Cache::S, Cache::I]);
         for perm in [[0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0]] {
             assert_eq!(m.check(&s), m.check(&s.permuted(&perm)), "{perm:?}");
         }

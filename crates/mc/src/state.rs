@@ -5,9 +5,135 @@
 //! This module is that abstraction: a single cache line, symmetric
 //! nodes, small bounded message slots — the classic Murphi-style model
 //! of a directory MESI protocol (one abstract home, N abstract nodes).
+//!
+//! A [`State`] lives entirely inline: each per-node field is an
+//! [`InlineVec`] of at most [`MAX_NODES`] entries and each response
+//! queue one of at most [`MAX_RESP_DEPTH`], so a state is a `Copy`
+//! value of 64 bytes. The explorer unpacks a state, checks it, steps
+//! its successors and packs them again without touching the heap.
+
+use crate::compact::{MAX_NODES, MAX_RESP_DEPTH};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+
+/// A vector of at most `N` elements stored inline: a length and
+/// `[T; N]`. It derefs to the slice of its first `len` elements, so
+/// indexing, iteration and the slice methods work as on a `Vec`;
+/// equality, hashing and `Debug` see only that slice.
+#[derive(Clone, Copy)]
+pub struct InlineVec<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+    /// The empty vector.
+    pub fn new() -> Self {
+        assert!(N <= u8::MAX as usize, "InlineVec: capacity {N} exceeds 255");
+        InlineVec {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+
+    /// `len` copies of `value`. Panics when `len` exceeds the capacity.
+    pub fn from_elem(value: T, len: usize) -> Self {
+        assert!(len <= N, "InlineVec: length {len} exceeds capacity {N}");
+        let mut v = Self::new();
+        v.items[..len].fill(value);
+        v.len = len as u8;
+        v
+    }
+
+    /// A copy of `items`. Panics when they exceed the capacity.
+    pub fn from_slice(items: &[T]) -> Self {
+        let len = items.len();
+        assert!(len <= N, "InlineVec: length {len} exceeds capacity {N}");
+        let mut v = Self::new();
+        v.items[..len].copy_from_slice(items);
+        v.len = len as u8;
+        v
+    }
+
+    /// Append `value`. Panics when the vector is full.
+    pub fn push(&mut self, value: T) {
+        let len = self.len as usize;
+        assert!(len < N, "InlineVec: push beyond capacity {N}");
+        self.items[len] = value;
+        self.len += 1;
+    }
+
+    /// Remove and return the element at `index`, shifting the rest
+    /// left. Panics when `index` is out of bounds.
+    pub fn remove(&mut self, index: usize) -> T {
+        let len = self.len as usize;
+        assert!(
+            index < len,
+            "InlineVec: remove index {index} out of bounds for length {len}"
+        );
+        let value = self.items[index];
+        self.items.copy_within(index + 1..len, index);
+        self.len -= 1;
+        value
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<T, const N: usize> DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len as usize]
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: Hash, const N: usize> Hash for InlineVec<T, N> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// One entry per node.
+pub type PerNode<T> = InlineVec<T, MAX_NODES>;
+
+/// A node's bounded response queue, oldest first.
+pub type RespQueue = InlineVec<Resp, MAX_RESP_DEPTH>;
 
 /// MESI cache state, compact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Cache {
     /// Modified.
     M,
@@ -16,6 +142,7 @@ pub enum Cache {
     /// Shared.
     S,
     /// Invalid.
+    #[default]
     I,
 }
 
@@ -54,10 +181,12 @@ pub enum Snoop {
     Down,
 }
 
-/// A response (directory → node).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// A response (directory → node). The default is the one whose packed
+/// code is zero; it only fills unused queue slots.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Resp {
     /// Shared data.
+    #[default]
     Data,
     /// Exclusive data (also completes writes).
     EData,
@@ -79,20 +208,20 @@ pub struct Busy {
 }
 
 /// One global state of the abstract machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct State {
     /// Per-node cache state.
-    pub cache: Vec<Cache>,
+    pub cache: PerNode<Cache>,
     /// Per-node pending request at the node (issued, not completed).
-    pub pend: Vec<Option<Req>>,
+    pub pend: PerNode<Option<Req>>,
     /// Per-node request slot in flight to the directory.
-    pub req: Vec<Option<Req>>,
+    pub req: PerNode<Option<Req>>,
     /// Per-node snoop slot in flight from the directory.
-    pub snoop: Vec<Option<Snoop>>,
+    pub snoop: PerNode<Option<Snoop>>,
     /// Per-node snoop response in flight to the directory.
-    pub sresp: Vec<bool>,
+    pub sresp: PerNode<bool>,
     /// Per-node response queue from the directory (bounded).
-    pub resp: Vec<Vec<Resp>>,
+    pub resp: PerNode<RespQueue>,
     /// Directory state.
     pub dir: Dir,
     /// Presence bitset.
@@ -101,23 +230,28 @@ pub struct State {
     pub busy: Option<Busy>,
     /// Remaining operations each node may still issue (bounds the
     /// reachable space; `None`-like saturation at 255).
-    pub quota: Vec<u8>,
+    pub quota: PerNode<u8>,
 }
 
 impl State {
     /// Initial state: everything invalid, `quota` operations per node.
+    /// Panics when `nodes` exceeds [`MAX_NODES`].
     pub fn initial(nodes: usize, quota: u8) -> State {
+        assert!(
+            nodes <= MAX_NODES,
+            "State::initial: {nodes} nodes exceed MAX_NODES={MAX_NODES}"
+        );
         State {
-            cache: vec![Cache::I; nodes],
-            pend: vec![None; nodes],
-            req: vec![None; nodes],
-            snoop: vec![None; nodes],
-            sresp: vec![false; nodes],
-            resp: vec![Vec::new(); nodes],
+            cache: PerNode::from_elem(Cache::I, nodes),
+            pend: PerNode::from_elem(None, nodes),
+            req: PerNode::from_elem(None, nodes),
+            snoop: PerNode::from_elem(None, nodes),
+            sresp: PerNode::from_elem(false, nodes),
+            resp: PerNode::from_elem(RespQueue::new(), nodes),
             dir: Dir::I,
             pv: 0,
             busy: None,
-            quota: vec![quota; nodes],
+            quota: PerNode::from_elem(quota, nodes),
         }
     }
 
@@ -152,7 +286,7 @@ impl State {
             t.req[j] = self.req[i];
             t.snoop[j] = self.snoop[i];
             t.sresp[j] = self.sresp[i];
-            t.resp[j] = self.resp[i].clone();
+            t.resp[j] = self.resp[i];
             t.quota[j] = self.quota[i];
             if self.in_pv(i) {
                 pv |= 1 << j;
@@ -194,13 +328,16 @@ mod tests {
     #[test]
     fn permutation_moves_every_node_field_together() {
         let mut s = State::initial(3, 2);
-        s.cache = vec![Cache::M, Cache::S, Cache::I];
+        s.cache = PerNode::from_slice(&[Cache::M, Cache::S, Cache::I]);
         s.pv = 0b011;
-        s.quota = vec![0, 1, 2];
+        s.quota = PerNode::from_slice(&[0, 1, 2]);
         let t = s.permuted(&[2, 0, 1]);
-        assert_eq!(t.cache, vec![Cache::S, Cache::I, Cache::M]);
+        assert_eq!(
+            t.cache,
+            PerNode::from_slice(&[Cache::S, Cache::I, Cache::M])
+        );
         assert_eq!(t.pv, 0b101);
-        assert_eq!(t.quota, vec![1, 2, 0]);
+        assert_eq!(t.quota, PerNode::from_slice(&[1, 2, 0]));
         // Identity round-trips.
         assert_eq!(t.permuted(&[1, 2, 0]), s);
     }
@@ -211,9 +348,31 @@ mod tests {
         let a = State::initial(2, 1);
         let mut b = State::initial(2, 1);
         let mut set = HashSet::new();
-        set.insert(a.clone());
+        set.insert(a);
         assert!(set.contains(&b));
         b.cache[1] = Cache::M;
         assert!(!set.contains(&b));
+    }
+
+    #[test]
+    fn inline_vecs_compare_and_hash_their_live_elements_only() {
+        use std::collections::hash_map::DefaultHasher;
+        let mut q = RespQueue::new();
+        q.push(Resp::Retry);
+        q.push(Resp::Data);
+        q.push(Resp::EData);
+        assert_eq!(q.remove(0), Resp::Retry);
+        assert_eq!(q[..], [Resp::Data, Resp::EData]);
+        assert_eq!(format!("{q:?}"), "[Data, EData]");
+        // `remove` leaves a stale copy in the freed slot; equality and
+        // hashing must not see it.
+        let same = RespQueue::from_slice(&[Resp::Data, Resp::EData]);
+        assert_eq!(q, same);
+        let hash = |v: &RespQueue| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&q), hash(&same));
     }
 }

@@ -42,9 +42,9 @@ fn random_state(rng: &mut SplitMix64, nodes: usize) -> State {
         s.snoop[i] = snoops[rng.gen_range_u32(3) as usize];
         s.sresp[i] = rng.gen_bool(0.5);
         let len = rng.gen_range_u32(4) as usize;
-        s.resp[i] = (0..len)
-            .map(|_| resps[rng.gen_range_u32(4) as usize])
-            .collect();
+        for _ in 0..len {
+            s.resp[i].push(resps[rng.gen_range_u32(4) as usize]);
+        }
         s.quota[i] = rng.gen_range_u32(4) as u8;
         if rng.gen_bool(0.5) {
             s.pv |= 1 << i;

@@ -17,7 +17,7 @@ const THREADS: [usize; 3] = [1, 2, 8];
 const TINY: usize = 4 * 1024;
 
 fn run(m: &Model, init: State, opts: &McOpts) -> (McOutcome, McStats) {
-    explore_with(m, init.clone(), opts)
+    explore_with(m, init, opts)
 }
 
 /// The statistics that must not depend on threads, shards or spilling.
@@ -47,7 +47,7 @@ fn assert_matrix_identical_opt(
 ) {
     let (base_out, base) = run(
         m,
-        init.clone(),
+        init,
         &McOpts {
             budget,
             threads: 1,
@@ -62,7 +62,7 @@ fn assert_matrix_identical_opt(
             for mem_budget in [0, TINY] {
                 let (out, st) = run(
                     m,
-                    init.clone(),
+                    init,
                     &McOpts {
                         budget,
                         threads,
@@ -121,11 +121,11 @@ fn seeded_violation_witness_is_identical_under_spill() {
     init.cache[0] = ccsql_mc::state::Cache::S;
     init.pv = 0b001;
     init.dir = ccsql_mc::state::Dir::Si;
-    init.resp[1] = vec![ccsql_mc::state::Resp::EData];
+    init.resp[1] = ccsql_mc::state::RespQueue::from_slice(&[ccsql_mc::state::Resp::EData]);
     init.pend[1] = Some(ccsql_mc::state::Req::ReadEx);
     let (out, st) = run(
         &m,
-        init.clone(),
+        init,
         &McOpts {
             budget: 100_000,
             mem_budget: TINY,
@@ -136,7 +136,7 @@ fn seeded_violation_witness_is_identical_under_spill() {
     assert!(st.witness.is_some());
     // The bug is hit within two levels — too early for a maintenance
     // spill — so only the identity half of the matrix applies.
-    assert_matrix_identical_opt(&m, init.clone(), 100_000, false, false);
+    assert_matrix_identical_opt(&m, init, 100_000, false, false);
     assert_matrix_identical_opt(&m, init, 100_000, true, false);
 }
 

@@ -7,7 +7,7 @@
 //! sequential discovery order exactly). These tests pin that contract
 //! at 1, 2 and 8 threads on verified, violating and budget-capped runs.
 
-use ccsql_mc::state::{Cache, Req, Resp};
+use ccsql_mc::state::{Cache, PerNode, Req, Resp, RespQueue};
 use ccsql_mc::{explore_from, explore_threads, McOutcome, McStats, Model, State};
 
 /// All deterministic fields of [`McStats`] (everything but wall-clock
@@ -75,17 +75,17 @@ fn violation_witness_is_identical_at_1_2_8_threads() {
         resp_depth: 2,
     };
     let mut init = m.initial();
-    init.cache = vec![Cache::S, Cache::I];
+    init.cache = PerNode::from_slice(&[Cache::S, Cache::I]);
     init.pend[1] = Some(Req::ReadEx);
-    init.resp[1] = vec![Resp::EData];
-    let (o1, s1) = explore_from(&m, init.clone(), 1_000_000, 1);
+    init.resp[1] = RespQueue::from_slice(&[Resp::EData]);
+    let (o1, s1) = explore_from(&m, init, 1_000_000, 1);
     assert_eq!(
         o1,
         McOutcome::Violation("single-writer: M/E coexists with S")
     );
     assert!(s1.witness.is_some());
     for threads in [2, 8] {
-        let (on, sn) = explore_from(&m, init.clone(), 1_000_000, threads);
+        let (on, sn) = explore_from(&m, init, 1_000_000, threads);
         assert_eq!(o1, on, "outcome at {threads} threads");
         assert_eq!(
             deterministic_fields(&s1),

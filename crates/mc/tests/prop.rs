@@ -13,14 +13,14 @@ const CASES: u64 = 64;
 /// state, stopping early at a state with no successors.
 fn walk(model: &Model, r: &mut SplitMix64, max_len: u64) -> Vec<State> {
     let mut s = model.initial();
-    let mut path = vec![s.clone()];
+    let mut path = vec![s];
     for _ in 0..r.gen_range_u64(max_len) {
         let succ = model.successors(&s);
         if succ.is_empty() {
             break;
         }
-        s = succ[r.gen_range_u64(succ.len() as u64) as usize].clone();
-        path.push(s.clone());
+        s = succ[r.gen_range_u64(succ.len() as u64) as usize];
+        path.push(s);
     }
     path
 }

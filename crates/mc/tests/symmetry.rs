@@ -95,7 +95,7 @@ fn seeded_violation_is_found_in_both_modes_with_a_valid_witness() {
     init.cache[0] = ccsql_mc::state::Cache::M;
     init.cache[1] = ccsql_mc::state::Cache::S;
 
-    let (full_out, full) = explore_from(&m, init.clone(), 1_000, 1);
+    let (full_out, full) = explore_from(&m, init, 1_000, 1);
     assert_eq!(
         full_out,
         McOutcome::Violation("single-writer: M/E coexists with S")
@@ -104,7 +104,7 @@ fn seeded_violation_is_found_in_both_modes_with_a_valid_witness() {
     assert!(m.check(&full_witness).is_some());
 
     for threads in [1, 2, 8] {
-        let (out, st) = sym(&m, init.clone(), threads);
+        let (out, st) = sym(&m, init, threads);
         assert_eq!(out, full_out, "{threads} threads");
         let w = st.witness.expect("reduced witness");
         assert_eq!(
@@ -135,11 +135,11 @@ fn deep_violation_is_reported_in_both_modes() {
     init.cache[0] = ccsql_mc::state::Cache::S;
     init.pv = 0b001;
     init.dir = ccsql_mc::state::Dir::Si;
-    init.resp[1] = vec![ccsql_mc::state::Resp::EData];
+    init.resp[1] = ccsql_mc::state::RespQueue::from_slice(&[ccsql_mc::state::Resp::EData]);
     init.pend[1] = Some(ccsql_mc::state::Req::ReadEx);
 
-    let (full_out, _) = explore_from(&m, init.clone(), 100_000, 1);
-    let (sym_out, st) = sym(&m, init.clone(), 1);
+    let (full_out, _) = explore_from(&m, init, 100_000, 1);
+    let (sym_out, st) = sym(&m, init, 1);
     assert_eq!(full_out, sym_out);
     assert!(
         matches!(sym_out, McOutcome::Violation(_)),

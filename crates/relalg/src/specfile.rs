@@ -635,6 +635,16 @@ pub fn solve_specfile_with(
     let (rel, _) = sf
         .spec
         .generate_with(opts, &crate::expr::SetContext::new())?;
+    let failures = check_specfile(sf, &rel)?;
+    Ok((rel, failures))
+}
+
+/// Run the spec file's static checks against `rel`, its generated
+/// table. Returns the failing checks with their witness relations.
+pub fn check_specfile(
+    sf: &SpecFile,
+    rel: &crate::Relation,
+) -> Result<Vec<(String, crate::Relation)>> {
     let mut db = crate::Database::new();
     db.put_table(&sf.spec.name, rel.clone());
     let mut failures = Vec::new();
@@ -644,7 +654,7 @@ pub fn solve_specfile_with(
             failures.push((name.clone(), witnesses));
         }
     }
-    Ok((rel, failures))
+    Ok(failures)
 }
 
 #[cfg(test)]

@@ -164,6 +164,15 @@ if [ -z "$d_evals" ] || [ $((d_evals * 3)) -ge "$d_cands" ]; then
     exit 1
 fi
 grep -q '^mc/explore ms=[0-9.]* .* arena_bytes=[0-9]* .* mem_peak_bytes=[0-9]* ' "$WORK_DIR/stats1.txt"
+# The engine's phase clocks: under a small memory budget the run flushes
+# exchange buffers to candidate files and merges them back.
+cargo run --quiet --release -p ccsql-cli -- stats mc --nodes 3 --quota 3 --no-symmetry \
+    --mem-budget 2M --shards 16 > "$WORK_DIR/stats_spill.txt"
+grep -q '^mc/explore ms=[0-9.]* .* exchange_ns=[1-9][0-9]* merge_ns=[1-9][0-9]* ' \
+    "$WORK_DIR/stats_spill.txt" || {
+    echo "stats mc under a 2M memory budget shows no exchange or merge time" >&2
+    exit 1
+}
 
 echo "==> ccsql --heartbeat (result-neutral; the final tick shows the last span of the run)"
 cargo run --quiet --release -p ccsql-cli -- mc --spec specs/phase_priority.ccsql --nodes 3 \
