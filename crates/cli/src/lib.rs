@@ -1510,7 +1510,7 @@ fn zoo_pack(
     };
 
     // Stage 1: lint (boundary hygiene, coverage, nondeterminism, …).
-    let (report, _) = lint_specs(&[&sf]);
+    let (report, tables) = lint_specs(&[&sf]);
     let (errors, warns) = report
         .diagnostics()
         .iter()
@@ -1526,10 +1526,11 @@ fn zoo_pack(
     );
 
     // Stage 2: solve, compiled AND interpreted, diffed byte-for-byte.
-    let compiled = ccsql_relalg::specfile::solve_specfile_with(&sf, true);
+    // The compiled side is the lint's table where it can be.
+    let compiled = solve_linted(&sf, tables.into_iter().next().flatten(), true);
     let interpreted = ccsql_relalg::specfile::solve_specfile_with(&sf, false);
     let mut machine_rel = None;
-    match (compiled, interpreted) {
+    match (&compiled, interpreted) {
         (Ok((rc, fc)), Ok((ri, fi))) => {
             let tc = report::ascii_table(&rc.sorted());
             let ti = report::ascii_table(&ri.sorted());
@@ -1550,16 +1551,23 @@ fn zoo_pack(
         }
         (c, i) => {
             let err = c
+                .as_ref()
                 .err()
-                .or(i.err())
+                .or(i.err().as_ref())
                 .map(|e| e.to_string())
                 .unwrap_or_default();
             push("solve", Some(false), format!("solve failed: {err}"));
         }
     }
 
-    // Stage 3: flows / virtual-channel graph deadlock analysis.
-    match ccsql_lint::flows::analyze_specfile(&sf, vc) {
+    // Stage 3: flows / virtual-channel graph deadlock analysis of the
+    // compiled table.
+    let flows = match &compiled {
+        Ok((rel, _)) => ccsql_lint::flows::FlowUniverse::from_specfile(&sf, rel, vc)
+            .map(ccsql_lint::flows::analyze),
+        Err(e) => Err(format!("cannot solve spec `{}`: {e}", sf.spec.name)),
+    };
+    match flows {
         Ok(a) => {
             let free = a.deadlock_free_all_n();
             push(
@@ -1572,7 +1580,7 @@ fn zoo_pack(
     }
 
     // Stages 4+5 need the operational directives and a clean table.
-    let machine = match &machine_rel {
+    let machine = match machine_rel {
         None => Err("no clean solved table".to_string()),
         Some(rel) => SpecMachine::build(&sf, rel),
     };
@@ -1666,6 +1674,26 @@ fn lint_specs(
     )
 }
 
+/// Solve a spec file and run its checks. On the compiled path `linted`,
+/// the lint's table of the spec, is the one the solve computes when its
+/// columns come in the declared order: the lint solves a spec that
+/// declares an output before an input inputs-first.
+fn solve_linted(
+    sf: &ccsql_relalg::SpecFile,
+    linted: Option<ccsql_relalg::Relation>,
+    compile: bool,
+) -> ccsql_relalg::Result<(
+    ccsql_relalg::Relation,
+    Vec<(String, ccsql_relalg::Relation)>,
+)> {
+    match linted {
+        Some(rel) if compile && rel.schema().columns() == sf.spec.column_names() => {
+            ccsql_relalg::specfile::check_specfile(sf, &rel).map(|failures| (rel, failures))
+        }
+        _ => ccsql_relalg::specfile::solve_specfile_with(sf, compile),
+    }
+}
+
 fn cmd_lint(opts: &Opts) -> Result<String, String> {
     let report = if opts.flag("--protocol") {
         let v = parse_assignment(opts)?;
@@ -1720,20 +1748,9 @@ fn cmd_solve(opts: &Opts) -> Result<String, String> {
     }
     // `--no-compile`: solve with the interpreted oracle instead of the
     // compiled bytecode path; the outputs must be byte-identical (the
-    // differential gate in scripts/verify.sh diffs them). On the
-    // compiled path the lint's table is the one `solve` computes when
-    // its columns come in the declared order: the lint solves a spec
-    // that declares an output before an input inputs-first.
+    // differential gate in scripts/verify.sh diffs them).
     let compile = !opts.flag("--no-compile");
-    let (rel, failures) = match linted {
-        Some(rel) if compile && rel.schema().columns() == sf.spec.column_names() => {
-            let failures = ccsql_relalg::specfile::check_specfile(&sf, &rel);
-            (rel, failures.map_err(|e| e.to_string())?)
-        }
-        _ => {
-            ccsql_relalg::specfile::solve_specfile_with(&sf, compile).map_err(|e| e.to_string())?
-        }
-    };
+    let (rel, failures) = solve_linted(&sf, linted, compile).map_err(|e| e.to_string())?;
     let mut out = String::new();
     writeln!(
         out,
@@ -2631,6 +2648,16 @@ mod tests {
         let err = run(&["zoo".into(), empty.display().to_string()]).unwrap_err();
         assert!(err.contains("no .ccsql spec packs"), "{err}");
         let _ = std::fs::remove_dir(&empty);
+    }
+
+    #[test]
+    fn zoo_solves_each_pack_once_compiled() {
+        // The lint's table is the solve stage's compiled side and the
+        // flows stage's input; only the interpreted oracle solves again.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let out = run(&argv(&format!("stats zoo {dir} --quick"))).unwrap();
+        let solves = out.lines().filter(|l| l.starts_with("solve/Fig3 ms="));
+        assert_eq!(solves.count(), 2, "{out}");
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Vcg {
     /// Find all cycles: one [`Cycle`] per strongly connected component
     /// that is non-trivial (more than one node, or a self-loop).
     pub fn cycles(&self) -> Vec<Cycle> {
-        let sccs = self.tarjan();
+        let sccs = tarjan(&self.adj, |&(t, _)| t);
         let mut out = Vec::new();
         for scc in sccs {
             let nontrivial = scc.len() > 1 || self.adj[scc[0]].iter().any(|&(t, _)| t == scc[0]);
@@ -192,66 +192,6 @@ impl Vcg {
         on_path[v] = false;
     }
 
-    fn tarjan(&self) -> Vec<Vec<usize>> {
-        // Iterative Tarjan SCC (graphs are tiny, but avoid recursion on
-        // principle).
-        let n = self.nodes.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut sccs: Vec<Vec<usize>> = Vec::new();
-        // Call stack frames: (node, neighbour cursor).
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-        for start in 0..n {
-            if index[start] != usize::MAX {
-                continue;
-            }
-            frames.push((start, 0));
-            index[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start);
-            on_stack[start] = true;
-            while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-                if *cursor < self.adj[v].len() {
-                    let (w, _) = self.adj[v][*cursor];
-                    *cursor += 1;
-                    if index[w] == usize::MAX {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut scc = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            scc.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        scc.sort();
-                        sccs.push(scc);
-                    }
-                }
-            }
-        }
-        sccs
-    }
-
     /// A shortest closed walk inside an SCC: BFS from each node back to
     /// itself, keeping edges within the component.
     fn shortest_cycle_in(&self, scc: &[usize]) -> Vec<Edge> {
@@ -325,6 +265,70 @@ impl Vcg {
         }
         best.unwrap_or_default()
     }
+}
+
+/// The strongly connected components of a graph given as adjacency
+/// lists: node `v`'s edges are `adj[v]`, and `head` gives the node an
+/// edge leads to. Tarjan's algorithm, iterative, so deep graphs cannot
+/// overflow the stack. Deterministic: roots are tried in index order
+/// and edges in list order, and the components come out in completion
+/// order, each with its members ascending.
+pub fn tarjan<E>(adj: &[Vec<E>], head: impl Fn(&E) -> usize) -> Vec<Vec<usize>> {
+    let n = adj.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    // Call stack frames: (node, neighbour cursor).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for start in 0..n {
+        if index[start] != usize::MAX {
+            continue;
+        }
+        frames.push((start, 0));
+        index[start] = next_index;
+        low[start] = next_index;
+        next_index += 1;
+        stack.push(start);
+        on_stack[start] = true;
+        while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
+            if let Some(e) = adj[v].get(*cursor) {
+                let w = head(e);
+                *cursor += 1;
+                if index[w] == usize::MAX {
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut scc = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow");
+                        on_stack[w] = false;
+                        scc.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    scc.sort_unstable();
+                    sccs.push(scc);
+                }
+            }
+        }
+    }
+    sccs
 }
 
 #[cfg(test)]

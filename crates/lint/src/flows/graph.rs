@@ -224,7 +224,7 @@ impl WaitGraph {
     pub fn cycles(&self, u: &FlowUniverse, ex: &Extraction) -> Vec<FlowCycle> {
         let _fspan = ccsql_obs::flight::span("flows", "scc");
         let mut out: Vec<FlowCycle> = Vec::new();
-        for scc in self.tarjan() {
+        for scc in ccsql::vcg::tarjan(&self.adj, |&t| t) {
             if scc.len() < 2 {
                 continue; // no self-edges by construction
             }
@@ -341,59 +341,5 @@ impl WaitGraph {
             }
             Node::Hub { .. } => None,
         }
-    }
-
-    /// Tarjan's SCC algorithm, iterative, deterministic: components in
-    /// discovery order, members ascending.
-    fn tarjan(&self) -> Vec<Vec<usize>> {
-        let n = self.nodes.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut sccs: Vec<Vec<usize>> = Vec::new();
-        // Explicit DFS frames: (node, next child position).
-        for root in 0..n {
-            if index[root] != usize::MAX {
-                continue;
-            }
-            let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-            while let Some(&(v, ci)) = frames.last() {
-                if ci == 0 {
-                    index[v] = next_index;
-                    low[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if let Some(&w) = self.adj[v].get(ci) {
-                    frames.last_mut().expect("frame present").1 += 1;
-                    if index[w] == usize::MAX {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(p, _)) = frames.last() {
-                        low[p] = low[p].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        sccs.push(comp);
-                    }
-                }
-            }
-        }
-        sccs
     }
 }

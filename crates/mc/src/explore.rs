@@ -186,37 +186,6 @@ impl Space for ModelSpace<'_> {
     }
 }
 
-/// Explore the model's state space up to `budget` distinct states
-/// (single worker, no symmetry reduction, fully resident).
-pub fn explore(model: &Model, budget: usize) -> (McOutcome, McStats) {
-    explore_threads(model, budget, 1)
-}
-
-/// Explore with `threads` workers, no symmetry reduction. Guaranteed
-/// byte-identical to [`explore`] in outcome, statistics and witness.
-pub fn explore_threads(model: &Model, budget: usize, threads: usize) -> (McOutcome, McStats) {
-    explore_from(model, model.initial(), budget, threads)
-}
-
-/// Explore from an explicit initial state (used by the equivalence
-/// tests to seed a reachable bug), no symmetry reduction.
-pub fn explore_from(
-    model: &Model,
-    init: State,
-    budget: usize,
-    threads: usize,
-) -> (McOutcome, McStats) {
-    explore_with(
-        model,
-        init,
-        &McOpts {
-            budget,
-            threads,
-            ..McOpts::default()
-        },
-    )
-}
-
 /// Explore with explicit [`McOpts`] — the full interface: budget,
 /// worker count, symmetry reduction, shard count and memory budget.
 pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, McStats) {
@@ -329,7 +298,14 @@ mod tests {
             quota: 1,
             resp_depth: 2,
         };
-        let (out, stats) = explore(&m, 1_000_000);
+        let (out, stats) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget: 1_000_000,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(out, McOutcome::Verified, "{stats:?}");
         assert!(stats.states > 10);
         assert!(stats.transitions >= stats.states as u64 - 1);
@@ -348,7 +324,14 @@ mod tests {
             quota: 2,
             resp_depth: 2,
         };
-        let (out, stats) = explore(&m, 5_000_000);
+        let (out, stats) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget: 5_000_000,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(out, McOutcome::Verified, "{stats:?}");
     }
 
@@ -363,7 +346,16 @@ mod tests {
                 quota: 1,
                 resp_depth: 2,
             };
-            explore(&m, 10_000_000).1.states
+            explore_with(
+                &m,
+                m.initial(),
+                &McOpts {
+                    budget: 10_000_000,
+                    ..McOpts::default()
+                },
+            )
+            .1
+            .states
         };
         let s2 = count(2);
         let s3 = count(3);
@@ -379,7 +371,14 @@ mod tests {
             quota: 1,
             resp_depth: 2,
         };
-        let (full_out, full) = explore(&m, 10_000_000);
+        let (full_out, full) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget: 10_000_000,
+                ..McOpts::default()
+            },
+        );
         let (sym_out, sym) = explore_with(
             &m,
             m.initial(),
@@ -409,7 +408,14 @@ mod tests {
             quota: 2,
             resp_depth: 2,
         };
-        let (out, stats) = explore(&m, 50);
+        let (out, stats) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget: 50,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(out, McOutcome::BudgetExceeded);
         assert_eq!(stats.states, 50, "the budget rule is exact");
     }
@@ -426,7 +432,15 @@ mod tests {
         let mut init = m.initial();
         init.cache[0] = crate::state::Cache::M;
         init.cache[1] = crate::state::Cache::S;
-        let (out, stats) = explore_from(&m, init, 1_000, 1);
+        let (out, stats) = explore_with(
+            &m,
+            init,
+            &McOpts {
+                budget: 1_000,
+                threads: 1,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(
             out,
             McOutcome::Violation("single-writer: M/E coexists with S")
@@ -473,8 +487,24 @@ mod tests {
             quota: 1,
             resp_depth: 2,
         };
-        let (o1, s1) = explore_threads(&m, 1_000_000, 1);
-        let (o4, s4) = explore_threads(&m, 1_000_000, 4);
+        let (o1, s1) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget: 1_000_000,
+                threads: 1,
+                ..McOpts::default()
+            },
+        );
+        let (o4, s4) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget: 1_000_000,
+                threads: 4,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(o1, o4);
         assert_eq!(s1.states, s4.states);
         assert_eq!(s1.transitions, s4.transitions);

@@ -8,7 +8,7 @@
 //!
 //! This crate is that baseline: a heavily abstracted single-line model
 //! of the same directory MESI protocol ([`model::Model`]) explored by
-//! breadth-first search ([`explore::explore`]). `ccsql mc` shows the
+//! breadth-first search ([`explore::explore_with`]). `ccsql mc` shows the
 //! exponential growth of its state space against the table-size-bounded
 //! cost of the SQL analyses.
 
@@ -22,9 +22,7 @@ pub mod state;
 
 pub use compact::{canon, orbit_size, pack, unpack, Compact};
 pub use engine::DEFAULT_SHARDS;
-pub use explore::{
-    explore, explore_from, explore_threads, explore_with, McOpts, McOutcome, McStats,
-};
+pub use explore::{explore_with, McOpts, McOutcome, McStats};
 pub use model::Model;
 pub use spec::{SpecMachine, SpecMcOpts, SpecMcOutcome, SpecMcStats, SpecSimReport, SpecVerdict};
 pub use state::State;

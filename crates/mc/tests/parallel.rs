@@ -8,7 +8,7 @@
 //! at 1, 2 and 8 threads on verified, violating and budget-capped runs.
 
 use ccsql_mc::state::{Cache, PerNode, Req, Resp, RespQueue};
-use ccsql_mc::{explore_from, explore_threads, McOutcome, McStats, Model, State};
+use ccsql_mc::{explore_with, McOpts, McOutcome, McStats, Model, State};
 
 /// All deterministic fields of [`McStats`] (everything but wall-clock
 /// time and the thread count itself).
@@ -48,10 +48,26 @@ fn verified_space_is_identical_at_1_2_8_threads() {
         quota: 2,
         resp_depth: 2,
     };
-    let (o1, s1) = explore_threads(&m, 1_000_000, 1);
+    let (o1, s1) = explore_with(
+        &m,
+        m.initial(),
+        &McOpts {
+            budget: 1_000_000,
+            threads: 1,
+            ..McOpts::default()
+        },
+    );
     assert_eq!(o1, McOutcome::Verified);
     for threads in [2, 8] {
-        let (on, sn) = explore_threads(&m, 1_000_000, threads);
+        let (on, sn) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget: 1_000_000,
+                threads,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(o1, on, "outcome at {threads} threads");
         assert_eq!(
             deterministic_fields(&s1),
@@ -78,14 +94,30 @@ fn violation_witness_is_identical_at_1_2_8_threads() {
     init.cache = PerNode::from_slice(&[Cache::S, Cache::I]);
     init.pend[1] = Some(Req::ReadEx);
     init.resp[1] = RespQueue::from_slice(&[Resp::EData]);
-    let (o1, s1) = explore_from(&m, init, 1_000_000, 1);
+    let (o1, s1) = explore_with(
+        &m,
+        init,
+        &McOpts {
+            budget: 1_000_000,
+            threads: 1,
+            ..McOpts::default()
+        },
+    );
     assert_eq!(
         o1,
         McOutcome::Violation("single-writer: M/E coexists with S")
     );
     assert!(s1.witness.is_some());
     for threads in [2, 8] {
-        let (on, sn) = explore_from(&m, init, 1_000_000, threads);
+        let (on, sn) = explore_with(
+            &m,
+            init,
+            &McOpts {
+                budget: 1_000_000,
+                threads,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(o1, on, "outcome at {threads} threads");
         assert_eq!(
             deterministic_fields(&s1),
@@ -105,11 +137,27 @@ fn budget_cutoff_is_identical_at_1_2_8_threads() {
         resp_depth: 2,
     };
     let budget = 5_000;
-    let (o1, s1) = explore_threads(&m, budget, 1);
+    let (o1, s1) = explore_with(
+        &m,
+        m.initial(),
+        &McOpts {
+            budget,
+            threads: 1,
+            ..McOpts::default()
+        },
+    );
     assert_eq!(o1, McOutcome::BudgetExceeded);
     assert!(s1.states <= budget);
     for threads in [2, 8] {
-        let (on, sn) = explore_threads(&m, budget, threads);
+        let (on, sn) = explore_with(
+            &m,
+            m.initial(),
+            &McOpts {
+                budget,
+                threads,
+                ..McOpts::default()
+            },
+        );
         assert_eq!(o1, on, "outcome at {threads} threads");
         assert_eq!(
             deterministic_fields(&s1),

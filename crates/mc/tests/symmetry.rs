@@ -8,7 +8,7 @@
 //! seeded bug, both modes must report the violation and the reduced
 //! witness must itself violate the property (witness validity).
 
-use ccsql_mc::{explore_from, explore_with, McOpts, McOutcome, Model, State};
+use ccsql_mc::{explore_with, McOpts, McOutcome, Model, State};
 
 fn sym(m: &Model, init: State, threads: usize) -> (McOutcome, ccsql_mc::McStats) {
     explore_with(
@@ -32,7 +32,15 @@ fn verdicts_and_exact_counts_agree_at_2_and_3_nodes() {
                 quota,
                 resp_depth: 2,
             };
-            let (full_out, full) = explore_from(&m, m.initial(), 10_000_000, 1);
+            let (full_out, full) = explore_with(
+                &m,
+                m.initial(),
+                &McOpts {
+                    budget: 10_000_000,
+                    threads: 1,
+                    ..McOpts::default()
+                },
+            );
             assert_eq!(full_out, McOutcome::Verified);
             for threads in [1, 2, 8] {
                 let (out, st) = sym(&m, m.initial(), threads);
@@ -95,7 +103,15 @@ fn seeded_violation_is_found_in_both_modes_with_a_valid_witness() {
     init.cache[0] = ccsql_mc::state::Cache::M;
     init.cache[1] = ccsql_mc::state::Cache::S;
 
-    let (full_out, full) = explore_from(&m, init, 1_000, 1);
+    let (full_out, full) = explore_with(
+        &m,
+        init,
+        &McOpts {
+            budget: 1_000,
+            threads: 1,
+            ..McOpts::default()
+        },
+    );
     assert_eq!(
         full_out,
         McOutcome::Violation("single-writer: M/E coexists with S")
@@ -138,7 +154,15 @@ fn deep_violation_is_reported_in_both_modes() {
     init.resp[1] = ccsql_mc::state::RespQueue::from_slice(&[ccsql_mc::state::Resp::EData]);
     init.pend[1] = Some(ccsql_mc::state::Req::ReadEx);
 
-    let (full_out, _) = explore_from(&m, init, 100_000, 1);
+    let (full_out, _) = explore_with(
+        &m,
+        init,
+        &McOpts {
+            budget: 100_000,
+            threads: 1,
+            ..McOpts::default()
+        },
+    );
     let (sym_out, st) = sym(&m, init, 1);
     assert_eq!(full_out, sym_out);
     assert!(

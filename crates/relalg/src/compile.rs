@@ -6,8 +6,8 @@
 //! bound expression once into a flat register [`Program`] over interned
 //! **value ids** ([`Value::vid`]): column loads, single-word compares,
 //! bitset membership tests and short-circuit jumps. Evaluation is then
-//! a tight non-recursive loop over a caller-supplied `u32` register
-//! file — no allocation, no recursion, no 16-byte moves per candidate.
+//! a tight non-recursive loop over a reusable register file — no
+//! allocation, no recursion, no 16-byte moves per candidate.
 //!
 //! The semantics are *exactly* those of the interpreter (the property
 //! suite in `tests/bytecode.rs` asserts `Program::eval_row ==
@@ -34,24 +34,27 @@
 //!
 //! ## Masked evaluation
 //!
-//! An extension step tries every value of the column it adds against
-//! each row. The solver's masked pass evaluates a program once per row
-//! for the whole domain of that column (at most 64 values, one bit
-//! each): loads of the row's other columns, and everything computed
-//! from them, stay one value id; a load of the new column, and the
-//! compares, set tests and calls over it, give a bitmask over the
-//! domain. A jump on a mask splits the live values, so each value
-//! follows exactly its own per-candidate path: a guard chain that never
-//! reads the new column walks once per row instead of once per value,
-//! and the worst case costs what per-candidate evaluation costs. A pass
-//! that meets a non-boolean value or a named-set error gives up, and
-//! the solver reruns that row per candidate to report the first error.
+//! A program runs one way: as a masked pass. An extension step tries
+//! every value of the column it adds against each row, and a pass
+//! evaluates a program once per row for the whole domain of that
+//! column (at most 64 values, one bit each): loads of the row's other
+//! columns, and everything computed from them, stay one value id; a
+//! load of the new column, and the compares, set tests and calls over
+//! it, give a bitmask over the domain. A jump on a mask splits the live
+//! values, so each value follows exactly its own path: a guard chain
+//! that never reads the new column walks once per row instead of once
+//! per value, and the worst case costs what one pass per value costs.
+//! A pass over a one-value domain is the scalar evaluation
+//! ([`Program::eval_row`]). A pass returns the first non-boolean value
+//! or named-set error it meets, which need not be the first value's, so
+//! the solver reruns a failing row as one-value passes in value order
+//! to report the first error.
 
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, EvalContext, Expr};
 use crate::schema::Schema;
 use crate::symbol::Sym;
-use crate::value::{Value, FALSE_VID, TRUE_VID};
+use crate::value::{Value, FALSE_VID, NULL_VID, TRUE_VID};
 
 /// One bytecode instruction. Registers hold value ids; `dst`/`src`/
 /// `a`/`b` index the register file, `col` a row column, `set` the
@@ -119,6 +122,10 @@ pub struct Program {
     num_regs: usize,
 }
 
+// Out of line: inlined, the formatting slows the masked pass's hot
+// loop by about a quarter.
+#[cold]
+#[inline(never)]
 fn not_boolean(id: u32) -> Error {
     Error::NotBoolean(format!("{:?}", Value::from_vid(id)))
 }
@@ -144,15 +151,12 @@ impl<'a> Domain<'a> {
     /// The most values a domain can hold.
     pub(crate) const MAX: usize = 64;
 
-    /// The domain of a column's value ids, or `None` past
-    /// [`Domain::MAX`] values.
-    pub(crate) fn new(ids: &'a [u32]) -> Option<Domain<'a>> {
-        if ids.len() > Domain::MAX {
-            return None;
-        }
+    /// The domain of a column's value ids, at most [`Domain::MAX`].
+    pub(crate) fn new(ids: &'a [u32]) -> Domain<'a> {
+        debug_assert!(ids.len() <= Domain::MAX);
         let mut d = Domain { ids, bools: 0 };
         d.bools = d.eq(TRUE_VID) | d.eq(FALSE_VID);
-        Some(d)
+        d
     }
 
     /// Every value of the domain.
@@ -195,25 +199,28 @@ impl Lane {
         }
     }
 
-    /// The live values that hold true, or `None` when a live value
-    /// holds a non-boolean.
+    /// The live values that hold true; an error naming the first live
+    /// value that holds a non-boolean.
     #[inline]
-    fn truth(self, live: u64, d: &Domain) -> Option<u64> {
+    fn truth(self, live: u64, d: &Domain) -> Result<u64> {
         match self {
-            Lane::Id(TRUE_VID) => Some(live),
-            Lane::Id(FALSE_VID) => Some(0),
-            Lane::Id(_) => None,
-            Lane::Mask(m) => Some(live & m),
-            Lane::New => (live & !d.bools == 0).then_some(live & d.eq(TRUE_VID)),
+            Lane::Id(TRUE_VID) => Ok(live),
+            Lane::Id(FALSE_VID) => Ok(0),
+            Lane::Id(id) => Err(not_boolean(id)),
+            Lane::Mask(m) => Ok(live & m),
+            Lane::New => match live & !d.bools {
+                0 => Ok(live & d.eq(TRUE_VID)),
+                bad => Err(not_boolean(d.ids[bad.trailing_zeros() as usize])),
+            },
         }
     }
 
-    /// Boolean negation; `None` when a live value is non-boolean.
-    fn negate(self, live: u64, d: &Domain) -> Option<Lane> {
+    /// Boolean negation; an error when a live value is non-boolean.
+    fn negate(self, live: u64, d: &Domain) -> Result<Lane> {
         match self {
-            Lane::Id(TRUE_VID) => Some(Lane::Id(FALSE_VID)),
-            Lane::Id(FALSE_VID) => Some(Lane::Id(TRUE_VID)),
-            Lane::Mask(m) => Some(Lane::Mask(!m)),
+            Lane::Id(TRUE_VID) => Ok(Lane::Id(FALSE_VID)),
+            Lane::Id(FALSE_VID) => Ok(Lane::Id(TRUE_VID)),
+            Lane::Mask(m) => Ok(Lane::Mask(!m)),
             l => l.truth(live, d).map(|t| Lane::Mask(!t)),
         }
     }
@@ -267,8 +274,7 @@ impl Program {
         p
     }
 
-    /// Registers an evaluation needs (callers provide `&mut [u32]`
-    /// scratch at least this long).
+    /// Registers an evaluation needs.
     pub fn num_regs(&self) -> usize {
         self.num_regs
     }
@@ -415,88 +421,13 @@ impl Program {
         }
     }
 
-    /// Run the program with column cells supplied by `col` (a value id
-    /// per column index). `regs` is caller scratch of at least
-    /// [`Program::num_regs`] words, so batch evaluation allocates
-    /// nothing per candidate.
-    #[inline]
-    pub fn eval_cols(
-        &self,
-        col: impl Fn(usize) -> u32,
-        ctx: &dyn EvalContext,
-        regs: &mut [u32],
-    ) -> Result<bool> {
-        debug_assert!(regs.len() >= self.num_regs);
-        let ops = &self.ops;
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            match ops[pc] {
-                Op::LoadCol { dst, col: c } => regs[dst as usize] = col(c as usize),
-                Op::LoadConst { dst, id } => regs[dst as usize] = id,
-                Op::Eq { dst, a, b } => {
-                    regs[dst as usize] = bool_id(regs[a as usize] == regs[b as usize]);
-                }
-                Op::Ne { dst, a, b } => {
-                    regs[dst as usize] = bool_id(regs[a as usize] != regs[b as usize]);
-                }
-                Op::InSet { dst, src, set } => {
-                    regs[dst as usize] =
-                        bool_id(self.sets[set as usize].contains(regs[src as usize]));
-                }
-                Op::Not { dst, src } => {
-                    regs[dst as usize] = match regs[src as usize] {
-                        TRUE_VID => FALSE_VID,
-                        FALSE_VID => TRUE_VID,
-                        id => return Err(not_boolean(id)),
-                    };
-                }
-                Op::AssertBool { src } => {
-                    let id = regs[src as usize];
-                    if id != TRUE_VID && id != FALSE_VID {
-                        return Err(not_boolean(id));
-                    }
-                }
-                Op::Jump { to } => {
-                    pc = to as usize;
-                    continue;
-                }
-                Op::JumpIfFalse { cond, to } => match regs[cond as usize] {
-                    FALSE_VID => {
-                        pc = to as usize;
-                        continue;
-                    }
-                    TRUE_VID => {}
-                    id => return Err(not_boolean(id)),
-                },
-                Op::JumpIfTrue { cond, to } => match regs[cond as usize] {
-                    TRUE_VID => {
-                        pc = to as usize;
-                        continue;
-                    }
-                    FALSE_VID => {}
-                    id => return Err(not_boolean(id)),
-                },
-                Op::CallSet { dst, src, name } => {
-                    let v = Value::from_vid(regs[src as usize]);
-                    regs[dst as usize] = bool_id(ctx.set_contains(name, v)?);
-                }
-            }
-            pc += 1;
-        }
-        match regs[0] {
-            TRUE_VID => Ok(true),
-            FALSE_VID => Ok(false),
-            id => Err(not_boolean(id)),
-        }
-    }
-
     /// Evaluate the program for every `live` value of `d`, the domain
     /// of column `new`, at once, with the row's other cells supplied by
     /// `col`; return the live values it accepts. A jump on a condition
     /// that differs between values splits the live set, so every value
-    /// takes exactly the path [`Program::eval_cols`] would. `None` when
-    /// a live value meets a non-boolean or a named-set error: the
-    /// caller reruns the row per candidate for the error.
+    /// takes exactly its own path. The error is the first non-boolean
+    /// value or named-set error the pass meets: over one value it is
+    /// that value's, over more it may be a later value's.
     pub(crate) fn eval_masked(
         &self,
         col: impl Fn(usize) -> u32,
@@ -505,7 +436,7 @@ impl Program {
         live: u64,
         ctx: &dyn EvalContext,
         scratch: &mut MaskScratch,
-    ) -> Option<u64> {
+    ) -> Result<u64> {
         let n = self.num_regs;
         let MaskScratch { regs, forks, saved } = scratch;
         if regs.len() < n {
@@ -557,7 +488,7 @@ impl Program {
                         None
                     }
                     Op::CallSet { dst, src, name } => {
-                        let call = |id: u32| ctx.set_contains(name, Value::from_vid(id)).ok();
+                        let call = |id: u32| ctx.set_contains(name, Value::from_vid(id));
                         regs[dst as usize] = match regs[src as usize] {
                             Lane::Id(id) => Lane::Id(bool_id(call(id)?)),
                             l => {
@@ -592,7 +523,7 @@ impl Program {
             }
             pass |= regs[0].truth(live, d)?;
             let Some((to, rest)) = forks.pop() else {
-                return Some(pass);
+                return Ok(pass);
             };
             let base = saved.len() - n;
             regs[..n].copy_from_slice(&saved[base..]);
@@ -602,10 +533,21 @@ impl Program {
     }
 
     /// Evaluate over a row of [`Value`]s, interning each referenced
-    /// cell — the convenience form for tests and cold paths.
+    /// cell — the convenience form for tests and cold paths: a
+    /// one-value pass whose new column is the row's last cell.
     pub fn eval_row(&self, row: &[Value], ctx: &dyn EvalContext) -> Result<bool> {
-        let mut regs = vec![0u32; self.num_regs];
-        self.eval_cols(|c| row[c].vid(), ctx, &mut regs)
+        let new = row.len().saturating_sub(1);
+        let id = [row.get(new).map_or(NULL_VID, |v| v.vid())];
+        let mut scratch = MaskScratch::default();
+        let live = self.eval_masked(
+            |c| row[c].vid(),
+            new,
+            &Domain::new(&id),
+            1,
+            ctx,
+            &mut scratch,
+        )?;
+        Ok(live != 0)
     }
 }
 

@@ -26,19 +26,29 @@
 //!   is the paper's "inputs first, then one output column at a time"
 //!   procedure generalised to prune as early as possible.
 //!
-//! ## The compiled hot path
+//! ## One step loop
 //!
-//! By default incremental generation runs **compiled**: each column
-//! constraint is lowered once per `generate` call to a bytecode
-//! [`Program`] (see [`crate::compile`]) and the intermediate table is
-//! kept columnar as interned value ids ([`ColumnarRelation`]). Each
-//! extension step is solved **set-at-a-time**: its ready programs run
-//! once per row for the whole table of the column being added, as a
-//! bitmask over its values, so a guard that does not read that column
-//! is evaluated once per row instead of once per value. A row whose
-//! masked pass meets an error, and a column with more than 64 values,
-//! fall back to one register-loop evaluation per candidate. Four
-//! properties make this safe:
+//! Incremental generation keeps the intermediate table columnar, as
+//! interned value ids ([`ColumnarRelation`]), and decodes it to a
+//! row-major [`Relation`] once at the end. Each column constraint is
+//! prepared once per `generate` call: lowered to a bytecode [`Program`]
+//! (see [`crate::compile`]) by default, or bound to a [`BoundExpr`]
+//! under [`GenOptions::interpreted`] (CLI `--no-compile`), the
+//! differential oracle. The two share the step loop — seeding,
+//! readiness, the row budget, the `solve/<column>` spans and
+//! [`GenStats`] — and differ only in how a step tests its candidates:
+//!
+//! * **compiled**, a step is solved set-at-a-time: its ready programs
+//!   run once per row for the whole table of the column being added, as
+//!   a bitmask over its values, so a guard that does not read that
+//!   column is evaluated once per row instead of once per value. A row
+//!   whose masked pass meets an error is rerun as one-value passes in
+//!   value order, and a column with more than 64 values runs one
+//!   one-value pass per candidate;
+//! * **interpreted**, each candidate is tested with
+//!   [`BoundExpr::eval_bool`] over every ready constraint.
+//!
+//! Four properties keep the two byte-identical:
 //!
 //! * **compile-once-per-generate** — every intermediate schema is a
 //!   *prefix* of the full schema, so column indices bound against the
@@ -48,28 +58,24 @@
 //! * **identical filter semantics** — programs evaluate exactly like
 //!   [`BoundExpr::eval_bool`] (property-tested in `tests/bytecode.rs`),
 //!   and filters only ever *remove* candidates from the fixed
-//!   cross-product order, so the rows and their order are byte-identical
-//!   to the interpreted path;
+//!   cross-product order, so the rows and their order are the same;
 //! * **identical short-circuits** — in a masked pass every value takes
-//!   its per-candidate path through each program, and each program sees
-//!   only the values the previous ones kept; the per-candidate rerun of
-//!   a failing row reports the first error in (row, value) order;
+//!   its own path through each program, and each program sees only the
+//!   values the previous ones kept; the one-value rerun of a failing
+//!   row reports the first error in (row, value) order;
 //! * **identical accounting** — readiness is computed from the
-//!   *original* constraints on both paths, so `candidates`, `per_column`
-//!   and `steps` match too. Only [`GenStep::evals`] differs: one per row
-//!   on the masked path, one per candidate otherwise.
-//!
-//! The interpreter remains available via [`GenOptions`] `compile: false`
-//! (CLI `--no-compile`) as the differential-testing oracle.
+//!   *original* constraints, so `candidates`, `per_column` and `steps`
+//!   match too. Only [`GenStep::evals`] differs: one per row on the
+//!   masked path, one per candidate otherwise.
 //!
 //! ## One row budget
 //!
 //! Every incremental solve obeys [`ROW_BUDGET`]: an extension step whose
 //! candidate count (intermediate rows × column values) exceeds it fails
 //! with [`Error::RowBudget`] instead of materialising the product. The
-//! compiled and interpreted paths check it at the same steps, so the
-//! oracle still matches. Monolithic generation, a test-only oracle, is
-//! unbudgeted.
+//! compiled and interpreted tests share the step loop that checks it,
+//! so the oracle still matches. Monolithic generation, a test-only
+//! oracle, is unbudgeted.
 //!
 //! [`TableSpec::generate_with_legal_inputs`] is the search behind the
 //! coverage lints: one compiled pass, inputs first, that also hands back
@@ -83,7 +89,7 @@ use crate::expr::{BoundExpr, EvalContext, Expr, SetContext};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::symbol::Sym;
-use crate::value::Value;
+use crate::value::{vid_decode_table, Value};
 use std::time::{Duration, Instant};
 
 /// The most candidate rows one incremental extension step may evaluate.
@@ -154,15 +160,16 @@ pub enum GenMode {
 }
 
 /// Generation options: the strategy plus whether incremental generation
-/// runs compiled (bytecode + columnar, the default) or interpreted
-/// (tree-walking `BoundExpr` over `Value` rows — the differential
-/// oracle). Monolithic generation is always interpreted; it exists as a
-/// correctness baseline, not a fast path.
+/// tests candidates compiled (bytecode over value ids, the default) or
+/// interpreted (tree-walking `BoundExpr` over decoded `Value` rows — the
+/// differential oracle). Monolithic generation is always interpreted; it
+/// exists as a correctness baseline, not a fast path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GenOptions {
     /// Generation strategy.
     pub mode: GenMode,
-    /// Lower constraints to bytecode and evaluate columnar (default).
+    /// Lower constraints to bytecode (default); off, the interpreter
+    /// tests each candidate.
     pub compile: bool,
 }
 
@@ -332,8 +339,8 @@ impl TableSpec {
     }
 
     /// Validate and solve under `opts` inside the `solve/<table>` span.
-    /// The compiled incremental path also returns the intermediate table
-    /// once the first `keep` columns are in, when `0 < keep < arity`.
+    /// The incremental path also returns the intermediate table once the
+    /// first `keep` columns are in, when `0 < keep < arity`.
     fn solve(
         &self,
         opts: GenOptions,
@@ -348,12 +355,7 @@ impl TableSpec {
             GenMode::Monolithic => self
                 .generate_monolithic(&schema, ctx)
                 .map(|(rel, stats)| (rel, stats, None)),
-            GenMode::Incremental if opts.compile => {
-                self.generate_incremental_compiled(&schema, ctx, keep)
-            }
-            GenMode::Incremental => self
-                .generate_incremental_interp(&schema, ctx)
-                .map(|(rel, stats)| (rel, stats, None)),
+            GenMode::Incremental => self.generate_incremental(&schema, ctx, opts.compile, keep),
         };
         result.map(|(rel, mut stats, kept)| {
             stats.elapsed = start.elapsed();
@@ -440,9 +442,8 @@ impl TableSpec {
     }
 
     /// Referenced-column indices per constraint, computed from the
-    /// *original* expressions (shared by the compiled and interpreted
-    /// paths so readiness — and therefore candidate accounting — is
-    /// identical on both).
+    /// *original* expressions, so readiness — and therefore candidate
+    /// accounting — does not depend on how the constraints are tested.
     fn constraint_deps(&self, full_schema: &Schema) -> Vec<Vec<usize>> {
         self.columns
             .iter()
@@ -456,109 +457,93 @@ impl TableSpec {
             .collect()
     }
 
-    /// The compiled incremental path: constraints lowered once to
-    /// bytecode against the full schema (valid at every step because
-    /// intermediate schemas are prefixes), intermediate table held
-    /// columnar as value ids, decoded to a row-major [`Relation`] once
-    /// at the end. The intermediate table once the first `keep` columns
-    /// are in is decoded too, when a later step extends it.
-    fn generate_incremental_compiled(
+    /// The incremental path: one column added per step to a columnar
+    /// table of value ids, decoded to a row-major [`Relation`] once at
+    /// the end. The constraints are compiled (or, with `compile` off,
+    /// bound) once against the full schema, valid at every step because
+    /// intermediate schemas are prefixes. The intermediate table once the
+    /// first `keep` columns are in is decoded too, when a later step
+    /// extends it.
+    fn generate_incremental(
         &self,
         full_schema: &Schema,
         ctx: &dyn EvalContext,
+        compile: bool,
         keep: usize,
     ) -> Result<(Relation, GenStats, Option<Relation>)> {
+        let n = self.columns.len();
         let all_names = self.column_names();
         let deps = self.constraint_deps(full_schema);
+        let ids: Vec<Vec<u32>> = self
+            .columns
+            .iter()
+            .map(|c| c.values.iter().map(|v| v.vid()).collect())
+            .collect();
 
         let compile_start = Instant::now();
-        let programs: Vec<Program> = {
+        let tests = if compile {
             let _cspan = ccsql_obs::flight::span("solve", "compile");
-            self.columns
-                .iter()
-                .map(|c| compile_constraint(&c.constraint, full_schema, ctx))
-                .collect::<Result<_>>()?
+            Tests::Compiled(
+                self.columns
+                    .iter()
+                    .map(|c| compile_constraint(&c.constraint, full_schema, ctx))
+                    .collect::<Result<_>>()?,
+            )
+        } else {
+            Tests::Interpreted(
+                self.columns
+                    .iter()
+                    .map(|c| c.constraint.bind(full_schema))
+                    .collect::<Result<_>>()?,
+                vid_decode_table(),
+            )
         };
-        let compile_time = compile_start.elapsed();
-
-        // Constant-true programs (unconstrained columns after folding)
-        // filter nothing; skipping them lets fully unconstrained
-        // extension steps take a bulk cross-product path with no
-        // evaluation at all.
-        let active = |ready: &[usize]| -> Vec<&Program> {
-            ready
-                .iter()
-                .map(|&ci| &programs[ci])
-                .filter(|p| p.const_result() != Some(true))
-                .collect()
+        let compile_time = if compile {
+            compile_start.elapsed()
+        } else {
+            Duration::ZERO
         };
 
-        let mut applied = vec![false; self.columns.len()];
-        let mut per_column = Vec::with_capacity(self.columns.len());
-        let mut steps = Vec::with_capacity(self.columns.len());
+        let mut applied = vec![false; n];
+        let mut per_column = Vec::with_capacity(n);
+        let mut steps = Vec::with_capacity(n);
         let (mut candidates, mut evals) = (0u64, 0u64);
-
-        // Seed: the first column's table, filtered by any constraint
-        // that only mentions it (or nothing) — one step that extends the
-        // empty row, whose programs read no cell but the new column's.
-        let step_start = Instant::now();
-        let ids: Vec<u32> = self.columns[0].values.iter().map(|v| v.vid()).collect();
-        let step_cands = ids.len() as u64;
-        self.check_budget(0, step_cands)?;
-        candidates += step_cands;
-        let ready: Vec<usize> = (0..self.columns.len())
-            .filter(|&ci| !applied[ci] && deps[ci].iter().all(|&d| d < 1))
-            .collect();
-        let progs = active(&ready);
-        for &ci in &ready {
-            applied[ci] = true;
-        }
-        let mut cur = ColumnarRelation::new(Schema::from_syms(&all_names[..1])?);
-        let mut filter = StepFilter::new(&progs, &ids, 0);
-        let no_cells = |c: usize| -> u32 { unreachable!("the seed row has no cell {c}") };
-        filter.row(no_cells, ctx, |v| cur.col_mut(0).push(v))?;
-        evals += filter.evals;
-        per_column.push((self.columns[0].name, cur.len()));
-        steps.push(GenStep {
-            column: self.columns[0].name,
-            candidates: step_cands,
-            evals: filter.evals,
-            rows: cur.len(),
-            elapsed: step_start.elapsed(),
-        });
-
+        let mut cur = ColumnarRelation::new(Schema::from_syms(&[])?);
         let mut kept = None;
-        for k in 1..self.columns.len() {
+        for k in 0..n {
             let step_start = Instant::now();
-            let col_span = ccsql_obs::flight::span("solve", self.columns[k].name.as_str());
-            let sub_schema = Schema::from_syms(&all_names[..=k])?;
+            // The first step extends the one empty row, without a span.
+            let col_span =
+                (k > 0).then(|| ccsql_obs::flight::span("solve", self.columns[k].name.as_str()));
+            let rows = if k == 0 { 1 } else { cur.len() };
             // Constraints that become checkable once column k exists.
-            let ready: Vec<usize> = (0..self.columns.len())
+            let ready: Vec<usize> = (0..n)
                 .filter(|&ci| !applied[ci] && deps[ci].iter().all(|&d| d <= k))
                 .collect();
-            let progs = active(&ready);
             for &ci in &ready {
                 applied[ci] = true;
             }
 
-            let ext_ids: Vec<u32> = self.columns[k].values.iter().map(|v| v.vid()).collect();
-            let step_cands = cur.len() as u64 * ext_ids.len() as u64;
+            let step_cands = rows as u64 * ids[k].len() as u64;
             self.check_budget(k, step_cands)?;
             candidates += step_cands;
-            if k == keep {
+            if k > 0 && k == keep {
                 kept = Some(cur.to_relation());
             }
-            let step_evals;
-            (cur, step_evals) = extend_filter_ids(&cur, sub_schema, &ext_ids, &progs, ctx)?;
-            evals += step_evals;
-            col_span.arg("candidates", step_cands);
-            col_span.arg("evals", step_evals);
-            col_span.arg("rows", cur.len());
+            let mut filter = StepFilter::new(&tests, &ready, &ids[k], k);
+            let out_schema = Schema::from_syms(&all_names[..=k])?;
+            cur = filter.extend(&cur, rows, out_schema, ctx)?;
+            evals += filter.evals;
+            if let Some(col_span) = &col_span {
+                col_span.arg("candidates", step_cands);
+                col_span.arg("evals", filter.evals);
+                col_span.arg("rows", cur.len());
+            }
             per_column.push((self.columns[k].name, cur.len()));
             steps.push(GenStep {
                 column: self.columns[k].name,
                 candidates: step_cands,
-                evals: step_evals,
+                evals: filter.evals,
                 rows: cur.len(),
                 elapsed: step_start.elapsed(),
             });
@@ -576,289 +561,191 @@ impl TableSpec {
         };
         Ok((cur.to_relation(), stats, kept))
     }
-
-    /// The interpreted incremental path (the differential oracle).
-    /// Constraints are bound **once** against the full schema — valid in
-    /// every step because intermediate schemas are prefixes of it — and
-    /// each step evaluates its ready set as a short-circuit conjunction,
-    /// instead of the old per-step `Expr::all(…clone())` rebuild+rebind.
-    fn generate_incremental_interp(
-        &self,
-        full_schema: &Schema,
-        ctx: &dyn EvalContext,
-    ) -> Result<(Relation, GenStats)> {
-        let all_names = self.column_names();
-        let deps = self.constraint_deps(full_schema);
-        let bounds: Vec<BoundExpr> = self
-            .columns
-            .iter()
-            .map(|c| c.constraint.bind(full_schema))
-            .collect::<Result<_>>()?;
-
-        let mut applied = vec![false; self.columns.len()];
-        let mut per_column = Vec::with_capacity(self.columns.len());
-        let mut steps = Vec::with_capacity(self.columns.len());
-        let mut candidates: u64 = 0;
-
-        // Start with the first column's table filtered by any constraint
-        // that only mentions it.
-        let step_start = Instant::now();
-        let mut current = Relation::new(Schema::from_syms(&all_names[..1])?);
-        for &v in &self.columns[0].values {
-            current.push_row_unchecked(&[v]);
-        }
-        let step_cands = current.len() as u64;
-        self.check_budget(0, step_cands)?;
-        candidates += step_cands;
-        let ready: Vec<usize> = (0..self.columns.len())
-            .filter(|&ci| !applied[ci] && deps[ci].iter().all(|&d| d < 1))
-            .collect();
-        if !ready.is_empty() {
-            let preds: Vec<&BoundExpr> = ready.iter().map(|&ci| &bounds[ci]).collect();
-            current = filter_rows(&current, &preds, ctx)?;
-        }
-        for &ci in &ready {
-            applied[ci] = true;
-        }
-        per_column.push((self.columns[0].name, current.len()));
-        steps.push(GenStep {
-            column: self.columns[0].name,
-            candidates: step_cands,
-            evals: step_cands,
-            rows: current.len(),
-            elapsed: step_start.elapsed(),
-        });
-
-        for k in 1..self.columns.len() {
-            let step_start = Instant::now();
-            let col_span = ccsql_obs::flight::span("solve", self.columns[k].name.as_str());
-            let sub_schema = Schema::from_syms(&all_names[..=k])?;
-            // Constraints that become checkable once column k exists.
-            let ready: Vec<usize> = (0..self.columns.len())
-                .filter(|&ci| !applied[ci] && deps[ci].iter().all(|&d| d <= k))
-                .collect();
-            let preds: Vec<&BoundExpr> = ready.iter().map(|&ci| &bounds[ci]).collect();
-            for &ci in &ready {
-                applied[ci] = true;
-            }
-
-            let vals = &self.columns[k].values;
-            let step_cands = current.len() as u64 * vals.len() as u64;
-            self.check_budget(k, step_cands)?;
-            candidates += step_cands;
-            current = extend_filter(&current, &sub_schema, vals, &preds, ctx)?;
-            col_span.arg("candidates", step_cands);
-            col_span.arg("evals", step_cands);
-            col_span.arg("rows", current.len());
-            per_column.push((self.columns[k].name, current.len()));
-            steps.push(GenStep {
-                column: self.columns[k].name,
-                candidates: step_cands,
-                evals: step_cands,
-                rows: current.len(),
-                elapsed: step_start.elapsed(),
-            });
-        }
-
-        let stats = GenStats {
-            candidates,
-            evals: candidates,
-            rows: 0,
-            columns: 0,
-            per_column,
-            steps,
-            compile: Duration::ZERO,
-            elapsed: Duration::ZERO,
-        };
-        Ok((current, stats))
-    }
 }
 
-/// Evaluate every program against one candidate, short-circuiting like
-/// the conjunction the interpreter folds.
-#[inline]
-fn progs_pass(
-    progs: &[&Program],
-    col: impl Fn(usize) -> u32 + Copy,
-    ctx: &dyn EvalContext,
-    regs: &mut [u32],
-) -> Result<bool> {
-    for p in progs {
-        if !p.eval_cols(col, ctx, regs)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+/// Every column constraint, prepared once per solve.
+enum Tests {
+    /// Bytecode programs.
+    Compiled(Vec<Program>),
+    /// Bound expressions (the oracle), with the value-id decode table.
+    Interpreted(Vec<BoundExpr>, Vec<Value>),
 }
 
-/// The filter of one extension step: its programs, run on one row at a
-/// time for every value of the column the step adds (`new`).
+/// How one extension step tests its candidates.
+enum Checks<'a> {
+    /// The ready programs that are not constant true, in column order;
+    /// the column's domain when it fits a mask.
+    Compiled {
+        progs: Vec<&'a Program>,
+        domain: Option<Domain<'a>>,
+        masks: MaskScratch,
+    },
+    /// The ready constraints in column order, and a candidate row.
+    Interpreted {
+        preds: Vec<&'a BoundExpr>,
+        decode: &'a [Value],
+        cand: Vec<Value>,
+    },
+}
+
+/// The filter of one extension step: its ready constraints, run on one
+/// row at a time for every value of the column the step adds (`new`).
 struct StepFilter<'a> {
-    progs: &'a [&'a Program],
+    checks: Checks<'a>,
     ext_ids: &'a [u32],
     new: usize,
-    /// `None` when the column has too many values for a masked pass.
-    domain: Option<Domain<'a>>,
-    masks: MaskScratch,
-    regs: Vec<u32>,
     /// Evaluations so far (see [`GenStep::evals`]).
     evals: u64,
 }
 
 impl<'a> StepFilter<'a> {
-    fn new(progs: &'a [&'a Program], ext_ids: &'a [u32], new: usize) -> StepFilter<'a> {
+    fn new(tests: &'a Tests, ready: &[usize], ext_ids: &'a [u32], new: usize) -> StepFilter<'a> {
+        let checks = match tests {
+            // Constant-true programs (unconstrained columns after
+            // folding) filter nothing; skipping them lets fully
+            // unconstrained steps take a bulk cross-product path with no
+            // evaluation at all.
+            Tests::Compiled(programs) => Checks::Compiled {
+                progs: ready
+                    .iter()
+                    .map(|&ci| &programs[ci])
+                    .filter(|p| p.const_result() != Some(true))
+                    .collect(),
+                domain: (ext_ids.len() <= Domain::MAX).then(|| Domain::new(ext_ids)),
+                masks: MaskScratch::default(),
+            },
+            Tests::Interpreted(bound, decode) => Checks::Interpreted {
+                preds: ready.iter().map(|&ci| &bound[ci]).collect(),
+                decode,
+                cand: vec![Value::Null; new + 1],
+            },
+        };
         StepFilter {
-            progs,
+            checks,
             ext_ids,
             new,
-            domain: Domain::new(ext_ids),
-            masks: MaskScratch::default(),
-            regs: vec![0u32; progs.iter().map(|p| p.num_regs()).max().unwrap_or(1)],
             evals: 0,
         }
     }
 
-    /// Call `keep` with every value of the new column that all programs
-    /// accept next to the row whose other cells `col` gives, in value
-    /// order. One masked pass covers the whole column table; a row the
-    /// pass cannot settle (a non-boolean value or a named-set error)
-    /// and a column past [`Domain::MAX`] values run per candidate,
-    /// which returns the first error in value order.
+    /// Extend each of the first `rows` rows of `cur` (one empty row
+    /// when `cur` has no column) with every value of the new column,
+    /// keeping the candidates that pass. Two-phase: one pass records the
+    /// surviving `(row, value)` pairs, then the new columns are gathered
+    /// column-at-a-time — sequential reads and writes, no per-candidate
+    /// row materialisation. With nothing to check the result is the pure
+    /// cross product, built by bulk repetition.
+    fn extend(
+        &mut self,
+        cur: &ColumnarRelation,
+        rows: usize,
+        out_schema: Schema,
+        ctx: &dyn EvalContext,
+    ) -> Result<ColumnarRelation> {
+        let (arity, m) = (cur.arity(), self.ext_ids.len());
+        let mut out = ColumnarRelation::new(out_schema);
+        if matches!(&self.checks, Checks::Compiled { progs, .. } if progs.is_empty()) {
+            for c in 0..arity {
+                let dst = out.col_mut(c);
+                dst.reserve(rows * m);
+                for &id in cur.col(c) {
+                    dst.extend(std::iter::repeat_n(id, m));
+                }
+            }
+            let dst = out.col_mut(arity);
+            dst.reserve(rows * m);
+            for _ in 0..rows {
+                dst.extend_from_slice(self.ext_ids);
+            }
+            return Ok(out);
+        }
+        let mut survivors: Vec<(u32, u32)> = Vec::new();
+        for i in 0..rows {
+            self.row(|c| cur.col(c)[i], ctx, |v| survivors.push((i as u32, v)))?;
+        }
+        for c in 0..arity {
+            let src = cur.col(c);
+            out.col_mut(c)
+                .extend(survivors.iter().map(|&(r, _)| src[r as usize]));
+        }
+        out.col_mut(arity).extend(survivors.iter().map(|&(_, v)| v));
+        Ok(out)
+    }
+
+    /// Call `keep` with every value of the new column that passes next
+    /// to the row whose other cells `col` gives, in value order, or
+    /// return the first error in value order.
     fn row(
         &mut self,
         col: impl Fn(usize) -> u32 + Copy,
         ctx: &dyn EvalContext,
         mut keep: impl FnMut(u32),
     ) -> Result<()> {
-        if self.progs.is_empty() {
-            self.ext_ids.iter().for_each(|&v| keep(v));
-            return Ok(());
-        }
-        if let Some(live) = self.masked(col, ctx) {
-            self.evals += 1;
-            bits(live).for_each(|j| keep(self.ext_ids[j as usize]));
-            return Ok(());
-        }
-        self.evals += self.ext_ids.len() as u64;
-        for &v in self.ext_ids {
-            let cand = |c: usize| if c == self.new { v } else { col(c) };
-            if progs_pass(self.progs, cand, ctx, &mut self.regs)? {
-                keep(v);
+        let (ext_ids, new) = (self.ext_ids, self.new);
+        match &mut self.checks {
+            Checks::Interpreted {
+                preds,
+                decode,
+                cand,
+            } => {
+                self.evals += ext_ids.len() as u64;
+                for (c, cell) in cand[..new].iter_mut().enumerate() {
+                    *cell = decode[col(c) as usize];
+                }
+                for &v in ext_ids {
+                    cand[new] = decode[v as usize];
+                    let mut results = preds.iter().map(|p| p.eval_bool(cand, ctx));
+                    if results.find(|r| r != &Ok(true)).unwrap_or(Ok(true))? {
+                        keep(v);
+                    }
+                }
+            }
+            Checks::Compiled {
+                progs,
+                domain,
+                masks,
+            } => {
+                if let Some(d) = domain {
+                    if let Ok(live) = masked(progs, col, new, d, d.all(), ctx, masks) {
+                        self.evals += 1;
+                        bits(live).for_each(|j| keep(ext_ids[j as usize]));
+                        return Ok(());
+                    }
+                }
+                // A column past the mask width, or a row whose pass met
+                // an error (perhaps a later value's): one one-value pass
+                // per candidate, in value order.
+                self.evals += ext_ids.len() as u64;
+                for j in 0..ext_ids.len() {
+                    let one = Domain::new(&ext_ids[j..=j]);
+                    if masked(progs, col, new, &one, 1, ctx, masks)? != 0 {
+                        keep(ext_ids[j]);
+                    }
+                }
             }
         }
         Ok(())
     }
-
-    /// Run the programs in order, each on the values the previous ones
-    /// kept; `None` when there is no domain or a pass gives up.
-    fn masked(&mut self, col: impl Fn(usize) -> u32 + Copy, ctx: &dyn EvalContext) -> Option<u64> {
-        let d = self.domain.as_ref()?;
-        let mut live = d.all();
-        for p in self.progs {
-            if live == 0 {
-                break;
-            }
-            live = p.eval_masked(col, self.new, d, live, ctx, &mut self.masks)?;
-        }
-        Some(live)
-    }
 }
 
-/// Extend every row of `cur` with every id in `ext_ids`, keeping the
-/// candidates every program accepts, and count the evaluations. Two-phase:
-/// one pass records the surviving `(row, extension)` pairs, then the
-/// new columns are gathered column-at-a-time — sequential reads and
-/// writes, no per-candidate row materialisation. With no programs the
-/// result is the pure cross product, built by bulk repetition.
-fn extend_filter_ids(
-    cur: &ColumnarRelation,
-    out_schema: Schema,
-    ext_ids: &[u32],
+/// Run `progs` in order on the `live` values of `d`, each on the values
+/// the previous ones kept: the conjunction's short-circuit.
+fn masked(
     progs: &[&Program],
+    col: impl Fn(usize) -> u32 + Copy,
+    new: usize,
+    d: &Domain,
+    mut live: u64,
     ctx: &dyn EvalContext,
-) -> Result<(ColumnarRelation, u64)> {
-    let arity = cur.arity();
-    let n = cur.len();
-    let m = ext_ids.len();
-    let mut out = ColumnarRelation::new(out_schema);
-
-    if progs.is_empty() {
-        // Unconstrained step: cross product with no evaluation.
-        for c in 0..arity {
-            let src = cur.col(c);
-            let dst = out.col_mut(c);
-            dst.reserve(n * m);
-            for &id in src {
-                dst.extend(std::iter::repeat_n(id, m));
-            }
+    masks: &mut MaskScratch,
+) -> Result<u64> {
+    for p in progs {
+        if live == 0 {
+            break;
         }
-        let dst = out.col_mut(arity);
-        dst.reserve(n * m);
-        for _ in 0..n {
-            dst.extend_from_slice(ext_ids);
-        }
-        return Ok((out, 0));
+        live = p.eval_masked(col, new, d, live, ctx, masks)?;
     }
-
-    let mut survivors: Vec<(u32, u32)> = Vec::new();
-    let mut filter = StepFilter::new(progs, ext_ids, arity);
-    for i in 0..n {
-        filter.row(|c| cur.col(c)[i], ctx, |v| survivors.push((i as u32, v)))?;
-    }
-    for c in 0..arity {
-        let src = cur.col(c);
-        out.col_mut(c)
-            .extend(survivors.iter().map(|&(r, _)| src[r as usize]));
-    }
-    out.col_mut(arity).extend(survivors.iter().map(|&(_, v)| v));
-    Ok((out, filter.evals))
-}
-
-/// Evaluate the bound predicates as a short-circuit conjunction.
-#[inline]
-fn preds_pass(preds: &[&BoundExpr], row: &[Value], ctx: &dyn EvalContext) -> Result<bool> {
-    for p in preds {
-        if !p.eval_bool(row, ctx)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Extend every row of `current` with every value in `vals`, keeping the
-/// candidates satisfying every predicate (interpreted oracle path).
-fn extend_filter(
-    current: &Relation,
-    out_schema: &Schema,
-    vals: &[Value],
-    preds: &[&BoundExpr],
-    ctx: &dyn EvalContext,
-) -> Result<Relation> {
-    let arity = current.arity();
-    let mut out = Relation::new(out_schema.clone());
-    let mut cand: Vec<Value> = vec![Value::Null; arity + 1];
-    for r in current.rows() {
-        cand[..arity].copy_from_slice(r);
-        for &v in vals {
-            cand[arity] = v;
-            if preds_pass(preds, &cand, ctx)? {
-                out.push_row_unchecked(&cand);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Keep the rows of `rel` satisfying every predicate (interpreted
-/// oracle path).
-fn filter_rows(rel: &Relation, preds: &[&BoundExpr], ctx: &dyn EvalContext) -> Result<Relation> {
-    let mut out = Relation::new(rel.schema().clone());
-    for r in rel.rows() {
-        if preds_pass(preds, r, ctx)? {
-            out.push_row_unchecked(r);
-        }
-    }
-    Ok(out)
+    Ok(live)
 }
 
 #[cfg(test)]

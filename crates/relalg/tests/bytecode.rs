@@ -6,9 +6,10 @@
 //! splitmix64 property suite: deterministic random expressions × random
 //! rows, comparing the full `Result<bool, Error>` of both engines; a
 //! second one that solves random table specs compiled (the masked
-//! extension step) and interpreted, rows in order or the same error;
-//! plus golden end-to-end checks that the shipped spec files solve
-//! byte-identically with compilation on and off.
+//! extension step) and interpreted, rows in order or the same error,
+//! and checks the shared incremental step loop against the monolithic
+//! walk; plus golden end-to-end checks that the shipped spec files
+//! solve byte-identically with compilation on and off.
 
 use ccsql_obs::SplitMix64;
 use ccsql_relalg::compile::compile_constraint;
@@ -191,6 +192,25 @@ fn solve_both<C: EvalContext>(spec: &TableSpec, ctx: &C, what: &str) -> Option<G
     }
 }
 
+/// Solve `spec` incrementally and monolithically under `ctx` and, when
+/// both succeed, require the same rows in the same order. Errors are
+/// not compared: the monolithic conjunction short-circuits in column
+/// order and can meet a different error first. Returns whether both
+/// succeeded.
+fn monolithic_agrees<C: EvalContext>(spec: &TableSpec, ctx: &C, what: &str) -> bool {
+    let inc = spec.generate(GenMode::Incremental, ctx);
+    let mono = spec.generate(GenMode::Monolithic, ctx);
+    let (Ok((a, _)), Ok((b, _))) = (inc, mono) else {
+        return false;
+    };
+    let same = a.len() == b.len() && a.rows().eq(b.rows());
+    assert!(
+        same,
+        "{what}: incremental and monolithic rows differ\n{a:?}\nvs\n{b:?}"
+    );
+    true
+}
+
 /// A random spec of 2–4 columns over [`COLS`]: small domains (repeats
 /// allowed) of symbols, ints, bools and `NULL`, each column constrained
 /// by a random expression or left free.
@@ -212,7 +232,7 @@ fn gen_spec(r: &mut SplitMix64) -> TableSpec {
 fn masked_steps_solve_like_the_interpreter_on_random_specs() {
     let ctx = isrequest_context();
     let mut rng = SplitMix64::new(0x5EED_AA5C);
-    let (mut errors, mut masked) = (0u32, 0u32);
+    let (mut errors, mut masked, mut monolithic) = (0u32, 0u32, 0u32);
     for case in 0..3000u32 {
         let spec = gen_spec(&mut rng);
         let what = |c: &str| format!("case {case} ({c}): {:?}", spec.columns);
@@ -226,9 +246,15 @@ fn masked_steps_solve_like_the_interpreter_on_random_specs() {
                 None => errors += 1,
             }
         }
+        monolithic += u32::from(monolithic_agrees(&spec, &ctx, &what("SetContext")));
+        monolithic += u32::from(monolithic_agrees(&spec, &NoContext, &what("NoContext")));
     }
     assert!(errors > 100, "only {errors} error cases generated");
     assert!(masked > 100, "the masked step ran in only {masked} cases");
+    assert!(
+        monolithic > 1000,
+        "only {monolithic} monolithic solves compared"
+    );
 }
 
 #[test]
@@ -282,6 +308,28 @@ fn a_later_program_only_sees_the_values_earlier_ones_kept() {
         solve_both(&spec, &NoContext, "reversed").map(|s| s.rows),
         None
     );
+}
+
+#[test]
+fn a_failing_row_reports_the_first_error_in_value_order() {
+    // Both constraints become ready when `b` is added, `a`'s first. For
+    // `s1` that one reads `a` bare, which is not a boolean; for `s0` it
+    // holds and `b`'s own constraint reads `b` bare. The masked pass
+    // runs `s1`'s path first and meets the error on `x`, but `s0` comes
+    // first in value order, so its error is the one the solve reports.
+    let guard = ccsql_relalg::parse_expr("b = s1 ? a : true").unwrap();
+    let mut spec = TableSpec::new("FirstError");
+    spec.push(ColumnDef::input("a", vec![Value::sym("x")], guard));
+    let b = vec![Value::sym("s0"), Value::sym("s1")];
+    spec.push(ColumnDef::input("b", b, Expr::Col(Sym::intern("b"))));
+    let want = Error::NotBoolean("\"s0\"".to_string());
+    for opts in [
+        GenMode::Incremental.into(),
+        GenOptions::interpreted(GenMode::Incremental),
+    ] {
+        let got = spec.generate_with(opts, &NoContext).map(|_| ());
+        assert_eq!(got, Err(want.clone()));
+    }
 }
 
 #[test]

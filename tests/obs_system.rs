@@ -4,7 +4,7 @@
 //! free on the model checker's hot path.
 
 use ccsql_suite::core::gen::GeneratedProtocol;
-use ccsql_suite::mc::{explore, McOutcome, Model};
+use ccsql_suite::mc::{explore_with, McOpts, McOutcome, Model};
 use ccsql_suite::protocol::topology::NodeId;
 use ccsql_suite::sim::{Mix, Outcome, Schedule, Sim, SimConfig, SimStats, Workload};
 use std::sync::OnceLock;
@@ -84,7 +84,14 @@ fn mc_disabled_observability_overhead_is_small() {
         let mut best = f64::INFINITY;
         for _ in 0..n {
             let t = Instant::now();
-            let (out, _) = explore(&m, 10_000_000);
+            let (out, _) = explore_with(
+                &m,
+                m.initial(),
+                &McOpts {
+                    budget: 10_000_000,
+                    ..McOpts::default()
+                },
+            );
             assert_eq!(out, McOutcome::Verified);
             best = best.min(t.elapsed().as_secs_f64());
         }
