@@ -56,6 +56,17 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         v
     }
 
+    /// The first `len` of `items`: the packed-state decoder builds whole
+    /// vectors at once. Panics when `len` exceeds the capacity.
+    pub(crate) fn from_parts(items: [T; N], len: usize) -> Self {
+        assert!(N <= u8::MAX as usize, "InlineVec: capacity {N} exceeds 255");
+        assert!(len <= N, "InlineVec: length {len} exceeds capacity {N}");
+        InlineVec {
+            len: len as u8,
+            items,
+        }
+    }
+
     /// Append `value`. Panics when the vector is full.
     pub fn push(&mut self, value: T) {
         let len = self.len as usize;

@@ -36,9 +36,10 @@ done
 echo "==> parallel equivalence (1 vs 2 vs 8 threads)"
 cargo test -q -p ccsql-mc --test parallel
 
-echo "==> symmetry reduction (canon laws + on/off verdict equivalence at 2-3 nodes, 1/2/8 threads)"
+echo "==> symmetry reduction (canon laws + on/off verdict equivalence at 2-3 nodes, 1/2/8 threads; transition, codec and orbit-representative digests; allocation-free expand)"
 cargo test -q -p ccsql-mc --test canon
 cargo test -q -p ccsql-mc --test symmetry
+cargo test -q -p ccsql-mc --test transitions --test heap_free
 
 echo "==> out-of-core determinism (shards x threads x mem-budget matrix, resident peak under budget, spill cleanup)"
 cargo test -q -p ccsql-mc --test out_of_core
