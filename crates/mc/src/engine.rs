@@ -12,19 +12,22 @@
 //! States are fixed-width, totally ordered *words* ([`Word`]). The
 //! visited set is hash-partitioned into `shards` disjoint shards; each
 //! shard owns its slice of the space end-to-end: a list of sorted
-//! *runs* (one per BFS level, periodically compacted), where each run
-//! is either hot (a sorted `Vec<W>`) or cold (a prefix-compressed
-//! spill file, see [`crate::spill`]). There is **no global hash index
-//! and no merge barrier**: a level is processed as
+//! *runs* (one per BFS level, periodically compacted). Every sorted run
+//! the engine handles — visited runs and exchanged candidates alike —
+//! is hot (a sorted `Vec`) or cold (a prefix-compressed run at an
+//! offset of a spill file, see [`crate::spill`]), and one cursor reads
+//! both kinds. There is **no global hash index and no merge barrier**:
+//! a level is processed as
 //!
 //! 1. **Expand** — workers stream the frontier runs in blocks and
 //!    expand each state; successor words are routed to per-worker,
 //!    per-destination-shard buffers (the *bucket exchange*). Buffers
 //!    that outgrow their share of the memory budget are sorted and
-//!    spilled as candidate segments.
+//!    flushed to an exchange file holding one run per destination
+//!    shard.
 //! 2. **Merge** — each shard is merged independently (workers pick
 //!    shards off a queue in deterministic shard order; shards never
-//!    share state): the shard's candidate streams are k-way merged
+//!    share state): the shard's candidate runs are k-way merged
 //!    into one sorted distinct stream, which is then set-subtracted
 //!    against the shard's existing runs by advancing a monotone cursor
 //!    per run. Survivors form the shard's next run — already sorted,
@@ -55,10 +58,10 @@
 //!   kept — the globally smallest new words — so the final count
 //!   equals the budget for every (threads, shards, mem_budget)
 //!   combination.
-//! * Parent links (when tracked) keep the minimum `(parent word,
-//!   label)` pair per state, which the sorted merge computes
-//!   naturally; the discovery-order list is level → shard → ascending
-//!   word, all deterministic.
+//! * Parent links (recorded when the payload is a [`ParentLink`]) keep
+//!   the minimum `(parent word, label)` pair per state, which the sorted
+//!   merge computes naturally; they are listed by level, then by
+//!   ascending word, an order no shard count can change.
 //! * Spilling is pure storage: a run's words round-trip bit-exactly,
 //!   so only the explicitly nondeterministic accounting fields
 //!   (`spilled_bytes`, `mem_peak_bytes` and the phase clocks) can
@@ -69,7 +72,7 @@
 //! Each level's phases are timed at their boundaries, never per state:
 //! `expand_ns` and `merge_ns` are the wall times of phases 1 and 2,
 //! `maintain_ns` that of phase 3, and `exchange_ns` the time spent
-//! inside candidate-file flushes during phase 1, summed over workers.
+//! inside exchange-file flushes during phase 1, summed over workers.
 //! They are args of the `mc/level` span, and their run totals are in
 //! [`EngineStats`].
 //!
@@ -80,7 +83,6 @@
 use crate::spill::{RunReader, RunWriter, SpillDir, IO_BUF_BYTES};
 use ccsql_obs::hash::fx_hash_one;
 use ccsql_obs::{MemGauge, MemLease};
-use std::io::{Seek, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -103,7 +105,9 @@ pub trait Word:
 
 /// Per-successor payload carried through the exchange: either nothing
 /// (`()`, the plain state path) or a [`ParentLink`] for counterexample
-/// reconstruction.
+/// reconstruction. A run with a payload of non-zero width records
+/// parent links and edges ([`EngineOut::parents`], [`EngineOut::edges`]);
+/// a `()` run records neither.
 pub trait Payload<W: Word>: Copy + Send + Sync + 'static {
     /// Encoded width in bytes (may be 0).
     const WIDTH: usize;
@@ -234,13 +238,6 @@ pub struct EngineOpts {
     /// `None`). The directory is removed when the exploration ends,
     /// normally or by panic.
     pub spill_dir: Option<PathBuf>,
-    /// Record discovery order and parent links (required for
-    /// counterexample paths).
-    pub track_parents: bool,
-    /// Record every transition as a (src, dst) word pair (required for
-    /// the spec machines' drain check). Edges stay resident and arrive
-    /// in no particular order — treat them as a set.
-    pub capture_edges: bool,
 }
 
 impl Default for EngineOpts {
@@ -251,8 +248,6 @@ impl Default for EngineOpts {
             shards: DEFAULT_SHARDS,
             mem_budget: 0,
             spill_dir: None,
-            track_parents: false,
-            capture_edges: false,
         }
     }
 }
@@ -301,7 +296,7 @@ pub struct EngineStats {
     /// other phase clocks vary from run to run; never part of the
     /// determinism gates.
     pub expand_ns: u64,
-    /// Time spent flushing exchange buffers to candidate files, summed
+    /// Time spent flushing exchange buffers to exchange files, summed
     /// over workers (0 when nothing was flushed).
     pub exchange_ns: u64,
     /// Wall time of the merge phases.
@@ -314,15 +309,15 @@ pub struct EngineStats {
 pub struct EngineOut<W: Word, P> {
     pub outcome: EngineOutcome<W>,
     pub stats: EngineStats,
-    /// Discovery-order list of (state, payload) — levels in order,
-    /// shards in order within a level, words ascending within a shard.
-    /// Root states carry no entry. Empty unless
-    /// [`EngineOpts::track_parents`].
+    /// Discovery-order list of (state, payload): levels in order, words
+    /// ascending within a level, the same for every shard count. Root
+    /// states carry no entry. Empty for a `()` payload.
     pub parents: Vec<(W, P)>,
     /// Coverage bitmap ([`Space::coverage_slots`] wide).
     pub coverage: Vec<bool>,
-    /// All (src, dst) transition word pairs, unordered. Empty unless
-    /// [`EngineOpts::capture_edges`].
+    /// All (src, dst) transition word pairs, resident and unordered:
+    /// treat them as a set (the spec machines' drain check reads them).
+    /// Empty for a `()` payload.
     pub edges: Vec<(W, W)>,
 }
 
@@ -350,148 +345,165 @@ fn shard_of<W: Word>(w: &W, shards: usize) -> usize {
     }
 }
 
-/// One sorted run of distinct words owned by a shard.
-struct Run<W: Word> {
-    data: RunData<W>,
-    count: u64,
-}
-
-enum RunData<W: Word> {
-    Hot(Vec<W>),
-    Cold { path: PathBuf },
-}
-
-impl<W: Word> Run<W> {
-    fn hot_bytes(&self) -> usize {
-        match &self.data {
-            RunData::Hot(v) => v.len() * std::mem::size_of::<W>(),
-            RunData::Cold { .. } => 0,
-        }
-    }
-}
-
-/// Monotone read cursor over one run (hot slice or cold stream).
-enum RunCursor<'a, W: Word> {
-    Hot(&'a [W], usize),
+/// One sorted run of distinct words and their payloads. A shard's
+/// visited runs carry `()`; exchanged candidates carry the space's
+/// payload.
+enum Run<W, P> {
+    Hot(Vec<(W, P)>),
+    /// `count` words starting `offset` bytes into a spill file, which
+    /// may hold further runs.
     Cold {
-        reader: RunReader,
-        cur: Option<W>,
-        buf: Vec<u8>,
+        path: PathBuf,
+        offset: u64,
+        count: u64,
     },
 }
 
-impl<W: Word> RunCursor<'_, W> {
-    fn open(run: &Run<W>) -> RunCursor<'_, W> {
-        match &run.data {
-            RunData::Hot(v) => RunCursor::Hot(v, 0),
-            RunData::Cold { path } => {
-                let reader = RunReader::open(path, W::WIDTH, 0, run.count).expect("open spill run");
-                let mut c = RunCursor::Cold {
-                    reader,
-                    cur: None,
-                    buf: vec![0u8; W::WIDTH],
-                };
-                c.advance();
-                c
-            }
+impl<W, P> Run<W, P> {
+    fn len(&self) -> u64 {
+        match self {
+            Run::Hot(v) => v.len() as u64,
+            Run::Cold { count, .. } => *count,
         }
     }
 
-    fn head(&self) -> Option<W> {
+    fn hot_bytes(&self) -> usize {
         match self {
-            RunCursor::Hot(v, pos) => v.get(*pos).copied(),
-            RunCursor::Cold { cur, .. } => *cur,
+            Run::Hot(v) => std::mem::size_of_val(v.as_slice()),
+            Run::Cold { .. } => 0,
         }
+    }
+}
+
+/// Monotone read cursor over one run. A cold cursor leases its
+/// reader's I/O buffer on the gauge while it is open.
+struct Cursor<'a, W: Word, P: Payload<W>> {
+    head: Option<(W, P)>,
+    src: CursorSrc<'a, W, P>,
+}
+
+enum CursorSrc<'a, W, P> {
+    Hot(std::slice::Iter<'a, (W, P)>),
+    Cold {
+        reader: RunReader,
+        buf: Vec<u8>,
+        _lease: MemLease<'a>,
+    },
+}
+
+impl<'a, W: Word, P: Payload<W>> Cursor<'a, W, P> {
+    fn open(run: &'a Run<W, P>, gauge: &'a MemGauge) -> Cursor<'a, W, P> {
+        let src = match run {
+            Run::Hot(v) => CursorSrc::Hot(v.iter()),
+            &Run::Cold {
+                ref path,
+                offset,
+                count,
+            } => CursorSrc::Cold {
+                reader: RunReader::open_at(path, W::WIDTH, P::WIDTH, offset, count)
+                    .expect("open spill run"),
+                buf: vec![0u8; W::WIDTH + P::WIDTH],
+                _lease: MemLease::new(gauge, IO_BUF_BYTES),
+            },
+        };
+        let mut c = Cursor { head: None, src };
+        c.advance();
+        c
+    }
+
+    fn head(&self) -> Option<(W, P)> {
+        self.head
     }
 
     fn advance(&mut self) {
-        match self {
-            RunCursor::Hot(_, pos) => *pos += 1,
-            RunCursor::Cold { reader, cur, buf } => {
-                *cur = if reader.next_into(buf, &mut []).expect("read spill run") {
-                    Some(W::read_bytes(buf))
+        self.head = match &mut self.src {
+            CursorSrc::Hot(it) => it.next().copied(),
+            CursorSrc::Cold { reader, buf, .. } => {
+                let (wb, pb) = buf.split_at_mut(W::WIDTH);
+                if reader.next_into(wb, pb).expect("read spill run") {
+                    Some((W::read_bytes(wb), P::read_bytes(pb)))
                 } else {
                     None
-                };
+                }
             }
-        }
+        };
     }
 
     /// Advance past all words `< w`; report whether the cursor sits on
     /// `w`. Callers must probe with ascending `w`.
-    fn contains(&mut self, w: &W) -> bool {
-        while matches!(self.head(), Some(h) if h < *w) {
+    fn contains(&mut self, w: W) -> bool {
+        while let Some((h, _)) = self.head() {
+            if h >= w {
+                return h == w;
+            }
             self.advance();
         }
-        self.head() == Some(*w)
+        false
     }
 }
 
-/// A spilled exchange file: per-destination-shard sorted candidate
-/// segments, seekable by segment.
-struct CandFile {
-    path: PathBuf,
-    segments: Vec<CandSegment>,
-}
-
-#[derive(Clone, Copy)]
-struct CandSegment {
-    shard: u32,
-    offset: u64,
-    count: u64,
-}
-
-/// Sorted candidate stream for one shard: an in-memory buffer or one
-/// spilled exchange segment.
-enum CandStream<'a, W: Word, P: Payload<W>> {
-    Hot(&'a [(W, P)], usize),
-    Cold {
-        reader: RunReader,
-        cur: Option<(W, P)>,
-        wbuf: Vec<u8>,
-        pbuf: Vec<u8>,
-    },
-}
-
-impl<'a, W: Word, P: Payload<W>> CandStream<'a, W, P> {
-    fn open_segment(path: &std::path::Path, seg: CandSegment) -> CandStream<'a, W, P> {
-        let mut file = std::fs::File::open(path).expect("open exchange file");
-        file.seek(std::io::SeekFrom::Start(seg.offset))
-            .expect("seek exchange segment");
-        let reader = RunReader::from_file(file, W::WIDTH, P::WIDTH, seg.count);
-        let mut s = CandStream::Cold {
-            reader,
-            cur: None,
-            wbuf: vec![0u8; W::WIDTH],
-            pbuf: vec![0u8; P::WIDTH],
-        };
-        s.advance();
-        s
-    }
-
-    fn head(&self) -> Option<(W, P)> {
-        match self {
-            CandStream::Hot(v, pos) => v.get(*pos).copied(),
-            CandStream::Cold { cur, .. } => *cur,
-        }
-    }
-
-    fn advance(&mut self) {
-        match self {
-            CandStream::Hot(_, pos) => *pos += 1,
-            CandStream::Cold {
-                reader,
-                cur,
-                wbuf,
-                pbuf,
-            } => {
-                *cur = if reader.next_into(wbuf, pbuf).expect("read exchange segment") {
-                    Some((W::read_bytes(wbuf), P::read_bytes(pbuf)))
-                } else {
-                    None
-                };
+/// Pop the minimum head across `cursors`, advancing only the first
+/// cursor that holds it: a word held by several cursors pops once per
+/// cursor.
+fn kway_pop<W: Word, P: Payload<W>>(cursors: &mut [Cursor<'_, W, P>]) -> Option<(W, P)> {
+    let mut best: Option<(usize, W)> = None;
+    for (i, c) in cursors.iter().enumerate() {
+        if let Some((w, _)) = c.head() {
+            if best.is_none_or(|(_, bw)| w < bw) {
+                best = Some((i, w));
             }
         }
+    }
+    let (i, _) = best?;
+    let head = cursors[i].head();
+    cursors[i].advance();
+    head
+}
+
+/// A spill file being written through the codec, one run after another,
+/// with its I/O buffer leased on the gauge.
+struct SpillWriter<'g, W, P> {
+    path: PathBuf,
+    writer: RunWriter,
+    buf: Vec<u8>,
+    _lease: MemLease<'g>,
+    _run: std::marker::PhantomData<(W, P)>,
+}
+
+impl<'g, W: Word, P: Payload<W>> SpillWriter<'g, W, P> {
+    fn create(dir: &SpillDir, tag: &str, gauge: &'g MemGauge) -> SpillWriter<'g, W, P> {
+        let path = dir.next_file(tag);
+        let writer = RunWriter::create(&path, W::WIDTH, P::WIDTH).expect("create spill file");
+        SpillWriter {
+            path,
+            writer,
+            buf: vec![0u8; W::WIDTH + P::WIDTH],
+            _lease: MemLease::new(gauge, IO_BUF_BYTES),
+            _run: std::marker::PhantomData,
+        }
+    }
+
+    /// Write `items` (ascending, distinct words) as the file's next run.
+    fn run(&mut self, items: impl IntoIterator<Item = (W, P)>) -> Run<W, P> {
+        let offset = self.writer.offset();
+        let (wb, pb) = self.buf.split_at_mut(W::WIDTH);
+        for (w, p) in items {
+            w.write_bytes(wb);
+            p.write_bytes(pb);
+            self.writer.push(wb, pb).expect("write spill file");
+        }
+        Run::Cold {
+            path: self.path.clone(),
+            offset,
+            count: self.writer.end_run(),
+        }
+    }
+
+    /// Flush the file, add its bytes to `spilled` and return its path.
+    fn finish(self, spilled: &AtomicU64) -> PathBuf {
+        let (_, bytes) = self.writer.finish().expect("finish spill file");
+        spilled.fetch_add(bytes, Ordering::Relaxed);
+        self.path
     }
 }
 
@@ -503,8 +515,11 @@ enum EventKind {
 
 /// Per-worker expansion output for one level.
 struct WorkerOut<W: Word, P: Payload<W>> {
-    /// Per-destination-shard sorted, locally deduplicated candidates.
-    bufs: Vec<Vec<(W, P)>>,
+    /// Per destination shard: the flushed candidate runs, then the
+    /// sorted, locally deduplicated hot buffer.
+    cands: Vec<Vec<Run<W, P>>>,
+    /// Exchange files flushed this level.
+    files: Vec<PathBuf>,
     transitions: u64,
     /// Minimum violating/stuck word seen this level.
     event: Option<(W, EventKind)>,
@@ -512,7 +527,7 @@ struct WorkerOut<W: Word, P: Payload<W>> {
     edges: Vec<(W, W)>,
     /// Gauge bytes still accounted for the surviving hot buffers.
     accounted: usize,
-    /// Nanoseconds spent flushing candidate files.
+    /// Nanoseconds spent flushing exchange files.
     exchange_ns: u64,
 }
 
@@ -556,12 +571,12 @@ fn sort_dedup<W: Word, P: Payload<W>>(buf: &mut Vec<(W, P)>) {
 /// expansion, so the lock is not contended).
 struct FrontierSource<'a, W: Word> {
     inner: Mutex<FrontierIter<'a, W>>,
+    gauge: &'a MemGauge,
 }
 
 struct FrontierIter<'a, W: Word> {
-    runs: Vec<&'a Run<W>>,
-    next_run: usize,
-    cursor: Option<RunCursor<'a, W>>,
+    runs: std::vec::IntoIter<&'a Run<W, ()>>,
+    cursor: Option<Cursor<'a, W, ()>>,
 }
 
 impl<W: Word> FrontierSource<'_, W> {
@@ -569,124 +584,68 @@ impl<W: Word> FrontierSource<'_, W> {
     /// the frontier is exhausted.
     fn next_block(&self, out: &mut Vec<W>) -> bool {
         out.clear();
-        let mut it = self.inner.lock().expect("frontier lock");
+        let mut guard = self.inner.lock().expect("frontier lock");
+        let it = &mut *guard;
         while out.len() < BLOCK_WORDS {
-            if it.cursor.is_none() {
-                if it.next_run >= it.runs.len() {
-                    break;
+            let cursor = match &mut it.cursor {
+                Some(c) => c,
+                None => match it.runs.next() {
+                    Some(run) => it.cursor.insert(Cursor::open(run, self.gauge)),
+                    None => break,
+                },
+            };
+            match cursor.head() {
+                Some((w, ())) => {
+                    out.push(w);
+                    cursor.advance();
                 }
-                let run = it.runs[it.next_run];
-                it.next_run += 1;
-                it.cursor = Some(RunCursor::open(run));
-            }
-            let mut exhausted = false;
-            match it.cursor.as_mut().expect("cursor set") {
-                RunCursor::Hot(v, pos) => {
-                    let take = (v.len() - *pos).min(BLOCK_WORDS - out.len());
-                    out.extend_from_slice(&v[*pos..*pos + take]);
-                    *pos += take;
-                    exhausted = *pos == v.len();
-                }
-                c @ RunCursor::Cold { .. } => {
-                    while out.len() < BLOCK_WORDS {
-                        match c.head() {
-                            Some(w) => {
-                                out.push(w);
-                                c.advance();
-                            }
-                            None => {
-                                exhausted = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if exhausted {
-                it.cursor = None;
+                None => it.cursor = None,
             }
         }
         !out.is_empty()
     }
 }
 
-/// Per-shard inputs to the merge phase.
-struct ShardMergeIn<W: Word, P: Payload<W>> {
-    bufs: Vec<Vec<(W, P)>>,
-    /// (exchange-file index, segment) pairs destined for this shard.
-    segments: Vec<(usize, CandSegment)>,
-}
-
 /// Per-shard merge result: the next run, pre-sorted and distinct.
-struct ShardMergeOut<W: Word, P: Payload<W>> {
-    new_words: Vec<W>,
-    new_payloads: Vec<P>,
+struct ShardMergeOut<W, P> {
+    new: Vec<(W, P)>,
     orbit: u128,
 }
 
-/// One hand-off slot per shard, claimed by whichever merge worker pulls
-/// the shard off the queue.
-type ShardSlots<T> = Vec<Mutex<Option<T>>>;
-
-/// K-way-merge the candidate streams of one shard, subtract the
-/// shard's runs, and return the survivors.
+/// K-way-merge the candidate runs of one shard, folding the payloads of
+/// a word that several runs hold, subtract the shard's visited runs,
+/// and return the survivors.
 fn merge_shard<W: Word, P: Payload<W>>(
-    input: ShardMergeIn<W, P>,
-    runs: &[Run<W>],
-    cand_files: &[CandFile],
+    cands: &[Run<W, P>],
+    visited: &[Run<W, ()>],
+    gauge: &MemGauge,
     orbit_weight: &impl Fn(&W) -> u128,
-    track_parents: bool,
 ) -> ShardMergeOut<W, P> {
-    let mut streams: Vec<CandStream<'_, W, P>> = Vec::new();
-    for buf in &input.bufs {
-        if !buf.is_empty() {
-            streams.push(CandStream::Hot(buf, 0));
-        }
-    }
-    for &(fi, seg) in &input.segments {
-        streams.push(CandStream::open_segment(&cand_files[fi].path, seg));
-    }
-    let mut cursors: Vec<RunCursor<'_, W>> = runs.iter().map(RunCursor::open).collect();
+    let mut streams: Vec<Cursor<'_, W, P>> = cands.iter().map(|r| Cursor::open(r, gauge)).collect();
+    let mut seen: Vec<Cursor<'_, W, ()>> = visited.iter().map(|r| Cursor::open(r, gauge)).collect();
     let mut out = ShardMergeOut {
-        new_words: Vec::new(),
-        new_payloads: Vec::new(),
+        new: Vec::new(),
         orbit: 0,
     };
-    loop {
-        // Minimum word across stream heads, payloads folded.
-        let mut min: Option<(W, P)> = None;
-        for s in &streams {
-            if let Some((w, p)) = s.head() {
-                min = Some(match min {
-                    None => (w, p),
-                    Some((mw, _)) if w < mw => (w, p),
-                    Some((mw, mp)) if w == mw => (mw, mp.prefer(p)),
-                    Some(m) => m,
-                });
-            }
+    let mut next = kway_pop(&mut streams);
+    while let Some((w, mut p)) = next {
+        next = kway_pop(&mut streams);
+        while let Some((_, q)) = next.filter(|&(nw, _)| nw == w) {
+            p = p.prefer(q);
+            next = kway_pop(&mut streams);
         }
-        let Some((w, p)) = min else { break };
-        // Pop every stream sitting on `w` (all payloads for `w` were
-        // folded above, before any stream advances).
-        for s in &mut streams {
-            while matches!(s.head(), Some((hw, _)) if hw == w) {
-                s.advance();
-            }
-        }
-        if cursors.iter_mut().any(|c| c.contains(&w)) {
+        if seen.iter_mut().any(|c| c.contains(w)) {
             continue; // already visited
         }
-        out.new_words.push(w);
-        if track_parents {
-            out.new_payloads.push(p);
-        }
+        out.new.push((w, p));
         out.orbit += orbit_weight(&w);
     }
     out
 }
 
 /// Run the engine over `space` from the initial words (deduplicated
-/// and sorted internally; they form level 0).
+/// and sorted internally; they form level 0). Parent links and edges
+/// are recorded when `P` has a non-zero width ([`ParentLink`]).
 pub fn run<S: Space, P: Payload<S::W>>(
     space: &S,
     inits: &[S::W],
@@ -694,6 +653,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
 ) -> EngineOut<S::W, P> {
     let threads = opts.threads.max(1);
     let shards = opts.shards.max(1);
+    let records = P::WIDTH > 0;
     let wsize = std::mem::size_of::<S::W>();
     let entry_size = std::mem::size_of::<(S::W, P)>();
     let gauge = MemGauge::new();
@@ -706,7 +666,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
     let spilled_total = AtomicU64::new(0);
 
     // Seed the shards with the initial words.
-    let mut stores: Vec<Vec<Run<S::W>>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut stores: Vec<Vec<Run<S::W, ()>>> = (0..shards).map(|_| Vec::new()).collect();
     let mut init_sorted: Vec<S::W> = inits.to_vec();
     init_sorted.sort_unstable();
     init_sorted.dedup();
@@ -715,25 +675,15 @@ pub fn run<S: Space, P: Payload<S::W>>(
     let mut parents: Vec<(S::W, P)> = Vec::new();
     let mut edges: Vec<(S::W, S::W)> = Vec::new();
     let mut coverage = vec![false; space.coverage_slots()];
-    {
-        let mut per_shard: Vec<Vec<S::W>> = (0..shards).map(|_| Vec::new()).collect();
-        for w in init_sorted {
-            per_shard[shard_of(&w, shards)].push(w);
+    for w in init_sorted {
+        let store = &mut stores[shard_of(&w, shards)];
+        match store.last_mut() {
+            Some(Run::Hot(words)) => words.push((w, ())),
+            _ => store.push(Run::Hot(vec![(w, ())])),
         }
-        for (sh, words) in per_shard.into_iter().enumerate() {
-            if words.is_empty() {
-                continue;
-            }
-            states += words.len();
-            for w in &words {
-                orbit_states += space.orbit_weight(*w);
-            }
-            gauge.add(words.len() * wsize);
-            stores[sh].push(Run {
-                count: words.len() as u64,
-                data: RunData::Hot(words),
-            });
-        }
+        states += 1;
+        orbit_states += space.orbit_weight(w);
+        gauge.add(wsize);
     }
     // (shard, run index) of each live frontier run.
     let mut frontier: Vec<(usize, usize)> = (0..shards)
@@ -776,15 +726,19 @@ pub fn run<S: Space, P: Payload<S::W>>(
         };
         let source = FrontierSource {
             inner: Mutex::new(FrontierIter {
-                runs: frontier.iter().map(|&(s, r)| &stores[s][r]).collect(),
-                next_run: 0,
+                runs: frontier
+                    .iter()
+                    .map(|&(s, r)| &stores[s][r])
+                    .collect::<Vec<_>>()
+                    .into_iter(),
                 cursor: None,
             }),
+            gauge: &gauge,
         };
-        let cand_files: Mutex<Vec<CandFile>> = Mutex::new(Vec::new());
         let expand_worker = || -> WorkerOut<S::W, P> {
             let mut out = WorkerOut {
-                bufs: (0..shards).map(|_| Vec::new()).collect(),
+                cands: (0..shards).map(|_| Vec::new()).collect(),
+                files: Vec::new(),
                 transitions: 0,
                 event: None,
                 coverage: vec![false; space.coverage_slots()],
@@ -792,6 +746,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
                 accounted: 0,
                 exchange_ns: 0,
             };
+            let mut bufs: Vec<Vec<(S::W, P)>> = (0..shards).map(|_| Vec::new()).collect();
             let mut block: Vec<S::W> = Vec::with_capacity(BLOCK_WORDS);
             let mut scratch: Vec<(S::W, u32)> = Vec::new();
             let block_lease = MemLease::new(&gauge, BLOCK_WORDS * wsize);
@@ -821,10 +776,10 @@ pub fn run<S: Space, P: Payload<S::W>>(
                         if let Some(slot) = space.cover_slot(label) {
                             out.coverage[slot] = true;
                         }
-                        if opts.capture_edges {
+                        if records {
                             out.edges.push((w, sw));
                         }
-                        out.bufs[shard_of(&sw, shards)].push((sw, P::make(w, label)));
+                        bufs[shard_of(&sw, shards)].push((sw, P::make(w, label)));
                         buffered += entry_size;
                     }
                 }
@@ -833,68 +788,29 @@ pub fn run<S: Space, P: Payload<S::W>>(
                     out.accounted = buffered;
                 }
                 if buffered > cand_cap_bytes {
-                    // Flush: one exchange file holding a sorted,
-                    // prefix-coded segment per destination shard.
+                    // Flush: one exchange file holding one sorted run per
+                    // destination shard.
                     let flush = Instant::now();
                     let dir = spill_dir.as_ref().expect("spill dir exists under budget");
-                    let path = dir.next_file("xchg");
-                    let mut file = CandFile {
-                        path: path.clone(),
-                        segments: Vec::new(),
-                    };
-                    let mut writer = std::io::BufWriter::with_capacity(
-                        IO_BUF_BYTES,
-                        std::fs::File::create(&path).expect("create exchange file"),
-                    );
-                    let io_lease = MemLease::new(&gauge, IO_BUF_BYTES);
-                    let mut offset: u64 = 0;
-                    let mut wbuf = vec![0u8; S::W::WIDTH];
-                    let mut pbuf = vec![0u8; P::WIDTH];
-                    let mut prev = vec![0u8; S::W::WIDTH];
-                    for (sh, buf) in out.bufs.iter_mut().enumerate() {
-                        if buf.is_empty() {
-                            continue;
+                    let mut file = SpillWriter::create(dir, "xchg", &gauge);
+                    for (buf, cands) in bufs.iter_mut().zip(&mut out.cands) {
+                        if !buf.is_empty() {
+                            sort_dedup(buf);
+                            cands.push(file.run(std::mem::take(buf)));
                         }
-                        sort_dedup(buf);
-                        let mut seg_bytes: u64 = 0;
-                        for (i, (w, p)) in buf.iter().enumerate() {
-                            w.write_bytes(&mut wbuf);
-                            p.write_bytes(&mut pbuf);
-                            let shared = if i == 0 {
-                                0
-                            } else {
-                                prev.iter()
-                                    .zip(wbuf.iter())
-                                    .take_while(|(a, b)| a == b)
-                                    .count()
-                            };
-                            writer.write_all(&[shared as u8]).expect("write exchange");
-                            writer.write_all(&wbuf[shared..]).expect("write exchange");
-                            writer.write_all(&pbuf).expect("write exchange");
-                            seg_bytes += 1 + (S::W::WIDTH - shared) as u64 + P::WIDTH as u64;
-                            prev.copy_from_slice(&wbuf);
-                        }
-                        file.segments.push(CandSegment {
-                            shard: sh as u32,
-                            offset,
-                            count: buf.len() as u64,
-                        });
-                        offset += seg_bytes;
-                        buf.clear();
-                        buf.shrink_to_fit();
                     }
-                    writer.flush().expect("flush exchange file");
-                    drop(io_lease);
-                    spilled_total.fetch_add(offset, Ordering::Relaxed);
+                    out.files.push(file.finish(&spilled_total));
                     gauge.sub(out.accounted);
                     out.accounted = 0;
                     buffered = 0;
-                    cand_files.lock().expect("cand files lock").push(file);
                     out.exchange_ns += elapsed_ns(flush);
                 }
             }
-            for buf in out.bufs.iter_mut() {
-                sort_dedup(buf);
+            for (mut buf, cands) in bufs.into_iter().zip(&mut out.cands) {
+                if !buf.is_empty() {
+                    sort_dedup(&mut buf);
+                    cands.push(Run::Hot(buf));
+                }
             }
             drop(block_lease);
             out
@@ -910,7 +826,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
                     .collect()
             })
         };
-        let cand_files = cand_files.into_inner().expect("cand files");
+        drop(source);
         let level_expand_ns = elapsed_ns(phase);
 
         // Fold per-worker counters and the minimum-word event.
@@ -918,7 +834,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
         let mut level_transitions: u64 = 0;
         let mut level_exchange_ns: u64 = 0;
         let mut bufs_accounted: usize = 0;
-        for wo in &worker_outs {
+        for wo in &mut worker_outs {
             level_transitions += wo.transitions;
             level_exchange_ns += wo.exchange_ns;
             event = better_event(event, wo.event);
@@ -926,17 +842,13 @@ pub fn run<S: Space, P: Payload<S::W>>(
             for (a, b) in coverage.iter_mut().zip(&wo.coverage) {
                 *a |= *b;
             }
+            edges.append(&mut wo.edges);
         }
         transitions += level_transitions;
         expand_ns += level_expand_ns;
         exchange_ns += level_exchange_ns;
         level_span.arg("expand_ns", level_expand_ns);
         level_span.arg("exchange_ns", level_exchange_ns);
-        if opts.capture_edges {
-            for wo in &mut worker_outs {
-                edges.append(&mut wo.edges);
-            }
-        }
         if let Some((w, kind)) = event {
             gauge.sub(bufs_accounted);
             break match kind {
@@ -948,83 +860,55 @@ pub fn run<S: Space, P: Payload<S::W>>(
         // ---- Phase 2: merge (per shard; shards are disjoint, so ------------
         // ---- workers share nothing but the shard queue) ---------------------
         let phase = Instant::now();
-        let merge_inputs: ShardSlots<ShardMergeIn<S::W, P>> =
-            (0..shards).map(|_| Mutex::new(None)).collect();
-        {
-            let mut per_shard: Vec<ShardMergeIn<S::W, P>> = (0..shards)
-                .map(|_| ShardMergeIn {
-                    bufs: Vec::new(),
-                    segments: Vec::new(),
-                })
-                .collect();
-            for wo in &mut worker_outs {
-                for (sh, buf) in wo.bufs.drain(..).enumerate() {
-                    if !buf.is_empty() {
-                        per_shard[sh].bufs.push(buf);
-                    }
-                }
+        let mut cands: Vec<Vec<Run<S::W, P>>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut files: Vec<PathBuf> = Vec::new();
+        for wo in worker_outs {
+            for (all, mine) in cands.iter_mut().zip(wo.cands) {
+                all.extend(mine);
             }
-            for (fi, f) in cand_files.iter().enumerate() {
-                for seg in &f.segments {
-                    per_shard[seg.shard as usize].segments.push((fi, *seg));
-                }
-            }
-            for (sh, input) in per_shard.into_iter().enumerate() {
-                *merge_inputs[sh].lock().expect("merge input") = Some(input);
-            }
+            files.extend(wo.files);
         }
-        let merge_outs: ShardSlots<ShardMergeOut<S::W, P>> =
-            (0..shards).map(|_| Mutex::new(None)).collect();
         let next_shard = AtomicUsize::new(0);
         let orbit_weight = |w: &S::W| space.orbit_weight(*w);
-        let merge_worker = || loop {
-            let sh = next_shard.fetch_add(1, Ordering::Relaxed);
-            if sh >= shards {
-                break;
+        let merge_worker = || -> Vec<(usize, ShardMergeOut<S::W, P>)> {
+            let mut outs = Vec::new();
+            loop {
+                let sh = next_shard.fetch_add(1, Ordering::Relaxed);
+                if sh >= shards {
+                    return outs;
+                }
+                let out = merge_shard(&cands[sh], &stores[sh], &gauge, &orbit_weight);
+                gauge.add(out.new.len() * wsize);
+                outs.push((sh, out));
             }
-            let input = merge_inputs[sh]
-                .lock()
-                .expect("merge input")
-                .take()
-                .expect("merge input present");
-            let out = merge_shard(
-                input,
-                &stores[sh],
-                &cand_files,
-                &orbit_weight,
-                opts.track_parents,
-            );
-            gauge.add(out.new_words.len() * wsize);
-            *merge_outs[sh].lock().expect("merge out") = Some(out);
         };
         let merge_workers = if threads <= 1 || frontier_len < MIN_WORK_PER_WORKER {
             1
         } else {
             threads.min(shards)
         };
-        if merge_workers == 1 {
-            merge_worker();
+        let mut merged = if merge_workers == 1 {
+            merge_worker()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..merge_workers)
                     .map(|_| scope.spawn(merge_worker))
                     .collect();
-                for h in handles {
-                    h.join().expect("mc merge worker panicked");
-                }
-            });
-        }
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("mc merge worker panicked"))
+                    .collect()
+            })
+        };
+        // Shard order: the next frontier is read in it.
+        merged.sort_unstable_by_key(|&(sh, _)| sh);
         // Exchange buffers and files are dead once merged.
-        drop(worker_outs);
+        drop(cands);
         gauge.sub(bufs_accounted);
-        for f in &cand_files {
-            let _ = std::fs::remove_file(&f.path);
+        for path in &files {
+            let _ = std::fs::remove_file(path);
         }
-        let mut new_runs: Vec<ShardMergeOut<S::W, P>> = merge_outs
-            .into_iter()
-            .map(|m| m.into_inner().expect("merge out").expect("merge out set"))
-            .collect();
-        let new_total: usize = new_runs.iter().map(|r| r.new_words.len()).sum();
+        let new_total: usize = merged.iter().map(|(_, m)| m.new.len()).sum();
         dedup_hits += level_transitions - new_total as u64;
         let level_merge_ns = elapsed_ns(phase);
         merge_ns += level_merge_ns;
@@ -1032,30 +916,16 @@ pub fn run<S: Space, P: Payload<S::W>>(
 
         // ---- Budget rule: keep the globally smallest k new words -----------
         if states + new_total > opts.budget {
-            let k = opts.budget - states;
-            let mut heads = vec![0usize; shards];
-            let mut popped = 0usize;
-            while popped < k {
-                let mut best: Option<(S::W, usize)> = None;
-                for (sh, run) in new_runs.iter().enumerate() {
-                    if let Some(w) = run.new_words.get(heads[sh]) {
-                        if best.is_none_or(|(bw, _)| *w < bw) {
-                            best = Some((*w, sh));
-                        }
-                    }
-                }
-                let Some((w, sh)) = best else { break };
-                heads[sh] += 1;
-                popped += 1;
-                orbit_states += space.orbit_weight(w);
-            }
-            states += popped;
-            if opts.track_parents {
-                for (sh, run) in new_runs.iter_mut().enumerate() {
-                    for i in 0..heads[sh] {
-                        parents.push((run.new_words[i], run.new_payloads[i]));
-                    }
-                }
+            let mut kept: Vec<(S::W, P)> = merged.into_iter().flat_map(|(_, m)| m.new).collect();
+            kept.sort_unstable_by_key(|&(w, _)| w);
+            kept.truncate(opts.budget - states);
+            states += kept.len();
+            orbit_states += kept
+                .iter()
+                .map(|&(w, _)| space.orbit_weight(w))
+                .sum::<u128>();
+            if records {
+                parents.extend(kept);
             }
             break 'bfs EngineOutcome::BudgetExceeded;
         }
@@ -1064,30 +934,26 @@ pub fn run<S: Space, P: Payload<S::W>>(
         states += new_total;
         frontier.clear();
         frontier_len = new_total;
-        for (sh, run) in new_runs.iter_mut().enumerate() {
-            orbit_states += run.orbit;
-            if opts.track_parents {
-                for (w, p) in run.new_words.iter().zip(run.new_payloads.iter()) {
-                    parents.push((*w, *p));
-                }
+        if records {
+            let level_start = parents.len();
+            for (_, m) in &merged {
+                parents.extend_from_slice(&m.new);
             }
-            if run.new_words.is_empty() {
-                continue;
-            }
-            let words = std::mem::take(&mut run.new_words);
-            stores[sh].push(Run {
-                count: words.len() as u64,
-                data: RunData::Hot(words),
-            });
-            frontier.push((sh, stores[sh].len() - 1));
-        }
-        if opts.track_parents || opts.capture_edges {
+            parents[level_start..].sort_unstable_by_key(|&(w, _)| w);
             let aux = edges.len() * std::mem::size_of::<(S::W, S::W)>()
                 + parents.len() * std::mem::size_of::<(S::W, P)>();
             if aux > tracked_aux {
                 gauge.add(aux - tracked_aux);
                 tracked_aux = aux;
             }
+        }
+        for (sh, m) in merged {
+            orbit_states += m.orbit;
+            if m.new.is_empty() {
+                continue;
+            }
+            stores[sh].push(Run::Hot(m.new.into_iter().map(|(w, _)| (w, ())).collect()));
+            frontier.push((sh, stores[sh].len() - 1));
         }
         level_span.arg("new_states", new_total as u64);
 
@@ -1096,7 +962,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
         maintain(
             &mut stores,
             &mut frontier,
-            opts,
+            opts.mem_budget,
             &gauge,
             spill_dir.as_ref(),
             &spilled_total,
@@ -1151,10 +1017,11 @@ fn elapsed_ns(start: Instant) -> u64 {
 /// exceeds half the budget (the other half is headroom for the next
 /// level's exchange buffers). Neither operation can change any
 /// reported deterministic quantity — runs round-trip bit-exactly.
+/// `spill_dir` is `Some` exactly when `mem_budget > 0`.
 fn maintain<W: Word>(
-    stores: &mut [Vec<Run<W>>],
+    stores: &mut [Vec<Run<W, ()>>],
     frontier: &mut [(usize, usize)],
-    opts: &EngineOpts,
+    mem_budget: usize,
     gauge: &MemGauge,
     spill_dir: Option<&SpillDir>,
     spilled_total: &AtomicU64,
@@ -1172,43 +1039,26 @@ fn maintain<W: Word>(
             continue;
         }
         let tail = runs.split_off(compactable);
-        let old: Vec<Run<W>> = std::mem::take(runs);
+        let old: Vec<Run<W, ()>> = std::mem::take(runs);
         let hot_freed: usize = old.iter().map(Run::hot_bytes).sum();
-        let mut cursors: Vec<RunCursor<'_, W>> = old.iter().map(RunCursor::open).collect();
+        let mut cursors: Vec<Cursor<'_, W, ()>> =
+            old.iter().map(|r| Cursor::open(r, gauge)).collect();
         // Runs hold disjoint sorted sets, so a k-way min-merge suffices.
-        let merged = if opts.mem_budget == 0 {
-            let total: u64 = old.iter().map(|r| r.count).sum();
-            let mut words: Vec<W> = Vec::with_capacity(total as usize);
-            while let Some(w) = kway_pop(&mut cursors) {
-                words.push(w);
+        let merged_words = std::iter::from_fn(|| kway_pop(&mut cursors));
+        let merged = match spill_dir {
+            None => {
+                let total: u64 = old.iter().map(Run::len).sum();
+                let mut words = Vec::with_capacity(total as usize);
+                words.extend(merged_words);
+                gauge.add(std::mem::size_of_val(words.as_slice()));
+                Run::Hot(words)
             }
-            gauge.add(words.len() * std::mem::size_of::<W>());
-            Run {
-                count: words.len() as u64,
-                data: RunData::Hot(words),
-            }
-        } else {
-            let dir = spill_dir.expect("spill dir exists under budget");
-            let path = dir.next_file("run");
-            let mut writer = RunWriter::create(&path, W::WIDTH, 0).expect("create compacted run");
-            let io_lease = MemLease::new(gauge, IO_BUF_BYTES);
-            let mut buf = vec![0u8; W::WIDTH];
-            while let Some(w) = kway_pop(&mut cursors) {
-                w.write_bytes(&mut buf);
-                writer.push(&buf, &[]).expect("write compacted run");
-            }
-            let (count, bytes) = writer.finish().expect("finish compacted run");
-            drop(io_lease);
-            spilled_total.fetch_add(bytes, Ordering::Relaxed);
-            Run {
-                count,
-                data: RunData::Cold { path },
-            }
+            Some(dir) => spill_run(dir, gauge, spilled_total, merged_words),
         };
         drop(cursors);
         gauge.sub(hot_freed);
         for r in old {
-            if let RunData::Cold { path } = r.data {
+            if let Run::Cold { path, .. } = r {
                 let _ = std::fs::remove_file(path);
             }
         }
@@ -1223,10 +1073,10 @@ fn maintain<W: Word>(
     }
 
     // Spill policy: oldest hot runs first, round-robin across shards.
-    if opts.mem_budget == 0 {
+    let Some(dir) = spill_dir else {
         return;
-    }
-    let target = opts.mem_budget / 2;
+    };
+    let target = mem_budget / 2;
     let mut resident: usize = stores
         .iter()
         .flat_map(|rs| rs.iter().map(Run::hot_bytes))
@@ -1234,32 +1084,13 @@ fn maintain<W: Word>(
     if resident <= target {
         return;
     }
-    let dir = spill_dir.expect("spill dir exists under budget");
     'spill: for age in 0..MAX_RUNS + 2 {
         for runs in stores.iter_mut() {
-            if age >= runs.len() {
-                continue;
-            }
-            let run = &mut runs[age];
-            let hot = run.hot_bytes();
-            if hot == 0 {
-                continue;
-            }
-            let RunData::Hot(words) = &run.data else {
+            let Some(Run::Hot(words)) = runs.get(age) else {
                 continue;
             };
-            let path = dir.next_file("run");
-            let mut writer = RunWriter::create(&path, W::WIDTH, 0).expect("create spill run");
-            let io_lease = MemLease::new(gauge, IO_BUF_BYTES);
-            let mut buf = vec![0u8; W::WIDTH];
-            for w in words {
-                w.write_bytes(&mut buf);
-                writer.push(&buf, &[]).expect("write spill run");
-            }
-            let (_, bytes) = writer.finish().expect("finish spill run");
-            drop(io_lease);
-            spilled_total.fetch_add(bytes, Ordering::Relaxed);
-            run.data = RunData::Cold { path };
+            let hot = std::mem::size_of_val(words.as_slice());
+            runs[age] = spill_run(dir, gauge, spilled_total, words.iter().copied());
             gauge.sub(hot);
             resident -= hot;
             if resident <= target {
@@ -1269,19 +1100,17 @@ fn maintain<W: Word>(
     }
 }
 
-/// Pop the global minimum across disjoint sorted cursors.
-fn kway_pop<W: Word>(cursors: &mut [RunCursor<'_, W>]) -> Option<W> {
-    let mut best: Option<(W, usize)> = None;
-    for (i, c) in cursors.iter().enumerate() {
-        if let Some(w) = c.head() {
-            if best.is_none_or(|(bw, _)| w < bw) {
-                best = Some((w, i));
-            }
-        }
-    }
-    let (w, i) = best?;
-    cursors[i].advance();
-    Some(w)
+/// Write `items` (ascending, distinct words) as a one-run spill file.
+fn spill_run<W: Word>(
+    dir: &SpillDir,
+    gauge: &MemGauge,
+    spilled_total: &AtomicU64,
+    items: impl IntoIterator<Item = (W, ())>,
+) -> Run<W, ()> {
+    let mut file = SpillWriter::create(dir, "run", gauge);
+    let run = file.run(items);
+    file.finish(spilled_total);
+    run
 }
 
 #[cfg(test)]
@@ -1347,9 +1176,7 @@ mod tests {
             size,
             violating: None,
         };
-        let mut o = opts(1, 1, 0, usize::MAX);
-        o.track_parents = true;
-        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o);
+        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &opts(1, 1, 0, usize::MAX));
         let idx = ((out.parents.len() as f64) * frac) as usize;
         out.parents[idx.min(out.parents.len() - 1)].0 .0
     }
@@ -1440,9 +1267,7 @@ mod tests {
             size: 10_000,
             violating: Some(target),
         };
-        let mut o = opts(4, 8, 0, usize::MAX);
-        o.track_parents = true;
-        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o);
+        let out = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &opts(4, 8, 0, usize::MAX));
         let EngineOutcome::Violation(w) = out.outcome else {
             panic!("expected violation, got {:?}", out.outcome);
         };
@@ -1457,9 +1282,7 @@ mod tests {
             assert!(hops <= out.stats.levels, "parent chain too long");
         }
         // And be identical under a different configuration.
-        let mut o2 = opts(1, 1, 8 * 1024, usize::MAX);
-        o2.track_parents = true;
-        let out2 = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &o2);
+        let out2 = run::<_, ParentLink<TW>>(&toy, &[TW(1)], &opts(1, 1, 8 * 1024, usize::MAX));
         assert_eq!(out2.outcome, EngineOutcome::Violation(w));
         let map2: std::collections::HashMap<TW, ParentLink<TW>> =
             out2.parents.iter().map(|&(w, p)| (w, p)).collect();
@@ -1564,9 +1387,7 @@ mod tests {
                 Some(label as usize)
             }
         }
-        let mut o = opts(1, 2, 0, usize::MAX);
-        o.capture_edges = true;
-        let out = run::<_, ()>(&Covered, &[TW(0)], &o);
+        let out = run::<_, ParentLink<TW>>(&Covered, &[TW(0)], &opts(1, 2, 0, usize::MAX));
         assert_eq!(out.coverage, vec![true, true, true, false]);
         let mut edges = out.edges.clone();
         edges.sort();

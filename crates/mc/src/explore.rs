@@ -214,8 +214,6 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
         shards: opts.shards.max(1),
         mem_budget: opts.mem_budget,
         spill_dir: opts.spill_dir.clone(),
-        track_parents: false,
-        capture_edges: false,
     };
     let out = engine::run::<_, ()>(&space, &[c0], &eopts);
 

@@ -1047,8 +1047,6 @@ impl SpecMachine {
             shards: opts.shards.max(1),
             mem_budget: opts.mem_budget,
             spill_dir: opts.spill_dir.clone(),
-            track_parents: true,
-            capture_edges: true,
         };
         let eout = crate::engine::run::<_, ParentLink<SpecWord>>(&space, &inits, &eopts);
 
@@ -1115,10 +1113,11 @@ impl SpecMachine {
                 // reach a quiescent one (all agents idle, primary
                 // variable stable) — reverse reachability over the
                 // captured transition set. The discovery order is the
-                // engine's deterministic level → shard → ascending-word
-                // order (sorted roots first), so the reported
-                // undrainable representative is identical for every
-                // (threads, shards, mem_budget) combination.
+                // engine's level → ascending-word order (sorted roots
+                // first), so the reported undrainable representative is
+                // the minimum word of the earliest level that holds one,
+                // identical for every (threads, shards, mem_budget)
+                // combination.
                 let mut order: Vec<SpecWord> = inits.clone();
                 order.sort_unstable();
                 order.dedup();

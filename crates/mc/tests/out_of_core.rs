@@ -5,8 +5,9 @@
 //! (threads, shards, mem-budget) combination — spilling to disk is an
 //! implementation detail, never an observable one. These tests pin
 //! that promise on the builtin ASURA model (verified, seeded-violation
-//! and budget-aborted runs) and on a zoo spec pack, and check that no
-//! spill file survives a run, completed or aborted.
+//! and budget-aborted runs) and on zoo spec packs, one of them with an
+//! undrainable counterexample, and check that no spill file survives a
+//! run, completed or aborted.
 
 use ccsql_mc::{explore_with, McOpts, McOutcome, McStats, Model, SpecMcOpts, State};
 
@@ -267,7 +268,11 @@ fn spec_machine(rel_path: &str) -> ccsql_mc::SpecMachine {
 
 #[test]
 fn spec_packs_render_identically_across_shards_threads_and_mem_budget() {
-    for pack in ["specs/fig3.ccsql", "specs/phase_priority.ccsql"] {
+    for pack in [
+        "specs/fig3.ccsql",
+        "specs/phase_priority.ccsql",
+        "specs/bedrock_moesif_buggy.ccsql",
+    ] {
         let m = spec_machine(pack);
         for symmetry in [false, true] {
             let base_opts = SpecMcOpts {

@@ -47,7 +47,7 @@ cargo test -q -p ccsql-mc --test out_of_core
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
 
-echo "==> forced-spill quick gate (in-memory vs out-of-core, byte-for-byte)"
+echo "==> forced-spill quick gate (in-memory vs out-of-core, byte-for-byte; a spec counterexample through spilled exchange files)"
 # Same space, three storage shapes: fully resident, 4-shard spilled,
 # 16-shard spilled. After blanking the wall-clock token and dropping
 # the (intentionally nondeterministic) out-of-core stats line, all
@@ -72,6 +72,22 @@ if grep -q 'spilled 0 bytes' "$WORK_DIR/mc_ooc1.txt"; then
     echo "forced-spill run spilled nothing" >&2
     exit 1
 fi
+# A spec machine's undrainable counterexample: under a 1K budget the
+# exchange buffers flush to files whose runs carry parent links, and
+# stdout, stderr and exit code must match the resident run's.
+rc_res=0
+rc_ooc=0
+cargo run --quiet --release -p ccsql-cli -- mc --spec specs/bedrock_moesif_buggy.ccsql \
+    --nodes 4 --no-symmetry --json > "$WORK_DIR/spec_res.txt" 2> "$WORK_DIR/spec_res.err" || rc_res=$?
+cargo run --quiet --release -p ccsql-cli -- mc --spec specs/bedrock_moesif_buggy.ccsql \
+    --nodes 4 --no-symmetry --json --mem-budget 1K --shards 4 --threads 2 \
+    > "$WORK_DIR/spec_ooc.txt" 2> "$WORK_DIR/spec_ooc.err" || rc_ooc=$?
+if [ "$rc_res" -ne "$rc_ooc" ]; then
+    echo "spec mc exit codes differ (resident=$rc_res spilled=$rc_ooc)" >&2
+    exit 1
+fi
+diff "$WORK_DIR/spec_res.txt" "$WORK_DIR/spec_ooc.txt"
+diff "$WORK_DIR/spec_res.err" "$WORK_DIR/spec_ooc.err"
 
 echo "==> solver differential oracle (compiled vs --no-compile, byte-for-byte, every spec + an over-budget one)"
 # Three unconstrained 100-value columns: the step adding `o` takes 10^6
@@ -166,7 +182,7 @@ if [ -z "$d_evals" ] || [ $((d_evals * 3)) -ge "$d_cands" ]; then
 fi
 grep -q '^mc/explore ms=[0-9.]* .* arena_bytes=[0-9]* .* mem_peak_bytes=[0-9]* ' "$WORK_DIR/stats1.txt"
 # The engine's phase clocks: under a small memory budget the run flushes
-# exchange buffers to candidate files and merges them back.
+# exchange buffers to exchange files and merges them back.
 cargo run --quiet --release -p ccsql-cli -- stats mc --nodes 3 --quota 3 --no-symmetry \
     --mem-budget 2M --shards 16 > "$WORK_DIR/stats_spill.txt"
 grep -q '^mc/explore ms=[0-9.]* .* exchange_ns=[1-9][0-9]* merge_ns=[1-9][0-9]* ' \
