@@ -2259,9 +2259,10 @@ mod tests {
             );
         }
         // The masked extension step evaluates D's constraints once per
-        // row where it can, not once per candidate.
+        // row where it can, not once per candidate, and D's ten
+        // rule-driven chains and its legality chain switch on `inmsg`.
         assert!(
-            out.contains(" rows=498 columns=30 candidates=62842 evals=16222"),
+            out.contains(" rows=498 columns=30 candidates=62842 evals=16222 indexed=11"),
             "{out}"
         );
         // The default pipeline solves the ASURA tables once for gen,

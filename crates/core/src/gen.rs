@@ -124,6 +124,61 @@ mod tests {
     }
 
     #[test]
+    fn every_generated_row_satisfies_exactly_one_rule_guard() {
+        use ccsql_relalg::solver::ColumnRole;
+        use ccsql_relalg::Expr;
+        // The operands of an `or` chain, in order.
+        fn disjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+            match e {
+                Expr::Or(a, b) => {
+                    disjuncts(a, out);
+                    disjuncts(b, out);
+                }
+                g => out.push(g),
+            }
+        }
+        let g = GeneratedProtocol::generate_default().unwrap();
+        let ctx = GeneratedProtocol::context();
+        for c in &g.spec.controllers {
+            let cols = &c.spec.columns;
+            // The rules' guards in order: the ternary chain of the first
+            // rule-driven output column.
+            let first_output = cols.iter().find(|d| d.role == ColumnRole::Output).unwrap();
+            let (mut chain, mut guards) = (&first_output.constraint, Vec::new());
+            while let Expr::Ternary(guard, _, rest) = chain {
+                guards.push(&**guard);
+                chain = rest;
+            }
+            // They are the legality disjunction on the last input column.
+            let last_input = cols.iter().rfind(|d| d.role == ColumnRole::Input).unwrap();
+            let Expr::And(_, legality) = &last_input.constraint else {
+                panic!("{}: no legality conjunct", c.name);
+            };
+            let mut legal = Vec::new();
+            disjuncts(legality, &mut legal);
+            assert_eq!(
+                guards, legal,
+                "{}: chain and legality guards differ",
+                c.name
+            );
+
+            let table = g.table(c.name).unwrap();
+            let bound: Vec<_> = guards
+                .iter()
+                .map(|e| e.bind(table.schema()).unwrap())
+                .collect();
+            assert!(!table.is_empty(), "{}", c.name);
+            for row in table.rows() {
+                let held = bound
+                    .iter()
+                    .filter(|e| e.eval_bool(row, &ctx).unwrap())
+                    .count();
+                assert_eq!(held, 1, "{}: {held} guards hold on {row:?}", c.name);
+            }
+        }
+    }
+
+    #[test]
     fn database_queries_work_on_generated_tables() {
         let mut g = GeneratedProtocol::generate_default().unwrap();
         let r =

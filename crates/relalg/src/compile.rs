@@ -11,8 +11,8 @@
 //!
 //! The semantics are *exactly* those of the interpreter (the property
 //! suite in `tests/bytecode.rs` asserts `Program::eval_row ==
-//! BoundExpr::eval_bool` on random expressions × rows, errors
-//! included):
+//! BoundExpr::eval_bool` on random expressions and long rule chains ×
+//! rows, errors included):
 //!
 //! * `=`/`!=` compare value ids; interning is injective so this is
 //!   value equality, including `NULL = NULL` being true;
@@ -25,6 +25,11 @@
 //! * named-set calls go through the same [`EvalContext`] at runtime
 //!   (a context is an opaque membership oracle — it cannot be compiled
 //!   to a bitset without enumerating it).
+//!
+//! A ternary `c ? t : f` branches on its condition once. A rule chain,
+//! `g1 ? r1 : g2 ? r2 : …` or `g1 or g2 or …`, in which enough guards
+//! test one column first is lowered through a switch on that column
+//! (see *Rule chains* below).
 //!
 //! [`compile_constraint`] is the solver's entry point: it folds
 //! `resolve_idents` + `reduce` (constant folding, including calls over
@@ -49,12 +54,37 @@
 //! or named-set error it meets, which need not be the first value's, so
 //! the solver reruns a failing row as one-value passes in value order
 //! to report the first error.
+//!
+//! ## Rule chains
+//!
+//! A chain is a spine of ternaries down their else branches, or the
+//! operands of nested `or`s; its arms are tried in order, and an `or`
+//! chain's else is `false`. An arm's *key* is the leftmost conjunct of
+//! its guard (the left operand of `and`, followed down) when that is
+//! `col = lit`, `lit = col` or `col in (lits)`. When at least
+//! [`MIN_KEYED_ARMS`] arms key on one column, the *dispatch column*
+//! (the one most keys test), the chain is lowered to a `Switch` on it
+//! and one *bucket* of arms per value a key names: the arms whose key
+//! holds that value and the arms with no key on the dispatch column, in
+//! chain order, then the else.
+//! Values no key names take the bucket of unkeyed arms, which every
+//! other bucket ends in, and buckets with the same arms share code.
+//! With the dispatch column bound, a switch is one table lookup and one
+//! jump; over the new column it splits the live values by bucket, as a
+//! jump on a mask does. The arms a bucket leaves out cannot change a
+//! result: their key compares the dispatch column with values it does
+//! not hold, which is false and cannot fail, and `and` stops there.
 
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, EvalContext, Expr};
 use crate::schema::Schema;
 use crate::symbol::Sym;
 use crate::value::{Value, FALSE_VID, NULL_VID, TRUE_VID};
+use std::collections::HashMap;
+
+/// The arms keyed on one column that a rule chain needs to be lowered
+/// through a switch on that column.
+pub const MIN_KEYED_ARMS: usize = 8;
 
 /// One bytecode instruction. Registers hold value ids; `dst`/`src`/
 /// `a`/`b` index the register file, `col` a row column, `set` the
@@ -76,7 +106,8 @@ enum Op {
     /// Errors unless `regs[src]` is a boolean id (the `and`/`or` tail
     /// check the interpreter performs via `eval_bool`).
     AssertBool { src: u32 },
-    /// Unconditional jump (joins the arms of a recognised ternary).
+    /// Unconditional jump (to the end of a chain, or from a bucket into
+    /// the unkeyed arms it ends in).
     Jump { to: u32 },
     /// Jump to `to` when `regs[cond]` is false; fall through on true;
     /// error otherwise (short-circuit `and`).
@@ -85,6 +116,94 @@ enum Op {
     JumpIfTrue { cond: u32, to: u32 },
     /// `regs[dst] = bool_id(ctx.set_contains(name, decode(regs[src])))`.
     CallSet { dst: u32, src: u32, name: Sym },
+    /// Jump to the bucket `tables[table]` gives for `row[col]`; over the
+    /// new column, each live value to its own bucket.
+    Switch { col: u32, table: u32 },
+}
+
+/// The buckets of a switch: where the code of the bucket each value id
+/// selects starts, dense over the ids its keys name (from `base`); any
+/// other id selects `default`.
+#[derive(Clone, Debug, Default)]
+struct JumpTable {
+    base: u32,
+    targets: Vec<u32>,
+    default: u32,
+}
+
+impl JumpTable {
+    #[inline]
+    fn target(&self, id: u32) -> u32 {
+        self.targets
+            .get(id.wrapping_sub(self.base) as usize)
+            .copied()
+            .unwrap_or(self.default)
+    }
+}
+
+/// One arm of a rule chain: its guard, and what the chain gives when
+/// that guard is the first to hold (`None` in an `or` chain: true).
+type Arm<'e> = (&'e BoundExpr, Option<&'e BoundExpr>);
+
+/// The arms of the chain `e` heads, in order, and what it gives when no
+/// guard holds (`None` for an `or` chain: false).
+fn chain(e: &BoundExpr) -> (Vec<Arm<'_>>, Option<&BoundExpr>) {
+    fn operands<'e>(e: &'e BoundExpr, arms: &mut Vec<Arm<'e>>) {
+        match e {
+            BoundExpr::Or(a, b) => {
+                operands(a, arms);
+                operands(b, arms);
+            }
+            g => arms.push((g, None)),
+        }
+    }
+    let mut arms = Vec::new();
+    if let BoundExpr::Or(..) = e {
+        operands(e, &mut arms);
+        return (arms, None);
+    }
+    let mut e = e;
+    while let BoundExpr::Ternary(g, t, f) = e {
+        arms.push((g, Some(t)));
+        e = f;
+    }
+    (arms, Some(e))
+}
+
+/// An arm's key: the column its guard tests first and the value ids
+/// that pass that test (at least one).
+fn key(guard: &BoundExpr) -> Option<(usize, Vec<u32>)> {
+    let mut g = guard;
+    while let BoundExpr::And(a, _) = g {
+        g = a;
+    }
+    match g {
+        BoundExpr::Eq(a, b) => match (&**a, &**b) {
+            (BoundExpr::Col(c), BoundExpr::Lit(v)) | (BoundExpr::Lit(v), BoundExpr::Col(c)) => {
+                Some((*c, vec![v.vid()]))
+            }
+            _ => None,
+        },
+        BoundExpr::In(e, vs) => match &**e {
+            BoundExpr::Col(c) if !vs.is_empty() => Some((*c, vs.iter().map(|v| v.vid()).collect())),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The dispatch column of a chain with these keys, when enough arms key
+/// on it: the column most keys test, the first tested on a tie.
+fn dispatch(keys: &[Option<(usize, Vec<u32>)>]) -> Option<usize> {
+    let mut counts: Vec<(usize, usize)> = Vec::new();
+    for (c, _) in keys.iter().flatten() {
+        match counts.iter_mut().find(|(k, _)| k == c) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((*c, 1)),
+        }
+    }
+    let (col, keyed) = counts.into_iter().rev().max_by_key(|&(_, n)| n)?;
+    (keyed >= MIN_KEYED_ARMS).then_some(col)
 }
 
 /// A bitset over value ids (the compiled form of an `in (…)` literal
@@ -119,6 +238,7 @@ impl IdSet {
 pub struct Program {
     ops: Vec<Op>,
     sets: Vec<IdSet>,
+    tables: Vec<JumpTable>,
     num_regs: usize,
 }
 
@@ -268,6 +388,7 @@ impl Program {
         let mut p = Program {
             ops: Vec::new(),
             sets: Vec::new(),
+            tables: Vec::new(),
             num_regs: 1,
         };
         p.emit(e, 0);
@@ -277,6 +398,13 @@ impl Program {
     /// Registers an evaluation needs.
     pub fn num_regs(&self) -> usize {
         self.num_regs
+    }
+
+    /// The switches in the program: one per rule chain lowered through a
+    /// switch on its dispatch column, and one per further copy of such a
+    /// chain when it sits in an arm that several buckets repeat.
+    pub fn indexed(&self) -> usize {
+        self.tables.len()
     }
 
     /// `Some(b)` iff the program is a single boolean constant — the
@@ -337,56 +465,12 @@ impl Program {
             }
             BoundExpr::And(a, b) => {
                 self.emit(a, dst);
-                let jump_at = self.ops.len();
-                self.ops.push(Op::JumpIfFalse { cond: dst, to: 0 });
+                let skip = self.jump(Op::JumpIfFalse { cond: dst, to: 0 });
                 self.emit(b, dst);
                 self.ops.push(Op::AssertBool { src: dst });
-                let end = self.ops.len() as u32;
-                if let Op::JumpIfFalse { to, .. } = &mut self.ops[jump_at] {
-                    *to = end;
-                }
+                self.land(skip);
             }
-            BoundExpr::Or(a, b) => {
-                // `c ? t : f` binds to `(c and t) or (not c and f)`;
-                // recognising that shape branches on the guard once
-                // instead of re-evaluating a failed guard through the
-                // `not` — the dominant cost in the protocol's long rule
-                // chains, where a candidate falls through many guards
-                // before one matches. Result and errors are identical:
-                // the guard is pure, so its second evaluation in the
-                // desugared form can neither fail anew nor disagree.
-                if let (BoundExpr::And(c, t), BoundExpr::And(n, f)) = (&**a, &**b) {
-                    if matches!(&**n, BoundExpr::Not(c2) if c2 == c) {
-                        self.emit(c, dst);
-                        let else_jump = self.ops.len();
-                        self.ops.push(Op::JumpIfFalse { cond: dst, to: 0 });
-                        self.emit(t, dst);
-                        self.ops.push(Op::AssertBool { src: dst });
-                        let end_jump = self.ops.len();
-                        self.ops.push(Op::Jump { to: 0 });
-                        let else_at = self.ops.len() as u32;
-                        if let Op::JumpIfFalse { to, .. } = &mut self.ops[else_jump] {
-                            *to = else_at;
-                        }
-                        self.emit(f, dst);
-                        self.ops.push(Op::AssertBool { src: dst });
-                        let end = self.ops.len() as u32;
-                        if let Op::Jump { to } = &mut self.ops[end_jump] {
-                            *to = end;
-                        }
-                        return;
-                    }
-                }
-                self.emit(a, dst);
-                let jump_at = self.ops.len();
-                self.ops.push(Op::JumpIfTrue { cond: dst, to: 0 });
-                self.emit(b, dst);
-                self.ops.push(Op::AssertBool { src: dst });
-                let end = self.ops.len() as u32;
-                if let Op::JumpIfTrue { to, .. } = &mut self.ops[jump_at] {
-                    *to = end;
-                }
-            }
+            BoundExpr::Or(..) | BoundExpr::Ternary(..) => self.emit_chain(e, dst),
             BoundExpr::Call(name, e) => {
                 self.emit(e, dst);
                 self.ops.push(Op::CallSet {
@@ -396,6 +480,156 @@ impl Program {
                 });
             }
         }
+    }
+
+    /// Push a jump whose target [`Program::land`] sets later.
+    fn jump(&mut self, op: Op) -> usize {
+        self.ops.push(op);
+        self.ops.len() - 1
+    }
+
+    /// Point the jump at `at` to the next op.
+    fn land(&mut self, at: usize) {
+        let here = self.ops.len() as u32;
+        match &mut self.ops[at] {
+            Op::Jump { to } | Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } => *to = here,
+            op => unreachable!("{op:?} is not a jump"),
+        }
+    }
+
+    /// Lower a rule chain into `dst`: through a switch when enough arms
+    /// key on one column, arm by arm otherwise.
+    fn emit_chain(&mut self, e: &BoundExpr, dst: u32) {
+        let (arms, last) = chain(e);
+        let mut ends = Vec::new();
+        let keys: Vec<_> = if arms.len() >= MIN_KEYED_ARMS {
+            arms.iter().map(|&(g, _)| key(g)).collect()
+        } else {
+            Vec::new()
+        };
+        match dispatch(&keys) {
+            Some(col) => self.emit_switch(&arms, &keys, col, last, dst, &mut ends),
+            None => {
+                // An `or` chain's last operand is its else: its value,
+                // once it is checked to be a boolean, is the chain's.
+                let (arms, last) = match (last, arms.split_last()) {
+                    (None, Some((&(g, None), init))) => (init, Some(g)),
+                    _ => (&arms[..], last),
+                };
+                for &arm in arms {
+                    self.emit_arm(arm, dst, &mut ends);
+                }
+                self.emit_else(last, dst);
+            }
+        }
+        for at in ends {
+            self.land(at);
+        }
+    }
+
+    /// Lower one arm: its guard, falling through when it is false; when
+    /// it is true, the arm's result and a jump to the chain's end, whose
+    /// address `ends` collects.
+    fn emit_arm(&mut self, (guard, result): Arm, dst: u32, ends: &mut Vec<usize>) {
+        self.emit(guard, dst);
+        match result {
+            Some(r) => {
+                let skip = self.jump(Op::JumpIfFalse { cond: dst, to: 0 });
+                self.emit(r, dst);
+                self.ops.push(Op::AssertBool { src: dst });
+                ends.push(self.jump(Op::Jump { to: 0 }));
+                self.land(skip);
+            }
+            None => ends.push(self.jump(Op::JumpIfTrue { cond: dst, to: 0 })),
+        }
+    }
+
+    /// Lower what a chain gives when no guard holds.
+    fn emit_else(&mut self, last: Option<&BoundExpr>, dst: u32) {
+        match last {
+            Some(f) => {
+                self.emit(f, dst);
+                self.ops.push(Op::AssertBool { src: dst });
+            }
+            None => self.ops.push(Op::LoadConst { dst, id: FALSE_VID }),
+        }
+    }
+
+    /// Lower a chain through a switch on column `col`: first the bucket
+    /// of values no key names (the unkeyed arms, then the else), then
+    /// one bucket per distinct list of arms keyed on a value, which
+    /// jumps into the first one after its last keyed arm.
+    fn emit_switch(
+        &mut self,
+        arms: &[Arm],
+        keys: &[Option<(usize, Vec<u32>)>],
+        col: usize,
+        last: Option<&BoundExpr>,
+        dst: u32,
+        ends: &mut Vec<usize>,
+    ) {
+        // The table's slot is taken before the arms are lowered: a
+        // switched chain inside them takes the next one.
+        let table = self.tables.len();
+        self.tables.push(JumpTable::default());
+        self.ops.push(Op::Switch {
+            col: col as u32,
+            table: table as u32,
+        });
+        let keyed = |i: usize| match &keys[i] {
+            Some((c, ids)) if *c == col => Some(ids),
+            _ => None,
+        };
+        let default = self.ops.len() as u32;
+        // The unkeyed arms, each with where its code starts.
+        let mut unkeyed = Vec::new();
+        for (i, &arm) in arms.iter().enumerate() {
+            if keyed(i).is_none() {
+                unkeyed.push((i, self.ops.len() as u32));
+                self.emit_arm(arm, dst, ends);
+            }
+        }
+        let else_at = self.ops.len() as u32;
+        self.emit_else(last, dst);
+        ends.push(self.jump(Op::Jump { to: 0 }));
+
+        // Every (value, arm keyed on it), by value, then in chain order.
+        let mut named: Vec<(u32, u32)> = Vec::new();
+        for i in 0..arms.len() {
+            if let Some(ids) = keyed(i) {
+                named.extend(ids.iter().map(|&id| (id, i as u32)));
+            }
+        }
+        named.sort_unstable();
+        named.dedup();
+        let keyed_arms: Vec<u32> = named.iter().map(|&(_, i)| i).collect();
+        let mut code: HashMap<&[u32], u32> = HashMap::new();
+        let (base, top) = (named[0].0, named[named.len() - 1].0);
+        let mut targets = vec![default; (top - base) as usize + 1];
+        let mut from = 0;
+        for value in named.chunk_by(|a, b| a.0 == b.0) {
+            let bucket = &keyed_arms[from..from + value.len()];
+            from += value.len();
+            targets[(value[0].0 - base) as usize] = *code.entry(bucket).or_insert_with(|| {
+                let at = self.ops.len() as u32;
+                let mut u = 0;
+                for &k in bucket {
+                    while unkeyed.get(u).is_some_and(|&(i, _)| i < k as usize) {
+                        self.emit_arm(arms[unkeyed[u].0], dst, ends);
+                        u += 1;
+                    }
+                    self.emit_arm(arms[k as usize], dst, ends);
+                }
+                let rest = unkeyed.get(u).map_or(else_at, |&(_, at)| at);
+                self.ops.push(Op::Jump { to: rest });
+                at
+            });
+        }
+        self.tables[table] = JumpTable {
+            base,
+            targets,
+            default,
+        };
     }
 
     /// Specialise named-set calls against `ctx`: any call whose set the
@@ -508,6 +742,25 @@ impl Program {
                         Some((to, live & !regs[cond as usize].truth(live, d)?))
                     }
                     Op::JumpIfTrue { cond, to } => Some((to, regs[cond as usize].truth(live, d)?)),
+                    Op::Switch { col: c, table } => {
+                        let t = &self.tables[table as usize];
+                        if c as usize != new {
+                            Some((t.target(col(c as usize)), live))
+                        } else {
+                            // Every bucket's values but the last one's
+                            // split off; the last one's go on here.
+                            loop {
+                                let to = t.target(d.ids[live.trailing_zeros() as usize]);
+                                let away = select(live, |j| t.target(d.ids[j as usize]) == to);
+                                if away == live {
+                                    break Some((to, live));
+                                }
+                                saved.extend_from_slice(&regs[..n]);
+                                forks.push((to, away));
+                                live &= !away;
+                            }
+                        }
+                    }
                 };
                 match branch {
                     Some((to, away)) if away == live => pc = to as usize,
@@ -659,6 +912,83 @@ mod tests {
         let e = parse_expr("inmsg = readex").unwrap();
         let p = compile_constraint(&e, &s, &NoContext).unwrap();
         assert_eq!(p.const_result(), None);
+    }
+
+    #[test]
+    fn a_long_chain_switches_on_the_column_its_guards_test_first() {
+        // Eight arms key on `inmsg`, one on `dirst`; the arm for `m1`
+        // and `m2` is one bucket, shared by both values.
+        let mut src = String::from("inmsg in (m1, m2) ? dirpv = one : dirst = I ? dirpv = gone : ");
+        for i in 3..10 {
+            src += &format!("inmsg = m{i} and dirst = SI ? dirpv = p{i} : ");
+        }
+        src += "dirpv = zero";
+        let s = schema();
+        let e = parse_expr(&src).unwrap();
+        let p = compile_constraint(&e, &s, &NoContext).unwrap();
+        assert_eq!(p.indexed(), 1);
+        let bound = e.bind(&s).unwrap();
+        for m in ["m1", "m2", "m5", "m9", "unnamed"] {
+            for st in ["I", "SI"] {
+                for pv in ["one", "gone", "p5", "p9", "zero"] {
+                    let r = row(m, st, pv);
+                    let want = bound.eval_bool(&r, &NoContext);
+                    assert_eq!(p.eval_row(&r, &NoContext), want, "{r:?}");
+                }
+            }
+        }
+        assert!(p.eval_row(&row("m2", "SI", "one"), &NoContext).unwrap());
+        assert!(p.eval_row(&row("m5", "SI", "p5"), &NoContext).unwrap());
+        assert!(p
+            .eval_row(&row("unnamed", "I", "gone"), &NoContext)
+            .unwrap());
+        assert!(p
+            .eval_row(&row("unnamed", "SI", "zero"), &NoContext)
+            .unwrap());
+        // One arm fewer on `inmsg` is under the threshold.
+        let e = parse_expr(&src.replacen("inmsg = m9", "dirst = m9", 1)).unwrap();
+        let p = compile_constraint(&e, &s, &NoContext).unwrap();
+        assert_eq!(p.indexed(), 0);
+        // Eight keyed arms are enough however many others there are:
+        // here eight on `dirst` among 17 arms.
+        let sparse = Expr::any((0..2 * MIN_KEYED_ARMS + 1).map(|i| match i % 2 {
+            0 => Expr::col_eq("dirst", &format!("v{i}")),
+            _ => Expr::True,
+        }));
+        let indexed = |e: Expr| Program::compile(&e.bind(&s).unwrap()).indexed();
+        assert_eq!(indexed(sparse), 1);
+        // `inmsg in ()` holds for no value, so it is no key.
+        let none = || Expr::In(Box::new(Expr::col("inmsg")), Vec::new());
+        let e = Expr::any((0..MIN_KEYED_ARMS).map(|_| none()));
+        let p = Program::compile(&e.bind(&s).unwrap());
+        assert_eq!(p.indexed(), 0);
+        assert_eq!(p.eval_row(&row("m1", "I", "one"), &NoContext), Ok(false));
+    }
+
+    #[test]
+    fn a_switched_chain_inside_another_keeps_its_own_table() {
+        // A ternary chain on `inmsg` whose else is an `or` chain on
+        // `dirst`: the inner switch is lowered while the outer one's
+        // buckets are, and each must read its own table.
+        let inner = Expr::any((0..MIN_KEYED_ARMS).map(|j| Expr::col_eq("dirst", &format!("s{j}"))));
+        let e = (0..MIN_KEYED_ARMS).rev().fold(inner, |chain, i| {
+            Expr::col_eq("inmsg", &format!("m{i}"))
+                .ternary(Expr::col_eq("dirpv", &format!("p{i}")), chain)
+        });
+        let s = schema();
+        let bound = e.bind(&s).unwrap();
+        let p = Program::compile(&bound);
+        assert_eq!(p.indexed(), 2);
+        for m in ["m1", "m7", "x"] {
+            for st in ["s3", "x"] {
+                for pv in ["p0", "p1", "x"] {
+                    let r = row(m, st, pv);
+                    assert_eq!(p.eval_row(&r, &NoContext), bound.eval_bool(&r, &NoContext));
+                }
+            }
+        }
+        assert_eq!(p.eval_row(&row("m1", "x", "p1"), &NoContext), Ok(true));
+        assert_eq!(p.eval_row(&row("m1", "s3", "p0"), &NoContext), Ok(false));
     }
 
     #[test]

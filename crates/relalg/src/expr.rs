@@ -257,15 +257,10 @@ impl Expr {
             ),
             Expr::Not(e) => BoundExpr::Not(Box::new(e.bind_with(resolve)?)),
             Expr::Call(name, e) => BoundExpr::Call(*name, Box::new(e.bind_with(resolve)?)),
-            Expr::Ternary(c, t, f) => BoundExpr::Or(
-                Box::new(BoundExpr::And(
-                    Box::new(c.bind_with(resolve)?),
-                    Box::new(t.bind_with(resolve)?),
-                )),
-                Box::new(BoundExpr::And(
-                    Box::new(BoundExpr::Not(Box::new(c.bind_with(resolve)?))),
-                    Box::new(f.bind_with(resolve)?),
-                )),
+            Expr::Ternary(c, t, f) => BoundExpr::Ternary(
+                Box::new(c.bind_with(resolve)?),
+                Box::new(t.bind_with(resolve)?),
+                Box::new(f.bind_with(resolve)?),
             ),
             Expr::True => BoundExpr::True,
             Expr::False => BoundExpr::False,
@@ -498,8 +493,8 @@ impl fmt::Debug for Expr {
     }
 }
 
-/// An expression bound to a schema: column references are indices, and
-/// the ternary form has been desugared. Evaluation is allocation-free.
+/// An expression bound to a schema: column references are indices.
+/// Evaluation is allocation-free.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BoundExpr {
     /// Column by index.
@@ -520,6 +515,10 @@ pub enum BoundExpr {
     Not(Box<BoundExpr>),
     /// Named-set predicate.
     Call(Sym, Box<BoundExpr>),
+    /// The ternary `c ? t : f`: the condition is evaluated once, then
+    /// one arm, each as a predicate. The condition is pure, so this is
+    /// `(c and t) or (not c and f)`, results and errors included.
+    Ternary(Box<BoundExpr>, Box<BoundExpr>, Box<BoundExpr>),
     /// Constant true.
     True,
     /// Constant false.
@@ -551,6 +550,11 @@ impl BoundExpr {
             }
             BoundExpr::Not(e) => Value::Bool(!e.eval_bool(row, ctx)?),
             BoundExpr::Call(name, e) => Value::Bool(ctx.set_contains(*name, e.eval(row, ctx)?)?),
+            BoundExpr::Ternary(c, t, f) => Value::Bool(if c.eval_bool(row, ctx)? {
+                t.eval_bool(row, ctx)?
+            } else {
+                f.eval_bool(row, ctx)?
+            }),
             BoundExpr::True => Value::Bool(true),
             BoundExpr::False => Value::Bool(false),
         })

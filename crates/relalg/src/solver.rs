@@ -200,6 +200,9 @@ pub struct GenStats {
     /// Constraint evaluations (sum over all extension steps; see
     /// [`GenStep::evals`]).
     pub evals: u64,
+    /// Switches on a rule chain's dispatch column ([`Program::indexed`],
+    /// summed over the compiled constraints; zero when interpreted).
+    pub indexed: usize,
     /// Rows in the final table.
     pub rows: usize,
     /// Columns in the final table.
@@ -365,6 +368,7 @@ impl TableSpec {
             fspan.arg("columns", stats.columns);
             fspan.arg("candidates", stats.candidates);
             fspan.arg("evals", stats.evals);
+            fspan.arg("indexed", stats.indexed);
             (rel, stats, kept)
         })
     }
@@ -425,6 +429,7 @@ impl TableSpec {
         let stats = GenStats {
             candidates,
             evals: candidates,
+            indexed: 0,
             rows: 0,
             columns: 0,
             per_column: vec![(self.columns[n - 1].name, out.len())],
@@ -549,9 +554,14 @@ impl TableSpec {
             });
         }
 
+        let indexed = match &tests {
+            Tests::Compiled(programs) => programs.iter().map(Program::indexed).sum(),
+            Tests::Interpreted(..) => 0,
+        };
         let stats = GenStats {
             candidates,
             evals,
+            indexed,
             rows: 0,
             columns: 0,
             per_column,

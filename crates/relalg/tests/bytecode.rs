@@ -8,15 +8,17 @@
 //! second one that solves random table specs compiled (the masked
 //! extension step) and interpreted, rows in order or the same error,
 //! and checks the shared incremental step loop against the monolithic
-//! walk; plus golden end-to-end checks that the shipped spec files
+//! walk; a third that does both for long rule chains, the shape the
+//! compiler lowers through a switch on the column their guards test
+//! first; plus golden end-to-end checks that the shipped spec files
 //! solve byte-identically with compilation on and off.
 
 use ccsql_obs::SplitMix64;
-use ccsql_relalg::compile::compile_constraint;
+use ccsql_relalg::compile::{compile_constraint, MIN_KEYED_ARMS};
 use ccsql_relalg::expr::{EvalContext, NoContext, SetContext};
 use ccsql_relalg::{
-    parse_specfile, specfile, ColumnDef, Error, Expr, GenMode, GenOptions, GenStats, Program,
-    Schema, Sym, TableSpec, Value,
+    parse_specfile, specfile, BoundExpr, ColumnDef, Error, Expr, GenMode, GenOptions, GenStats,
+    Program, Schema, Sym, TableSpec, Value,
 };
 
 const SYMS: &[&str] = &["a", "b", "readex", "idone", "Busy-sd"];
@@ -75,6 +77,27 @@ fn gen_expr(r: &mut SplitMix64, depth: u32) -> Expr {
     }
 }
 
+/// `e` with every ternary `c ? t : f` written out as
+/// `(c and t) or (not c and f)`: the reference the ternary node must
+/// evaluate like.
+fn desugar(e: &BoundExpr) -> BoundExpr {
+    let d = |x: &BoundExpr| Box::new(desugar(x));
+    match e {
+        BoundExpr::Ternary(c, t, f) => BoundExpr::Or(
+            Box::new(BoundExpr::And(d(c), d(t))),
+            Box::new(BoundExpr::And(Box::new(BoundExpr::Not(d(c))), d(f))),
+        ),
+        BoundExpr::Eq(a, b) => BoundExpr::Eq(d(a), d(b)),
+        BoundExpr::Ne(a, b) => BoundExpr::Ne(d(a), d(b)),
+        BoundExpr::And(a, b) => BoundExpr::And(d(a), d(b)),
+        BoundExpr::Or(a, b) => BoundExpr::Or(d(a), d(b)),
+        BoundExpr::Not(x) => BoundExpr::Not(d(x)),
+        BoundExpr::In(x, vs) => BoundExpr::In(d(x), vs.clone()),
+        BoundExpr::Call(name, x) => BoundExpr::Call(*name, d(x)),
+        BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::True | BoundExpr::False => e.clone(),
+    }
+}
+
 fn isrequest_context() -> SetContext {
     let mut ctx = SetContext::new();
     ctx.define(
@@ -97,14 +120,22 @@ fn program_eval_matches_interpreter_on_random_exprs() {
             Err(_) => continue, // unreachable: all idents resolve
         };
         let prog = Program::compile(&bound);
+        let reference = desugar(&bound);
         for _ in 0..4 {
             let row = gen_row(&mut rng);
             // Under the defined context and (deliberately) under the
             // empty one, where every `isrequest` call errors.
             let want = bound.eval_bool(&row, &ctx);
+            assert_eq!(
+                want,
+                reference.eval_bool(&row, &ctx),
+                "case {case}: ternary"
+            );
             let got = prog.eval_row(&row, &ctx);
             assert_eq!(got, want, "case {case}: {e} over {row:?}");
             let want_nc = bound.eval_bool(&row, &NoContext);
+            let reference_nc = reference.eval_bool(&row, &NoContext);
+            assert_eq!(want_nc, reference_nc, "case {case} (NoContext): ternary");
             let got_nc = prog.eval_row(&row, &NoContext);
             assert_eq!(got_nc, want_nc, "case {case} (NoContext): {e} over {row:?}");
             if want.is_err() {
@@ -129,6 +160,150 @@ fn program_eval_matches_interpreter_on_random_exprs() {
     // The generator must actually reach the error paths for this suite
     // to mean anything.
     assert!(errors > 100, "only {errors} error cases generated");
+}
+
+/// A rule chain of 8–27 arms, a ternary spine or an `or` chain, on the
+/// columns of [`COLS`]. About 80% of its guards lead with a key on one
+/// column, `cK = lit`, `lit = cK` or `cK in (lits)`, alone or before
+/// random conjuncts; the column is sometimes the last one, the new
+/// column of `eval_row` and of a spec's last step. Keys draw on `NULL`,
+/// booleans, ints and symbols. The other guards, the arms' results and
+/// the else are random expressions, so they can be non-boolean or call
+/// `isrequest`, which is missing from the empty context. With `nest`,
+/// some of them, and a conjunct after some keys, are smaller chains,
+/// which may key on another column and be switched inside the buckets
+/// of this one.
+fn gen_chain(r: &mut SplitMix64, nest: bool) -> Expr {
+    let last = COLS.len() - 1;
+    let col = COLS[if r.gen_bool(0.3) {
+        last
+    } else {
+        r.gen_range_u32(COLS.len() as u32) as usize
+    }];
+    let key_col = || Box::new(Expr::Ident(Sym::intern(col)));
+    let part = |r: &mut SplitMix64, p: f64| match nest && r.gen_bool(p) {
+        true => gen_chain(r, false),
+        false => gen_expr(r, 2),
+    };
+    let arms = MIN_KEYED_ARMS + r.gen_range_u32(20) as usize;
+    let guards: Vec<Expr> = (0..arms)
+        .map(|_| {
+            if !r.gen_bool(0.8) {
+                return part(r, 0.2);
+            }
+            let key = match r.gen_range_u32(4) {
+                0 => Expr::Eq(Box::new(Expr::Lit(gen_value(r))), key_col()),
+                1 => {
+                    let n = 1 + r.gen_range_u32(3);
+                    Expr::In(key_col(), (0..n).map(|_| gen_value(r)).collect())
+                }
+                _ => Expr::Eq(key_col(), Box::new(Expr::Lit(gen_value(r)))),
+            };
+            match r.gen_range_u32(3) {
+                0 => key,
+                1 => key.and(part(r, 0.1)),
+                _ => key.and(gen_expr(r, 1)).and(gen_expr(r, 1)),
+            }
+        })
+        .collect();
+    if r.gen_bool(0.5) {
+        Expr::any(guards)
+    } else {
+        let otherwise = part(r, 0.4);
+        guards
+            .into_iter()
+            .rev()
+            .fold(otherwise, |chain, g| g.ternary(part(r, 0.1), chain))
+    }
+}
+
+/// A random row whose cells are sometimes a value no key can name.
+fn gen_chain_row(r: &mut SplitMix64) -> Vec<Value> {
+    let mut row = gen_row(r);
+    for cell in &mut row {
+        if r.gen_bool(0.15) {
+            *cell = Value::sym("unkeyed");
+        }
+    }
+    row
+}
+
+#[test]
+fn switched_chains_evaluate_like_the_interpreter() {
+    let schema = Schema::new(COLS.iter().copied()).unwrap();
+    let ctx = isrequest_context();
+    let mut rng = SplitMix64::new(0xC4A1_2F0E);
+    let (mut indexed, mut nested, mut errors) = (0u32, 0u32, 0u32);
+    for case in 0..3000u32 {
+        let e = gen_chain(&mut rng, true);
+        let bound = e.bind(&schema).unwrap();
+        let prog = Program::compile(&bound);
+        indexed += u32::from(prog.indexed() > 0);
+        nested += u32::from(prog.indexed() > 1);
+        let folded = compile_constraint(&e, &schema, &ctx).unwrap();
+        let folded_nc = compile_constraint(&e, &schema, &NoContext).unwrap();
+        for _ in 0..4 {
+            let row = gen_chain_row(&mut rng);
+            for (c, name) in [
+                (&ctx as &dyn EvalContext, "SetContext"),
+                (&NoContext, "NoContext"),
+            ] {
+                let want = bound.eval_bool(&row, c);
+                errors += u32::from(want.is_err());
+                let got = prog.eval_row(&row, c);
+                assert_eq!(got, want, "case {case} ({name}): {e} over {row:?}");
+            }
+            let want = bound.eval_bool(&row, &ctx);
+            assert_eq!(folded.eval_row(&row, &ctx), want, "case {case} (folded)");
+            let want = bound.eval_bool(&row, &NoContext);
+            let got = folded_nc.eval_row(&row, &NoContext);
+            assert_eq!(got, want, "case {case} (folded, NoContext)");
+        }
+    }
+    assert!(indexed > 2000, "only {indexed} of 3000 chains were indexed");
+    assert!(
+        nested > 1500,
+        "only {nested} programs switched a chain inside another"
+    );
+    assert!(errors > 2000, "only {errors} error outcomes");
+}
+
+#[test]
+fn specs_ending_in_a_switched_chain_solve_like_the_interpreter() {
+    let ctx = isrequest_context();
+    let mut rng = SplitMix64::new(0x0D15_7A7C);
+    let (mut indexed, mut errors) = (0u32, 0u32);
+    for case in 0..1500u32 {
+        let mut spec = TableSpec::new("Chain");
+        for (k, name) in COLS.iter().enumerate() {
+            let last = k == COLS.len() - 1;
+            let n = 1 + rng.gen_range_u32(if last { 10 } else { 4 });
+            let mut values: Vec<Value> = (0..n).map(|_| gen_value(&mut rng)).collect();
+            if rng.gen_bool(0.2) {
+                values.push(Value::sym("unkeyed"));
+            }
+            let constraint = if last {
+                gen_chain(&mut rng, true)
+            } else if rng.gen_bool(0.15) {
+                gen_expr(&mut rng, 2)
+            } else {
+                Expr::True
+            };
+            spec.push(ColumnDef::input(name, values, constraint));
+        }
+        let what = |c: &str| format!("case {case} ({c}): {:?}", spec.columns);
+        for run in [
+            solve_both(&spec, &ctx, &what("SetContext")),
+            solve_both(&spec, &NoContext, &what("NoContext")),
+        ] {
+            match run {
+                Some(stats) => indexed += u32::from(stats.indexed > 0),
+                None => errors += 1,
+            }
+        }
+    }
+    assert!(indexed > 500, "only {indexed} solves ran an indexed chain");
+    assert!(errors > 300, "only {errors} error cases generated");
 }
 
 /// Every shipped spec pack, in name order.
@@ -177,6 +352,7 @@ fn solve_both<C: EvalContext>(spec: &TableSpec, ctx: &C, what: &str) -> Option<G
             assert!(same, "{what}: rows differ\n{a:?}\nvs\n{b:?}");
             assert_eq!(cs.candidates, is.candidates, "{what}: candidates differ");
             assert_eq!(is.evals, is.candidates, "{what}: interpreted evals");
+            assert_eq!(is.indexed, 0, "{what}: interpreted indexed");
             assert!(cs.evals <= cs.candidates, "{what}: compiled evals");
             Some(cs)
         }

@@ -180,6 +180,12 @@ if [ -z "$d_evals" ] || [ $((d_evals * 3)) -ge "$d_cands" ]; then
     echo "solve/D made ${d_evals:-no} evaluation(s) for $d_cands candidates: the masked step did not run" >&2
     exit 1
 fi
+# D's rule chains are lowered through a switch on their leading column,
+# not walked guard by guard.
+echo "$d_line" | grep -q ' evals=[0-9]* indexed=[1-9]' || {
+    echo "solve/D indexed no rule chain: $d_line" >&2
+    exit 1
+}
 grep -q '^mc/explore ms=[0-9.]* .* arena_bytes=[0-9]* .* mem_peak_bytes=[0-9]* ' "$WORK_DIR/stats1.txt"
 # The engine's phase clocks: under a small memory budget the run flushes
 # exchange buffers to exchange files and merges them back.
