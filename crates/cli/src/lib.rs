@@ -265,6 +265,16 @@ impl<'a> Opts<'a> {
             })
     }
 
+    /// [`Opts::num`] for a count that must be at least 1: zero threads,
+    /// shards or states is an error naming the flag, never a silent
+    /// clamp to one or a budget no state fits.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.num(name, default)? {
+            0 => Err(format!("{name} expects a number of at least 1, got 0")),
+            n => Ok(n),
+        }
+    }
+
     /// Parse a byte-size flag with an optional K/M/G suffix
     /// (`--mem-budget 64M`).
     fn bytes(&self, name: &str, default: usize) -> Result<usize, String> {
@@ -1068,10 +1078,10 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
         let (mem_budget, spill_dir) = spill_opts(opts)?;
         let mc = SpecMcOpts {
             agents: spec_agents(opts)?,
-            threads: opts.num::<usize>("--threads", 1)?,
+            threads: opts.count("--threads", 1)?,
             symmetry: !opts.flag("--no-symmetry"),
-            budget: opts.num::<usize>("--budget", 1_000_000)?,
-            shards: opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?,
+            budget: opts.count("--budget", 1_000_000)?,
+            shards: opts.count("--shards", ccsql_mc::DEFAULT_SHARDS)?,
             mem_budget,
             spill_dir,
         };
@@ -1093,10 +1103,10 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
     let nodes = opts.num::<usize>("--nodes", 2)?;
     let quota = opts.num::<u8>("--quota", 1)?;
     let resp_depth = opts.num::<usize>("--resp-depth", 2)?;
-    let budget = opts.num::<usize>("--budget", 1_000_000)?;
-    let threads = opts.num::<usize>("--threads", default_threads())?;
+    let budget = opts.count("--budget", 1_000_000)?;
+    let threads = opts.count("--threads", default_threads())?;
     let symmetry = !opts.flag("--no-symmetry");
-    let shards = opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?;
+    let shards = opts.count("--shards", ccsql_mc::DEFAULT_SHARDS)?;
     let (mem_budget, spill_dir) = spill_opts(opts)?;
     let m = Model {
         nodes,
@@ -1418,7 +1428,7 @@ fn cmd_zoo(opts: &Opts) -> Result<String, String> {
         threads: 1,
         symmetry: false,
         budget: 1_000_000,
-        shards: opts.num::<usize>("--shards", ccsql_mc::DEFAULT_SHARDS)?,
+        shards: opts.count("--shards", ccsql_mc::DEFAULT_SHARDS)?,
         mem_budget,
         spill_dir,
     };
@@ -2102,6 +2112,26 @@ mod tests {
                 format!("mc --nodes 3 --quota 2 --no-symmetry --mem-budget 64K --spill-dir {bad}");
             let err = run(&argv(&cmd)).unwrap_err();
             assert!(err.contains("--spill-dir") && err.contains(bad), "{err}");
+        }
+        // A zero count is an error naming its flag, not a run on one
+        // thread or one shard, or a budget no state fits.
+        let fig3 = zoo_spec("fig3");
+        let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        for (cmd, flag) in [
+            ("mc --threads 0".to_string(), "--threads"),
+            ("mc --shards 0 --mem-budget 64K".to_string(), "--shards"),
+            ("mc --budget 0".to_string(), "--budget"),
+            (format!("mc --spec {fig3} --threads 0"), "--threads"),
+            (format!("mc --spec {fig3} --shards 0"), "--shards"),
+            (format!("mc --spec {fig3} --budget 0"), "--budget"),
+            (format!("zoo {specs} --quick --shards 0"), "--shards"),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{flag} expects a number of at least 1, got 0"),
+                "{cmd}"
+            );
         }
     }
 

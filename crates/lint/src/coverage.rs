@@ -46,30 +46,27 @@ pub fn lint_coverage(
         .columns
         .iter()
         .partition(|c| c.role == ColumnRole::Input);
-    let applies = !inputs.is_empty() && !outputs.is_empty();
     let (legal, table) = match spec.generate_with_legal_inputs(ctx) {
         Ok(solved) => solved,
         Err(e) => {
-            if applies {
-                let why = match &e {
-                    Error::RowBudget { column, .. }
-                        if inputs.iter().any(|c| c.name.as_str() == column) =>
-                    {
-                        format!(
-                            "input coverage skipped: legal-input enumeration exceeds \
-                             {ROW_BUDGET} rows"
-                        )
-                    }
-                    _ => format!("coverage skipped: the solver rejects the table ({e})"),
-                };
-                report.push(Diagnostic::new(
-                    codes::ANALYSIS_SKIPPED,
-                    Severity::Info,
-                    &spec.name,
-                    "",
-                    why,
-                ));
-            }
+            let why = match &e {
+                Error::RowBudget { column, .. }
+                    if inputs.iter().any(|c| c.name.as_str() == column) =>
+                {
+                    format!(
+                        "input coverage skipped: legal-input enumeration exceeds \
+                         {ROW_BUDGET} rows"
+                    )
+                }
+                _ => format!("coverage skipped: the solver rejects the table ({e})"),
+            };
+            report.push(Diagnostic::new(
+                codes::ANALYSIS_SKIPPED,
+                Severity::Info,
+                &spec.name,
+                "",
+                why,
+            ));
             return (0, None);
         }
     };

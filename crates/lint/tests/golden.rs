@@ -205,6 +205,25 @@ fn ccl019_carries_the_solver_error() {
 }
 
 #[test]
+fn ccl019_reports_every_table_the_solver_rejects() {
+    // No output column: there is no coverage to check, but `solve`
+    // rejects the table (the bare `a` is a value, not a predicate), so
+    // the lint must say so rather than report nothing.
+    let r = lint_src(
+        "table T\n\
+         input a = x, y\n\
+         constrain a: a\n",
+    );
+    assert_eq!(
+        findings(&r),
+        vec![
+            "T: info CCL019: coverage skipped: the solver rejects the table \
+             (expression is not boolean: \"x\")",
+        ]
+    );
+}
+
+#[test]
 fn ccl019_analysis_skipped_over_budget() {
     // Three 100-value inputs: 10^6 assignments exceed both the
     // reachability and the coverage enumeration budgets. Notes only —

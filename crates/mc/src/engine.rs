@@ -54,10 +54,11 @@
 //!   processed in order, and a level is always expanded to completion
 //!   before the verdict is taken.
 //! * The **budget rule**: on the level where the distinct-state budget
-//!   would be crossed, exactly `budget − states_so_far` states are
-//!   kept — the globally smallest new words — so the final count
-//!   equals the budget for every (threads, shards, mem_budget)
-//!   combination.
+//!   would be crossed, the initial level included, exactly
+//!   `budget − states_so_far` states are kept — the globally smallest
+//!   new words — so the final count equals the budget for every
+//!   (threads, shards, mem_budget) combination. A zero budget never
+//!   verifies.
 //! * Parent links (recorded when the payload is a [`ParentLink`]) keep
 //!   the minimum `(parent word, label)` pair per state, which the sorted
 //!   merge computes naturally; they are listed by level, then by
@@ -670,6 +671,10 @@ pub fn run<S: Space, P: Payload<S::W>>(
     let mut init_sorted: Vec<S::W> = inits.to_vec();
     init_sorted.sort_unstable();
     init_sorted.dedup();
+    // Level 0 obeys the budget rule too: only the `budget` smallest
+    // initial words are admitted, and a zero budget verifies nothing.
+    let over_at_root = opts.budget == 0 || init_sorted.len() > opts.budget;
+    init_sorted.truncate(opts.budget);
     let mut states: usize = 0;
     let mut orbit_states: u128 = 0;
     let mut parents: Vec<(S::W, P)> = Vec::new();
@@ -700,7 +705,7 @@ pub fn run<S: Space, P: Payload<S::W>>(
     let (mut expand_ns, mut exchange_ns, mut merge_ns, mut maintain_ns) = (0u64, 0u64, 0u64, 0u64);
 
     let outcome = 'bfs: loop {
-        if frontier_len == 0 {
+        if frontier_len == 0 && !over_at_root {
             break EngineOutcome::Verified;
         }
         if states >= opts.budget {
@@ -1240,6 +1245,24 @@ mod tests {
         for (threads, shards, mem) in [(2, 4, 0), (8, 16, 32 * 1024), (1, 16, 0)] {
             let out = run::<_, ()>(&toy, &[TW(1)], &opts(threads, shards, mem, 5_000));
             assert_eq!(fields(&out), fields(&base), "t{threads} s{shards} m{mem}");
+        }
+        // A budget up to the number of distinct initial words (four
+        // here) admits that many of them and expands no level; a zero
+        // budget admits none and never verifies, not even a run with no
+        // initial word.
+        let inits = [TW(9), TW(4), TW(7), TW(4), TW(2)];
+        for (threads, shards, mem) in [(1, 1, 0), (2, 4, 0), (8, 16, 32 * 1024)] {
+            for budget in [0, 2, 4] {
+                let out = run::<_, ()>(&toy, &inits, &opts(threads, shards, mem, budget));
+                assert_eq!(
+                    out.outcome,
+                    EngineOutcome::BudgetExceeded,
+                    "budget {budget}"
+                );
+                assert_eq!((out.stats.states, out.stats.levels), (budget, 0));
+            }
+            let out = run::<_, ()>(&toy, &[], &opts(threads, shards, mem, 0));
+            assert_eq!(out.outcome, EngineOutcome::BudgetExceeded);
         }
     }
 

@@ -21,21 +21,23 @@
 //!   checked by `AssertBool`, mirroring the interpreter's `eval_bool`
 //!   on both operands;
 //! * `in (…)` tests a bitset indexed by value id, precomputed at
-//!   compile time from the literal set;
-//! * named-set calls go through the same [`EvalContext`] at runtime
-//!   (a context is an opaque membership oracle — it cannot be compiled
-//!   to a bitset without enumerating it).
+//!   compile time from the literal list;
+//! * named-set calls go through the same [`EvalContext`] at runtime,
+//!   unless the context can enumerate the set: [`BoundExpr::fold`] then
+//!   turns the call into a literal list, which compiles to a bitset.
 //!
 //! A ternary `c ? t : f` branches on its condition once. A rule chain,
 //! `g1 ? r1 : g2 ? r2 : …` or `g1 or g2 or …`, in which enough guards
 //! test one column first is lowered through a switch on that column
 //! (see *Rule chains* below).
 //!
-//! [`compile_constraint`] is the solver's entry point: it folds
-//! `resolve_idents` + `reduce` (constant folding, including calls over
-//! literals) before binding and lowering, so an unconstrained or
-//! constant-guarded column compiles to a single `LoadConst` the solver
-//! can skip entirely ([`Program::const_result`]).
+//! [`compile_constraint`] is the solver's entry point: bind, fold,
+//! lower. It binds the constraint once, folds the bound tree in place
+//! ([`BoundExpr::fold`]: constant sub-expressions, calls over literals,
+//! and calls on enumerable sets, which become literal lists), and
+//! lowers it, so an unconstrained or constant-guarded column compiles to
+//! a single `LoadConst` the solver can skip entirely
+//! ([`Program::const_result`]).
 //!
 //! ## Masked evaluation
 //!
@@ -632,29 +634,6 @@ impl Program {
         };
     }
 
-    /// Specialise named-set calls against `ctx`: any call whose set the
-    /// context can enumerate ([`EvalContext::set_members`]) becomes a
-    /// precomputed bitset membership test, removing the per-candidate
-    /// id decode and hash probe. Interning is injective, so the bitset
-    /// decides exactly what `set_contains` would; enumerable sets never
-    /// error. Calls on sets the context cannot enumerate keep the
-    /// runtime oracle — and its `NoSuchSet` error.
-    fn specialize_sets(&mut self, ctx: &dyn EvalContext) {
-        for i in 0..self.ops.len() {
-            if let Op::CallSet { dst, src, name } = self.ops[i] {
-                if let Some(members) = ctx.set_members(name) {
-                    let mut set = IdSet::default();
-                    for v in members {
-                        set.insert(v.vid());
-                    }
-                    let si = self.sets.len() as u32;
-                    self.sets.push(set);
-                    self.ops[i] = Op::InSet { dst, src, set: si };
-                }
-            }
-        }
-    }
-
     /// Evaluate the program for every `live` value of `d`, the domain
     /// of column `new`, at once, with the row's other cells supplied by
     /// `col`; return the live values it accepts. A jump on a condition
@@ -804,18 +783,11 @@ impl Program {
     }
 }
 
-/// Compile one column constraint against `schema`: resolve identifiers
-/// (schema membership), constant-fold with [`Expr::reduce`] (no fixed
-/// columns, so only constant subexpressions — including named-set calls
-/// over literals — fold), bind, lower. This is the solver's
-/// compile-once-per-generate entry point.
+/// Compile one column constraint against `schema`: bind it, fold it in
+/// place under `ctx` ([`BoundExpr::fold`]) and lower it; the folded
+/// tree is dropped once it is lowered. The solver's entry point.
 pub fn compile_constraint(e: &Expr, schema: &Schema, ctx: &dyn EvalContext) -> Result<Program> {
-    let folded = e
-        .resolve_idents(&|s| schema.index_of(s).is_some())
-        .reduce(&|_| None, ctx);
-    let mut p = Program::compile(&folded.bind(schema)?);
-    p.specialize_sets(ctx);
-    Ok(p)
+    Ok(Program::compile(&e.bind(schema)?.fold(ctx)))
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! the paper uses in its invariants.
 //!
 //! Expressions are first *bound* against a schema ([`Expr::bind`]) so
-//! evaluation works on column indices with no per-row name lookups.
+//! evaluation works on column indices with no per-row name lookups. The
+//! solver binds each column constraint once per solve; its compiled path
+//! folds the bound tree in place ([`BoundExpr::fold`]) and lowers it.
 
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -29,7 +31,7 @@ pub trait EvalContext {
     /// `None` (the default) means the set is opaque or undefined, and
     /// callers must test membership through
     /// [`EvalContext::set_contains`]. Contexts that can enumerate let
-    /// the bytecode compiler turn a set call into a precomputed bitset.
+    /// [`BoundExpr::fold`] turn a set call into a literal list.
     fn set_members(&self, _name: Sym) -> Option<Vec<Value>> {
         None
     }
@@ -243,10 +245,7 @@ impl Expr {
                 Box::new(a.bind_with(resolve)?),
                 Box::new(b.bind_with(resolve)?),
             ),
-            Expr::In(e, vs) => BoundExpr::In(
-                Box::new(e.bind_with(resolve)?),
-                vs.iter().copied().collect(),
-            ),
+            Expr::In(e, vs) => BoundExpr::In(Box::new(e.bind_with(resolve)?), vs.clone()),
             Expr::And(a, b) => BoundExpr::And(
                 Box::new(a.bind_with(resolve)?),
                 Box::new(b.bind_with(resolve)?),
@@ -270,17 +269,6 @@ impl Expr {
     /// Is this the literal `true`?
     pub fn is_true(&self) -> bool {
         matches!(self, Expr::True)
-    }
-
-    /// Is this the literal `false`?
-    pub fn is_false(&self) -> bool {
-        matches!(self, Expr::False)
-    }
-
-    /// Does evaluating this give a boolean or an error, never another
-    /// value? Only a column, identifier or literal can give another.
-    fn is_predicate(&self) -> bool {
-        !matches!(self, Expr::Col(_) | Expr::Ident(_) | Expr::Lit(_))
     }
 
     /// Rewrite [`Expr::Ident`] nodes: identifiers for which `is_column`
@@ -322,113 +310,6 @@ impl Expr {
                 Box::new(t.resolve_idents(is_column)),
                 Box::new(f.resolve_idents(is_column)),
             ),
-        }
-    }
-
-    /// Partially evaluate under a partial assignment: `lookup` gives a
-    /// column's value when it is fixed, `ctx` resolves named-set calls
-    /// over known arguments (errors leave the call in place). Determined
-    /// sub-expressions fold to [`Expr::True`] / [`Expr::False`] /
-    /// literals; the rest is rebuilt structurally. The folding matches
-    /// [`BoundExpr`] evaluation semantics, errors included: `=` is plain
-    /// value equality (so `NULL = NULL` holds), and `and`/`or`/ternaries
-    /// fold only where the short-circuit evaluator would skip the
-    /// dropped operand, or where a kept operand is a predicate whose
-    /// own evaluation already checks it is boolean. So `c and false`
-    /// stays as it is: the evaluator still evaluates `c`, which may
-    /// fail. [`Expr::Ident`] is left untouched — run
-    /// [`Expr::resolve_idents`] first.
-    pub fn reduce(&self, lookup: &dyn Fn(Sym) -> Option<Value>, ctx: &dyn EvalContext) -> Expr {
-        match self {
-            Expr::Col(c) => match lookup(*c) {
-                Some(v) => Expr::Lit(v),
-                None => self.clone(),
-            },
-            Expr::Ident(_) | Expr::Lit(_) | Expr::True | Expr::False => self.clone(),
-            Expr::Eq(a, b) => match (a.reduce(lookup, ctx), b.reduce(lookup, ctx)) {
-                (Expr::Lit(x), Expr::Lit(y)) => {
-                    if x == y {
-                        Expr::True
-                    } else {
-                        Expr::False
-                    }
-                }
-                (ra, rb) => Expr::Eq(Box::new(ra), Box::new(rb)),
-            },
-            Expr::Ne(a, b) => match (a.reduce(lookup, ctx), b.reduce(lookup, ctx)) {
-                (Expr::Lit(x), Expr::Lit(y)) => {
-                    if x != y {
-                        Expr::True
-                    } else {
-                        Expr::False
-                    }
-                }
-                (ra, rb) => Expr::Ne(Box::new(ra), Box::new(rb)),
-            },
-            Expr::In(e, vs) => match e.reduce(lookup, ctx) {
-                Expr::Lit(v) => {
-                    if vs.contains(&v) {
-                        Expr::True
-                    } else {
-                        Expr::False
-                    }
-                }
-                re => Expr::In(Box::new(re), vs.clone()),
-            },
-            Expr::And(a, b) => {
-                let ra = a.reduce(lookup, ctx);
-                if ra.is_false() {
-                    return Expr::False;
-                }
-                let rb = b.reduce(lookup, ctx);
-                if ra.is_true() && rb.is_predicate() {
-                    rb
-                } else if rb.is_true() && ra.is_predicate() {
-                    ra
-                } else {
-                    Expr::And(Box::new(ra), Box::new(rb))
-                }
-            }
-            Expr::Or(a, b) => {
-                let ra = a.reduce(lookup, ctx);
-                if ra.is_true() {
-                    return Expr::True;
-                }
-                let rb = b.reduce(lookup, ctx);
-                if ra.is_false() && rb.is_predicate() {
-                    rb
-                } else if rb.is_false() && ra.is_predicate() {
-                    ra
-                } else {
-                    Expr::Or(Box::new(ra), Box::new(rb))
-                }
-            }
-            Expr::Not(e) => match e.reduce(lookup, ctx) {
-                Expr::True => Expr::False,
-                Expr::False => Expr::True,
-                re => Expr::Not(Box::new(re)),
-            },
-            Expr::Call(name, e) => {
-                let re = e.reduce(lookup, ctx);
-                if let Expr::Lit(v) = &re {
-                    if let Ok(b) = ctx.set_contains(*name, *v) {
-                        return if b { Expr::True } else { Expr::False };
-                    }
-                }
-                Expr::Call(*name, Box::new(re))
-            }
-            Expr::Ternary(c, t, f) => {
-                let (rc, rt, rf) = (
-                    c.reduce(lookup, ctx),
-                    t.reduce(lookup, ctx),
-                    f.reduce(lookup, ctx),
-                );
-                match rc {
-                    Expr::True if rt.is_predicate() => rt,
-                    Expr::False if rf.is_predicate() => rf,
-                    rc => Expr::Ternary(Box::new(rc), Box::new(rt), Box::new(rf)),
-                }
-            }
         }
     }
 }
@@ -505,8 +386,8 @@ pub enum BoundExpr {
     Eq(Box<BoundExpr>, Box<BoundExpr>),
     /// Inequality.
     Ne(Box<BoundExpr>, Box<BoundExpr>),
-    /// Membership in a literal set.
-    In(Box<BoundExpr>, HashSet<Value>),
+    /// Membership in a literal list.
+    In(Box<BoundExpr>, Vec<Value>),
     /// Conjunction (short-circuit).
     And(Box<BoundExpr>, Box<BoundExpr>),
     /// Disjunction (short-circuit).
@@ -567,6 +448,124 @@ impl BoundExpr {
             other => Err(Error::NotBoolean(format!("{other:?}"))),
         }
     }
+
+    /// Constant-fold, consuming the tree and reusing its boxes: no
+    /// column is fixed, so only constant sub-expressions fold, to
+    /// [`BoundExpr::True`], [`BoundExpr::False`] or literals, and a
+    /// named-set call over a literal folds when `ctx` answers it. A call
+    /// on a set `ctx` can enumerate ([`EvalContext::set_members`])
+    /// becomes the literal list `in (…)`, which decides exactly what the
+    /// call would; enumerable sets never error. The folding keeps
+    /// [`BoundExpr::eval_bool`]'s results and errors: `=` is plain value
+    /// equality (so `NULL = NULL` holds), and `and`/`or`/ternaries fold
+    /// only where the short-circuit evaluator would skip the dropped
+    /// operand, or where a kept operand is a predicate whose own
+    /// evaluation already checks it is boolean. So `c and false` stays as
+    /// it is: the evaluator still evaluates `c`, which may fail.
+    pub fn fold(self, ctx: &dyn EvalContext) -> BoundExpr {
+        use BoundExpr::{And, Call, Col, Eq, False, In, Lit, Ne, Not, Or, Ternary, True};
+        match self {
+            Col(_) | Lit(_) | True | False => self,
+            Eq(a, b) => {
+                let (a, b) = (fold_box(a, ctx), fold_box(b, ctx));
+                match (&*a, &*b) {
+                    (Lit(x), Lit(y)) => BoundExpr::truth(x == y),
+                    _ => Eq(a, b),
+                }
+            }
+            Ne(a, b) => {
+                let (a, b) = (fold_box(a, ctx), fold_box(b, ctx));
+                match (&*a, &*b) {
+                    (Lit(x), Lit(y)) => BoundExpr::truth(x != y),
+                    _ => Ne(a, b),
+                }
+            }
+            In(e, vs) => {
+                let e = fold_box(e, ctx);
+                match *e {
+                    Lit(v) => BoundExpr::truth(vs.contains(&v)),
+                    _ => In(e, vs),
+                }
+            }
+            And(a, b) => {
+                let a = fold_box(a, ctx);
+                if *a == False {
+                    return False;
+                }
+                let b = fold_box(b, ctx);
+                if *a == True && b.is_predicate() {
+                    *b
+                } else if *b == True && a.is_predicate() {
+                    *a
+                } else {
+                    And(a, b)
+                }
+            }
+            Or(a, b) => {
+                let a = fold_box(a, ctx);
+                if *a == True {
+                    return True;
+                }
+                let b = fold_box(b, ctx);
+                if *a == False && b.is_predicate() {
+                    *b
+                } else if *b == False && a.is_predicate() {
+                    *a
+                } else {
+                    Or(a, b)
+                }
+            }
+            Not(e) => {
+                let e = fold_box(e, ctx);
+                match *e {
+                    True => False,
+                    False => True,
+                    _ => Not(e),
+                }
+            }
+            Call(name, e) => {
+                let e = fold_box(e, ctx);
+                if let Lit(v) = *e {
+                    if let Ok(b) = ctx.set_contains(name, v) {
+                        return BoundExpr::truth(b);
+                    }
+                }
+                match ctx.set_members(name) {
+                    Some(members) => In(e, members),
+                    None => Call(name, e),
+                }
+            }
+            Ternary(c, t, f) => {
+                let (c, t, f) = (fold_box(c, ctx), fold_box(t, ctx), fold_box(f, ctx));
+                match *c {
+                    True if t.is_predicate() => *t,
+                    False if f.is_predicate() => *f,
+                    _ => Ternary(c, t, f),
+                }
+            }
+        }
+    }
+
+    /// The constant `b`.
+    fn truth(b: bool) -> BoundExpr {
+        if b {
+            BoundExpr::True
+        } else {
+            BoundExpr::False
+        }
+    }
+
+    /// Does evaluating this give a boolean or an error, never another
+    /// value? Only a column or a literal can give another.
+    fn is_predicate(&self) -> bool {
+        !matches!(self, BoundExpr::Col(_) | BoundExpr::Lit(_))
+    }
+}
+
+/// [`BoundExpr::fold`] the tree in `e`, in its own box.
+fn fold_box(mut e: Box<BoundExpr>, ctx: &dyn EvalContext) -> Box<BoundExpr> {
+    *e = std::mem::replace(&mut *e, BoundExpr::True).fold(ctx);
+    e
 }
 
 #[cfg(test)]

@@ -31,10 +31,12 @@
 //! Incremental generation keeps the intermediate table columnar, as
 //! interned value ids ([`ColumnarRelation`]), and decodes it to a
 //! row-major [`Relation`] once at the end. Each column constraint is
-//! prepared once per `generate` call: lowered to a bytecode [`Program`]
-//! (see [`crate::compile`]) by default, or bound to a [`BoundExpr`]
+//! bound once per `generate` call, a bind that also validates it: by
+//! default the bound tree is folded in place and lowered to a bytecode
+//! [`Program`] (see [`crate::compile`]) before the next one is bound;
 //! under [`GenOptions::interpreted`] (CLI `--no-compile`), the
-//! differential oracle. The two share the step loop — seeding,
+//! differential oracle, it is kept as an unfolded [`BoundExpr`]. The
+//! two share the step loop — seeding,
 //! readiness, the row budget, the `solve/<column>` spans and
 //! [`GenStats`] — and differ only in how a step tests its candidates:
 //!
@@ -279,22 +281,38 @@ impl TableSpec {
     /// Validate the spec: nonempty column tables, unique names, and
     /// constraints referencing only known columns.
     pub fn validate(&self) -> Result<()> {
+        let schema = self.schema()?;
+        self.prepare(|e| e.bind(&schema).map(drop))?;
+        Ok(())
+    }
+
+    /// The schema of the spec's columns; an error when it has none or
+    /// names one twice.
+    fn schema(&self) -> Result<Schema> {
         if self.columns.is_empty() {
             return Err(Error::BadSpec(format!("{}: no columns", self.name)));
         }
-        let schema = Schema::from_syms(&self.column_names())?;
-        for c in &self.columns {
-            if c.values.is_empty() {
-                return Err(Error::BadSpec(format!(
-                    "{}: column {} has an empty column table",
-                    self.name, c.name
-                )));
-            }
-            // Bind eagerly to surface unknown explicit Col references.
-            // (`Ident`s that are not columns bind as symbolic literals.)
-            c.constraint.bind(&schema)?;
-        }
-        Ok(())
+        Schema::from_syms(&self.column_names())
+    }
+
+    /// Prepare each column's constraint with `prep`, in column order,
+    /// once its column table is checked nonempty. Every solve path binds
+    /// a constraint only here, so that bind is also the validation: it
+    /// rejects an unknown explicit column (an `Ident` that is no column
+    /// binds as a symbolic literal).
+    fn prepare<T>(&self, mut prep: impl FnMut(&Expr) -> Result<T>) -> Result<Vec<T>> {
+        self.columns
+            .iter()
+            .map(|c| {
+                if c.values.is_empty() {
+                    return Err(Error::BadSpec(format!(
+                        "{}: column {} has an empty column table",
+                        self.name, c.name
+                    )));
+                }
+                prep(&c.constraint)
+            })
+            .collect()
     }
 
     /// Generate the table. See [`GenMode`]; compiled evaluation is on.
@@ -350,10 +368,9 @@ impl TableSpec {
         ctx: &dyn EvalContext,
         keep: usize,
     ) -> Result<(Relation, GenStats, Option<Relation>)> {
-        self.validate()?;
+        let schema = self.schema()?;
         let start = Instant::now();
         let fspan = ccsql_obs::flight::span("solve", &self.name);
-        let schema = Schema::from_syms(&self.column_names())?;
         let result = match opts.mode {
             GenMode::Monolithic => self
                 .generate_monolithic(&schema, ctx)
@@ -396,9 +413,13 @@ impl TableSpec {
         schema: &Schema,
         ctx: &dyn EvalContext,
     ) -> Result<(Relation, GenStats)> {
-        // Conjunction of all constraints, bound once against the full schema.
-        let conj = Expr::all(self.columns.iter().map(|c| c.constraint.clone()));
-        let bound = conj.bind(schema)?;
+        // Conjunction of all constraints, each bound once against the
+        // full schema: `((c0 and c1) and c2) …`, as `Expr::all` builds it.
+        let bound = self
+            .prepare(|e| e.bind(schema))?
+            .into_iter()
+            .reduce(|all, e| BoundExpr::And(Box::new(all), Box::new(e)))
+            .unwrap_or(BoundExpr::True);
 
         let mut out = Relation::new(schema.clone());
         let n = self.columns.len();
@@ -488,20 +509,9 @@ impl TableSpec {
         let compile_start = Instant::now();
         let tests = if compile {
             let _cspan = ccsql_obs::flight::span("solve", "compile");
-            Tests::Compiled(
-                self.columns
-                    .iter()
-                    .map(|c| compile_constraint(&c.constraint, full_schema, ctx))
-                    .collect::<Result<_>>()?,
-            )
+            Tests::Compiled(self.prepare(|e| compile_constraint(e, full_schema, ctx))?)
         } else {
-            Tests::Interpreted(
-                self.columns
-                    .iter()
-                    .map(|c| c.constraint.bind(full_schema))
-                    .collect::<Result<_>>()?,
-                vid_decode_table(),
-            )
+            Tests::Interpreted(self.prepare(|e| e.bind(full_schema))?, vid_decode_table())
         };
         let compile_time = if compile {
             compile_start.elapsed()

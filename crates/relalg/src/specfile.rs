@@ -211,7 +211,8 @@ impl SpecMeta {
 
 /// Parse a database-input file.
 pub fn parse_specfile(text: &str) -> Result<SpecFile> {
-    let mut table_name: Option<String> = None;
+    // The table's name and where its directive starts.
+    let mut table: Option<(String, Span)> = None;
     // (name, values, role) in declaration order.
     let mut columns: Vec<(String, Vec<Value>, ColumnRole)> = Vec::new();
     let mut constraints: Vec<(String, Expr)> = Vec::new();
@@ -225,20 +226,18 @@ pub fn parse_specfile(text: &str) -> Result<SpecFile> {
         }
         // 1-based column of a substring of `raw` (same allocation).
         let col_of = |sub: &str| (sub.as_ptr() as usize - raw.as_ptr() as usize) as u32 + 1;
-        let err = |msg: String| Error::Parse {
-            at: Span::new(lineno as u32 + 1, col_of(line)),
-            msg,
-        };
+        let at = Span::new(lineno as u32 + 1, col_of(line));
+        let err = |msg: String| Error::Parse { at, msg };
         let (keyword, rest) = line
             .split_once(char::is_whitespace)
             .ok_or_else(|| err(format!("expected a directive, found {line:?}")))?;
         let rest = rest.trim();
         match keyword {
             "table" => {
-                if table_name.is_some() {
+                if table.is_some() {
                     return Err(err("duplicate `table` directive".into()));
                 }
-                table_name = Some(rest.to_string());
+                table = Some((rest.to_string(), at));
             }
             "input" | "output" => {
                 let (name, values) = rest
@@ -261,6 +260,9 @@ pub fn parse_specfile(text: &str) -> Result<SpecFile> {
                 if vals.is_empty() {
                     return Err(err(format!("column {name} has no values")));
                 }
+                if columns.iter().any(|(c, ..)| c == name) {
+                    return Err(err(format!("duplicate column {name}")));
+                }
                 meta.column_spans
                     .push((name.to_string(), Span::new(lineno as u32 + 1, col_of(name))));
                 columns.push((name.to_string(), vals, role));
@@ -269,7 +271,10 @@ pub fn parse_specfile(text: &str) -> Result<SpecFile> {
                 let (col, expr) = rest
                     .split_once(':')
                     .ok_or_else(|| err("expected `constrain COL: EXPR`".into()))?;
-                let expr = expr.trim();
+                let (col, expr) = (col.trim(), expr.trim());
+                if constraints.iter().any(|(c, _)| c == col) {
+                    return Err(err(format!("duplicate `constrain` directive for {col}")));
+                }
                 let expr_at = Span::new(lineno as u32 + 1, col_of(expr));
                 // Errors inside the expression are re-anchored from the
                 // substring's own (1-based, single-line) position to the
@@ -277,13 +282,12 @@ pub fn parse_specfile(text: &str) -> Result<SpecFile> {
                 let e = parse_expr(expr).map_err(|e| match e {
                     Error::Parse { at, msg } => Error::Parse {
                         at: at.rebase(expr_at.line, expr_at.col),
-                        msg: format!("bad constraint for {}: {msg}", col.trim()),
+                        msg: format!("bad constraint for {col}: {msg}"),
                     },
-                    other => err(format!("bad constraint for {}: {other}", col.trim())),
+                    other => err(format!("bad constraint for {col}: {other}")),
                 })?;
-                meta.constraint_spans
-                    .push((col.trim().to_string(), expr_at));
-                constraints.push((col.trim().to_string(), e));
+                meta.constraint_spans.push((col.to_string(), expr_at));
+                constraints.push((col.to_string(), e));
             }
             "flow" => {
                 for item in split_flow_items(rest).into_iter().map(str::trim) {
@@ -356,10 +360,16 @@ pub fn parse_specfile(text: &str) -> Result<SpecFile> {
         }
     }
 
-    let name = table_name.ok_or(Error::Parse {
+    let (name, table_at) = table.ok_or(Error::Parse {
         at: Span::UNKNOWN,
         msg: "missing `table NAME` directive".into(),
     })?;
+    if columns.is_empty() {
+        return Err(Error::Parse {
+            at: table_at,
+            msg: format!("table {name} declares no `input` or `output` column"),
+        });
+    }
     let mut spec = TableSpec::new(&name);
     for (cname, values, role) in columns {
         let constraint = constraints
@@ -718,6 +728,28 @@ check readex-always-reads-memory: select inmsg, memmsg from Fig3 where inmsg = "
         assert!(parse_specfile("table t\ninput a = x\nconstrain a bad").is_err()); // no ':'
         assert!(parse_specfile("table t\ninput a = x\nconstrain a: ? ?").is_err());
         // bad expr
+        // A second declaration is an error naming its line, not dropped
+        // or left for the solver to reject without one.
+        let at = |src: &str| match parse_specfile(src).map(|_| ()) {
+            Err(Error::Parse { at, msg }) => (at.line, msg),
+            other => panic!("{src:?}: {other:?}"),
+        };
+        let twice = "table T\ninput a = x, y\noutput o = p, NULL\n\
+                     constrain o: a = x ? o = p : o = NULL\nconstrain o: o = NULL";
+        assert_eq!(
+            at(twice),
+            (5, "duplicate `constrain` directive for o".to_string())
+        );
+        let column = "table T\ninput a = x, y\noutput a = p, NULL";
+        assert_eq!(at(column), (3, "duplicate column a".to_string()));
+        let empty = "# no columns\ntable T";
+        assert_eq!(
+            at(empty),
+            (
+                2,
+                "table T declares no `input` or `output` column".to_string()
+            )
+        );
     }
 
     #[test]
