@@ -1589,12 +1589,21 @@ fn zoo_pack(
         Err(e) => push("flows", Some(false), format!("flow analysis failed: {e}")),
     }
 
-    // Stages 4+5 need the operational directives and a clean table.
+    // Stages 4+5 need the operational directives and a clean table. A
+    // clean pack that declares `machine` directives its machine cannot
+    // be built from fails both, so the zoo never passes a machine it
+    // could not run.
+    let declared = machine_rel.is_some() && !sf.meta.machines.is_empty();
     let machine = match machine_rel {
         None => Err("no clean solved table".to_string()),
         Some(rel) => SpecMachine::build(&sf, rel),
     };
     match &machine {
+        Err(e) if declared => {
+            let detail = format!("machine does not build: {e}");
+            push("specmc", Some(false), detail.clone());
+            push("specsim", Some(false), detail);
+        }
         Err(e) => {
             push("specmc", None, format!("skipped: {e}"));
             push("specsim", None, format!("skipped: {e}"));
@@ -2679,6 +2688,49 @@ mod tests {
         let err = run(&["zoo".into(), empty.display().to_string()]).unwrap_err();
         assert!(err.contains("no .ccsql spec packs"), "{err}");
         let _ = std::fs::remove_dir(&empty);
+    }
+
+    #[test]
+    fn zoo_fails_a_clean_pack_whose_machine_does_not_build() {
+        // A lint-clean pack with 130 request kinds: its agent lanes
+        // cannot encode them, so the machine stages fail, naming why.
+        let reqs: Vec<String> = (0..130).map(|k| format!("r{k}")).collect();
+        let reqs = reqs.join(", ");
+        let pack = format!(
+            "table Ping\ninput inmsg = {reqs}, data\ninput insrc = local, home\n\
+             input st = I, B\noutput locmsg = data, NULL\noutput memmsg = mread, NULL\n\
+             output nxtst = DONE, B\n\
+             flow inmsg(insrc, home), locmsg(home, local), memmsg(home, home)\n\
+             extern send {reqs}, data\nextern recv data, mread\n\
+             machine st = nxtst, init I, stable I, map DONE -> init\n\
+             constrain insrc: inmsg = data ? insrc = home : insrc = local\n\
+             constrain st: inmsg = data ? st = B : st = I\n\
+             constrain locmsg: inmsg = data ? locmsg = data : locmsg = NULL\n\
+             constrain memmsg: inmsg = data ? memmsg = NULL : memmsg = mread\n\
+             constrain nxtst: inmsg = data ? nxtst = DONE : nxtst = B\n"
+        );
+        let dir = std::env::temp_dir().join(format!("ccsql_zoo_lanes_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("ping.ccsql"), pack).unwrap();
+        let err = run(&["zoo".into(), dir.display().to_string(), "--quick".into()]).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            err.contains("\"stage\":\"lint\",\"verdict\":\"pass\""),
+            "{err}"
+        );
+        for stage in ["specmc", "specsim"] {
+            assert!(
+                err.contains(&format!(
+                    "\"stage\":\"{stage}\",\"verdict\":\"fail\",\"detail\":\"machine does \
+                     not build: 130 request kind(s)"
+                )),
+                "{err}"
+            );
+        }
+        assert!(
+            err.contains("ping: clean pack failed specmc, specsim"),
+            "{err}"
+        );
     }
 
     #[test]

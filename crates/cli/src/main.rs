@@ -10,7 +10,12 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(msg) => {
-            eprint!("{msg}");
+            // Multi-line errors (reports, usage) already end in a newline.
+            if msg.ends_with('\n') {
+                eprint!("{msg}");
+            } else {
+                eprintln!("{msg}");
+            }
             ExitCode::FAILURE
         }
     }

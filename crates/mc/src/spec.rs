@@ -25,6 +25,17 @@
 //! (agent lanes are sorted into a canonical order; the orbit sizes must
 //! sum back to the full state count).
 //!
+//! One transition function serves the exploration, the seeded walk and
+//! the violation witness: `SpecMachine::for_each_successor` builds each
+//! successor in a caller-owned scratch slice and hands it to a
+//! callback, so expanding a state allocates nothing. It visits only the
+//! rows indexed under the state's primary-variable value.
+//!
+//! A state is one byte per machine variable, credit counter and agent
+//! lane, so [`SpecMachine::build`] rejects what those bytes cannot
+//! encode: a machine variable with more than 256 values, and more than
+//! 127 (request, attribute) pairs for an agent lane.
+//!
 //! Four verdicts beyond budget exhaustion:
 //!
 //! * **stuck** — a reachable state with no enabled transition at all: a
@@ -47,6 +58,19 @@ use std::fmt::Write as _;
 /// Response credits granted by a `multicast` emission, and the cap the
 /// per-role credit counters saturate at ("this many = many").
 pub const RESPONSE_CAP: u8 = 2;
+
+/// The most values a machine variable may have: a state holds its
+/// domain index in one byte.
+const MAX_VAR_VALUES: usize = 256;
+
+/// The most (request, attribute) pairs an agent lane can encode: a lane
+/// is one byte, `1 + pair·2 + active` (see [`SpecMachine::lane`]).
+const MAX_LANE_PAIRS: usize = 127;
+
+/// The most rows a machine may have, so that every transition label
+/// (posts, completions and plain firings of up to [`SPEC_WORD_BYTES`]
+/// agents) fits a `u32`.
+const MAX_ROWS: usize = 1 << 24;
 
 /// A message's source or destination role, resolved per row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,22 +98,22 @@ enum NextOp {
     Keep,
     /// Set to this domain index.
     Set(u8),
-    /// Step up/down the declared value order, saturating.
+    /// Step up/down the declared value order, saturating at its ends.
     Up,
     Down,
     /// Reset every variable to its first `init` value.
     Reset,
 }
 
-/// One emission of a row: destination role, transaction effect, and the
-/// message name (for labels).
-#[derive(Clone, Debug)]
-struct Emission {
-    dest: Role,
-    msg: String,
-    multicast: bool,
-    complete: bool,
-    bounce: bool,
+/// What a row's emissions deliver to `local`; a `complete` message
+/// outranks a plain one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Delivery {
+    Nothing,
+    /// Retires a requester only if the primary variable ends stable.
+    Plain,
+    /// A `complete` message: always retires a requester.
+    Complete,
 }
 
 /// One solved row, precompiled for the machine.
@@ -98,12 +122,18 @@ struct MRow {
     /// Required machine-variable values (domain indices).
     vars: Vec<u8>,
     src: Role,
-    /// For `local` rows: index into [`SpecMachine::reqs`].
-    req: Option<u8>,
-    /// For `local` rows with a request-attribute column: required
-    /// attribute index.
-    attr: Option<u8>,
-    emits: Vec<Emission>,
+    /// For `local` rows: the lane of the posted request the row
+    /// consumes ([`SpecMachine::lane`]); 0 for the other roles.
+    posted: u8,
+    /// Response credits the emissions grant to the home and remote
+    /// counters: one per emission, [`RESPONSE_CAP`] for a `multicast`
+    /// one, at most the cap.
+    grant: [u8; 2],
+    /// A `bounce` message returns the consumed request to its agent.
+    bounce: bool,
+    delivery: Delivery,
+    /// The last message delivered to `local` (for the violation text).
+    local_msg: String,
     next: Vec<NextOp>,
     label: String,
 }
@@ -131,6 +161,9 @@ pub struct SpecMachine {
     pub table: String,
     vars: Vec<VarDef>,
     rows: Vec<MRow>,
+    /// `rows_at[v]`: the ids of the rows whose primary variable is `v`,
+    /// ascending (one bucket per domain value of the primary variable).
+    rows_at: Vec<Vec<u32>>,
     reqs: Vec<ReqDef>,
     /// Request-attribute domain (e.g. priority phases); `["-"]` when
     /// the spec has none.
@@ -139,14 +172,15 @@ pub struct SpecMachine {
     pub dropped_inits: usize,
 }
 
-/// One enabled transition out of a state. The label is a dense numeric
-/// id (see [`SpecMachine::label_text`]) so the exploration hot path
-/// never formats strings; labels are rendered only when a
-/// counterexample path is printed.
+/// One enabled transition out of a state; its successor state travels
+/// next to it ([`SpecMachine::for_each_successor`]). The label is a
+/// dense numeric id (see [`SpecMachine::label_text`]) so the
+/// exploration hot path never formats strings; labels are rendered only
+/// when a counterexample path is printed.
+#[derive(Clone, Copy)]
 struct Succ {
-    state: Vec<u8>,
     label: u32,
-    row: Option<u16>,
+    row: Option<u32>,
     completed: bool,
 }
 
@@ -379,6 +413,14 @@ impl SpecMachine {
                 .iter()
                 .map(|v| v.to_string())
                 .collect();
+            if domain.len() > MAX_VAR_VALUES {
+                return Err(format!(
+                    "machine variable {} has {} values, but a state byte holds at most \
+                     {MAX_VAR_VALUES}",
+                    m.column,
+                    domain.len()
+                ));
+            }
             let didx = |v: &Value| -> Result<u8, String> {
                 sf.spec.columns[ci]
                     .values
@@ -477,9 +519,17 @@ impl SpecMachine {
         }
 
         // Compile the rows.
+        if rel.len() > MAX_ROWS {
+            return Err(format!(
+                "the table has {} rows, but a machine holds at most {MAX_ROWS}",
+                rel.len()
+            ));
+        }
         let extern_send = &sf.meta.extern_send;
         let mut reqs: Vec<ReqDef> = Vec::new();
         let mut rows = Vec::new();
+        // Per row: the (request, attribute) pair a `local` row consumes.
+        let mut consumes: Vec<Option<(usize, usize)>> = Vec::with_capacity(rel.len());
         for r in 0..rel.len() {
             let row = rel.row(r);
             let val = |ci: usize| row.get(ci).cloned().unwrap_or(Value::Null);
@@ -499,30 +549,27 @@ impl SpecMachine {
                         .ok_or_else(|| format!("row {r}: role column {src_slot} carries {v}"))?
                 }
             };
-            let req = if src_val == Role::Local {
-                let i = match reqs.iter().position(|q| q.msg == msg) {
+            if src_val == Role::Local {
+                let req = match reqs.iter().position(|q| q.msg == msg) {
                     Some(i) => i,
                     None => {
                         reqs.push(ReqDef { msg: msg.clone() });
                         reqs.len() - 1
                     }
                 };
-                Some(i as u8)
-            } else {
-                None
-            };
-            let attr = match (&attr_col, src_val) {
-                (Some((ci, dom)), Role::Local) => {
-                    let v = val(*ci).to_string();
-                    Some(
+                let attr = match &attr_col {
+                    Some((ci, dom)) => {
+                        let v = val(*ci).to_string();
                         dom.iter()
                             .position(|d| *d == v)
                             .ok_or_else(|| format!("row {r}: attribute value {v} not in domain"))?
-                            as u8,
-                    )
-                }
-                _ => None,
-            };
+                    }
+                    None => 0,
+                };
+                consumes.push(Some((req, attr)));
+            } else {
+                consumes.push(None);
+            }
             let mut mvars = Vec::with_capacity(vars.len());
             let mut next = Vec::with_capacity(vars.len());
             for (vi, v) in vars.iter().enumerate() {
@@ -564,7 +611,11 @@ impl SpecMachine {
                 };
                 next.push(op);
             }
-            let mut remits = Vec::new();
+            // Fold the emissions, in column order, into the row's effect.
+            let mut grant = [0u8; 2];
+            let mut bounce = false;
+            let mut delivery = Delivery::Nothing;
+            let mut local_msg = String::new();
             for e in &emits {
                 let v = val(e.ci);
                 if v == Value::Null {
@@ -579,13 +630,26 @@ impl SpecMachine {
                             .ok_or_else(|| format!("row {r}: dest role column carries {dv}"))?
                     }
                 };
-                remits.push(Emission {
-                    dest,
-                    multicast: e.multicast,
-                    complete: e.complete.contains(&msg),
-                    bounce: e.bounce.contains(&msg),
-                    msg,
-                });
+                match dest {
+                    Role::Home | Role::Remote => {
+                        let g = &mut grant[(dest == Role::Remote) as usize];
+                        *g = if e.multicast {
+                            RESPONSE_CAP
+                        } else {
+                            (*g + 1).min(RESPONSE_CAP)
+                        };
+                    }
+                    Role::Local if e.bounce.contains(&msg) => bounce = true,
+                    Role::Local => {
+                        let kind = if e.complete.contains(&msg) {
+                            Delivery::Complete
+                        } else {
+                            Delivery::Plain
+                        };
+                        delivery = delivery.max(kind);
+                        local_msg = msg;
+                    }
+                }
             }
             let state_label: Vec<String> = vars
                 .iter()
@@ -604,15 +668,30 @@ impl SpecMachine {
             rows.push(MRow {
                 vars: mvars,
                 src: src_val,
-                req,
-                attr,
-                emits: remits,
+                posted: 0,
+                grant,
+                bounce,
+                delivery,
+                local_msg,
                 next,
                 label,
             });
         }
         if reqs.is_empty() {
             return Err("no row accepts a request from the local role — nothing to post".into());
+        }
+        let pairs = reqs.len() * attr_domain.len();
+        if pairs > MAX_LANE_PAIRS {
+            return Err(format!(
+                "{} request kind(s) × {} attribute value(s) make {pairs} (request, attribute) \
+                 pairs, but an agent lane holds at most {MAX_LANE_PAIRS}",
+                reqs.len(),
+                attr_domain.len()
+            ));
+        }
+        let mut rows_at = vec![Vec::new(); vars[0].domain.len()];
+        for (ri, row) in rows.iter().enumerate() {
+            rows_at[row.vars[0] as usize].push(ri as u32);
         }
 
         // Initial states: the cross product of the `init` lists,
@@ -621,10 +700,16 @@ impl SpecMachine {
             table: sf.spec.name.clone(),
             vars,
             rows,
+            rows_at,
             reqs,
             attr_domain,
             dropped_inits: 0,
         };
+        for (ri, pair) in consumes.into_iter().enumerate() {
+            if let Some((req, attr)) = pair {
+                machine.rows[ri].posted = machine.lane(req, attr, false);
+            }
+        }
         let inits = machine.initial_var_states();
         machine.dropped_inits = inits.dropped;
         if inits.states.is_empty() {
@@ -663,17 +748,24 @@ impl SpecMachine {
 
     /// Agent-lane encoding: 0 = idle, else
     /// `1 + (req * A + attr) * 2 + active` with `A = |attr_domain|`.
-    fn lane(&self, req: u8, attr: u8, active: bool) -> u8 {
-        let a = self.attr_domain.len() as u8;
-        1 + (req * a + attr) * 2 + active as u8
+    /// `build` admits at most [`MAX_LANE_PAIRS`] pairs, so the code is
+    /// at most 254.
+    fn lane(&self, req: usize, attr: usize, active: bool) -> u8 {
+        let code = 1 + (req * self.attr_domain.len() + attr) * 2 + active as usize;
+        debug_assert!(
+            code <= u8::MAX as usize,
+            "lane code {code} overflows its byte"
+        );
+        code as u8
     }
 
-    fn lane_decode(&self, lane: u8) -> Option<(u8, u8, bool)> {
+    /// Decode a lane into `(req, attr, active)`; `None` when idle.
+    fn lane_decode(&self, lane: u8) -> Option<(usize, usize, bool)> {
         if lane == 0 {
             return None;
         }
-        let a = self.attr_domain.len() as u8;
-        let x = lane - 1;
+        let a = self.attr_domain.len();
+        let x = usize::from(lane - 1);
         Some(((x / 2) / a, (x / 2) % a, x % 2 == 1))
     }
 
@@ -701,9 +793,9 @@ impl SpecMachine {
                     let _ = write!(
                         s,
                         "{}{}:{}",
-                        self.reqs[req as usize].msg,
+                        self.reqs[req].msg,
                         if self.attr_domain.len() > 1 {
-                            format!(".{}", self.attr_domain[attr as usize])
+                            format!(".{}", self.attr_domain[attr])
                         } else {
                             String::new()
                         },
@@ -796,125 +888,113 @@ impl SpecMachine {
         InitialStates { states, dropped }
     }
 
-    /// All enabled transitions out of `st`, in a fixed deterministic
-    /// order, or the violation the state commits.
-    fn expand(&self, st: &[u8], agents: usize) -> Result<Vec<Succ>, Violation> {
-        let mut out = Vec::new();
+    /// Walk every enabled transition out of `st` in a fixed
+    /// deterministic order: idle agents post their requests (agent by
+    /// agent, request by request), then the rows indexed under the
+    /// primary variable's value fire in ascending row order. Each
+    /// successor is built in `scratch`, which is as long as `st`, and
+    /// handed to `f` with its transition; nothing is allocated. A
+    /// violating state returns its violation, and the successors `f`
+    /// already saw belong to a terminal state: callers drop them.
+    fn for_each_successor(
+        &self,
+        st: &[u8],
+        agents: usize,
+        scratch: &mut [u8],
+        mut f: impl FnMut(&[u8], Succ),
+    ) -> Result<(), Violation> {
+        let nv = self.nvars();
         let ao = self.agent_off();
+        let nreqs = self.reqs.len();
         // 1. Idle agents post requests (always enabled).
+        scratch.copy_from_slice(st);
         for i in 0..agents {
             if st[ao + i] != 0 {
                 continue;
             }
-            for ri in 0..self.reqs.len() {
-                let mut s = st.to_vec();
-                s[ao + i] = self.lane(ri as u8, 0, false);
-                out.push(Succ {
-                    state: s,
-                    label: (i * self.reqs.len() + ri) as u32,
-                    row: None,
-                    completed: false,
-                });
+            for ri in 0..nreqs {
+                scratch[ao + i] = self.lane(ri, 0, false);
+                let label = (i * nreqs + ri) as u32;
+                f(
+                    scratch,
+                    Succ {
+                        label,
+                        row: None,
+                        completed: false,
+                    },
+                );
             }
+            scratch[ao + i] = 0;
         }
         // 2. Rows fire.
-        for (ri, row) in self.rows.iter().enumerate() {
-            if row.vars.iter().enumerate().any(|(vi, v)| st[vi] != *v) {
+        for &ri in &self.rows_at[st[0] as usize] {
+            let row = &self.rows[ri as usize];
+            if row.vars[1..].iter().zip(&st[1..nv]).any(|(v, s)| v != s) {
                 continue;
             }
             match row.src {
                 Role::Local => {
-                    let want = self.lane(row.req.unwrap(), row.attr.unwrap_or(0), false);
                     for i in 0..agents {
-                        if st[ao + i] != want {
-                            continue;
+                        if st[ao + i] == row.posted {
+                            self.fire(st, agents, ri, Some(i), scratch, &mut f)?;
                         }
-                        self.fire(st, agents, ri, Some(i), &mut out)?;
                     }
                 }
-                Role::Home => {
-                    if st[self.nvars()] > 0 {
-                        self.fire(st, agents, ri, None, &mut out)?;
-                    }
-                }
-                Role::Remote => {
-                    if st[self.nvars() + 1] > 0 {
-                        self.fire(st, agents, ri, None, &mut out)?;
+                // A response fires while its role holds a credit.
+                Role::Home | Role::Remote => {
+                    if st[nv + (row.src == Role::Remote) as usize] > 0 {
+                        self.fire(st, agents, ri, None, scratch, &mut f)?;
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Fire row `ri` from `st`, consuming agent `consumed`'s posted
-    /// request when given; pushes one successor per completion choice.
+    /// request when given: builds the successor in `scratch` and hands
+    /// it to `f`, once per completion choice.
     fn fire(
         &self,
         st: &[u8],
         agents: usize,
-        ri: usize,
+        ri: u32,
         consumed: Option<usize>,
-        out: &mut Vec<Succ>,
+        s: &mut [u8],
+        f: &mut impl FnMut(&[u8], Succ),
     ) -> Result<(), Violation> {
-        let row = &self.rows[ri];
+        let row = &self.rows[ri as usize];
+        let nv = self.nvars();
         let ao = self.agent_off();
-        let mut s = st.to_vec();
+        s.copy_from_slice(st);
         // Consume the request / response credit.
         match row.src {
-            Role::Local => {
-                let i = consumed.unwrap();
-                let (req, attr, _) = self.lane_decode(s[ao + i]).unwrap();
-                s[ao + i] = self.lane(req, attr, true);
-            }
+            // The posted lane (odd) becomes its active twin.
+            Role::Local => s[ao + consumed.unwrap()] += 1,
             // A credit below the cap is precise and is spent; a
             // saturated counter means "many" and stays put.
-            Role::Home => {
-                let ci = self.nvars();
-                if s[ci] < RESPONSE_CAP {
-                    s[ci] -= 1;
-                }
-            }
-            Role::Remote => {
-                let ci = self.nvars() + 1;
+            Role::Home | Role::Remote => {
+                let ci = nv + (row.src == Role::Remote) as usize;
                 if s[ci] < RESPONSE_CAP {
                     s[ci] -= 1;
                 }
             }
         }
-        // Emissions.
-        let mut bounce = false;
-        let mut complete_marked = false;
-        let mut plain_local = false;
-        let mut local_msg = "";
-        for e in &row.emits {
-            match e.dest {
-                Role::Home | Role::Remote => {
-                    let ci = self.nvars() + (e.dest == Role::Remote) as usize;
-                    s[ci] = if e.multicast {
-                        RESPONSE_CAP
-                    } else {
-                        (s[ci] + 1).min(RESPONSE_CAP)
-                    };
-                }
-                Role::Local if e.bounce => bounce = true,
-                Role::Local if e.complete => {
-                    complete_marked = true;
-                    local_msg = &e.msg;
-                }
-                Role::Local => {
-                    plain_local = true;
-                    local_msg = &e.msg;
-                }
-            }
-        }
+        // Emissions grant response credits; a counter saturates at the
+        // cap.
+        s[nv] = (s[nv] + row.grant[0]).min(RESPONSE_CAP);
+        s[nv + 1] = (s[nv + 1] + row.grant[1]).min(RESPONSE_CAP);
         // Next state of the machine variables.
         let mut reset = false;
         for (vi, op) in row.next.iter().enumerate() {
             match op {
                 NextOp::Keep => {}
                 NextOp::Set(v) => s[vi] = *v,
-                NextOp::Up => s[vi] = (s[vi] + 1).min(self.vars[vi].domain.len() as u8 - 1),
+                NextOp::Up => {
+                    if usize::from(s[vi]) + 1 < self.vars[vi].domain.len() {
+                        s[vi] += 1;
+                    }
+                }
                 NextOp::Down => s[vi] = s[vi].saturating_sub(1),
                 NextOp::Reset => reset = true,
             }
@@ -925,7 +1005,7 @@ impl SpecMachine {
             }
         }
         // Bounce: the consumed request reposts at the next attribute.
-        if bounce {
+        if row.bounce {
             let Some(i) = consumed else {
                 return Err(Violation {
                     label: row.label.clone(),
@@ -933,46 +1013,52 @@ impl SpecMachine {
                 });
             };
             let (req, attr, _) = self.lane_decode(s[ao + i]).unwrap();
-            let esc = (attr + 1).min(self.attr_domain.len() as u8 - 1);
+            let esc = (attr + 1).min(self.attr_domain.len() - 1);
             s[ao + i] = self.lane(req, esc, false);
         }
         // Completion: a marked delivery, or any local delivery that
-        // leaves the primary variable stable, retires one active agent.
-        let stable_now = self.vars[0].stable[s[0] as usize];
-        let completes = complete_marked || (plain_local && stable_now);
-        let delivers = complete_marked || plain_local;
-        if delivers {
-            let active: Vec<usize> = (0..agents)
-                .filter(|i| matches!(self.lane_decode(s[ao + i]), Some((_, _, true))))
-                .collect();
-            if active.is_empty() {
+        // leaves the primary variable stable, retires one active agent:
+        // each active lane in turn is zeroed, emitted and restored.
+        if row.delivery != Delivery::Nothing {
+            if !s[ao..].iter().any(|l| lane_active(*l)) {
                 return Err(Violation {
                     label: row.label.clone(),
                     msg: format!(
-                        "response {local_msg} delivered to local with no active requester"
+                        "response {} delivered to local with no active requester",
+                        row.local_msg
                     ),
                 });
             }
-            if completes {
-                for i in active {
-                    let mut s2 = s.clone();
-                    s2[ao + i] = 0;
-                    out.push(Succ {
-                        state: s2,
-                        label: (agents * self.reqs.len() + ri * agents + i) as u32,
-                        row: Some(ri as u16),
-                        completed: true,
-                    });
+            if row.delivery == Delivery::Complete || self.vars[0].stable[s[0] as usize] {
+                let base = agents * self.reqs.len() + ri as usize * agents;
+                for i in 0..agents {
+                    let lane = s[ao + i];
+                    if lane_active(lane) {
+                        s[ao + i] = 0;
+                        let label = (base + i) as u32;
+                        f(
+                            s,
+                            Succ {
+                                label,
+                                row: Some(ri),
+                                completed: true,
+                            },
+                        );
+                        s[ao + i] = lane;
+                    }
                 }
                 return Ok(());
             }
         }
-        out.push(Succ {
-            state: s,
-            label: (agents * self.reqs.len() + agents * self.rows.len() + ri) as u32,
-            row: Some(ri as u16),
-            completed: false,
-        });
+        let label = (agents * self.reqs.len() + agents * self.rows.len() + ri as usize) as u32;
+        f(
+            s,
+            Succ {
+                label,
+                row: Some(ri),
+                completed: false,
+            },
+        );
         Ok(())
     }
 
@@ -1077,10 +1163,10 @@ impl SpecMachine {
                 // The engine reports the minimum violating word of the
                 // earliest violating level; re-expanding it recovers
                 // the message and the offending row's label.
+                let mut scratch = [0u8; SPEC_WORD_BYTES];
                 let v = self
-                    .expand(w.state(len), agents)
-                    .err()
-                    .expect("violation witness must re-expand to the violation");
+                    .for_each_successor(w.state(len), agents, &mut scratch[..len], |_, _| {})
+                    .expect_err("violation witness must re-expand to the violation");
                 let mut cx = vec![format!("violation: {} (at {})", v.msg, v.label)];
                 cx.extend(path_to(w));
                 cx.push(format!("  state: {}", self.render_state(w.state(len))));
@@ -1173,55 +1259,61 @@ impl SpecMachine {
 
     /// A seeded random walk over the same transition relation (the
     /// spec-level chaos simulator): picks one enabled transition per
-    /// step. Deterministic for a fixed `(agents, seed, steps)`.
+    /// step. Deterministic for a fixed `(agents, seed, steps)`. The
+    /// successors of a step are gathered into buffers the walk reuses,
+    /// so its allocations do not grow with `steps`.
     /// Panics when `agents` is 0.
     pub fn simulate(&self, agents: usize, seed: u64, steps: usize) -> SpecSimReport {
         assert!(agents >= 1, "a spec machine needs at least one agent");
         let mut rng = ccsql_obs::rng::SplitMix64::new(seed);
         let inits = self.initial_var_states();
         let pick = (rng.next_u64() % inits.states.len() as u64) as usize;
-        let mut st = vec![0u8; self.agent_off() + agents];
+        let len = self.agent_off() + agents;
+        let mut st = vec![0u8; len];
         st[..self.nvars()].copy_from_slice(&inits.states[pick]);
+        let mut scratch = vec![0u8; len];
+        // The step's successor states back to back, and their transitions.
+        let mut arena: Vec<u8> = Vec::new();
+        let mut succs: Vec<Succ> = Vec::new();
         let mut rows_fired = vec![false; self.rows.len()];
         let mut completions = 0usize;
-        for step in 0..steps {
-            let succs = match self.expand(&st, agents) {
-                Ok(s) => s,
-                Err(v) => {
-                    return SpecSimReport {
-                        steps: step,
-                        completions,
-                        rows_covered: rows_fired.iter().filter(|f| **f).count(),
-                        rows_total: self.rows.len(),
-                        stuck: Some(format!("violation {} at {}", v.msg, v.label)),
-                    }
-                }
-            };
-            if succs.is_empty() {
-                return SpecSimReport {
-                    steps: step,
-                    completions,
-                    rows_covered: rows_fired.iter().filter(|f| **f).count(),
-                    rows_total: self.rows.len(),
-                    stuck: Some(self.render_state(&st)),
-                };
-            }
-            let c = (rng.next_u64() % succs.len() as u64) as usize;
-            let succ = &succs[c];
-            if let Some(r) = succ.row {
-                rows_fired[r as usize] = true;
-            }
-            completions += succ.completed as usize;
-            st = succ.state.clone();
-        }
-        SpecSimReport {
+        let report = |steps: usize, completions: usize, rows_fired: &[bool], stuck| SpecSimReport {
             steps,
             completions,
             rows_covered: rows_fired.iter().filter(|f| **f).count(),
             rows_total: self.rows.len(),
-            stuck: None,
+            stuck,
+        };
+        for step in 0..steps {
+            arena.clear();
+            succs.clear();
+            let walked = self.for_each_successor(&st, agents, &mut scratch, |s, succ| {
+                arena.extend_from_slice(s);
+                succs.push(succ);
+            });
+            if let Err(v) = walked {
+                let stuck = format!("violation {} at {}", v.msg, v.label);
+                return report(step, completions, &rows_fired, Some(stuck));
+            }
+            if succs.is_empty() {
+                return report(step, completions, &rows_fired, Some(self.render_state(&st)));
+            }
+            let c = (rng.next_u64() % succs.len() as u64) as usize;
+            let succ = succs[c];
+            if let Some(r) = succ.row {
+                rows_fired[r as usize] = true;
+            }
+            completions += succ.completed as usize;
+            st.copy_from_slice(&arena[c * len..(c + 1) * len]);
         }
+        report(steps, completions, &rows_fired, None)
     }
+}
+
+/// Whether an agent lane holds an active request: `1 + pair·2 + 1` is
+/// even, a posted one odd and an idle one 0.
+fn lane_active(lane: u8) -> bool {
+    lane != 0 && lane.is_multiple_of(2)
 }
 
 /// Initial machine-variable combinations: the `init` cross product,
@@ -1279,22 +1371,27 @@ impl Space for SpecSpace<'_> {
     type W = SpecWord;
 
     fn expand(&self, w: SpecWord, em: &mut Emitter<'_, SpecWord>) {
-        match self.m.expand(w.state(self.len), self.agents) {
-            // A violating state is terminal; the adapter re-expands the
-            // engine's minimum witness to recover message and label.
-            Err(_) => em.violation(),
-            Ok(succs) => {
-                // Spec states are never quiescent-exempt: a state with
-                // no enabled transition is a table-level deadlock, so
-                // `em.quiescent()` is deliberately never called.
-                for succ in succs {
-                    let mut s = succ.state;
-                    if self.symmetry {
-                        self.m.canon(&mut s);
-                    }
-                    em.succ(SpecWord::encode(&s), succ.label);
+        // Spec states are never quiescent-exempt: a state with no
+        // enabled transition is a table-level deadlock, so
+        // `em.quiescent()` is deliberately never called.
+        let mut scratch = [0u8; SPEC_WORD_BYTES];
+        let walked = self.m.for_each_successor(
+            w.state(self.len),
+            self.agents,
+            &mut scratch[..self.len],
+            |s, succ| {
+                let mut next = SpecWord::encode(s);
+                if self.symmetry {
+                    self.m.canon(&mut next.0[..self.len]);
                 }
-            }
+                em.succ(next, succ.label);
+            },
+        );
+        // A violating state is terminal: the engine drops what it
+        // emitted, and `explore` re-expands the engine's minimum witness
+        // to recover the message and the row's label.
+        if walked.is_err() {
+            em.violation();
         }
     }
 
@@ -1517,6 +1614,139 @@ constrain nxtst: inmsg = req ? nxtst = DONE : nxtst = NULL
         let m = machine(bad);
         let out = m.explore(&SpecMcOpts::default());
         assert_eq!(out.verdict, SpecVerdict::Violation, "{}", out.render());
+        // The witness is re-expanded to name the violating row.
+        assert_eq!(
+            out.render(),
+            "specmc: violation — 14 state(s), 26 transition(s), depth 7, rows 2/2 covered, \
+             orbit 14\n\
+             violation: response data delivered to local with no active requester \
+             (at row#1 data@home in (I))\n  \
+             agent1 posts req\n  \
+             agent0 posts req\n  \
+             row#0 req@local in (I)\n  \
+             row#0 req@local in (I)\n  \
+             row#1 data@home in (I) completes agent0\n  \
+             row#1 data@home in (I) completes agent1\n  \
+             state: st=I credits=h2/r0 agents=[idle idle]"
+        );
+        assert_eq!(
+            m.simulate(2, 7, 500).render(7),
+            "specsim seed=7: STUCK after 9 step(s) at violation response data delivered to \
+             local with no active requester at row#1 data@home in (I)"
+        );
+    }
+
+    /// PING with `n` request kinds `r0…`, each accepted from `local` in
+    /// `I`; the `data` response completes the requester.
+    fn ping_with_requests(n: usize) -> String {
+        let reqs: Vec<String> = (0..n).map(|k| format!("r{k}")).collect();
+        let reqs = reqs.join(", ");
+        format!(
+            "table Ping
+input inmsg = {reqs}, data
+input insrc = local, home
+input st = I, B
+output locmsg = data, NULL
+output memmsg = mread, NULL
+output nxtst = DONE, B, NULL
+flow inmsg(insrc, home), locmsg(home, local), memmsg(home, home)
+extern send {reqs}, data
+extern recv data, mread
+machine st = nxtst, init I, stable I, map DONE -> init
+constrain insrc: inmsg = data ? insrc = home : insrc = local
+constrain st: inmsg = data ? st = B : st = I
+constrain locmsg: inmsg = data ? locmsg = data : locmsg = NULL
+constrain memmsg: inmsg = data ? memmsg = NULL : memmsg = mread
+constrain nxtst: inmsg = data ? nxtst = DONE : nxtst = B
+"
+        )
+    }
+
+    /// PING plus a counter `c` over `v0…v{n-1}` that starts at
+    /// `v{start}` and steps up on every completion.
+    fn counter(n: usize, start: usize) -> String {
+        let values: Vec<String> = (0..n).map(|k| format!("v{k}")).collect();
+        let values = values.join(", ");
+        format!(
+            "table Count
+input inmsg = req, data
+input insrc = local, home
+input st = I, B
+input c = {values}
+output locmsg = data, NULL
+output memmsg = mread, NULL
+output nxtst = DONE, B, NULL
+output nc = inc, NULL
+flow inmsg(insrc, home), locmsg(home, local), memmsg(home, home)
+extern send req, data
+extern recv data, mread
+machine st = nxtst, init I, stable I, map DONE -> I
+machine c = nc, init v{start}, map inc -> +1
+constrain insrc: inmsg = req ? insrc = local : insrc = home
+constrain st: inmsg = req ? st = I : st = B
+constrain locmsg: inmsg = data ? locmsg = data : locmsg = NULL
+constrain memmsg: inmsg = req ? memmsg = mread : memmsg = NULL
+constrain nxtst: inmsg = req ? nxtst = B : nxtst = DONE
+constrain nc: inmsg = data ? nc = inc : nc = NULL
+"
+        )
+    }
+
+    fn build_error(src: &str) -> String {
+        let sf = parse_specfile(src).unwrap();
+        let (rel, failures) = solve_specfile(&sf).unwrap();
+        assert!(failures.is_empty());
+        SpecMachine::build(&sf, &rel).unwrap_err()
+    }
+
+    #[test]
+    fn build_rejects_more_request_pairs_than_a_lane_encodes() {
+        // 127 pairs fill the lane byte: codes up to 254.
+        let m = machine(&ping_with_requests(127));
+        let out = m.explore(&SpecMcOpts {
+            agents: 1,
+            ..SpecMcOpts::default()
+        });
+        assert_eq!(out.verdict, SpecVerdict::Verified, "{}", out.render());
+        assert_eq!((out.stats.states, out.stats.rows_covered), (255, 128));
+        // 130 would wrap lane 256 to "idle" and report a false violation.
+        assert_eq!(
+            build_error(&ping_with_requests(130)),
+            "130 request kind(s) × 1 attribute value(s) make 130 (request, attribute) pairs, \
+             but an agent lane holds at most 127"
+        );
+    }
+
+    #[test]
+    fn build_rejects_a_machine_variable_wider_than_a_state_byte() {
+        // 300 values would wrap `v256…` onto `v0…` and merge states.
+        assert_eq!(
+            build_error(&counter(300, 255)),
+            "machine variable c has 300 values, but a state byte holds at most 256"
+        );
+    }
+
+    #[test]
+    fn a_counter_steps_up_to_its_last_value_and_stays() {
+        // 256 values fit a byte; stepping past `v255` must saturate, not
+        // wrap to `v0`: the counter walks v250…v255 (6 values × 3
+        // states per transaction) and fires 12 of its 512 rows.
+        let m = machine(&counter(256, 250));
+        let out = m.explore(&SpecMcOpts {
+            agents: 1,
+            ..SpecMcOpts::default()
+        });
+        assert_eq!(out.verdict, SpecVerdict::Verified, "{}", out.render());
+        assert_eq!(
+            (
+                out.stats.states,
+                out.stats.rows_covered,
+                out.stats.rows_total
+            ),
+            (18, 12, 512)
+        );
+        let walk = m.simulate(1, 1, 1_000);
+        assert_eq!(walk.rows_covered, 12, "{}", walk.render(1));
     }
 
     #[test]

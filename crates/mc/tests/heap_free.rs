@@ -1,10 +1,11 @@
 //! The builtin model's expand allocates nothing: unpacking a state,
 //! checking it, walking its successors, and packing and canonicalising
-//! each one stay on the stack. A counting global allocator over
-//! `System` counts the allocations of the calling thread only, so the
-//! test harness's other threads do not disturb the count.
+//! each one stay on the stack. A spec machine's seeded walk allocates
+//! the same amount however many steps it takes. A counting global
+//! allocator over `System` counts the allocations of the calling thread
+//! only, so the test harness's other threads do not disturb the count.
 
-use ccsql_mc::{canon, pack, unpack, Compact, Model};
+use ccsql_mc::{canon, pack, unpack, Compact, Model, SpecMachine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
@@ -113,4 +114,31 @@ fn expanding_a_state_allocates_nothing() {
         "expanding {SAMPLE} states ({successors} successors) allocated {made} times"
     );
     assert!(successors > SAMPLE as u64, "{successors} successors");
+}
+
+fn spec_machine(pack: &str) -> SpecMachine {
+    let path = format!("{}/../../specs/{pack}.ccsql", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let sf = ccsql_relalg::specfile::parse_specfile(&text).unwrap();
+    let (rel, failures) = ccsql_relalg::specfile::solve_specfile(&sf).unwrap();
+    assert!(failures.is_empty());
+    SpecMachine::build(&sf, &rel).unwrap()
+}
+
+#[test]
+fn a_spec_walk_allocates_nothing_per_step() {
+    for pack in ["bedrock_moesif", "phase_priority"] {
+        let m = spec_machine(pack);
+        let walk = |steps: usize| {
+            let before = allocations();
+            let report = black_box(m.simulate(3, 1, steps));
+            assert!(report.stuck.is_none(), "{pack}: {}", report.render(1));
+            allocations() - before
+        };
+        let (short, long) = (walk(100), walk(10_000));
+        assert_eq!(
+            long, short,
+            "{pack}: a 10,000-step walk allocated {long} times, a 100-step walk {short}"
+        );
+    }
 }

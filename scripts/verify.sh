@@ -36,10 +36,10 @@ done
 echo "==> parallel equivalence (1 vs 2 vs 8 threads)"
 cargo test -q -p ccsql-mc --test parallel
 
-echo "==> symmetry reduction (canon laws + on/off verdict equivalence at 2-3 nodes, 1/2/8 threads; transition, codec and orbit-representative digests; allocation-free expand)"
+echo "==> symmetry reduction (canon laws + on/off verdict equivalence at 2-3 nodes, 1/2/8 threads; transition, codec and orbit-representative digests; spec-machine walk and exploration digests; allocation-free expand and spec walks)"
 cargo test -q -p ccsql-mc --test canon
 cargo test -q -p ccsql-mc --test symmetry
-cargo test -q -p ccsql-mc --test transitions --test heap_free
+cargo test -q -p ccsql-mc --test transitions --test heap_free --test spec_walks
 
 echo "==> out-of-core determinism (shards x threads x mem-budget matrix, resident peak under budget, spill cleanup)"
 cargo test -q -p ccsql-mc --test out_of_core
@@ -137,6 +137,51 @@ for cmd in lint solve "solve --no-compile"; do
         "$WORK_DIR/twice.txt"; then
         echo "$cmd accepted a column constrained twice (exit $rc):" >&2
         cat "$WORK_DIR/twice.txt" >&2
+        exit 1
+    fi
+done
+# A spec machine's state is one byte per variable and agent lane. A
+# release build wraps an overflowing byte silently, so the release
+# binary must refuse both packs that would overflow one: 130 request
+# kinds (agent lane codes past 255) and a 300-value machine variable.
+lanes="$WORK_DIR/lanes.ccsql"
+reqs=$(seq -s ', ' -f 'r%g' 0 129)
+printf '%s\n' 'table Ping' "input inmsg = $reqs, data" 'input insrc = local, home' \
+    'input st = I, B' 'output locmsg = data, NULL' 'output memmsg = mread, NULL' \
+    'output nxtst = DONE, B, NULL' \
+    'flow inmsg(insrc, home), locmsg(home, local), memmsg(home, home)' \
+    "extern send $reqs, data" 'extern recv data, mread' \
+    'machine st = nxtst, init I, stable I, map DONE -> init' \
+    'constrain insrc: inmsg = data ? insrc = home : insrc = local' \
+    'constrain st: inmsg = data ? st = B : st = I' \
+    'constrain locmsg: inmsg = data ? locmsg = data : locmsg = NULL' \
+    'constrain memmsg: inmsg = data ? memmsg = NULL : memmsg = mread' \
+    'constrain nxtst: inmsg = data ? nxtst = DONE : nxtst = B' > "$lanes"
+wide="$WORK_DIR/wide.ccsql"
+printf '%s\n' 'table Count' 'input inmsg = req, data' 'input insrc = local, home' \
+    'input st = I, B' "input c = $(seq -s ', ' -f 'v%g' 0 299)" \
+    'output locmsg = data, NULL' 'output memmsg = mread, NULL' \
+    'output nxtst = DONE, B, NULL' 'output nc = inc, NULL' \
+    'flow inmsg(insrc, home), locmsg(home, local), memmsg(home, home)' \
+    'extern send req, data' 'extern recv data, mread' \
+    'machine st = nxtst, init I, stable I, map DONE -> I' \
+    'machine c = nc, init v255, map inc -> +1' \
+    'constrain insrc: inmsg = req ? insrc = local : insrc = home' \
+    'constrain st: inmsg = req ? st = I : st = B' \
+    'constrain locmsg: inmsg = data ? locmsg = data : locmsg = NULL' \
+    'constrain memmsg: inmsg = req ? memmsg = mread : memmsg = NULL' \
+    'constrain nxtst: inmsg = req ? nxtst = B : nxtst = DONE' \
+    'constrain nc: inmsg = data ? nc = inc : nc = NULL' > "$wide"
+for pair in "$lanes|make 130 (request, attribute) pairs, but an agent lane holds at most 127" \
+    "$wide|machine variable c has 300 values, but a state byte holds at most 256"; do
+    spec=${pair%%|*}
+    want=${pair#*|}
+    rc=0
+    cargo run --quiet --release -p ccsql-cli -- mc --spec "$spec" --nodes 1 \
+        > "$WORK_DIR/overflow.txt" 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -qF "$want" "$WORK_DIR/overflow.txt"; then
+        echo "mc --spec accepted a pack its state bytes cannot encode (exit $rc):" >&2
+        cat "$WORK_DIR/overflow.txt" >&2
         exit 1
     fi
 done
