@@ -365,20 +365,31 @@ pub fn dependency_table(rows: &[FlowRow], cfg: &AnalysisConfig) -> DependencyTab
 
     // Pairwise composition (optionally to a fixpoint). Matching is done
     // within a placement: each placement models one physical layout.
+    // The closure is semi-naive: a round composes only the pairs with at
+    // least one side added by the round before, since a pair of two
+    // older rows was composed in an earlier round and can only reproduce
+    // a row already in the table. Skipping those pairs skips only
+    // duplicates, so rows, their order and their provenance are those of
+    // composing every pair in every round.
     let mut modes = vec![MatchMode::Exact];
     if cfg.ignore_messages {
         modes.push(MatchMode::IgnoreMessages);
     }
+    // The build side of the hash join: rows by (placement, input key),
+    // each bucket in ascending row order. Each round indexes only the
+    // rows the round before added.
+    let mut index: FxHashMap<(u8, Key), Vec<usize>> = FxHashMap::default();
+    // Rows below `old` were composed with each other in an earlier round.
+    let mut old = 0;
     let mut round = 0u64;
+    let mut candidates = 0u64;
     loop {
         round += 1;
         let round_span = ccsql_obs::flight::span("depend", "round");
         round_span.arg("round", round);
-        round_span.arg("rows_in", out.len());
-        // Index current rows by (placement, input key) — the build side
-        // of the hash join.
-        let mut index: FxHashMap<(u8, Key), Vec<usize>> = FxHashMap::default();
-        for (i, r) in out.iter().enumerate() {
+        let rows_in = out.len();
+        round_span.arg("rows_in", rows_in);
+        for (i, r) in out.iter().enumerate().skip(old) {
             for &mode in &modes {
                 index
                     .entry((placement_id(r.placement), match_key(&r.input, mode)))
@@ -386,13 +397,25 @@ pub fn dependency_table(rows: &[FlowRow], cfg: &AnalysisConfig) -> DependencyTab
                     .push(i);
             }
         }
-        // Probe side, in (left, mode, right) order.
-        let mut candidates: Vec<DepRow> = Vec::new();
-        for (li, left) in out.iter().enumerate() {
+        // Probe side, in (left, mode, right) order. An old left row
+        // meets only the new suffix of its bucket. Rows pushed here lie
+        // past `rows_in`, so they join the next round, not this one.
+        let mut added = false;
+        for li in 0..rows_in {
+            let left = out[li];
             for &mode in &modes {
                 let key = (placement_id(left.placement), match_key(&left.output, mode));
-                for &ri in index.get(&key).into_iter().flatten() {
-                    candidates.push(DepRow {
+                let Some(bucket) = index.get(&key) else {
+                    continue;
+                };
+                let from = if li < old {
+                    bucket.partition_point(|&ri| ri < old)
+                } else {
+                    0
+                };
+                for &ri in &bucket[from..] {
+                    candidates += 1;
+                    let r = DepRow {
                         input: left.input,
                         output: out[ri].output,
                         placement: left.placement,
@@ -401,18 +424,16 @@ pub fn dependency_table(rows: &[FlowRow], cfg: &AnalysisConfig) -> DependencyTab
                             right: ri,
                             mode,
                         },
-                    });
+                    };
+                    if push(&mut out, r) {
+                        added = true;
+                    } else {
+                        dedup_hits += 1;
+                    }
                 }
             }
         }
-        let mut added = false;
-        for r in candidates {
-            if push(&mut out, r) {
-                added = true;
-            } else {
-                dedup_hits += 1;
-            }
-        }
+        old = rows_in;
         round_span.arg("rows_out", out.len());
         if !cfg.transitive_closure || !added {
             break;
@@ -420,6 +441,7 @@ pub fn dependency_table(rows: &[FlowRow], cfg: &AnalysisConfig) -> DependencyTab
     }
     fspan.arg("rows", out.len());
     fspan.arg("rounds", round);
+    fspan.arg("candidates", candidates);
     fspan.arg("dedup_hits", dedup_hits);
     DependencyTable { rows: out }
 }

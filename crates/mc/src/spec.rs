@@ -337,8 +337,11 @@ pub struct SpecSimReport {
     pub completions: usize,
     pub rows_covered: usize,
     pub rows_total: usize,
-    /// Render of a stuck state the walk ran into, if any.
+    /// Where the walk stopped short, if it did: the render of a state
+    /// with no enabled transition, or the safety violation it ran into.
     pub stuck: Option<String>,
+    /// `stuck` names a safety violation, not a stuck state.
+    pub violation: bool,
 }
 
 impl SpecSimReport {
@@ -348,6 +351,10 @@ impl SpecSimReport {
             None => format!(
                 "specsim seed={seed}: {} step(s), {} completion(s), rows {}/{} covered",
                 self.steps, self.completions, self.rows_covered, self.rows_total
+            ),
+            Some(v) if self.violation => format!(
+                "specsim seed={seed}: VIOLATION after {} step(s): {v}",
+                self.steps
             ),
             Some(st) => format!(
                 "specsim seed={seed}: STUCK after {} step(s) at {st}",
@@ -1277,12 +1284,17 @@ impl SpecMachine {
         let mut succs: Vec<Succ> = Vec::new();
         let mut rows_fired = vec![false; self.rows.len()];
         let mut completions = 0usize;
-        let report = |steps: usize, completions: usize, rows_fired: &[bool], stuck| SpecSimReport {
+        let report = |steps: usize,
+                      completions: usize,
+                      rows_fired: &[bool],
+                      stuck: Option<String>,
+                      violation: bool| SpecSimReport {
             steps,
             completions,
             rows_covered: rows_fired.iter().filter(|f| **f).count(),
             rows_total: self.rows.len(),
             stuck,
+            violation,
         };
         for step in 0..steps {
             arena.clear();
@@ -1292,11 +1304,12 @@ impl SpecMachine {
                 succs.push(succ);
             });
             if let Err(v) = walked {
-                let stuck = format!("violation {} at {}", v.msg, v.label);
-                return report(step, completions, &rows_fired, Some(stuck));
+                let violation = format!("{} (at {})", v.msg, v.label);
+                return report(step, completions, &rows_fired, Some(violation), true);
             }
             if succs.is_empty() {
-                return report(step, completions, &rows_fired, Some(self.render_state(&st)));
+                let stuck = self.render_state(&st);
+                return report(step, completions, &rows_fired, Some(stuck), false);
             }
             let c = (rng.next_u64() % succs.len() as u64) as usize;
             let succ = succs[c];
@@ -1306,7 +1319,7 @@ impl SpecMachine {
             completions += succ.completed as usize;
             st.copy_from_slice(&arena[c * len..(c + 1) * len]);
         }
-        report(steps, completions, &rows_fired, None)
+        report(steps, completions, &rows_fired, None, false)
     }
 }
 
@@ -1631,8 +1644,8 @@ constrain nxtst: inmsg = req ? nxtst = DONE : nxtst = NULL
         );
         assert_eq!(
             m.simulate(2, 7, 500).render(7),
-            "specsim seed=7: STUCK after 9 step(s) at violation response data delivered to \
-             local with no active requester at row#1 data@home in (I)"
+            "specsim seed=7: VIOLATION after 9 step(s): response data delivered to local \
+             with no active requester (at row#1 data@home in (I))"
         );
     }
 

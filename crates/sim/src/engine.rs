@@ -16,14 +16,14 @@ use crate::channel::{Channels, VcId};
 use crate::fault::{Decision, FaultInjector, FaultPlan, FaultStats};
 use crate::msg::{Addr, Endpoint, SimMsg};
 use crate::state::{BusyEntry, DirEntry, NodeState, PendTxn, QuadState};
-use crate::tables::ExecTable;
+use crate::tables::{vocab, CpuRes, IssueKind, PvOp, RspKind, Store, Tables, Upd, Vocab};
 use crate::workload::{CpuOp, Workload};
 use ccsql::gen::GeneratedProtocol;
+use ccsql_obs::hash::FxHashMap;
 use ccsql_obs::{FieldValue, SplitMix64};
-use ccsql_protocol::messages;
 use ccsql_protocol::topology::{NodeId, PresenceVector};
 use ccsql_relalg::{Sym, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -220,7 +220,40 @@ pub type BlockedReason = (String, Vec<(u8, VcId)>);
 enum Progress {
     Worked,
     Idle,
-    Blocked(String, Vec<(u8, VcId)>),
+    Blocked(Stall),
+}
+
+/// A controller attempt whose plan did not fit: who was blocked and the
+/// first full buffer in plan order. It is rendered only when a report
+/// needs it.
+#[derive(Clone, Copy)]
+struct Stall {
+    who: Waiter,
+    slot: (u8, VcId),
+}
+
+#[derive(Clone, Copy)]
+enum Waiter {
+    Dir(u8, SimMsg),
+    Mem(u8, SimMsg),
+    Rac(NodeId, SimMsg),
+    Issue(NodeId, CpuOp),
+}
+
+impl Stall {
+    fn reason(&self) -> BlockedReason {
+        let who = match self.who {
+            Waiter::Dir(q, msg) => format!("D{q} processing {msg}"),
+            Waiter::Mem(q, msg) => format!("M{q} processing {msg}"),
+            Waiter::Rac(node, msg) => format!("RAC {node} processing {msg}"),
+            Waiter::Issue(node, op) => format!("{node} issuing {op:?}"),
+        };
+        let (q, vc) = self.slot;
+        (
+            format!("{who} needs a slot on quad {q} {vc}"),
+            vec![self.slot],
+        )
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -233,39 +266,86 @@ enum Ctrl {
     Issue(usize),
 }
 
+/// Names of the executed tables, in coverage-report order.
+const TABLE_NAMES: [&str; 4] = ["D", "M", "N", "R"];
+/// [`Sim::coverage`] slots of the tables.
+const COV_D: usize = 0;
+const COV_M: usize = 1;
+const COV_N: usize = 2;
+const COV_R: usize = 3;
+
+/// Processor operations in latency-slot order ([`op_slot`]).
+pub(crate) const CPU_OPS: [CpuOp; 6] = [
+    CpuOp::Read(0),
+    CpuOp::Write(0),
+    CpuOp::Evict(0),
+    CpuOp::Flush(0),
+    CpuOp::IoRead(0),
+    CpuOp::IoWrite(0),
+];
+
+pub(crate) fn op_slot(op: CpuOp) -> usize {
+    match op {
+        CpuOp::Read(_) => 0,
+        CpuOp::Write(_) => 1,
+        CpuOp::Evict(_) => 2,
+        CpuOp::Flush(_) => 3,
+        CpuOp::IoRead(_) => 4,
+        CpuOp::IoWrite(_) => 5,
+    }
+}
+
+/// A message with no payload.
+fn message(name: Sym, addr: Addr, src: Endpoint, dest: Endpoint) -> SimMsg {
+    SimMsg {
+        name,
+        addr,
+        src,
+        dest,
+        payload: None,
+    }
+}
+
 /// The simulator.
 pub struct Sim {
     /// Configuration.
     pub cfg: SimConfig,
-    d: ExecTable,
-    n: ExecTable,
-    r: ExecTable,
-    m: ExecTable,
+    tables: Tables,
+    v: &'static Vocab,
     /// Transport buffers.
     pub channels: Channels,
     quads: Vec<QuadState>,
-    nodes: HashMap<NodeId, NodeState>,
+    /// Per-node state, in node-list order.
+    nodes: Vec<NodeState>,
     node_list: Vec<NodeId>,
     workload: Workload,
     rng: Option<SplitMix64>,
     /// Counters.
     pub stats: SimStats,
     /// Serialisation-order expected value per coherent address.
-    expected: HashMap<Addr, u64>,
-    expected_io: HashMap<Addr, u64>,
+    expected: FxHashMap<Addr, u64>,
+    expected_io: FxHashMap<Addr, u64>,
     version: u64,
     /// Bounded step log (enable with [`Sim::enable_trace`]). `None`
     /// means it is off — the per-event cost is a single `Option` check.
     log: Option<StepLog>,
-    latency: HashMap<&'static str, LatAgg>,
-    /// Per-controller row hit counts: how often each specification row
-    /// was exercised (table coverage).
-    coverage: HashMap<(&'static str, usize), u64>,
+    /// Latency per operation type, indexed like [`CPU_OPS`].
+    latency: [LatAgg; CPU_OPS.len()],
+    /// Per-table row hit counts, indexed like [`TABLE_NAMES`] and then
+    /// by row id: how often each specification row was exercised
+    /// (table coverage).
+    coverage: [Vec<u64>; TABLE_NAMES.len()],
     /// Fault injector (chaos mode); `None` keeps every hot path
     /// byte-identical to the pre-chaos engine.
     chaos: Option<FaultInjector>,
     /// Diagnoses of operations abandoned after exhausting retries.
     abandoned: Vec<String>,
+    /// This step's controller order (reused across steps).
+    order: Vec<Ctrl>,
+    /// The messages the current controller attempt sends (reused).
+    plan: Vec<SimMsg>,
+    /// This step's blocked attempts.
+    stalls: Vec<Stall>,
 }
 
 /// Default retention of the step log ([`Sim::enable_trace`]).
@@ -320,21 +400,8 @@ impl LatAgg {
 impl Sim {
     /// Build a simulator running the given generated tables.
     pub fn new(gen: &GeneratedProtocol, cfg: SimConfig, workload: Workload) -> Sim {
-        let d = ExecTable::new(
-            gen.table("D").expect("D").clone(),
-            &["inmsg", "dirst", "dirpv", "bdirst", "bdirpv"],
-        )
-        .expect("D indexable");
-        let n = ExecTable::new(
-            gen.table("N").expect("N").clone(),
-            &["inmsg", "cachest", "pendst"],
-        )
-        .expect("N indexable");
-        let r = ExecTable::new(gen.table("R").expect("R").clone(), &["inmsg", "linest"])
-            .expect("R indexable");
-        let m =
-            ExecTable::new(gen.table("M").expect("M").clone(), &["inmsg"]).expect("M indexable");
-
+        let v = vocab();
+        let tables = Tables::decode(gen);
         let node_list: Vec<NodeId> = (0..cfg.quads)
             .flat_map(|q| (0..cfg.nodes_per_quad).map(move |n| NodeId::new(q, n)))
             .collect();
@@ -343,20 +410,22 @@ impl Sim {
             node_list.len(),
             "workload must have one queue per node"
         );
-        let nodes = node_list
-            .iter()
-            .map(|&n| (n, NodeState::default()))
-            .collect();
+        let nodes = node_list.iter().map(|_| NodeState::default()).collect();
         let rng = match cfg.schedule {
             Schedule::Fixed => None,
             Schedule::Random(seed) => Some(SplitMix64::new(seed)),
         };
+        let coverage = [
+            tables.d.len(),
+            tables.m.len(),
+            tables.n.len(),
+            tables.r.len(),
+        ]
+        .map(|rows| vec![0; rows]);
         Sim {
             cfg,
-            d,
-            n,
-            r,
-            m,
+            tables,
+            v,
             channels: Channels::new(cfg.quads, cfg.vc_capacity),
             quads: (0..cfg.quads).map(|_| QuadState::default()).collect(),
             nodes,
@@ -364,15 +433,29 @@ impl Sim {
             workload,
             rng,
             stats: SimStats::default(),
-            expected: HashMap::new(),
-            expected_io: HashMap::new(),
+            expected: FxHashMap::default(),
+            expected_io: FxHashMap::default(),
             version: 0,
             log: None,
-            latency: HashMap::new(),
-            coverage: HashMap::new(),
+            latency: [LatAgg::default(); CPU_OPS.len()],
+            coverage,
             chaos: None,
             abandoned: Vec::new(),
+            order: Vec::new(),
+            plan: Vec::new(),
+            stalls: Vec::new(),
         }
+    }
+
+    /// Position of `node` in the node list; panics for a node this
+    /// machine does not have.
+    fn node_idx(&self, node: NodeId) -> usize {
+        let (q, n) = (node.quad as usize, node.node as usize);
+        assert!(
+            q < self.cfg.quads && n < self.cfg.nodes_per_quad,
+            "node {node} is not in this machine"
+        );
+        q * self.cfg.nodes_per_quad + n
     }
 
     /// Arm chaos mode: all subsequent sends pass through the fault
@@ -451,7 +534,7 @@ impl Sim {
     /// The virtual channel carrying `msg` (mirrors
     /// `ccsql::vc::VcAssignment`).
     pub fn vc_for(&self, msg: &SimMsg) -> VcId {
-        let req = messages::is_request(msg.name.as_str());
+        let req = self.v.requests.contains(&msg.name);
         match (msg.src, msg.dest) {
             (Endpoint::Node(_), Endpoint::Dir(_)) if req => VcId::Vc(0),
             (Endpoint::Dir(_), Endpoint::Node(_)) if req => VcId::Vc(1),
@@ -459,8 +542,8 @@ impl Sim {
             (Endpoint::Mem(_), Endpoint::Dir(_)) => VcId::Vc(2),
             (Endpoint::Dir(_), Endpoint::Node(_)) => VcId::Vc(3),
             (Endpoint::Dir(_), Endpoint::Mem(_)) => {
-                let name = msg.name.as_str();
-                if self.cfg.dedicated_mem_path && (name == "mread" || name == "mwrite") {
+                let path = msg.name == self.v.mread || msg.name == self.v.mwrite;
+                if self.cfg.dedicated_mem_path && path {
                     VcId::Path
                 } else {
                     VcId::Vc(4)
@@ -470,42 +553,40 @@ impl Sim {
         }
     }
 
-    /// Check that the sends in `plan` fit, treating one slot of
-    /// `freeing` as available (the input buffer being popped).
-    fn can_send_all(&self, plan: &[SimMsg], freeing: Option<(u8, VcId)>) -> Option<(u8, VcId)> {
-        let mut need: HashMap<(u8, VcId), usize> = HashMap::new();
-        for m in plan {
-            let vc = self.vc_for(m);
-            *need.entry((m.dest.quad(), vc)).or_insert(0) += 1;
-        }
-        for (&(q, vc), &n) in &need {
+    /// The buffer `msg` is sent to.
+    fn buffer(&self, msg: &SimMsg) -> (u8, VcId) {
+        (msg.dest.quad(), self.vc_for(msg))
+    }
+
+    /// How many messages of `self.plan` from index `from` on go to `buf`.
+    fn plan_needs(&self, from: usize, buf: (u8, VcId)) -> usize {
+        self.plan[from..]
+            .iter()
+            .filter(|m| self.buffer(m) == buf)
+            .count()
+    }
+
+    /// The first buffer, in plan order, without room for the messages
+    /// `self.plan` sends to it, treating one slot of `freeing` as
+    /// available (the input buffer being popped). A buffer's first
+    /// message counts all of the plan's messages to it, and a later one
+    /// fewer, so a full buffer is met at its first message.
+    fn full_buffer(&self, freeing: Option<(u8, VcId)>) -> Option<(u8, VcId)> {
+        (0..self.plan.len()).find_map(|i| {
+            let (q, vc) = self.buffer(&self.plan[i]);
             let mut free = self.channels.free(q, vc);
             if freeing == Some((q, vc)) {
                 free = free.saturating_add(1);
             }
-            if free < n {
-                return Some((q, vc));
-            }
-        }
-        None
+            (free < self.plan_needs(i, (q, vc))).then_some((q, vc))
+        })
     }
 
-    fn send_all(&mut self, plan: Vec<SimMsg>) {
-        // Chaos mode: slots reserved by `can_send_all` for messages
-        // later in this plan must not be stolen by a duplicate, so
-        // track the remaining per-buffer reservation as we go.
-        let mut reserved: HashMap<(u8, VcId), usize> = HashMap::new();
-        if self.chaos.is_some() {
-            for m in &plan {
-                *reserved.entry((m.dest.quad(), self.vc_for(m))).or_insert(0) += 1;
-            }
-        }
-        for m in plan {
-            let vc = self.vc_for(&m);
-            let quad = m.dest.quad();
-            if let Some(r) = reserved.get_mut(&(quad, vc)) {
-                *r -= 1;
-            }
+    /// Send every message of `self.plan`, in order.
+    fn send_all(&mut self) {
+        for i in 0..self.plan.len() {
+            let m = self.plan[i];
+            let (quad, vc) = self.buffer(&m);
             let decision = match &mut self.chaos {
                 Some(f) => f.decide(vc, &m),
                 None => Decision::Deliver,
@@ -531,7 +612,9 @@ impl Sim {
                     });
                     self.channels.send(quad, vc, m);
                     self.stats.msgs += 1;
-                    let spare = reserved.get(&(quad, vc)).copied().unwrap_or(0);
+                    // Slots reserved by `full_buffer` for messages later
+                    // in this plan must not be stolen by the duplicate.
+                    let spare = self.plan_needs(i + 1, (quad, vc));
                     if self.channels.free(quad, vc) > spare {
                         self.trace_event("fault_dup", || {
                             vec![("msg", m.to_string().into()), ("vc", vc.to_string().into())]
@@ -572,7 +655,8 @@ impl Sim {
 
     /// Install a cache line at a node.
     pub fn set_cache(&mut self, node: NodeId, addr: Addr, st: &str, value: u64) {
-        let ns = self.nodes.get_mut(&node).expect("node");
+        let i = self.node_idx(node);
+        let ns = &mut self.nodes[i];
         if st == "I" {
             ns.cache.remove(&addr);
         } else {
@@ -620,7 +704,7 @@ impl Sim {
 
     /// Cache state of a node (for assertions in tests).
     pub fn cache_state(&self, node: NodeId, addr: Addr) -> (String, u64) {
-        let ns = &self.nodes[&node];
+        let ns = &self.nodes[self.node_idx(node)];
         ns.cache
             .get(&addr)
             .map(|&(st, v)| (st.to_string(), v))
@@ -644,7 +728,7 @@ impl Sim {
         let Some(m) = pend.msg else {
             return;
         };
-        if m.name.as_str() != "wb" {
+        if m.name != self.v.wb {
             return;
         }
         let Some(v) = m.payload else {
@@ -688,18 +772,18 @@ impl Sim {
         let Some(msg) = self.channels.head(q, vc).copied() else {
             return Ok(Progress::Idle);
         };
+        let v = self.v;
         let addr = msg.addr;
         let qs = &self.quads[q as usize];
+        let busy = qs.busy.get(&addr).copied();
         let dirst = qs.dirst(addr);
         let dirpv = qs.dirpv(addr);
-        let bdirst = qs.bdirst(addr);
-        let busy = qs.busy.get(&addr).copied();
         let key = [
             Value::Sym(msg.name),
             Value::Sym(dirst),
-            Value::sym(dirpv.encoding()),
-            Value::Sym(bdirst),
-            Value::sym(qs.bdirpv_encoding(addr)),
+            Value::Sym(v.count_encoding(dirpv.count())),
+            Value::Sym(qs.bdirst(addr)),
+            Value::Sym(qs.bdirpv_encoding(addr)),
         ];
         // Retry rows use the NULL don't-care busy presence vector.
         let null_key = {
@@ -707,7 +791,8 @@ impl Sim {
             k2[4] = Value::Null;
             k2
         };
-        if self.d.row(&key).is_none() && self.d.row(&null_key).is_none() {
+        let d = &self.tables.d;
+        let Some((row_idx, &row)) = d.lookup(&key).or_else(|| d.lookup(&null_key)) else {
             if self.chaos.is_some() {
                 return Ok(self.discard_stray(q, vc, &msg, "D"));
             }
@@ -715,11 +800,7 @@ impl Sim {
                 controller: "D",
                 key: format!("{key:?}"),
             });
-        }
-        let row = self
-            .d
-            .row(&key)
-            .unwrap_or_else(|| self.d.row(&null_key).expect("checked above"));
+        };
 
         // -------- plan outputs
         let sender = match msg.src {
@@ -727,20 +808,10 @@ impl Sim {
             _ => None,
         };
         let requester = busy.map(|b| b.requester).or(sender);
-        let locmsg = row.get_sym("locmsg");
-        let remmsg = row.get_sym("remmsg");
-        let memmsg = row.get_sym("memmsg");
-        let nxtdirst = row.get_sym("nxtdirst");
-        let nxtdirpv = row.get_sym("nxtdirpv");
-        let nxtbdirst = row.get_sym("nxtbdirst");
-        let nxtbdirpv = row.get_sym("nxtbdirpv");
-        let dirupd = row.get_sym("dirupd");
-        let bdirupd = row.get_sym("bdirupd");
-        let cmpl = row.get("cmpl") == Value::sym("yes");
 
         // A retry answers the message's sender; a duplicated or delayed
         // non-node message can hit a retry row with no sender to answer.
-        if locmsg.is_some_and(|l| l.as_str() == "retry") && sender.is_none() {
+        if row.loc_retry && sender.is_none() {
             if self.chaos.is_some() {
                 return Ok(self.discard_stray(q, vc, &msg, "D"));
             }
@@ -748,7 +819,7 @@ impl Sim {
                 msg: msg.to_string(),
             });
         }
-        if locmsg.is_some_and(|l| l.as_str() != "retry") && requester.is_none() {
+        if row.locmsg.is_some() && !row.loc_retry && requester.is_none() {
             if self.chaos.is_some() {
                 return Ok(self.discard_stray(q, vc, &msg, "D"));
             }
@@ -758,7 +829,7 @@ impl Sim {
         }
         // A row updating a busy entry can meet a missing entry when a
         // duplicated response arrives after the transaction completed.
-        if bdirupd.is_some_and(|b| b.as_str() == "write") && busy.is_none() {
+        if row.bdirupd == Upd::Write && busy.is_none() {
             if self.chaos.is_some() {
                 return Ok(self.discard_stray(q, vc, &msg, "D"));
             }
@@ -770,9 +841,7 @@ impl Sim {
         // responders, not a bare count: a response from a node that
         // already answered is a duplicate (or the echo of a duplicated
         // snoop) and must not decrement the outstanding count again.
-        if bdirupd.is_some_and(|b| b.as_str() == "write")
-            && nxtbdirpv.is_some_and(|p| p.as_str() == "dec")
-        {
+        if row.bdirupd == Upd::Write && row.nxtbdirpv == PvOp::Dec {
             if let (Some(b), Some(s)) = (busy, sender) {
                 if b.answered.contains(s) {
                     if self.chaos.is_some() {
@@ -785,58 +854,50 @@ impl Sim {
             }
         }
 
-        let mut plan: Vec<SimMsg> = Vec::new();
-        if let Some(l) = locmsg {
-            let target = if l.as_str() == "retry" {
+        self.plan.clear();
+        if let Some(l) = row.locmsg {
+            let target = if row.loc_retry {
                 sender.expect("checked above")
             } else {
                 requester.expect("checked above")
             };
-            let mut out = SimMsg::new(l.as_str(), addr, Endpoint::Dir(q), Endpoint::Node(target));
+            let mut out = message(l, addr, Endpoint::Dir(q), Endpoint::Node(target));
             // Data-bearing responses forward the incoming payload.
-            if matches!(l.as_str(), "data" | "edata" | "swapdata" | "iodata") {
+            if row.loc_payload {
                 out.payload = msg.payload;
             }
-            plan.push(out);
+            self.plan.push(out);
         }
-        let mut snoop_targets: Vec<NodeId> = Vec::new();
-        if let Some(r) = remmsg {
+        let mut snooped = 0;
+        if let Some(r) = row.remmsg {
             // Snoops go to the current sharers; an upgrading requester
             // keeps its copy and is not snooped.
-            let exclude_requester = msg.name.as_str() == "upgrade";
-            snoop_targets = dirpv
-                .nodes()
-                .into_iter()
-                .filter(|n| !(exclude_requester && Some(*n) == requester))
-                .collect();
-            for &t in &snoop_targets {
-                plan.push(SimMsg::new(
-                    r.as_str(),
-                    addr,
-                    Endpoint::Dir(q),
-                    Endpoint::Node(t),
-                ));
+            for t in dirpv.nodes() {
+                if !(row.upgrade && Some(t) == requester) {
+                    self.plan
+                        .push(message(r, addr, Endpoint::Dir(q), Endpoint::Node(t)));
+                    snooped += 1;
+                }
             }
         }
-        if let Some(mm) = memmsg {
-            let mut out = SimMsg::new(mm.as_str(), addr, Endpoint::Dir(q), Endpoint::Mem(q));
-            if matches!(mm.as_str(), "mwrite" | "wb" | "iowrite") {
+        if let Some(mm) = row.memmsg {
+            let mut out = message(mm, addr, Endpoint::Dir(q), Endpoint::Mem(q));
+            if row.mem_payload {
                 out.payload = msg.payload;
             }
-            plan.push(out);
+            self.plan.push(out);
         }
 
-        if let Some((bq, bvc)) = self.can_send_all(&plan, Some((q, vc))) {
-            return Ok(Progress::Blocked(
-                format!("D{q} processing {msg} needs a slot on quad {bq} {bvc}"),
-                vec![(bq, bvc)],
-            ));
+        if let Some(slot) = self.full_buffer(Some((q, vc))) {
+            return Ok(Progress::Blocked(Stall {
+                who: Waiter::Dir(q, msg),
+                slot,
+            }));
         }
 
         // -------- commit
-        let row_idx = row.idx;
         self.channels.pop(q, vc);
-        *self.coverage.entry(("D", row_idx)).or_default() += 1;
+        self.coverage[COV_D][row_idx] += 1;
         self.trace_event("dir", || {
             vec![
                 ("quad", (q as u64).into()),
@@ -847,17 +908,17 @@ impl Sim {
         let qs = &mut self.quads[q as usize];
 
         // Busy-directory update.
-        match bdirupd.map(|s| s.as_str()) {
-            Some("alloc") => {
-                let st = nxtbdirst.expect("alloc names a busy state");
+        match row.bdirupd {
+            Upd::Alloc => {
+                let st = row.nxtbdirst.expect("alloc names a busy state");
                 // The busy presence vector counts outstanding snoop
                 // responses when snoops were sent; for non-snooping
                 // transactions `repl` copies the sharer count so the
                 // completion row can distinguish shared from unshared
                 // lines (read@SI vs read@I).
-                let pending = if !snoop_targets.is_empty() {
-                    snoop_targets.len() as u32
-                } else if nxtbdirpv.map(|s| s.as_str()) == Some("repl") {
+                let pending = if snooped > 0 {
+                    snooped
+                } else if row.nxtbdirpv == PvOp::Repl {
                     dirpv.count()
                 } else {
                     0
@@ -874,51 +935,51 @@ impl Sim {
                     },
                 );
             }
-            Some("write") => {
+            Upd::Write => {
                 let e = qs.busy.get_mut(&addr).expect("busy entry");
-                if let Some(st) = nxtbdirst {
+                if let Some(st) = row.nxtbdirst {
                     e.st = st;
                 }
-                if nxtbdirpv.map(|s| s.as_str()) == Some("dec") {
+                if row.nxtbdirpv == PvOp::Dec {
                     e.pending = e.pending.saturating_sub(1);
                     if let Some(s) = sender {
                         e.answered.set(s);
                     }
                 }
             }
-            Some("dealloc") => {
+            Upd::Dealloc => {
                 qs.busy.remove(&addr);
             }
-            _ => {}
+            Upd::Keep => {}
         }
 
         // Directory update. Presence-vector operations use the sharer
         // set saved at transaction start (or the live one when no
         // transaction is involved) with the requester as operand.
-        match dirupd.map(|s| s.as_str()) {
-            Some("dealloc") => {
+        match row.dirupd {
+            Upd::Dealloc => {
                 qs.dir.remove(&addr);
             }
-            Some(op @ ("alloc" | "write")) => {
+            Upd::Alloc | Upd::Write => {
                 let base = busy.map(|b| b.saved_pv).unwrap_or(dirpv);
                 let operand = requester.expect("directory update needs a requester");
-                let pv = match nxtdirpv.map(|s| s.as_str()) {
-                    Some("inc") => {
+                let pv = match row.nxtdirpv {
+                    PvOp::Inc => {
                         let mut p = base;
                         p.set(operand);
                         p
                     }
-                    Some("repl") => {
+                    PvOp::Repl => {
                         let mut p = PresenceVector::new();
                         p.set(operand);
                         p
                     }
-                    Some("dec") => {
+                    PvOp::Dec => {
                         let mut p = base;
                         p.clear(operand);
                         p
                     }
-                    Some("drepl") => {
+                    PvOp::Drepl => {
                         let mut p = base;
                         p.clear(operand);
                         if p.count() == 0 {
@@ -929,19 +990,18 @@ impl Sim {
                             p
                         }
                     }
-                    _ => base,
+                    PvOp::Keep => base,
                 };
-                let st = nxtdirst.unwrap_or(dirst);
-                let _ = op;
+                let st = row.nxtdirst.unwrap_or(dirst);
                 qs.dir.insert(addr, DirEntry { st, pv });
             }
-            _ => {}
+            Upd::Keep => {}
         }
 
-        if cmpl {
+        if row.cmpl {
             self.stats.completed += 1;
         }
-        self.send_all(plan);
+        self.send_all();
         Ok(Progress::Worked)
     }
 
@@ -954,7 +1014,7 @@ impl Sim {
                 continue;
             };
             let key = [Value::Sym(msg.name)];
-            let Some(row) = self.m.row(&key) else {
+            let Some((row_idx, &row)) = self.tables.m.lookup(&key) else {
                 if self.chaos.is_some() {
                     return Ok(CtrlStep(self.discard_stray(q, vc, &msg, "M")));
                 }
@@ -963,33 +1023,25 @@ impl Sim {
                     key: format!("{key:?}"),
                 });
             };
-            let row_idx = row.idx;
-            let out = row.get_sym("outmsg");
-            let mut plan = Vec::new();
-            if let Some(o) = out {
-                let mut reply =
-                    SimMsg::new(o.as_str(), msg.addr, Endpoint::Mem(q), Endpoint::Dir(q));
-                match o.as_str() {
-                    "data" => {
-                        reply.payload =
-                            Some(*self.quads[q as usize].mem.get(&msg.addr).unwrap_or(&0));
-                    }
-                    "iodata" => {
-                        reply.payload =
-                            Some(*self.quads[q as usize].io.get(&msg.addr).unwrap_or(&0));
-                    }
-                    _ => {}
-                }
-                plan.push(reply);
+            self.plan.clear();
+            if let Some(o) = row.outmsg {
+                let mut reply = message(o, msg.addr, Endpoint::Mem(q), Endpoint::Dir(q));
+                let qs = &self.quads[q as usize];
+                reply.payload = match row.reads {
+                    Store::Mem => Some(*qs.mem.get(&msg.addr).unwrap_or(&0)),
+                    Store::Io => Some(*qs.io.get(&msg.addr).unwrap_or(&0)),
+                    Store::Neither => None,
+                };
+                self.plan.push(reply);
             }
-            if let Some((bq, bvc)) = self.can_send_all(&plan, Some((q, vc))) {
-                return Ok(CtrlStep(Progress::Blocked(
-                    format!("M{q} processing {msg} needs a slot on quad {bq} {bvc}"),
-                    vec![(bq, bvc)],
-                )));
+            if let Some(slot) = self.full_buffer(Some((q, vc))) {
+                return Ok(CtrlStep(Progress::Blocked(Stall {
+                    who: Waiter::Mem(q, msg),
+                    slot,
+                })));
             }
             self.channels.pop(q, vc);
-            *self.coverage.entry(("M", row_idx)).or_default() += 1;
+            self.coverage[COV_M][row_idx] += 1;
             self.trace_event("mem", || {
                 vec![
                     ("quad", (q as u64).into()),
@@ -997,20 +1049,19 @@ impl Sim {
                     ("msg", msg.to_string().into()),
                 ]
             });
-            match msg.name.as_str() {
-                "wb" | "mwrite" => {
-                    if let Some(v) = msg.payload {
-                        self.quads[q as usize].mem.insert(msg.addr, v);
+            if let Some(v) = msg.payload {
+                let qs = &mut self.quads[q as usize];
+                match row.writes {
+                    Store::Mem => {
+                        qs.mem.insert(msg.addr, v);
                     }
-                }
-                "iowrite" => {
-                    if let Some(v) = msg.payload {
-                        self.quads[q as usize].io.insert(msg.addr, v);
+                    Store::Io => {
+                        qs.io.insert(msg.addr, v);
                     }
+                    Store::Neither => {}
                 }
-                _ => {}
             }
-            self.send_all(plan);
+            self.send_all();
             return Ok(CtrlStep(Progress::Worked));
         }
         Ok(CtrlStep(Progress::Idle))
@@ -1028,11 +1079,13 @@ impl Sim {
         let Endpoint::Node(node) = msg.dest else {
             panic!("VC3 carries node responses");
         };
+        let v = self.v;
+        let ni = self.node_idx(node);
         let addr = msg.addr;
         // A duplicated or delayed response can arrive after its
         // transaction completed (no pend) or after an abandoned op was
         // replaced by one for another address.
-        let pend = match self.nodes[&node].pend {
+        let pend = match self.nodes[ni].pend {
             Some(p) if p.addr == addr => p,
             other => {
                 let why = if other.is_none() {
@@ -1048,13 +1101,13 @@ impl Sim {
                 });
             }
         };
-        let ns = self.nodes.get_mut(&node).expect("node");
         let key = [
             Value::Sym(msg.name),
-            Value::Sym(ns.cachest(addr)), // I/O addresses are never cached → "I"
-            Value::Sym(ns.pendst()),
+            // I/O addresses are never cached → "I"
+            Value::Sym(self.nodes[ni].cachest(addr)),
+            Value::Sym(pend.st),
         ];
-        let Some(row) = self.n.row(&key) else {
+        let Some((row_idx, &row)) = self.tables.n.lookup(&key) else {
             if self.chaos.is_some() {
                 return Ok(CtrlStep(self.discard_stray(q, VcId::Vc(3), &msg, "N")));
             }
@@ -1063,76 +1116,66 @@ impl Sim {
                 key: format!("{key:?}"),
             });
         };
-        debug_assert!(row.get_sym("outmsg").is_none(), "responses emit nothing");
-        let nxtcachest = row.get_sym("nxtcachest");
-        let nxtpendst = row.get_sym("nxtpendst");
-        let cpures = row.get_sym("cpures").expect("cpures is total");
-        let row_idx = row.idx;
+        debug_assert!(row.outmsg.is_none(), "responses emit nothing");
+        let cpures = row.cpures.expect("cpures is total");
 
         self.channels.pop(q, VcId::Vc(3));
-        *self.coverage.entry(("N", row_idx)).or_default() += 1;
-        let ns = self.nodes.get_mut(&node).expect("node");
+        self.coverage[COV_N][row_idx] += 1;
+        let ns = &mut self.nodes[ni];
 
         // Cache update: the new value is the response payload for reads,
         // the pending written value for writes.
-        if let Some(st) = nxtcachest {
-            if st.as_str() == "I" {
+        if let Some(st) = row.nxtcachest {
+            if st == v.i {
                 ns.cache.remove(&addr);
             } else {
-                let value = match pend.st.as_str() {
-                    "p_write" => pend.value,
-                    _ => msg.payload.unwrap_or(0),
+                let value = if pend.st == v.p_write {
+                    pend.value
+                } else {
+                    msg.payload.unwrap_or(0)
                 };
                 ns.cache.insert(addr, (st, value));
             }
         }
-        match nxtpendst.map(|s| s.as_str()) {
-            Some("none") => ns.pend = None,
-            Some(_) => {}
-            None => {}
+        if row.nxtpendst == Some(v.none) {
+            ns.pend = None;
         }
 
         // Checker + bookkeeping.
         let mut err = None;
-        match cpures.as_str() {
-            "done" => {
-                self.nodes.get_mut(&node).expect("node").redo_streak = 0;
+        match cpures {
+            CpuRes::Done => {
+                ns.redo_streak = 0;
                 let lat = self.stats.steps.saturating_sub(pend.issued_at);
-                let agg = self.latency.entry(pend.op.inmsg()).or_default();
+                let agg = &mut self.latency[op_slot(pend.op)];
                 agg.count += 1;
                 agg.total += lat;
                 agg.max = agg.max.max(lat);
-                match (pend.st.as_str(), msg.name.as_str()) {
-                    ("p_read", "data" | "edata") => {
-                        self.stats.read_checks += 1;
-                        let want = *self.expected.get(&addr).unwrap_or(&0);
-                        let got = msg.payload.unwrap_or(0);
-                        if want != got {
-                            err = Some(format!(
-                                "{node} read 0x{addr:x}: got {got}, serialisation order says {want}"
-                            ));
-                        }
+                if pend.st == v.p_read && row.rsp == RspKind::Data {
+                    self.stats.read_checks += 1;
+                    let want = *self.expected.get(&addr).unwrap_or(&0);
+                    let got = msg.payload.unwrap_or(0);
+                    if want != got {
+                        err = Some(format!(
+                            "{node} read 0x{addr:x}: got {got}, serialisation order says {want}"
+                        ));
                     }
-                    ("p_write", _) => {
-                        self.expected.insert(addr, pend.value);
+                } else if pend.st == v.p_write {
+                    self.expected.insert(addr, pend.value);
+                } else if pend.st == v.p_io && row.rsp == RspKind::IoData {
+                    self.stats.read_checks += 1;
+                    let want = *self.expected_io.get(&addr).unwrap_or(&0);
+                    let got = msg.payload.unwrap_or(0);
+                    if want != got {
+                        err = Some(format!(
+                            "{node} ioread 0x{addr:x}: got {got}, expected {want}"
+                        ));
                     }
-                    ("p_io", "iodata") => {
-                        self.stats.read_checks += 1;
-                        let want = *self.expected_io.get(&addr).unwrap_or(&0);
-                        let got = msg.payload.unwrap_or(0);
-                        if want != got {
-                            err = Some(format!(
-                                "{node} ioread 0x{addr:x}: got {got}, expected {want}"
-                            ));
-                        }
-                    }
-                    ("p_io", "iocompl") => {
-                        self.expected_io.insert(addr, pend.value);
-                    }
-                    _ => {}
+                } else if pend.st == v.p_io && row.rsp == RspKind::IoCompl {
+                    self.expected_io.insert(addr, pend.value);
                 }
             }
-            "redo" => {
+            CpuRes::Redo => {
                 // Retried: re-issue the processor op from the front.
                 self.stats.retries += 1;
                 let max_streak = self.chaos.as_ref().map(|f| f.plan.max_retries as u64);
@@ -1141,19 +1184,18 @@ impl Sim {
                 // fresh issue would send an empty writeback. Drain the
                 // buffered data instead; the evict is then
                 // architecturally complete.
-                let wb_payload = self
-                    .chaos_lossy()
-                    .then_some(pend.msg)
-                    .flatten()
-                    .is_some_and(|m| m.name.as_str() == "wb" && m.payload.is_some());
+                let wb_payload = self.chaos_lossy()
+                    && pend
+                        .msg
+                        .is_some_and(|m| m.name == v.wb && m.payload.is_some());
                 if wb_payload {
                     self.failsafe_writeback(&pend);
-                    let ns = self.nodes.get_mut(&node).expect("node");
+                    let ns = &mut self.nodes[ni];
                     ns.retries += 1;
                     ns.redo_streak = 0;
                     return Ok(CtrlStep(Progress::Worked));
                 }
-                let ns = self.nodes.get_mut(&node).expect("node");
+                let ns = &mut self.nodes[ni];
                 ns.retries += 1;
                 ns.redo_streak += 1;
                 let streak = ns.redo_streak;
@@ -1175,15 +1217,10 @@ impl Sim {
                         ]
                     });
                 } else {
-                    let idx = self
-                        .node_list
-                        .iter()
-                        .position(|&x| x == node)
-                        .expect("node index");
-                    self.workload.queues[idx].push_front(pend.op);
+                    self.workload.queues[ni].push_front(pend.op);
                 }
             }
-            _ => {}
+            CpuRes::Other => {}
         }
         self.trace_event("node_rsp", || {
             vec![
@@ -1216,8 +1253,9 @@ impl Sim {
         let Endpoint::Node(node) = msg.dest else {
             panic!("VC1 carries snoops to nodes");
         };
-        if self.snoop_collides(node, &msg) {
-            if self.nodes[&node].held_snoop.is_some() {
+        let ni = self.node_idx(node);
+        if self.snoop_collides(ni, &msg) {
+            if self.nodes[ni].held_snoop.is_some() {
                 // A duplicated snoop would be the second held one; the
                 // directory serialises per address, so outside chaos
                 // mode this cannot happen.
@@ -1227,8 +1265,7 @@ impl Sim {
                 panic!("second held snoop at {node} — the directory must serialise per address");
             }
             self.channels.pop(q, VcId::Vc(1));
-            let ns = self.nodes.get_mut(&node).expect("node");
-            ns.held_snoop = Some(msg);
+            self.nodes[ni].held_snoop = Some(msg);
             self.trace_event("rac_hold", || {
                 vec![
                     ("node", node.to_string().into()),
@@ -1243,23 +1280,23 @@ impl Sim {
     /// Replay the held snoop of node-list entry `idx`, if its pending
     /// collision has cleared.
     pub fn try_held_snoop(&mut self, idx: usize) -> Result<CtrlStep, SimError> {
-        let node = self.node_list[idx];
-        let Some(msg) = self.nodes[&node].held_snoop else {
+        let Some(msg) = self.nodes[idx].held_snoop else {
             return Ok(CtrlStep(Progress::Idle));
         };
-        if self.snoop_collides(node, &msg) {
+        if self.snoop_collides(idx, &msg) {
             return Ok(CtrlStep(Progress::Idle));
         }
         let p = self.rac_answer(msg, None)?;
         if p.worked() {
-            self.nodes.get_mut(&node).expect("node").held_snoop = None;
+            self.nodes[idx].held_snoop = None;
         }
         Ok(p)
     }
 
-    fn snoop_collides(&self, node: NodeId, msg: &SimMsg) -> bool {
-        match self.nodes[&node].pend {
-            Some(p) => p.addr == msg.addr && p.st.as_str() != "p_flush",
+    /// Does `msg` hit the pending transaction of node-list entry `idx`?
+    fn snoop_collides(&self, idx: usize, msg: &SimMsg) -> bool {
+        match self.nodes[idx].pend {
+            Some(p) => p.addr == msg.addr && p.st != self.v.p_flush,
             None => false,
         }
     }
@@ -1275,51 +1312,44 @@ impl Sim {
         let Endpoint::Node(node) = msg.dest else {
             panic!("snoops target nodes");
         };
+        let v = self.v;
+        let ni = self.node_idx(node);
         let addr = msg.addr;
-        let linest = self.nodes[&node].cachest(addr);
-        let key = [Value::Sym(msg.name), Value::Sym(linest)];
-        let row = match self.r.row(&key) {
-            Some(r) => r,
-            None => {
-                if let Some((q, vc)) = pop_from {
-                    if self.chaos.is_some() {
-                        return Ok(CtrlStep(self.discard_stray(q, vc, &msg, "R")));
-                    }
+        let ns = &self.nodes[ni];
+        let cache_value = ns.cache.get(&addr).map(|&(_, val)| val);
+        let key = [Value::Sym(msg.name), Value::Sym(ns.cachest(addr))];
+        let Some((row_idx, &row)) = self.tables.r.lookup(&key) else {
+            if let Some((q, vc)) = pop_from {
+                if self.chaos.is_some() {
+                    return Ok(CtrlStep(self.discard_stray(q, vc, &msg, "R")));
                 }
-                return Err(SimError::NoRow {
-                    controller: "R",
-                    key: format!("{key:?}"),
-                });
             }
+            return Err(SimError::NoRow {
+                controller: "R",
+                key: format!("{key:?}"),
+            });
         };
-        let row_idx = row.idx;
-        let rsp = row.get_sym("rspmsg").expect("snoops are answered");
-        let nxt = row.get_sym("nxtlinest");
+        let rsp = row.rspmsg.expect("snoops are answered");
         let home = match msg.src {
             Endpoint::Dir(h) => h,
             _ => panic!("snoops come from a directory"),
         };
-        let cache_value = self.nodes[&node].cache.get(&addr).map(|&(_, v)| v);
-        let mut reply = SimMsg::new(
-            rsp.as_str(),
-            addr,
-            Endpoint::Node(node),
-            Endpoint::Dir(home),
-        );
-        if matches!(rsp.as_str(), "sdata" | "fdone" | "xferdone") {
+        let mut reply = message(rsp, addr, Endpoint::Node(node), Endpoint::Dir(home));
+        if row.rsp_payload {
             reply.payload = cache_value;
         }
-        let plan = vec![reply];
-        if let Some((bq, bvc)) = self.can_send_all(&plan, pop_from) {
-            return Ok(CtrlStep(Progress::Blocked(
-                format!("RAC {node} processing {msg} needs a slot on quad {bq} {bvc}"),
-                vec![(bq, bvc)],
-            )));
+        self.plan.clear();
+        self.plan.push(reply);
+        if let Some(slot) = self.full_buffer(pop_from) {
+            return Ok(CtrlStep(Progress::Blocked(Stall {
+                who: Waiter::Rac(node, msg),
+                slot,
+            })));
         }
         if let Some((q, vc)) = pop_from {
             self.channels.pop(q, vc);
         }
-        *self.coverage.entry(("R", row_idx)).or_default() += 1;
+        self.coverage[COV_R][row_idx] += 1;
         // The owner's modified data is written back over the dedicated
         // writeback datapath before the invalidation completes (the
         // Figure-4 narrative: "the remote node writes back its modified
@@ -1328,15 +1358,15 @@ impl Sim {
         // data-bearing snoop response can be dropped in flight, and the
         // datapath write is what keeps a fault from turning into data
         // loss after the owner has already downgraded.
-        if linest.as_str() == "M" && (msg.name.as_str() == "sinv" || self.chaos_lossy()) {
-            if let Some(v) = cache_value {
+        if row.modified && (row.sinv || self.chaos_lossy()) {
+            if let Some(val) = cache_value {
                 let h = self.home_quad(addr) as usize;
-                self.quads[h].mem.insert(addr, v);
+                self.quads[h].mem.insert(addr, val);
             }
         }
-        let ns = self.nodes.get_mut(&node).expect("node");
-        if let Some(st) = nxt {
-            if st.as_str() == "I" {
+        let ns = &mut self.nodes[ni];
+        if let Some(st) = row.nxtlinest {
+            if st == v.i {
                 ns.cache.remove(&addr);
             } else if let Some(e) = ns.cache.get_mut(&addr) {
                 e.0 = st;
@@ -1349,7 +1379,7 @@ impl Sim {
                 ("msg", msg.to_string().into()),
             ]
         });
-        self.send_all(plan);
+        self.send_all();
         Ok(CtrlStep(Progress::Worked))
     }
 
@@ -1358,7 +1388,8 @@ impl Sim {
     /// Let node `idx` (in node-list order) issue its next processor op.
     pub fn try_issue(&mut self, idx: usize) -> Result<CtrlStep, SimError> {
         let node = self.node_list[idx];
-        if self.nodes[&node].pend.is_some() {
+        let v = self.v;
+        if self.nodes[idx].pend.is_some() {
             return Ok(CtrlStep(Progress::Idle));
         }
         let Some(&op) = self.workload.queues[idx].front() else {
@@ -1369,75 +1400,75 @@ impl Sim {
         } else {
             op.addr()
         };
-        let cachest = self.nodes[&node].cachest(addr);
+        let ns = &self.nodes[idx];
+        let cached = ns.cache.get(&addr).copied();
+        let cachest = ns.cachest(addr);
         let key = [
-            Value::sym(op.inmsg()),
+            Value::Sym(v.cpu[op_slot(op)]),
             Value::Sym(cachest),
-            Value::sym("none"),
+            Value::Sym(ns.pendst()),
         ];
-        let row = self.n.row(&key).ok_or_else(|| SimError::NoRow {
-            controller: "N",
-            key: format!("{key:?}"),
-        })?;
-        let issue_row_idx = row.idx;
-        let outmsg = row.get_sym("outmsg");
-        let nxtcachest = row.get_sym("nxtcachest");
-        let nxtpendst = row.get_sym("nxtpendst");
+        let Some((issue_row_idx, &row)) = self.tables.n.lookup(&key) else {
+            return Err(SimError::NoRow {
+                controller: "N",
+                key: format!("{key:?}"),
+            });
+        };
 
         let home = self.home_quad(addr);
-        let mut plan = Vec::new();
+        self.plan.clear();
         let mut value = 0;
-        if let Some(o) = outmsg {
-            let mut m = SimMsg::new(o.as_str(), addr, Endpoint::Node(node), Endpoint::Dir(home));
-            match o.as_str() {
-                "wb" => {
-                    m.payload = self.nodes[&node].cache.get(&addr).map(|&(_, v)| v);
+        if let Some(o) = row.outmsg {
+            let mut m = message(o, addr, Endpoint::Node(node), Endpoint::Dir(home));
+            match row.issue {
+                IssueKind::Writeback => {
+                    m.payload = cached.map(|(_, val)| val);
                 }
-                "iowrite" => {
+                IssueKind::IoWrite => {
                     self.version += 1;
                     value = self.version;
                     m.payload = Some(value);
                 }
-                "readex" | "upgrade" => {
+                IssueKind::Versioned => {
                     self.version += 1;
                     value = self.version;
                 }
-                _ => {}
+                IssueKind::Plain => {}
             }
-            plan.push(m);
-            if let Some((bq, bvc)) = self.can_send_all(&plan, None) {
-                return Ok(CtrlStep(Progress::Blocked(
-                    format!("{node} issuing {op:?} needs a slot on quad {bq} {bvc}"),
-                    vec![(bq, bvc)],
-                )));
+            self.plan.push(m);
+            if let Some(slot) = self.full_buffer(None) {
+                return Ok(CtrlStep(Progress::Blocked(Stall {
+                    who: Waiter::Issue(node, op),
+                    slot,
+                })));
             }
         }
 
         // Commit the issue.
         self.workload.queues[idx].pop_front();
-        *self.coverage.entry(("N", issue_row_idx)).or_default() += 1;
+        self.coverage[COV_N][issue_row_idx] += 1;
         // A flushed modified line is written back over the dedicated
         // datapath before the system-wide flush proceeds.
-        if matches!(op, CpuOp::Flush(_)) && cachest.as_str() == "M" {
-            if let Some(&(_, v)) = self.nodes[&node].cache.get(&addr) {
+        if matches!(op, CpuOp::Flush(_)) && cachest == v.m {
+            if let Some((_, val)) = cached {
                 let h = self.home_quad(addr) as usize;
-                self.quads[h].mem.insert(addr, v);
+                self.quads[h].mem.insert(addr, val);
             }
         }
-        let ns = self.nodes.get_mut(&node).expect("node");
-        if let Some(st) = nxtcachest {
-            if st.as_str() == "I" {
+        let ns = &mut self.nodes[idx];
+        if let Some(st) = row.nxtcachest {
+            if st == v.i {
                 ns.cache.remove(&addr);
             } else {
                 // Write hit on an exclusive line: new value, new version.
                 self.version += 1;
-                let v = self.version;
-                ns.cache.insert(addr, (st, v));
-                self.expected.insert(addr, v);
+                let val = self.version;
+                ns.cache.insert(addr, (st, val));
+                self.expected.insert(addr, val);
             }
         }
-        if outmsg.is_some() {
-            let pendst = nxtpendst.expect("a sent request has a pending state");
+        if row.outmsg.is_some() {
+            let pendst = row.nxtpendst.expect("a sent request has a pending state");
             let issued_at = self.stats.steps;
             // I/O ops are outside the fault boundary (the injector
             // never faults I/O messages), so they get no timeout: a
@@ -1447,9 +1478,8 @@ impl Sim {
                 Some(f) if !op.is_io() => issued_at + f.plan.timeout_steps,
                 _ => u64::MAX,
             };
-            let sent = plan.first().copied();
-            let ns = self.nodes.get_mut(&node).expect("node");
-            ns.pend = Some(PendTxn {
+            let sent = self.plan.first().copied();
+            self.nodes[idx].pend = Some(PendTxn {
                 st: pendst,
                 addr,
                 op,
@@ -1466,7 +1496,7 @@ impl Sim {
                     ("op", format!("{op:?}").into()),
                 ]
             });
-            self.send_all(plan);
+            self.send_all();
         } else {
             self.stats.hits += 1;
         }
@@ -1475,19 +1505,17 @@ impl Sim {
 
     // ------------------------------------------------------------- loop
 
-    fn controllers(&self) -> Vec<Ctrl> {
-        let mut out = Vec::new();
+    /// Fill `self.order` with every controller in the fixed round-robin
+    /// order.
+    fn fill_order(&mut self) {
+        self.order.clear();
         for q in 0..self.cfg.quads as u8 {
-            out.push(Ctrl::Dir(q));
-            out.push(Ctrl::Mem(q));
-            out.push(Ctrl::NodeRsp(q));
-            out.push(Ctrl::Rac(q));
+            self.order
+                .extend([Ctrl::Dir(q), Ctrl::Mem(q), Ctrl::NodeRsp(q), Ctrl::Rac(q)]);
         }
         for i in 0..self.node_list.len() {
-            out.push(Ctrl::Held(i));
-            out.push(Ctrl::Issue(i));
+            self.order.extend([Ctrl::Held(i), Ctrl::Issue(i)]);
         }
-        out
     }
 
     /// Chaos-mode housekeeping at the start of a step: deliver limbo
@@ -1527,7 +1555,7 @@ impl Sim {
         };
         for i in 0..self.node_list.len() {
             let node = self.node_list[i];
-            let Some(p) = self.nodes[&node].pend else {
+            let Some(p) = self.nodes[i].pend else {
                 continue;
             };
             if p.deadline > now {
@@ -1535,7 +1563,7 @@ impl Sim {
             }
             if p.attempts >= max_retries {
                 self.failsafe_writeback(&p);
-                self.nodes.get_mut(&node).expect("node").pend = None;
+                self.nodes[i].pend = None;
                 self.stats.abandoned += 1;
                 self.abandoned.push(format!(
                     "{node}: {:?} on 0x{:x} abandoned after {} retransmissions",
@@ -1557,12 +1585,12 @@ impl Sim {
             if self.channels.free(quad, vc) == 0 {
                 // Cannot retransmit into a full buffer; retry shortly
                 // without consuming an attempt.
-                if let Some(pd) = &mut self.nodes.get_mut(&node).expect("node").pend {
+                if let Some(pd) = &mut self.nodes[i].pend {
                     pd.deadline = now + 4;
                 }
                 continue;
             }
-            if let Some(pd) = &mut self.nodes.get_mut(&node).expect("node").pend {
+            if let Some(pd) = &mut self.nodes[i].pend {
                 pd.attempts += 1;
                 pd.deadline = now + (timeout_steps << pd.attempts.min(6));
             }
@@ -1582,15 +1610,22 @@ impl Sim {
     /// One engine step: every controller gets one attempt. Returns the
     /// number that made progress plus the blocked descriptions.
     pub fn step(&mut self) -> Result<(usize, Vec<BlockedReason>), SimError> {
+        let worked = self.step_quietly()?;
+        Ok((worked, self.stalls.iter().map(Stall::reason).collect()))
+    }
+
+    /// [`Sim::step`], leaving this step's blocked attempts unrendered in
+    /// `self.stalls`.
+    fn step_quietly(&mut self) -> Result<usize, SimError> {
         self.chaos_tick();
-        let mut order = self.controllers();
+        self.fill_order();
         if let Some(rng) = &mut self.rng {
-            rng.shuffle(&mut order);
+            rng.shuffle(&mut self.order);
         }
+        self.stalls.clear();
         let mut worked = 0;
-        let mut blocked = Vec::new();
-        for c in order {
-            let p = match c {
+        for i in 0..self.order.len() {
+            let p = match self.order[i] {
                 Ctrl::Dir(q) => self.try_dir(q)?,
                 Ctrl::Mem(q) => self.try_mem(q)?,
                 Ctrl::NodeRsp(q) => self.try_node_rsp(q)?,
@@ -1601,11 +1636,11 @@ impl Sim {
             match p.0 {
                 Progress::Worked => worked += 1,
                 Progress::Idle => {}
-                Progress::Blocked(why, needs) => blocked.push((why, needs)),
+                Progress::Blocked(stall) => self.stalls.push(stall),
             }
         }
         self.stats.steps += 1;
-        Ok((worked, blocked))
+        Ok(worked)
     }
 
     /// Is all work drained?
@@ -1613,7 +1648,7 @@ impl Sim {
         self.channels.in_flight() == 0
             && self
                 .nodes
-                .values()
+                .iter()
                 .all(|n| n.pend.is_none() && n.held_snoop.is_none())
             && self.workload.remaining() == 0
             && self.chaos.as_ref().map(|f| f.limbo_len()).unwrap_or(0) == 0
@@ -1628,7 +1663,7 @@ impl Sim {
                 f.limbo_len() > 0
                     || self
                         .nodes
-                        .values()
+                        .iter()
                         .any(|n| n.pend.is_some_and(|p| p.deadline != u64::MAX))
             }
             None => false,
@@ -1696,7 +1731,7 @@ impl Sim {
             if self.stats.steps as usize >= self.cfg.max_steps {
                 return Ok(Outcome::StepLimit);
             }
-            let (worked, blocked) = self.step()?;
+            let worked = self.step_quietly()?;
             if worked == 0 {
                 if self.quiescent() {
                     if !self.abandoned.is_empty() || self.chaos_stuck() {
@@ -1712,17 +1747,15 @@ impl Sim {
                     continue;
                 }
                 // No progress but work remains: deadlock.
-                let mut channels: Vec<String> = blocked
-                    .iter()
-                    .flat_map(|(_, needs)| needs.iter().map(|(_, vc)| vc.to_string()))
-                    .collect();
+                let mut channels: Vec<String> =
+                    self.stalls.iter().map(|s| s.slot.1.to_string()).collect();
                 for (_, vc, _) in self.channels.snapshot() {
                     channels.push(vc.to_string());
                 }
                 channels.sort();
                 channels.dedup();
                 let info = DeadlockInfo {
-                    blocked: blocked.into_iter().map(|(w, _)| w).collect(),
+                    blocked: self.stalls.iter().map(|s| s.reason().0).collect(),
                     channels,
                     queues: self.channels.snapshot(),
                 };
@@ -1741,16 +1774,20 @@ impl Sim {
 
     /// Final coherence audit at quiescence: at most one exclusive owner
     /// per line; every valid cache copy and home memory agree with the
-    /// serialisation order for lines with no dirty owner.
+    /// serialisation order for lines with no dirty owner. Lines are
+    /// checked in ascending address order and each line's holders are
+    /// listed in node-list order, so a failing audit names the same
+    /// violation on every run.
     pub fn audit(&self) -> Result<(), SimError> {
-        let mut owners: HashMap<Addr, Vec<NodeId>> = HashMap::new();
-        let mut sharers: HashMap<Addr, Vec<(NodeId, u64)>> = HashMap::new();
-        for (&node, ns) in &self.nodes {
-            for (&addr, &(st, v)) in &ns.cache {
-                match st.as_str() {
-                    "M" | "E" => owners.entry(addr).or_default().push(node),
-                    "S" => sharers.entry(addr).or_default().push((node, v)),
-                    _ => {}
+        let v = self.v;
+        let mut owners: BTreeMap<Addr, Vec<NodeId>> = BTreeMap::new();
+        let mut sharers: BTreeMap<Addr, Vec<(NodeId, u64)>> = BTreeMap::new();
+        for (&node, ns) in self.node_list.iter().zip(&self.nodes) {
+            for (&addr, &(st, val)) in &ns.cache {
+                if st == v.m || st == v.e {
+                    owners.entry(addr).or_default().push(node);
+                } else if st == v.s {
+                    sharers.entry(addr).or_default().push((node, val));
                 }
             }
         }
@@ -1768,22 +1805,28 @@ impl Sim {
                 }
             }
         }
-        for (&addr, want) in &self.expected {
+        let mut expected: Vec<(Addr, u64)> = self.expected.iter().map(|(&a, &w)| (a, w)).collect();
+        expected.sort_unstable();
+        for (addr, want) in expected {
             // The authoritative copy: the dirty owner's cache, else memory.
             let dirty = owners.get(&addr).and_then(|os| {
-                os.first()
-                    .and_then(|n| self.nodes[n].cache.get(&addr).map(|&(_, v)| v))
+                os.first().and_then(|&n| {
+                    self.nodes[self.node_idx(n)]
+                        .cache
+                        .get(&addr)
+                        .map(|&(_, val)| val)
+                })
             });
             let have = dirty.unwrap_or_else(|| self.mem_value(addr));
-            if have != *want {
+            if have != want {
                 return Err(SimError::Coherence(format!(
                     "0x{addr:x}: authoritative value {have}, serialisation order says {want}"
                 )));
             }
-            for (node, v) in sharers.get(&addr).into_iter().flatten() {
-                if *v != *want {
+            for (node, val) in sharers.get(&addr).into_iter().flatten() {
+                if *val != want {
                     return Err(SimError::Coherence(format!(
-                        "0x{addr:x}: stale shared copy {v} at {node}, expected {want}"
+                        "0x{addr:x}: stale shared copy {val} at {node}, expected {want}"
                     )));
                 }
             }
@@ -1814,53 +1857,49 @@ impl Sim {
     /// The paper's late-phase "protocol testing" measured exactly this
     /// kind of coverage against the specification.
     pub fn coverage_report(&self) -> Vec<(&'static str, usize, usize)> {
-        let totals = [
-            ("D", self.d.rel.len()),
-            ("M", self.m.rel.len()),
-            ("N", self.n.rel.len()),
-            ("R", self.r.rel.len()),
-        ];
-        totals
-            .into_iter()
-            .map(|(name, total)| {
-                let hit = self.coverage.keys().filter(|(c, _)| *c == name).count();
-                (name, hit, total)
-            })
+        TABLE_NAMES
+            .iter()
+            .zip(&self.coverage)
+            .map(|(&name, hits)| (name, hits.iter().filter(|&&h| h > 0).count(), hits.len()))
             .collect()
+    }
+
+    /// Row hit counts of `controller`, if the engine executes it.
+    fn hits(&self, controller: &str) -> &[u64] {
+        TABLE_NAMES
+            .iter()
+            .position(|&t| t == controller)
+            .map_or(&[], |t| &self.coverage[t])
     }
 
     /// Row indices of `controller` exercised by this run, ascending
     /// (for unioning coverage across runs, e.g. by `ccsql fuzz`).
     pub fn covered_rows(&self, controller: &'static str) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .coverage
-            .keys()
-            .filter(|(c, _)| *c == controller)
-            .map(|(_, i)| *i)
-            .collect();
-        v.sort_unstable();
-        v
+        (0..)
+            .zip(self.hits(controller))
+            .filter(|(_, &h)| h > 0)
+            .map(|(i, _)| i)
+            .collect()
     }
 
     /// Row indices of `controller` never exercised by this run.
     pub fn uncovered_rows(&self, controller: &'static str) -> Vec<usize> {
-        let total = match controller {
-            "D" => self.d.rel.len(),
-            "M" => self.m.rel.len(),
-            "N" => self.n.rel.len(),
-            "R" => self.r.rel.len(),
-            _ => 0,
-        };
-        (0..total)
-            .filter(|i| !self.coverage.contains_key(&(controller, *i)))
+        (0..)
+            .zip(self.hits(controller))
+            .filter(|(_, &h)| h == 0)
+            .map(|(i, _)| i)
             .collect()
     }
 
     /// Per-operation-type latency aggregates (engine steps from issue
     /// to completion), sorted by operation name.
     pub fn latency_report(&self) -> Vec<(&'static str, LatAgg)> {
-        let mut v: Vec<(&'static str, LatAgg)> =
-            self.latency.iter().map(|(k, a)| (*k, *a)).collect();
+        let mut v: Vec<(&'static str, LatAgg)> = CPU_OPS
+            .iter()
+            .zip(self.latency)
+            .filter(|(_, a)| a.count > 0)
+            .map(|(op, a)| (op.inmsg(), a))
+            .collect();
         v.sort_by_key(|(k, _)| *k);
         v
     }

@@ -20,7 +20,7 @@ pub mod fault;
 pub mod msg;
 pub mod scenario;
 pub mod state;
-pub mod tables;
+mod tables;
 pub mod workload;
 
 pub use engine::{Outcome, Schedule, Sim, SimConfig, SimError, SimStats};

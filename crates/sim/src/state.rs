@@ -1,10 +1,11 @@
 //! Architectural state of the simulated machine.
 
 use crate::msg::Addr;
+use crate::tables::vocab;
 use crate::workload::CpuOp;
+use ccsql_obs::hash::FxHashMap;
 use ccsql_protocol::topology::{NodeId, PresenceVector};
 use ccsql_relalg::Sym;
-use std::collections::HashMap;
 
 /// One directory entry (a line cached somewhere in the system).
 #[derive(Clone, Copy, Debug)]
@@ -43,22 +44,19 @@ pub struct BusyEntry {
 #[derive(Default)]
 pub struct QuadState {
     /// The directory.
-    pub dir: HashMap<Addr, DirEntry>,
+    pub dir: FxHashMap<Addr, DirEntry>,
     /// The busy directory.
-    pub busy: HashMap<Addr, BusyEntry>,
+    pub busy: FxHashMap<Addr, BusyEntry>,
     /// Home memory contents (unwritten lines read as 0).
-    pub mem: HashMap<Addr, u64>,
+    pub mem: FxHashMap<Addr, u64>,
     /// I/O space contents.
-    pub io: HashMap<Addr, u64>,
+    pub io: FxHashMap<Addr, u64>,
 }
 
 impl QuadState {
     /// The directory state name for `addr` (`I` when absent).
     pub fn dirst(&self, addr: Addr) -> Sym {
-        self.dir
-            .get(&addr)
-            .map(|e| e.st)
-            .unwrap_or_else(|| Sym::intern("I"))
+        self.dir.get(&addr).map_or(vocab().i, |e| e.st)
     }
 
     /// Presence vector for `addr` (empty when absent).
@@ -68,19 +66,12 @@ impl QuadState {
 
     /// The busy state name for `addr` (`I` when absent).
     pub fn bdirst(&self, addr: Addr) -> Sym {
-        self.busy
-            .get(&addr)
-            .map(|e| e.st)
-            .unwrap_or_else(|| Sym::intern("I"))
+        self.busy.get(&addr).map_or(vocab().i, |e| e.st)
     }
 
     /// The `zero`/`one`/`gone` encoding of the pending count of `addr`.
-    pub fn bdirpv_encoding(&self, addr: Addr) -> &'static str {
-        match self.busy.get(&addr).map(|e| e.pending).unwrap_or(0) {
-            0 => "zero",
-            1 => "one",
-            _ => "gone",
-        }
+    pub fn bdirpv_encoding(&self, addr: Addr) -> Sym {
+        vocab().count_encoding(self.busy.get(&addr).map_or(0, |e| e.pending))
     }
 }
 
@@ -115,7 +106,7 @@ pub struct PendTxn {
 #[derive(Default)]
 pub struct NodeState {
     /// Cache: address → (MESI state, data). Absent = `I`.
-    pub cache: HashMap<Addr, (Sym, u64)>,
+    pub cache: FxHashMap<Addr, (Sym, u64)>,
     /// The pending processor operation, if any.
     pub pend: Option<PendTxn>,
     /// Staged data received before completion (readex@SI flow).
@@ -138,17 +129,12 @@ pub struct NodeState {
 impl NodeState {
     /// The MESI state name for `addr` (`I` when absent).
     pub fn cachest(&self, addr: Addr) -> Sym {
-        self.cache
-            .get(&addr)
-            .map(|e| e.0)
-            .unwrap_or_else(|| Sym::intern("I"))
+        self.cache.get(&addr).map_or(vocab().i, |e| e.0)
     }
 
     /// The pending-state name for the node table (`none` when idle).
     pub fn pendst(&self) -> Sym {
-        self.pend
-            .map(|p| p.st)
-            .unwrap_or_else(|| Sym::intern("none"))
+        self.pend.map_or(vocab().none, |p| p.st)
     }
 }
 
@@ -161,7 +147,7 @@ mod tests {
         let q = QuadState::default();
         assert_eq!(q.dirst(5).as_str(), "I");
         assert_eq!(q.bdirst(5).as_str(), "I");
-        assert_eq!(q.bdirpv_encoding(5), "zero");
+        assert_eq!(q.bdirpv_encoding(5).as_str(), "zero");
         assert_eq!(q.dirpv(5).count(), 0);
 
         let n = NodeState::default();
@@ -183,8 +169,8 @@ mod tests {
                 answered: PresenceVector::new(),
             },
         );
-        assert_eq!(q.bdirpv_encoding(7), "gone");
+        assert_eq!(q.bdirpv_encoding(7).as_str(), "gone");
         q.busy.get_mut(&7).unwrap().pending = 1;
-        assert_eq!(q.bdirpv_encoding(7), "one");
+        assert_eq!(q.bdirpv_encoding(7).as_str(), "one");
     }
 }

@@ -186,7 +186,8 @@ for pair in "$lanes|make 130 (request, attribute) pairs, but an agent lane holds
     fi
 done
 
-echo "==> ccsql fuzz --quick (chaos smoke: clean audit, live fault path, determinism)"
+echo "==> ccsql fuzz --quick (chaos smoke: clean audit, live fault path, determinism; simulator report digests)"
+cargo test -q -p ccsql-sim --test golden
 cargo run --quiet --release -p ccsql-cli -- fuzz --quick --seed 1 \
     > "$WORK_DIR/fuzz1.txt"
 cargo run --quiet --release -p ccsql-cli -- fuzz --quick --seed 1 \
@@ -248,6 +249,19 @@ echo "$d_line" | grep -q ' evals=[0-9]* indexed=[1-9]' || {
     exit 1
 }
 grep -q '^mc/explore ms=[0-9.]* .* arena_bytes=[0-9]* .* mem_peak_bytes=[0-9]* ' "$WORK_DIR/stats1.txt"
+# The dependency closure is semi-naive: a round composes only the pairs
+# with a side the round before added. V1's 2,587-row closure composes
+# 110,918 candidates that way and 266,754 when every round composes
+# every pair.
+rc=0
+cargo run --quiet --release -p ccsql-cli -- stats deadlock --assignment v1 --closure \
+    > "$WORK_DIR/stats_closure.txt" 2>&1 || rc=$?
+closure_line=$(grep '^depend/build ms=[0-9.]* rows=2587 ' "$WORK_DIR/stats_closure.txt" || true)
+closure_cands=$(echo "$closure_line" | sed -n 's/.* candidates=\([0-9]*\).*/\1/p')
+if [ "$rc" -ne 1 ] || [ -z "$closure_cands" ] || [ "$closure_cands" -ge 150000 ]; then
+    echo "stats deadlock --assignment v1 --closure (exit $rc) composed ${closure_cands:-no} candidates: $closure_line" >&2
+    exit 1
+fi
 # The engine's phase clocks: under a small memory budget the run flushes
 # exchange buffers to exchange files and merges them back.
 cargo run --quiet --release -p ccsql-cli -- stats mc --nodes 3 --quota 3 --no-symmetry \
