@@ -19,7 +19,10 @@
 //! changing any result byte (see `ccsql_obs::heartbeat`).
 //!
 //! The library entry point [`run`] returns the rendered output, so the
-//! whole surface is unit-testable.
+//! whole surface is unit-testable. The spec commands share the steps
+//! of [`pack`], which also runs one pack through the zoo's stages.
+
+pub mod pack;
 
 use ccsql::depend::{dependency_table, protocol_dependency_table, AnalysisConfig};
 use ccsql::gen::GeneratedProtocol;
@@ -28,7 +31,7 @@ use ccsql::liveness::BusyGraph;
 use ccsql::report::deadlock_report;
 use ccsql::vc::VcAssignment;
 use ccsql::{codegen, invariants};
-use ccsql_mc::{explore_with, McOpts, McOutcome, Model, SpecMachine, SpecMcOpts, SpecVerdict};
+use ccsql_mc::{explore_with, McOpts, McOutcome, Model, SpecMcOpts, SpecVerdict};
 use ccsql_protocol::states;
 use ccsql_protocol::topology::NodeId;
 use ccsql_relalg::report;
@@ -583,10 +586,7 @@ fn cmd_flows(opts: &Opts) -> Result<String, String> {
             .first()
             .copied()
             .ok_or_else(|| "flows expects a .ccsql spec file (or --protocol)".to_string())?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let sf =
-            ccsql_relalg::specfile::parse_specfile(&text).map_err(|e| format!("{path}: {e}"))?;
-        ccsql_lint::flows::analyze_specfile(&sf, &v)?
+        ccsql_lint::flows::analyze_specfile(&pack::open(path)?, &v)?
     };
     let mut report = ccsql_lint::LintReport::new();
     analysis.lint(&mut report);
@@ -682,7 +682,7 @@ fn parse_fault_rates(s: &str) -> Result<FaultRates, String> {
 /// `sim --spec FILE.ccsql`: a seeded random walk over the spec pack's
 /// transaction machine instead of the ASURA system simulator.
 fn cmd_spec_sim(opts: &Opts, path: &str) -> Result<String, String> {
-    let m = load_spec_machine(path)?;
+    let m = pack::open_machine(path)?;
     let agents = spec_agents(opts)?;
     let seed = opts.num::<u64>("--seed", 1)?;
     let steps = opts.num::<usize>("--ops", 10_000)?;
@@ -1074,7 +1074,7 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
     // machine (any protocol with `machine` directives) instead of the
     // built-in ASURA model.
     if let Some(path) = opts.value("--spec") {
-        let m = load_spec_machine(path)?;
+        let m = pack::open_machine(path)?;
         let (mem_budget, spill_dir) = spill_opts(opts)?;
         let mc = SpecMcOpts {
             agents: spec_agents(opts)?,
@@ -1085,7 +1085,7 @@ fn cmd_mc(opts: &Opts) -> Result<String, String> {
             mem_budget,
             spill_dir,
         };
-        agents_fit(&m, mc.agents, path)
+        pack::fit(&m, mc.agents, path)
             .map_err(|e| format!("--nodes {} is too many for {e}", mc.agents))?;
         let out = m.explore(&mc);
         let mut text = if opts.flag("--json") {
@@ -1338,71 +1338,16 @@ fn spec_agents(opts: &Opts) -> Result<usize, String> {
     }
 }
 
-/// The agent ceiling of `mc --spec` and the zoo's model check: a state
-/// of `m` must fit the engine word with one lane per agent, which
-/// [`SpecMachine::explore`] asserts. More agents is an error naming the
-/// pack and the limit (`{path}: a T state holds at most N agent(s)`),
-/// which each caller prefixes with where its agent count came from.
-fn agents_fit(m: &SpecMachine, agents: usize, path: &str) -> Result<(), String> {
-    if agents > m.max_agents() {
-        return Err(format!(
-            "{path}: a {} state holds at most {} agent(s)",
-            m.table,
-            m.max_agents()
-        ));
-    }
-    Ok(())
-}
-
-/// Parse a spec pack, solve it (compiled path) and compile its
-/// transaction machine — the shared front half of `mc --spec`,
-/// `sim --spec` and the zoo's machine stages.
-fn load_spec_machine(path: &str) -> Result<SpecMachine, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let sf = ccsql_relalg::specfile::parse_specfile(&text).map_err(|e| format!("{path}: {e}"))?;
-    let (rel, failures) = ccsql_relalg::specfile::solve_specfile_with(&sf, true)
-        .map_err(|e| format!("{path}: {e}"))?;
-    if !failures.is_empty() {
-        return Err(format!(
-            "{path}: {} static check(s) failed — fix the table before running the machine",
-            failures.len()
-        ));
-    }
-    SpecMachine::build(&sf, &rel).map_err(|e| format!("{path}: {e}"))
-}
-
-/// One (protocol, stage) verdict of the zoo matrix.
-struct ZooRow {
-    protocol: String,
-    stage: &'static str,
-    verdict: &'static str,
-    detail: String,
-}
-
-impl ZooRow {
-    /// One JSONL line; a multi-line detail is folded onto it with ` | `.
-    fn jsonl(&self) -> String {
-        ccsql_obs::json::JsonObj::new()
-            .str("protocol", &self.protocol)
-            .str("stage", self.stage)
-            .str("verdict", self.verdict)
-            .str("detail", &self.detail.replace('\n', " | "))
-            .finish()
-    }
-}
-
 /// `ccsql zoo [DIR] [--quick]` — the protocol-zoo matrix: every spec
-/// pack under DIR runs through lint, compiled-vs-interpreted solve,
-/// flows/VCG, spec-machine model checking (with symmetry and thread
-/// identity cross-checks) and a seeded spec simulation. Spec packs
-/// named `*_buggy` / `*_flowbug` are seeded-bug fixtures that MUST be
+/// pack under DIR runs through [`pack::run`]'s stages. Spec packs named
+/// `*_buggy` / `*_flowbug` are seeded-bug fixtures that MUST be
 /// rejected by at least one stage; every other pack must pass all of
 /// them. Prints one JSONL verdict per (protocol, stage) plus a summary
 /// line; the whole output is deterministic across runs.
 fn cmd_zoo(opts: &Opts) -> Result<String, String> {
-    let quick = opts.flag("--quick");
+    let mut settings = pack::Settings::tier(opts.flag("--quick"));
     let dir = positional(opts).first().copied().unwrap_or("specs");
-    let vc = parse_assignment(opts)?;
+    settings.vc = parse_assignment(opts)?;
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read directory {dir}: {e}"))?
         .filter_map(|e| e.ok())
@@ -1413,72 +1358,50 @@ fn cmd_zoo(opts: &Opts) -> Result<String, String> {
     if paths.is_empty() {
         return Err(format!("no .ccsql spec packs under {dir}"));
     }
-    // Agent/step budgets: the quick tier is the verify.sh gate, the
-    // full tier covers the deeper interleavings (3 agents reach the
-    // occupied-reservation rows of the phase-priority pack).
-    let agents = if quick { 2 } else { 3 };
-    let sim_steps = if quick { 2_000 } else { 10_000 };
-    // Prototype model-checking options for every pack; --shards /
-    // --mem-budget / --spill-dir steer the out-of-core machinery and
-    // never change a verdict byte (the identity gates below would
-    // catch it if they did).
-    let (mem_budget, spill_dir) = spill_opts(opts)?;
-    let proto = SpecMcOpts {
-        agents,
-        threads: 1,
-        symmetry: false,
-        budget: 1_000_000,
-        shards: opts.count("--shards", ccsql_mc::DEFAULT_SHARDS)?,
-        mem_budget,
-        spill_dir,
-    };
-    let mut rows: Vec<ZooRow> = Vec::new();
+    // --shards / --mem-budget / --spill-dir steer the out-of-core
+    // machinery and never change a verdict byte (the model-check
+    // stage's identity checks would catch it if they did).
+    (settings.mc.mem_budget, settings.mc.spill_dir) = spill_opts(opts)?;
+    settings.mc.shards = opts.count("--shards", ccsql_mc::DEFAULT_SHARDS)?;
+    let mut out = String::new();
+    let (mut seeded, mut verdicts) = (0, 0);
     let mut broken: Vec<String> = Vec::new();
     for path in &paths {
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("?")
-            .to_string();
+        let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("?");
         let expect_reject = name.ends_with("_buggy") || name.ends_with("_flowbug");
-        let pack = zoo_pack(path, &name, &vc, &proto, sim_steps)?;
-        let rejected = pack.iter().any(|r| r.verdict == "fail");
-        match (expect_reject, rejected) {
-            (true, false) => broken.push(format!(
+        seeded += usize::from(expect_reject);
+        let stages = pack::run(path, &settings)?;
+        let failed: Vec<&str> = stages
+            .iter()
+            .filter(|s| s.verdict == pack::Verdict::Fail)
+            .map(|s| s.name)
+            .collect();
+        if expect_reject && failed.is_empty() {
+            broken.push(format!(
                 "{name}: seeded-bug pack sailed through every stage"
-            )),
-            (false, true) => {
-                let stages: Vec<&str> = pack
-                    .iter()
-                    .filter(|r| r.verdict == "fail")
-                    .map(|r| r.stage)
-                    .collect();
-                broken.push(format!("{name}: clean pack failed {}", stages.join(", ")));
-            }
-            _ => {}
+            ));
+        } else if !expect_reject && !failed.is_empty() {
+            broken.push(format!("{name}: clean pack failed {}", failed.join(", ")));
         }
-        rows.extend(pack);
+        for s in &stages {
+            // One JSONL line; a multi-line detail is folded onto it.
+            let line = ccsql_obs::json::JsonObj::new()
+                .str("protocol", name)
+                .str("stage", s.name)
+                .str("verdict", s.verdict.as_str())
+                .str("detail", &s.detail.replace('\n', " | "))
+                .finish();
+            writeln!(out, "{line}").unwrap();
+        }
+        verdicts += stages.len();
     }
-    let mut out = String::new();
-    for r in &rows {
-        out.push_str(&r.jsonl());
-        out.push('\n');
-    }
-    let seeded = paths
-        .iter()
-        .filter(|p| {
-            p.file_stem()
-                .and_then(|s| s.to_str())
-                .is_some_and(|n| n.ends_with("_buggy") || n.ends_with("_flowbug"))
-        })
-        .count();
     writeln!(
         out,
         "zoo: {} pack(s) ({} clean, {} seeded-bug), {} stage verdict(s), expectations {}",
         paths.len(),
         paths.len() - seeded,
         seeded,
-        rows.len(),
+        verdicts,
         if broken.is_empty() { "met" } else { "BROKEN" }
     )
     .unwrap();
@@ -1490,176 +1413,6 @@ fn cmd_zoo(opts: &Opts) -> Result<String, String> {
     } else {
         Err(out)
     }
-}
-
-/// Run one spec pack through the five zoo stages.
-fn zoo_pack(
-    path: &std::path::Path,
-    name: &str,
-    vc: &VcAssignment,
-    proto: &SpecMcOpts,
-    sim_steps: usize,
-) -> Result<Vec<ZooRow>, String> {
-    let agents = proto.agents;
-    let path_str = path.display().to_string();
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path_str}: {e}"))?;
-    let sf =
-        ccsql_relalg::specfile::parse_specfile(&text).map_err(|e| format!("{path_str}: {e}"))?;
-    let mut rows = Vec::new();
-    let mut push = |stage: &'static str, pass: Option<bool>, detail: String| {
-        rows.push(ZooRow {
-            protocol: name.to_string(),
-            stage,
-            verdict: match pass {
-                Some(true) => "pass",
-                Some(false) => "fail",
-                None => "skip",
-            },
-            detail,
-        });
-    };
-
-    // Stage 1: lint (boundary hygiene, coverage, nondeterminism, …).
-    let (report, tables) = lint_specs(&[&sf]);
-    let (errors, warns) = report
-        .diagnostics()
-        .iter()
-        .fold((0, 0), |(e, w), d| match d.severity {
-            ccsql_lint::Severity::Error => (e + 1, w),
-            ccsql_lint::Severity::Warn => (e, w + 1),
-            _ => (e, w),
-        });
-    push(
-        "lint",
-        Some(!report.failed()),
-        format!("{errors} error(s), {warns} warning(s)"),
-    );
-
-    // Stage 2: solve, compiled AND interpreted, diffed byte-for-byte.
-    // The compiled side is the lint's table where it can be.
-    let compiled = solve_linted(&sf, tables.into_iter().next().flatten(), true);
-    let interpreted = ccsql_relalg::specfile::solve_specfile_with(&sf, false);
-    let mut machine_rel = None;
-    match (&compiled, interpreted) {
-        (Ok((rc, fc)), Ok((ri, fi))) => {
-            let tc = report::ascii_table(&rc.sorted());
-            let ti = report::ascii_table(&ri.sorted());
-            let identical = tc == ti;
-            let checks_ok = fc.is_empty() && fi.is_empty();
-            push(
-                "solve",
-                Some(identical && checks_ok),
-                format!(
-                    "{} row(s), compiled==interpreted: {identical}, failed check(s): {}",
-                    rc.len(),
-                    fc.len()
-                ),
-            );
-            if identical && checks_ok {
-                machine_rel = Some(rc);
-            }
-        }
-        (c, i) => {
-            let err = c
-                .as_ref()
-                .err()
-                .or(i.err().as_ref())
-                .map(|e| e.to_string())
-                .unwrap_or_default();
-            push("solve", Some(false), format!("solve failed: {err}"));
-        }
-    }
-
-    // Stage 3: flows / virtual-channel graph deadlock analysis of the
-    // compiled table.
-    let flows = match &compiled {
-        Ok((rel, _)) => ccsql_lint::flows::FlowUniverse::from_specfile(&sf, rel, vc)
-            .map(ccsql_lint::flows::analyze),
-        Err(e) => Err(format!("cannot solve spec `{}`: {e}", sf.spec.name)),
-    };
-    match flows {
-        Ok(a) => {
-            let free = a.deadlock_free_all_n();
-            push(
-                "flows",
-                Some(free),
-                format!("deadlock-free for every N: {free}"),
-            );
-        }
-        Err(e) => push("flows", Some(false), format!("flow analysis failed: {e}")),
-    }
-
-    // Stages 4+5 need the operational directives and a clean table. A
-    // clean pack that declares `machine` directives its machine cannot
-    // be built from fails both, so the zoo never passes a machine it
-    // could not run.
-    let declared = machine_rel.is_some() && !sf.meta.machines.is_empty();
-    let machine = match machine_rel {
-        None => Err("no clean solved table".to_string()),
-        Some(rel) => SpecMachine::build(&sf, rel),
-    };
-    match &machine {
-        Err(e) if declared => {
-            let detail = format!("machine does not build: {e}");
-            push("specmc", Some(false), detail.clone());
-            push("specsim", Some(false), detail);
-        }
-        Err(e) => {
-            push("specmc", None, format!("skipped: {e}"));
-            push("specsim", None, format!("skipped: {e}"));
-        }
-        Ok(m) => {
-            // A pack whose state cannot hold the zoo's agents fails the
-            // model check instead of panicking in it.
-            let (pass, detail) = match agents_fit(m, agents, &path_str) {
-                Ok(()) => zoo_specmc(m, proto),
-                Err(e) => (false, format!("{agents} agent(s) is too many for {e}")),
-            };
-            push("specmc", Some(pass), detail);
-            // Seeded random walk, run twice: must be deterministic,
-            // never get stuck, and complete at least one transaction.
-            let r1 = m.simulate(agents, 5, sim_steps);
-            let r2 = m.simulate(agents, 5, sim_steps);
-            let deterministic = r1.render(5) == r2.render(5);
-            push(
-                "specsim",
-                Some(r1.stuck.is_none() && deterministic && r1.completions > 0),
-                format!("{}, deterministic: {deterministic}", r1.render(5)),
-            );
-        }
-    }
-    Ok(rows)
-}
-
-/// The zoo's model-check stage: 1 thread without symmetry, then with
-/// symmetry at 1 and 2 threads. The verdicts must agree, the orbit
-/// sizes must sum back to the full state count, and the two symmetric
-/// runs must render byte-identically. Returns the verdict and detail.
-fn zoo_specmc(m: &SpecMachine, proto: &SpecMcOpts) -> (bool, String) {
-    let sym_opts = SpecMcOpts {
-        symmetry: true,
-        ..proto.clone()
-    };
-    let full = m.explore(proto);
-    let sym = m.explore(&sym_opts);
-    let threaded = m.explore(&SpecMcOpts {
-        threads: 2,
-        ..sym_opts.clone()
-    });
-    let identity = full.verdict == sym.verdict
-        && sym.stats.orbit_states == full.stats.states as u128
-        && sym.render_json(&m.table, &sym_opts) == threaded.render_json(&m.table, &sym_opts);
-    (
-        full.verdict == SpecVerdict::Verified && identity,
-        format!(
-            "verdict {}, {} state(s) ({} orbit reps), rows {}/{}, sym/thread identity: {identity}",
-            full.verdict.as_str(),
-            full.stats.states,
-            sym.stats.states,
-            full.stats.rows_covered,
-            full.stats.rows_total,
-        ),
-    )
 }
 
 /// Positional (non-flag) arguments: everything that is not a `--flag`
@@ -1679,40 +1432,6 @@ fn positional<'a>(opts: &Opts<'a>) -> Vec<&'a str> {
     out
 }
 
-/// Lint spec files under the context `solve` solves them in (no named
-/// sets), so the lint's one solve of each table is the table `solve`
-/// computes. Returns the report and each file's solved table, input
-/// columns first (`None` where the solver rejects it).
-fn lint_specs(
-    files: &[&ccsql_relalg::SpecFile],
-) -> (ccsql_lint::LintReport, Vec<Option<ccsql_relalg::Relation>>) {
-    ccsql_lint::lint_specfiles_with(
-        files,
-        &ccsql_relalg::expr::SetContext::new(),
-        &VcAssignment::v1(),
-    )
-}
-
-/// Solve a spec file and run its checks. On the compiled path `linted`,
-/// the lint's table of the spec, is the one the solve computes when its
-/// columns come in the declared order: the lint solves a spec that
-/// declares an output before an input inputs-first.
-fn solve_linted(
-    sf: &ccsql_relalg::SpecFile,
-    linted: Option<ccsql_relalg::Relation>,
-    compile: bool,
-) -> ccsql_relalg::Result<(
-    ccsql_relalg::Relation,
-    Vec<(String, ccsql_relalg::Relation)>,
-)> {
-    match linted {
-        Some(rel) if compile && rel.schema().columns() == sf.spec.column_names() => {
-            ccsql_relalg::specfile::check_specfile(sf, &rel).map(|failures| (rel, failures))
-        }
-        _ => ccsql_relalg::specfile::solve_specfile_with(sf, compile),
-    }
-}
-
 fn cmd_lint(opts: &Opts) -> Result<String, String> {
     let report = if opts.flag("--protocol") {
         let v = parse_assignment(opts)?;
@@ -1722,16 +1441,8 @@ fn cmd_lint(opts: &Opts) -> Result<String, String> {
         if paths.is_empty() {
             return Err("lint expects .ccsql spec files (or --protocol)".to_string());
         }
-        let mut files = Vec::with_capacity(paths.len());
-        for path in &paths {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let sf = ccsql_relalg::specfile::parse_specfile(&text)
-                .map_err(|e| format!("{path}: {e}"))?;
-            files.push(sf);
-        }
-        let refs: Vec<&ccsql_relalg::SpecFile> = files.iter().collect();
-        lint_specs(&refs).0
+        let files: Vec<_> = paths.iter().map(pack::open).collect::<Result<_, _>>()?;
+        pack::lint(&files.iter().collect::<Vec<_>>()).0
     };
     let out = if opts.flag("--json") {
         report.render_jsonl()
@@ -1750,13 +1461,12 @@ fn cmd_solve(opts: &Opts) -> Result<String, String> {
         .first()
         .copied()
         .ok_or_else(|| "solve expects a .ccsql database-input file".to_string())?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let sf = ccsql_relalg::specfile::parse_specfile(&text).map_err(|e| e.to_string())?;
+    let sf = pack::open(path)?;
     let mut linted = None;
     if !opts.flag("--no-lint") {
         // Early error detection: lint the spec before spending time on
         // the solve. `--no-lint` bypasses the gate.
-        let (report, tables) = lint_specs(&[&sf]);
+        let (report, tables) = pack::lint(&[&sf]);
         if report.failed() {
             return Err(format!(
                 "{}\nlint found problems in {path}; fix them or rerun with --no-lint",
@@ -1769,7 +1479,7 @@ fn cmd_solve(opts: &Opts) -> Result<String, String> {
     // compiled bytecode path; the outputs must be byte-identical (the
     // differential gate in scripts/verify.sh diffs them).
     let compile = !opts.flag("--no-compile");
-    let (rel, failures) = solve_linted(&sf, linted, compile).map_err(|e| e.to_string())?;
+    let (rel, failures) = pack::solve(&sf, linted, compile).map_err(|e| e.to_string())?;
     let mut out = String::new();
     writeln!(
         out,
@@ -2796,6 +2506,34 @@ mod tests {
         assert!(run(&argv("sim --spec /nonexistent.ccsql")).is_err());
         let err = run(&argv(&format!("sim --spec {spec} --nodes 0"))).unwrap_err();
         assert!(err.contains("--nodes must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn every_spec_command_names_the_file_in_a_parse_error() {
+        let path = temp_spec(
+            &format!("ccsql_two_tables_{}.ccsql", std::process::id()),
+            "table A\ntable B\ninput a = x\n",
+        );
+        let want = format!("{path}: parse error at 2:1: duplicate `table` directive");
+        for cmd in ["lint", "solve", "flows", "mc --spec", "sim --spec"] {
+            let err = run(&argv(&format!("{cmd} {path}"))).unwrap_err();
+            assert_eq!(err, want, "{cmd}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A spec exploration publishes its run totals on one `mc/explore`
+    /// span, as the builtin one does.
+    #[test]
+    fn stats_mc_spec_prints_the_exploration_totals() {
+        let out = run(&argv(&format!("stats mc --spec {}", zoo_spec("fig3")))).unwrap();
+        let explore: Vec<&str> = out
+            .lines()
+            .filter(|l| l.starts_with("mc/explore "))
+            .collect();
+        assert_eq!(explore.len(), 1, "{out}");
+        assert!(explore[0].contains(" agents=2 states=15 "), "{out}");
+        assert!(explore[0].ends_with(" outcome=verified"), "{out}");
     }
 
     /// Absolute path of a zoo spec pack.

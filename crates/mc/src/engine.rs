@@ -75,13 +75,15 @@
 //! `maintain_ns` that of phase 3, and `exchange_ns` the time spent
 //! inside exchange-file flushes during phase 1, summed over workers.
 //! They are args of the `mc/level` span, and their run totals are in
-//! [`EngineStats`].
+//! [`EngineStats`], which both explorers publish on their run's
+//! `mc/explore` span (`explore_span`, `EngineStats::publish`).
 //!
 //! The matrix tests in `tests/out_of_core.rs` pin these rules across
 //! shard counts {1, 4, 16} × threads {1, 2, 8} × budgets that force
 //! spilling at two-node scale.
 
 use crate::spill::{RunReader, RunWriter, SpillDir, IO_BUF_BYTES};
+use ccsql_obs::flight::FlightSpan;
 use ccsql_obs::hash::fx_hash_one;
 use ccsql_obs::{MemGauge, MemLease};
 use std::path::PathBuf;
@@ -304,6 +306,45 @@ pub struct EngineStats {
     pub merge_ns: u64,
     /// Wall time of the maintain phases (compaction and spilling).
     pub maintain_ns: u64,
+}
+
+/// Open a run's `mc/explore` span with the options both explorers
+/// share; [`EngineStats::publish`] attaches the run's totals to it.
+pub(crate) fn explore_span(opts: &EngineOpts, symmetry: bool) -> FlightSpan<'static> {
+    let span = ccsql_obs::flight::span("mc", "explore");
+    span.arg("budget", opts.budget);
+    span.arg("threads", opts.threads.max(1));
+    span.arg("symmetry", u64::from(symmetry));
+    span.arg("shards", opts.shards.max(1));
+    span.arg("mem_budget", opts.mem_budget);
+    span
+}
+
+impl EngineStats {
+    /// Attach the run's totals and its `outcome` to its `mc/explore`
+    /// span ([`explore_span`]). `depth` is the deepest level's index,
+    /// one less than `levels`.
+    pub(crate) fn publish(&self, span: &FlightSpan<'_>, outcome: &str) {
+        span.arg("states", self.states);
+        span.arg(
+            "orbit_states",
+            self.orbit_states.min(u64::MAX as u128) as u64,
+        );
+        span.arg("transitions", self.transitions);
+        span.arg("dedup_hits", self.dedup_hits);
+        span.arg("levels", self.levels);
+        span.arg("depth", self.levels.saturating_sub(1));
+        span.arg("frontier_peak", self.frontier_peak);
+        span.arg("arena_bytes", self.arena_bytes);
+        span.arg("frontier_bytes", self.frontier_bytes);
+        span.arg("mem_peak_bytes", self.mem_peak_bytes);
+        span.arg("spilled_bytes", self.spilled_bytes);
+        span.arg("expand_ns", self.expand_ns);
+        span.arg("exchange_ns", self.exchange_ns);
+        span.arg("merge_ns", self.merge_ns);
+        span.arg("maintain_ns", self.maintain_ns);
+        span.arg("outcome", outcome);
+    }
 }
 
 /// Everything an exploration returns.

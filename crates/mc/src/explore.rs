@@ -193,13 +193,6 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
         .validate()
         .expect("model parameters must pass Model::validate");
     let start = Instant::now();
-    let run_span = ccsql_obs::flight::span("mc", "explore");
-    run_span.arg("budget", opts.budget as u64);
-    run_span.arg("threads", opts.threads.max(1) as u64);
-    run_span.arg("symmetry", u64::from(opts.symmetry));
-    run_span.arg("shards", opts.shards.max(1) as u64);
-    run_span.arg("mem_budget", opts.mem_budget as u64);
-
     let space = ModelSpace {
         model,
         symmetry: opts.symmetry,
@@ -215,6 +208,7 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
         mem_budget: opts.mem_budget,
         spill_dir: opts.spill_dir.clone(),
     };
+    let run_span = engine::explore_span(&eopts, opts.symmetry);
     let out = engine::run::<_, ()>(&space, &[c0], &eopts);
 
     let (outcome, witness) = match out.outcome {
@@ -229,24 +223,8 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
             (McOutcome::Violation(prop), Some(s))
         }
     };
-    let stats = mc_stats(&out.stats, opts.symmetry, witness, start.elapsed());
-    run_span.arg("states", stats.states as u64);
-    run_span.arg("orbit_states", stats.orbit_states);
-    run_span.arg("transitions", stats.transitions);
-    run_span.arg("dedup_hits", stats.dedup_hits);
-    run_span.arg("levels", stats.levels as u64);
-    run_span.arg("depth", stats.depth as u64);
-    run_span.arg("frontier_peak", stats.frontier_peak as u64);
-    run_span.arg("arena_bytes", stats.arena_bytes as u64);
-    run_span.arg("frontier_bytes", stats.frontier_bytes as u64);
-    run_span.arg("mem_peak_bytes", stats.mem_peak_bytes as u64);
-    run_span.arg("spilled_bytes", stats.spilled_bytes);
-    run_span.arg("expand_ns", out.stats.expand_ns);
-    run_span.arg("exchange_ns", out.stats.exchange_ns);
-    run_span.arg("merge_ns", out.stats.merge_ns);
-    run_span.arg("maintain_ns", out.stats.maintain_ns);
-    run_span.arg(
-        "outcome",
+    out.stats.publish(
+        &run_span,
         match &outcome {
             McOutcome::Verified => "verified",
             McOutcome::Violation(_) => "violation",
@@ -254,6 +232,7 @@ pub fn explore_with(model: &Model, init: State, opts: &McOpts) -> (McOutcome, Mc
             McOutcome::BudgetExceeded => "budget_exceeded",
         },
     );
+    let stats = mc_stats(&out.stats, opts.symmetry, witness, start.elapsed());
     (outcome, stats)
 }
 

@@ -51,6 +51,7 @@
 use crate::engine::{Emitter, EngineOpts, EngineOutcome, ParentLink, Space, Word};
 use ccsql_obs::json::{write_json_str, JsonObj};
 use ccsql_obs::FxHashMap;
+use ccsql_protocol::topology::Role;
 use ccsql_relalg::specfile::{MachineStep, SpecFile, ROLE_LITERALS};
 use ccsql_relalg::{Relation, Value};
 use std::fmt::Write as _;
@@ -71,25 +72,6 @@ const MAX_LANE_PAIRS: usize = 127;
 /// (posts, completions and plain firings of up to [`SPEC_WORD_BYTES`]
 /// agents) fits a `u32`.
 const MAX_ROWS: usize = 1 << 24;
-
-/// A message's source or destination role, resolved per row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Role {
-    Local,
-    Home,
-    Remote,
-}
-
-impl Role {
-    fn parse(s: &str) -> Option<Role> {
-        match s {
-            "local" => Some(Role::Local),
-            "home" => Some(Role::Home),
-            "remote" => Some(Role::Remote),
-            _ => None,
-        }
-    }
-}
 
 /// How a row updates one machine variable (maps already resolved).
 #[derive(Clone, Copy, Debug)]
@@ -665,11 +647,7 @@ impl SpecMachine {
                 .collect();
             let label = format!(
                 "row#{r} {msg}@{} in ({})",
-                match src_val {
-                    Role::Local => "local",
-                    Role::Home => "home",
-                    Role::Remote => "remote",
-                },
+                src_val.as_str(),
                 state_label.join(","),
             );
             rows.push(MRow {
@@ -1141,6 +1119,8 @@ impl SpecMachine {
             mem_budget: opts.mem_budget,
             spill_dir: opts.spill_dir.clone(),
         };
+        let run_span = crate::engine::explore_span(&eopts, opts.symmetry);
+        run_span.arg("agents", agents);
         let eout = crate::engine::run::<_, ParentLink<SpecWord>>(&space, &inits, &eopts);
 
         let stats = SpecMcStats {
@@ -1165,7 +1145,7 @@ impl SpecMachine {
             path
         };
 
-        match eout.outcome {
+        let outcome = match eout.outcome {
             EngineOutcome::Violation(w) => {
                 // The engine reports the minimum violating word of the
                 // earliest violating level; re-expanding it recovers
@@ -1244,24 +1224,28 @@ impl SpecMachine {
                         }
                     }
                 }
-                if let Some(bad) = drains.iter().position(|d| !d) {
-                    let w = order[bad];
-                    let mut cx = vec!["undrainable: no path back to quiescence".to_string()];
-                    cx.extend(path_to(w));
-                    cx.push(format!("  state: {}", self.render_state(w.state(len))));
-                    return SpecMcOutcome {
-                        verdict: SpecVerdict::Undrainable,
+                match drains.iter().position(|d| !d) {
+                    Some(bad) => {
+                        let w = order[bad];
+                        let mut cx = vec!["undrainable: no path back to quiescence".to_string()];
+                        cx.extend(path_to(w));
+                        cx.push(format!("  state: {}", self.render_state(w.state(len))));
+                        SpecMcOutcome {
+                            verdict: SpecVerdict::Undrainable,
+                            stats,
+                            counterexample: cx,
+                        }
+                    }
+                    None => SpecMcOutcome {
+                        verdict: SpecVerdict::Verified,
                         stats,
-                        counterexample: cx,
-                    };
-                }
-                SpecMcOutcome {
-                    verdict: SpecVerdict::Verified,
-                    stats,
-                    counterexample: Vec::new(),
+                        counterexample: Vec::new(),
+                    },
                 }
             }
-        }
+        };
+        eout.stats.publish(&run_span, outcome.verdict.as_str());
+        outcome
     }
 
     /// A seeded random walk over the same transition relation (the

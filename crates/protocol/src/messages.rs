@@ -142,11 +142,6 @@ pub fn is_request(name: &str) -> bool {
     matches!(message(name), Some(m) if m.kind == MsgKind::Request)
 }
 
-/// True iff `name` is a response.
-pub fn is_response(name: &str) -> bool {
-    matches!(message(name), Some(m) if m.kind == MsgKind::Response)
-}
-
 /// All request names.
 pub fn request_names() -> Vec<&'static str> {
     MESSAGES
@@ -224,7 +219,6 @@ mod tests {
             MESSAGES.len()
         );
         assert!(is_request("readex"));
-        assert!(is_response("compl"));
         assert!(!is_request("compl"));
         assert!(!is_request("nonexistent"));
     }

@@ -65,13 +65,6 @@ impl Database {
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
-    /// Names of all tables (sorted, for deterministic reports).
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().map(|s| s.to_string()).collect();
-        names.sort();
-        names
-    }
-
     /// Insert one row into `name`.
     pub fn insert(&mut self, name: &str, row: &[Value]) -> Result<()> {
         let sym = Sym::intern(name);
@@ -674,12 +667,5 @@ mod tests {
         // Arity mismatch rejected.
         assert!(db.query(r#"insert into D values ("only-one")"#).is_err());
         assert!(db.query("delete from NOPE").is_err());
-    }
-
-    #[test]
-    fn table_names_sorted() {
-        let mut db = sample_db();
-        db.create_table("A", ["x"]).unwrap();
-        assert_eq!(db.table_names(), vec!["A".to_string(), "D".to_string()]);
     }
 }

@@ -40,7 +40,6 @@ pub mod columnar;
 pub mod compile;
 pub mod error;
 pub mod expr;
-pub mod index;
 pub mod ops;
 pub mod parser;
 pub mod relation;

@@ -198,27 +198,6 @@ pub fn union(a: &Relation, b: &Relation) -> Result<Relation> {
     Ok(out)
 }
 
-/// Union of many relations; errors on empty input (no schema to adopt).
-pub fn union_all(rels: &[Relation]) -> Result<Relation> {
-    let first = rels
-        .first()
-        .ok_or_else(|| Error::SchemaMismatch("union_all of zero relations".into()))?;
-    let mut out = Relation::new(first.schema().clone());
-    for rel in rels {
-        if !rel.schema().same_as(first.schema()) {
-            return Err(Error::SchemaMismatch(format!(
-                "union_all: {:?} vs {:?}",
-                first.schema(),
-                rel.schema()
-            )));
-        }
-        for r in rel.rows() {
-            out.push_row_unchecked(r);
-        }
-    }
-    Ok(out)
-}
-
 /// − — set difference (rows of `a` not occurring in `b`).
 pub fn difference(a: &Relation, b: &Relation) -> Result<Relation> {
     if !a.schema().same_as(b.schema()) {
@@ -399,16 +378,6 @@ mod tests {
         assert!(union(&a, &b).is_err());
         assert!(difference(&a, &b).is_err());
         assert!(intersect(&a, &b).is_err());
-    }
-
-    #[test]
-    fn union_all_many() {
-        let a = mk(&["x"], &[&["1"]]);
-        let b = mk(&["x"], &[&["2"]]);
-        let c = mk(&["x"], &[&["3"]]);
-        let u = union_all(&[a, b, c]).unwrap();
-        assert_eq!(u.len(), 3);
-        assert!(union_all(&[]).is_err());
     }
 
     #[test]

@@ -192,8 +192,8 @@ pub(crate) fn hash_row(row: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Hash selected columns of a row (element-wise, no length prefix —
-/// [`crate::index::Index::probe`] hashes loose keys the same way).
+/// Hash selected columns of a row, element-wise with no length prefix:
+/// the equi-join hashes its build and probe sides with it.
 pub(crate) fn hash_cols(row: &[Value], cols: &[usize]) -> u64 {
     let mut h = ccsql_obs::hash::FxHasher::default();
     for &c in cols {

@@ -119,9 +119,9 @@ pub enum Outcome {
     /// Chaos mode: the machine drained what it could, but injected
     /// faults cost liveness — operations were abandoned after
     /// exhausting their retries, or transactions are permanently stuck.
-    /// Graceful degradation instead of a panic: the coherence audit is
-    /// still meaningful (faults may only ever cost liveness, never
-    /// correctness).
+    /// Graceful degradation instead of a panic. The coherence audit
+    /// still runs on this outcome, and it can fail: a dropped or
+    /// duplicated message can cost coherence too (DESIGN.md §10).
     Stalled {
         /// What got stuck and why, one line per casualty.
         diagnosis: Vec<String>,
@@ -588,7 +588,7 @@ impl Sim {
             let m = self.plan[i];
             let (quad, vc) = self.buffer(&m);
             let decision = match &mut self.chaos {
-                Some(f) => f.decide(vc, &m),
+                Some(f) => f.decide(&m),
                 None => Decision::Deliver,
             };
             match decision {
@@ -723,7 +723,7 @@ impl Sim {
     /// released when the writeback issues, so the stored message *is*
     /// the writeback buffer). Drain it directly to home memory over the
     /// dedicated datapath, exactly as `flush@M` and snooped-`M` lines
-    /// already do: injected faults may cost liveness, never data.
+    /// already do, so abandoning the writeback does not lose its data.
     fn failsafe_writeback(&mut self, pend: &PendTxn) {
         let Some(m) = pend.msg else {
             return;

@@ -4,8 +4,8 @@
 //! Real ASURA-class interconnects drop, duplicate, delay and reorder
 //! messages; the statically-debugged tables are only trustworthy if
 //! the machine built from them *degrades gracefully* under that
-//! adversarial timing. A [`FaultPlan`] describes per-virtual-channel
-//! fault probabilities plus targeted one-shot faults; the runtime
+//! adversarial timing. A [`FaultPlan`] describes fault probabilities
+//! plus targeted one-shot faults; the runtime
 //! [`FaultInjector`] draws every decision from its own [`SplitMix64`]
 //! stream — completely separate from the scheduling RNG — so a chaos
 //! run is byte-reproducible from its `(workload seed, fault seed)`
@@ -26,6 +26,9 @@ use crate::msg::{Endpoint, SimMsg};
 use ccsql_obs::SplitMix64;
 use ccsql_protocol::messages::{self, MsgClass, MsgKind};
 
+/// The longest random delay, in engine steps.
+const MAX_DELAY: u64 = 8;
+
 /// Which fault kinds a message class may take (the fault boundary).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FaultScope {
@@ -38,7 +41,7 @@ enum FaultScope {
     Exempt,
 }
 
-/// Fault probabilities for one virtual channel (all in `[0, 1]`).
+/// Fault probabilities (all in `[0, 1]`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultRates {
     /// Probability a message is silently discarded.
@@ -47,8 +50,8 @@ pub struct FaultRates {
     /// suppressed when the target buffer has no free slot — a fault
     /// must never violate the finite-buffer invariant).
     pub duplicate: f64,
-    /// Probability a message is parked in limbo for 1..=`max_delay`
-    /// engine steps before delivery.
+    /// Probability a message is parked in limbo for 1..=8 engine steps
+    /// before delivery.
     pub delay: f64,
     /// Probability a message is enqueued at the *front* of its buffer,
     /// overtaking everything already queued.
@@ -102,13 +105,9 @@ pub struct FaultPlan {
     /// Seed of the fault RNG (independent of the workload/schedule
     /// seed).
     pub seed: u64,
-    /// Rates applied to every shared virtual channel (and the
-    /// dedicated path) unless overridden per VC.
+    /// Rates applied to every shared virtual channel and the dedicated
+    /// path.
     pub rates: FaultRates,
-    /// Per-VC overrides (first match wins).
-    pub per_vc: Vec<(VcId, FaultRates)>,
-    /// Maximum random delay, in engine steps.
-    pub max_delay: u64,
     /// Targeted one-shot faults.
     pub targeted: Vec<TargetedFault>,
     /// Steps a pending processor operation may wait before the node's
@@ -127,8 +126,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             rates: FaultRates::default(),
-            per_vc: Vec::new(),
-            max_delay: 8,
             targeted: Vec::new(),
             timeout_steps: 1_000,
             max_retries: 6,
@@ -163,20 +160,10 @@ impl FaultPlan {
     /// chaos-free run.
     pub fn can_drop(&self) -> bool {
         self.rates.drop > 0.0
-            || self.per_vc.iter().any(|(_, r)| r.drop > 0.0)
             || self
                 .targeted
                 .iter()
                 .any(|t| matches!(t.kind, FaultKind::Drop))
-    }
-
-    /// The rates for `vc` (per-VC override, else the global rates).
-    pub fn rates_for(&self, vc: VcId) -> FaultRates {
-        self.per_vc
-            .iter()
-            .find(|(v, _)| *v == vc)
-            .map(|(_, r)| *r)
-            .unwrap_or(self.rates)
     }
 }
 
@@ -256,13 +243,12 @@ impl FaultInjector {
         }
     }
 
-    /// Decide the fate of `msg` about to enter `(quad, vc)` at engine
-    /// step `now`, and account for it. Targeted faults take priority
+    /// Decide the fate of `msg` about to be sent, and account for it. Targeted faults take priority
     /// over the probabilistic draws; probabilistic draws happen in the
     /// fixed order drop → duplicate → delay → reorder, each only when
     /// its rate is nonzero. Some message classes take fewer fault
     /// kinds — see `FaultInjector::scope` for the fault boundary.
-    pub fn decide(&mut self, vc: VcId, msg: &SimMsg) -> Decision {
+    pub fn decide(&mut self, msg: &SimMsg) -> Decision {
         let scope = Self::scope(msg);
         if scope == FaultScope::Exempt {
             return Decision::Deliver;
@@ -278,7 +264,7 @@ impl FaultInjector {
                 });
             }
         }
-        let r = self.plan.rates_for(vc);
+        let r = self.plan.rates;
         if r.drop > 0.0 && self.rng.gen_bool(r.drop) {
             return self.account(Decision::Drop);
         }
@@ -289,7 +275,7 @@ impl FaultInjector {
             return self.account(Decision::Duplicate);
         }
         if r.delay > 0.0 && self.rng.gen_bool(r.delay) {
-            let steps = 1 + self.rng.gen_range_u64(self.plan.max_delay.max(1));
+            let steps = 1 + self.rng.gen_range_u64(MAX_DELAY);
             return self.account(Decision::Delay(steps));
         }
         if r.reorder > 0.0 && self.rng.gen_bool(r.reorder) {
@@ -313,13 +299,14 @@ impl FaultInjector {
     ///   transaction tags — matches them by address alone: a
     ///   duplicated or delayed completion could resolve a *later*
     ///   transaction on the same line with stale data. A dropped
-    ///   completion is recovered by the timeout/retransmit machinery
-    ///   and costs only liveness.
+    ///   completion is retransmitted after its timeout.
     /// * Everything else (requests, snoops, snoop responses, the
     ///   directory↔memory traffic) takes all four kinds: duplicates
-    ///   are absorbed by the directory's busy serialisation, the
-    ///   per-responder `answered` vector, and the stray-discard
-    ///   guards.
+    ///   meet the directory's busy serialisation, the per-responder
+    ///   `answered` vector, and the stray-discard guards.
+    ///
+    /// That recovery is incomplete: some drops and duplicates still end
+    /// in a coherence violation (DESIGN.md §10).
     fn scope(msg: &SimMsg) -> FaultScope {
         match messages::message(msg.name.as_str()) {
             Some(m) if m.class == MsgClass::Io => FaultScope::Exempt,
@@ -425,7 +412,7 @@ mod tests {
     fn zero_plan_draws_nothing_and_delivers_everything() {
         let mut f = FaultInjector::new(FaultPlan::quiet(9));
         for _ in 0..100 {
-            assert_eq!(f.decide(VcId::Vc(0), &m("read")), Decision::Deliver);
+            assert_eq!(f.decide(&m("read")), Decision::Deliver);
         }
         assert_eq!(f.stats.injected(), 0);
         // The RNG was never consumed: a fresh generator produces the
@@ -441,27 +428,10 @@ mod tests {
         let mut a = FaultInjector::new(plan.clone());
         let mut b = FaultInjector::new(plan);
         for _ in 0..200 {
-            assert_eq!(
-                a.decide(VcId::Vc(1), &m("sinv")),
-                b.decide(VcId::Vc(1), &m("sinv"))
-            );
+            assert_eq!(a.decide(&m("sinv")), b.decide(&m("sinv")));
         }
         assert_eq!(a.stats, b.stats);
         assert!(a.stats.injected() > 0, "0.3 rates must fire in 200 draws");
-    }
-
-    #[test]
-    fn per_vc_rates_override_the_global_rates() {
-        let mut plan = FaultPlan::uniform(7, 0.9);
-        plan.per_vc.push((VcId::Vc(3), FaultRates::default()));
-        let mut f = FaultInjector::new(plan);
-        for _ in 0..50 {
-            assert_eq!(f.decide(VcId::Vc(3), &m("data")), Decision::Deliver);
-        }
-        let hit = (0..50)
-            .filter(|_| f.decide(VcId::Vc(0), &m("data")) != Decision::Deliver)
-            .count();
-        assert!(hit > 30, "0.9 global rate barely fired: {hit}/50");
     }
 
     #[test]
@@ -473,10 +443,10 @@ mod tests {
             kind: FaultKind::Drop,
         });
         let mut f = FaultInjector::new(plan);
-        assert_eq!(f.decide(VcId::Vc(2), &m("data")), Decision::Deliver);
-        assert_eq!(f.decide(VcId::Vc(2), &m("data")), Decision::Drop);
-        assert_eq!(f.decide(VcId::Vc(2), &m("data")), Decision::Deliver);
-        assert_eq!(f.decide(VcId::Vc(2), &m("sinv")), Decision::Deliver);
+        assert_eq!(f.decide(&m("data")), Decision::Deliver);
+        assert_eq!(f.decide(&m("data")), Decision::Drop);
+        assert_eq!(f.decide(&m("data")), Decision::Deliver);
+        assert_eq!(f.decide(&m("sinv")), Decision::Deliver);
         assert_eq!(f.stats.drops, 1);
     }
 

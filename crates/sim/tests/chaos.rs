@@ -184,10 +184,11 @@ fn chaos_runs_are_reproducible_for_a_seed_pair() {
     assert!(s1.faults_injected > 0, "5% rates must inject something");
 }
 
-/// The acceptance bar: at drop/dup/delay rates of 10% the machine must
-/// never panic and never corrupt data — the coherence audit passes on
-/// whatever outcome the run reaches. Faults may only cost liveness
-/// (reported via `Outcome::Stalled`), never correctness.
+/// At drop/dup/delay rates of 10% the machine must never panic, and at
+/// these three seeds the coherence audit passes on whatever outcome the
+/// run reaches (some end `Outcome::Stalled`). Other seeds end in a
+/// coherence violation: drops and duplicates can cost correctness, not
+/// only liveness (DESIGN.md §10), so this pins these seeds only.
 #[test]
 fn audit_passes_under_ten_percent_chaos() {
     for &(quads, per_quad, ops) in &[(2usize, 2usize, 40usize), (4, 4, 15)] {

@@ -124,16 +124,16 @@ if [ "$rc_c" -ne 1 ] || ! grep -q 'column o takes 1000000 candidate rows, over t
     echo "the over-budget spec was not refused with the row-budget error" >&2
     exit 1
 fi
-# A column constrained twice is a parse error naming the second
-# directive's line at every entry point, never a silently dropped
-# constraint.
+# A column constrained twice is a parse error naming the file and the
+# second directive's line at every entry point, never a silently
+# dropped constraint.
 twice="$WORK_DIR/twice.ccsql"
 printf '%s\n' 'table Twice' 'input a = x, y' 'output o = p, NULL' \
     'constrain o: a = x ? o = p : o = NULL' 'constrain o: o = NULL' > "$twice"
-for cmd in lint solve "solve --no-compile"; do
+for cmd in lint solve "solve --no-compile" flows "mc --spec" "sim --spec"; do
     rc=0
     cargo run --quiet --release -p ccsql-cli -- $cmd "$twice" > "$WORK_DIR/twice.txt" 2>&1 || rc=$?
-    if [ "$rc" -ne 1 ] || ! grep -q 'parse error at 5:1: duplicate `constrain` directive for o' \
+    if [ "$rc" -ne 1 ] || ! grep -qF "$twice: parse error at 5:1: duplicate \`constrain\` directive for o" \
         "$WORK_DIR/twice.txt"; then
         echo "$cmd accepted a column constrained twice (exit $rc):" >&2
         cat "$WORK_DIR/twice.txt" >&2

@@ -1,11 +1,13 @@
 //! The protocol-zoo matrix suite: every spec pack under `specs/` runs
 //! through the full pipeline (lint → compiled/interpreted solve diff →
 //! flows/VCG → spec-machine mc with symmetry/thread identity → seeded
-//! sim), via the same `ccsql zoo` entry point `scripts/verify.sh`
-//! gates on. The suite asserts the matrix itself (completeness, clean
-//! packs pass, seeded-bug packs are rejected) and then drills into the
+//! sim), through `ccsql_cli::pack`, the pipeline `ccsql zoo` runs for
+//! each pack and `scripts/verify.sh` gates on. The suite asserts the
+//! matrix itself (completeness, clean packs pass, seeded-bug packs are
+//! rejected) from the typed verdicts and then drills into the
 //! per-protocol behaviour the summary line alone would hide.
 
+use ccsql_cli::pack::{self, Settings, Verdict};
 use std::collections::BTreeMap;
 
 fn argv(cmd: &str) -> Vec<String> {
@@ -33,25 +35,22 @@ fn all_packs() -> Vec<String> {
     packs
 }
 
-/// Parse the zoo JSONL verdict table into (protocol → stage → verdict).
-fn verdicts(out: &str) -> BTreeMap<String, BTreeMap<String, String>> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let tag = format!("\"{key}\":\"");
-        let start = line.find(&tag)? + tag.len();
-        line[start..].split('"').next().map(str::to_string)
-    };
-    let mut map: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    for line in out.lines().filter(|l| l.starts_with('{')) {
-        let (Some(p), Some(s), Some(v)) = (
-            field(line, "protocol"),
-            field(line, "stage"),
-            field(line, "verdict"),
-        ) else {
-            panic!("malformed zoo JSONL line: {line}");
-        };
-        map.entry(p).or_default().insert(s, v);
-    }
-    map
+/// One spec pack's stages at the zoo's quick tier.
+fn run_pack(path: impl AsRef<std::path::Path>) -> Vec<pack::Stage> {
+    pack::run(path, &Settings::tier(true)).expect("the pack parses")
+}
+
+/// Every spec pack's verdicts at the quick tier: protocol → stage →
+/// verdict.
+fn verdicts() -> BTreeMap<String, BTreeMap<&'static str, Verdict>> {
+    all_packs()
+        .into_iter()
+        .map(|p| {
+            let stages = run_pack(spec(&p)).into_iter();
+            let v = stages.map(|s| (s.name, s.verdict)).collect();
+            (p, v)
+        })
+        .collect()
 }
 
 fn run_zoo(extra: &str) -> String {
@@ -64,32 +63,32 @@ const CLEAN: [&str; 3] = ["fig3", "bedrock_moesif", "phase_priority"];
 
 #[test]
 fn the_matrix_covers_every_spec_pack_and_every_stage() {
-    let out = run_zoo("--quick");
-    let v = verdicts(&out);
-    for pack in all_packs() {
-        let stages = v
-            .get(&pack)
-            .unwrap_or_else(|| panic!("spec pack {pack} missing from the zoo matrix"));
-        for stage in STAGES {
-            assert!(
-                stages.contains_key(stage),
-                "{pack} has no {stage} verdict in the matrix"
-            );
-        }
+    let packs = all_packs();
+    for pack in &packs {
+        let stages: Vec<&str> = run_pack(spec(pack)).iter().map(|s| s.name).collect();
+        assert_eq!(stages, STAGES, "{pack} does not run every stage in order");
     }
-    assert_eq!(v.len(), all_packs().len(), "matrix lists unknown packs");
-    assert!(out.contains("expectations met"), "{out}");
+    // The zoo renders one verdict per (pack, stage).
+    let out = run_zoo("--quick");
+    let summary = format!(
+        "zoo: {} pack(s) ({} clean, {} seeded-bug), {} stage verdict(s), expectations met",
+        packs.len(),
+        CLEAN.len(),
+        packs.len() - CLEAN.len(),
+        STAGES.len() * packs.len()
+    );
+    assert!(out.contains(&summary), "{out}");
 }
 
 #[test]
 fn clean_protocols_pass_every_stage_and_seeded_bugs_are_rejected() {
-    let out = run_zoo("--quick");
-    let v = verdicts(&out);
+    let v = verdicts();
     for pack in CLEAN {
         for stage in STAGES {
             assert_eq!(
-                v[pack][stage], "pass",
-                "clean pack {pack} does not pass {stage}:\n{out}"
+                v[pack][stage],
+                Verdict::Pass,
+                "clean pack {pack} does not pass {stage}: {v:?}"
             );
         }
     }
@@ -98,17 +97,17 @@ fn clean_protocols_pass_every_stage_and_seeded_bugs_are_rejected() {
             continue;
         }
         assert!(
-            v[&pack].values().any(|verdict| verdict == "fail"),
-            "seeded-bug pack {pack} was not rejected by any stage:\n{out}"
+            v[&pack].values().any(|verdict| *verdict == Verdict::Fail),
+            "seeded-bug pack {pack} was not rejected by any stage: {v:?}"
         );
     }
     // The specific seeded bugs land where they were designed to land:
     // the MOESIF one is invisible to lint and only the machine finds
     // it; the phase-priority one is a lint-level nondeterminism.
-    assert_eq!(v["bedrock_moesif_buggy"]["lint"], "pass");
-    assert_eq!(v["bedrock_moesif_buggy"]["specmc"], "fail");
-    assert_eq!(v["phase_priority_buggy"]["lint"], "fail");
-    assert_eq!(v["phase_priority_buggy"]["solve"], "fail");
+    assert_eq!(v["bedrock_moesif_buggy"]["lint"], Verdict::Pass);
+    assert_eq!(v["bedrock_moesif_buggy"]["specmc"], Verdict::Fail);
+    assert_eq!(v["phase_priority_buggy"]["lint"], Verdict::Fail);
+    assert_eq!(v["phase_priority_buggy"]["solve"], Verdict::Fail);
 }
 
 #[test]
@@ -201,12 +200,18 @@ fn zoo_fails_a_pack_whose_state_cannot_hold_its_agents() {
     let dir = std::env::temp_dir().join(format!("ccsql-zoo-wide-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("wide.ccsql"), text).unwrap();
-    let err =
-        ccsql_cli::run(&["zoo".into(), dir.display().to_string(), "--quick".into()]).unwrap_err();
+    let path = dir.join("wide.ccsql");
+    std::fs::write(&path, text).unwrap();
+    let zoo = ccsql_cli::run(&["zoo".into(), dir.display().to_string(), "--quick".into()]);
+    let stages = run_pack(&path);
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(err.contains("holds at most 0 agent(s)"), "{err}");
-    let v = verdicts(&err);
-    assert_eq!(v["wide"]["specmc"], "fail", "{err}");
-    assert!(v["wide"].contains_key("specsim"), "{err}");
+    assert!(zoo.is_err(), "the zoo passed a pack it cannot model-check");
+    let specmc = &stages[3];
+    assert_eq!((specmc.name, specmc.verdict), ("specmc", Verdict::Fail));
+    assert!(
+        specmc.detail.contains("holds at most 0 agent(s)"),
+        "{}",
+        specmc.detail
+    );
+    assert_eq!(stages[4].name, "specsim", "{stages:?}");
 }
